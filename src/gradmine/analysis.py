@@ -138,11 +138,6 @@ def bound_ratio(values):
     return float(v.size * np.sum(v * v) / total**2)
 
 
-def svm_full_objective(problem, w):
-    losses = [svm_loss_grad(problem, i, w)[0] for i in range(problem.n)]
-    return float(np.mean(losses))
-
-
 def svm_convexity_stats(problem, steps=5000, lr=None):
     """Informational (mu, sigma_sq, w_star) for the convex test case.
 

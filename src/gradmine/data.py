@@ -352,6 +352,11 @@ def load_dataset(path):
             manifest = json.load(fh)
     except FileNotFoundError:
         pass
+    if "n_samples" in manifest and int(manifest["n_samples"]) != len(samples):
+        raise InvalidInputError(
+            f"{path}: manifest lists {int(manifest['n_samples'])} samples "
+            f"but the file holds {len(samples)}"
+        )
 
     if "vocab" in manifest:
         vocab = int(manifest["vocab"])

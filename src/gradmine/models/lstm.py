@@ -105,12 +105,17 @@ def _check_sample(params, sample):
         raise InvalidInputError(f"label out of range [0, {params.b_cls.size})")
 
 
-def _check_gates(zs, fs, gs, os_):
-    for name, arr in (("z", zs), ("f", fs), ("o", os_)):
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise InvalidInputError(f"{name}-gate left [0, 1]")
-    if not np.all(np.isfinite(gs)) or np.any(np.abs(gs) > 1.0):
-        raise InvalidInputError("candidate cell left [-1, 1]")
+def _check_gates(gates, hidden):
+    # Sigmoid gates lie in [0, 1], the candidate cell in [-1, 1]; NaN fails
+    # both comparisons.
+    lower = np.zeros(4 * hidden)
+    lower[_blocks(hidden)[2]] = -1.0
+    bad = ~((gates >= lower) & (gates <= 1.0)).all(axis=0)
+    if bad.any():
+        gate = GATES[int(np.flatnonzero(bad)[0]) // hidden]
+        if gate == "c":
+            raise InvalidInputError("candidate cell left [-1, 1]")
+        raise InvalidInputError(f"{gate}-gate left [0, 1]")
 
 
 def _stacked(params):
@@ -121,17 +126,20 @@ def _stacked(params):
     return w, u, b
 
 
+def _blocks(hidden):
+    """Slices of the (z, f, c, o) blocks in a stacked 4*hidden vector."""
+    return tuple(slice(i * hidden, (i + 1) * hidden) for i in range(4))
+
+
 def forward(params, sample):
     _check_sample(params, sample)
     tokens = sample.tokens
     t_len = tokens.size
     hidden = params.h0.size
+    z_blk, f_blk, c_blk, o_blk = _blocks(hidden)
 
     xs = params.w_emb[tokens]
-    zs = np.empty((t_len, hidden))
-    fs = np.empty((t_len, hidden))
-    gs = np.empty((t_len, hidden))
-    os_ = np.empty((t_len, hidden))
+    gates = np.empty((t_len, 4 * hidden))  # (z, f, g, o) activations
     cs = np.empty((t_len + 1, hidden))
     tcs = np.empty((t_len, hidden))
     hs = np.empty((t_len + 1, hidden))
@@ -142,14 +150,16 @@ def forward(params, sample):
     pre_x = xs @ w_all.T + b_all  # (T, 4*hidden), input share of every gate
     for t in range(t_len):
         acts = pre_x[t] + u_all @ hs[t]
-        zs[t] = sigmoid(acts[:hidden])
-        fs[t] = sigmoid(acts[hidden : 2 * hidden])
-        gs[t] = np.tanh(acts[2 * hidden : 3 * hidden])
-        os_[t] = sigmoid(acts[3 * hidden :])
-        cs[t + 1] = zs[t] * gs[t] + fs[t] * cs[t]
-        tcs[t] = np.tanh(cs[t + 1])
-        hs[t + 1] = os_[t] * tcs[t]
-    _check_gates(zs, fs, gs, os_)
+        # One sigmoid over all four blocks; the c block is then overwritten
+        # by its tanh. Elementwise, so each gate gets the bits of its own call.
+        gate = gates[t]
+        gate[:] = sigmoid(acts)
+        np.tanh(acts[c_blk], out=gate[c_blk])
+        np.add(gate[z_blk] * gate[c_blk], gate[f_blk] * cs[t], out=cs[t + 1])
+        np.tanh(cs[t + 1], out=tcs[t])
+        np.multiply(gate[o_blk], tcs[t], out=hs[t + 1])
+    _check_gates(gates, hidden)
+    zs, fs, gs, os_ = (gates[:, blk] for blk in (z_blk, f_blk, c_blk, o_blk))
 
     pooled = hs[1:].mean(axis=0)
     logp = log_softmax(params.w_cls @ pooled + params.b_cls)
@@ -194,19 +204,27 @@ def backward(params, sample, trace):
     dc_next = np.zeros_like(params.c0)
 
     w_all, u_all, _ = _stacked(params)
+    z_blk, f_blk, c_blk, o_blk = _blocks(hidden)
+    zs, fs, gs, os_, cs, tcs = (
+        trace.zs, trace.fs, trace.gs, trace.os_, trace.cs, trace.tcs)
+    # Factors that do not depend on the carried gradients, for all T at
+    # once; each product below keeps its left-to-right order, so every
+    # gradient has the bits of the step-by-step evaluation.
+    one_z, one_f, one_o = 1.0 - zs, 1.0 - fs, 1.0 - os_
+    one_g2, one_tc2 = 1.0 - gs**2, 1.0 - tcs**2
     da_all = np.empty((t_len, 4 * hidden))  # pre-activation grads, stacked
     g_emb = np.zeros_like(params.w_emb)
     for t in range(t_len - 1, -1, -1):
-        z, f, gc, o = trace.zs[t], trace.fs[t], trace.gs[t], trace.os_[t]
+        z, f, o = zs[t], fs[t], os_[t]
         dh = dh_pool + dh_next
-        do = dh * trace.tcs[t]
-        dc = dh * o * (1.0 - trace.tcs[t] ** 2) + dc_next
+        do = dh * tcs[t]
+        dc = dh * o * one_tc2[t] + dc_next
 
         da = da_all[t]
-        da[:hidden] = dc * gc * z * (1.0 - z)
-        da[hidden : 2 * hidden] = dc * trace.cs[t] * f * (1.0 - f)
-        da[2 * hidden : 3 * hidden] = dc * z * (1.0 - gc**2)
-        da[3 * hidden :] = do * o * (1.0 - o)
+        da[z_blk] = dc * gs[t] * z * one_z[t]
+        da[f_blk] = dc * cs[t] * f * one_f[t]
+        da[c_blk] = dc * z * one_g2[t]
+        da[o_blk] = do * o * one_o[t]
         dc_next = dc * f
 
         g_emb[tokens[t]] += w_all.T @ da
@@ -215,13 +233,11 @@ def backward(params, sample, trace):
     g_w = da_all.T @ trace.xs  # (4*hidden, embed)
     g_u = da_all.T @ trace.hs[:-1]
     g_b = da_all.sum(axis=0)
-    s = [slice(0, hidden), slice(hidden, 2 * hidden),
-         slice(2 * hidden, 3 * hidden), slice(3 * hidden, 4 * hidden)]
     return LstmParams(
         w_emb=g_emb,
-        w_z=g_w[s[0]], w_f=g_w[s[1]], w_c=g_w[s[2]], w_o=g_w[s[3]],
-        u_z=g_u[s[0]], u_f=g_u[s[1]], u_c=g_u[s[2]], u_o=g_u[s[3]],
-        b_z=g_b[s[0]], b_f=g_b[s[1]], b_c=g_b[s[2]], b_o=g_b[s[3]],
+        w_z=g_w[z_blk], w_f=g_w[f_blk], w_c=g_w[c_blk], w_o=g_w[o_blk],
+        u_z=g_u[z_blk], u_f=g_u[f_blk], u_c=g_u[c_blk], u_o=g_u[o_blk],
+        b_z=g_b[z_blk], b_f=g_b[f_blk], b_c=g_b[c_blk], b_o=g_b[o_blk],
         w_cls=np.outer(dlogits, pooled),
         b_cls=dlogits,
         h0=dh_next,

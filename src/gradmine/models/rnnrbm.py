@@ -79,14 +79,16 @@ def init_params(spec, seed):
     )
 
 
-def gibbs_step(w, bv, bh, v, rng):
+def gibbs_step(w, bv, bh, v, rng, h_prob=None):
     """One alternating Gibbs update from visible state ``v``.
 
     Returns (h_sample, v_next_prob, v_next_sample). Consumes exactly one
     uniform array per layer, in h-then-v order, so chains are bitwise
-    reproducible from the generator state.
+    reproducible from the generator state. ``h_prob``, when given, must be
+    ``sigmoid(w.T @ v + bh)``, which the caller already holds.
     """
-    h_prob = sigmoid(w.T @ v + bh)
+    if h_prob is None:
+        h_prob = sigmoid(w.T @ v + bh)
     h = (rng.random(h_prob.size) < h_prob).astype(np.float64)
     v_prob = sigmoid(w @ h + bv)
     v_next = (rng.random(v_prob.size) < v_prob).astype(np.float64)
@@ -94,14 +96,10 @@ def gibbs_step(w, bv, bh, v, rng):
 
 
 def _bernoulli_cost(v, prob):
-    # v is exactly 0/1; evaluate only the defined branch per entry. A
-    # saturated mismatch legitimately yields inf, caught by callers'
-    # divergence guards.
-    on = v > 0.5
-    out = np.empty_like(prob)
+    # v is exactly 0/1. A saturated mismatch legitimately yields inf,
+    # caught by callers' divergence guards.
     with np.errstate(divide="ignore"):
-        out[on] = -np.log(prob[on])
-        out[~on] = -np.log1p(-prob[~on])
+        out = np.where(v > 0.5, -np.log(prob), -np.log1p(-prob))
     return float(np.mean(out))
 
 
@@ -133,11 +131,14 @@ def forward(params, sample, k=1, rng=None):
         bvs[t] = params.b_v + params.w_uv @ us[t]
         bhs[t] = params.b_h + params.w_uh @ us[t]
 
-        v_chain = v
+        # The positive phase is the first half-step's hidden probability.
+        h_pos = sigmoid(params.w.T @ v + bhs[t])
+        v_chain, h_prob = v, h_pos
         recon = None
         for _ in range(k):
-            _, recon, v_chain = gibbs_step(params.w, bvs[t], bhs[t], v_chain, rng)
-        h_pos = sigmoid(params.w.T @ v + bhs[t])
+            _, recon, v_chain = gibbs_step(
+                params.w, bvs[t], bhs[t], v_chain, rng, h_prob)
+            h_prob = None
         h_neg = sigmoid(params.w.T @ v_chain + bhs[t])
         stats.append(
             StepStats(v=v, v_star=v_chain, h_pos=h_pos, h_neg=h_neg, recon_prob=recon)

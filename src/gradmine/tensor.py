@@ -8,35 +8,6 @@ import numpy as np
 
 from .errors import InvalidInputError, ShapeError
 
-SPECTRAL_ITERS = 100
-SPECTRAL_TOL = 1e-10
-
-
-def as_matrix(x, rows=None, cols=None, name="matrix"):
-    """Validate and return ``x`` as a finite 2-D float64 array."""
-    m = np.ascontiguousarray(x, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if rows is not None and m.shape[0] != rows:
-        raise ShapeError(f"{name} must have {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise ShapeError(f"{name} must have {cols} cols, got {m.shape[1]}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    return m
-
-
-def as_vector(x, size=None, name="vector"):
-    """Validate and return ``x`` as a finite 1-D float64 array."""
-    v = np.ascontiguousarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"{name} must be 1-D, got ndim={v.ndim}")
-    if size is not None and v.shape[0] != size:
-        raise ShapeError(f"{name} must have length {size}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    return v
-
 
 def matmul(a, b):
     """Matrix product with explicit shape checking."""
@@ -50,14 +21,17 @@ def matmul(a, b):
 
 
 def sigmoid(v):
-    """Elementwise logistic function, overflow-safe on both tails."""
+    """Elementwise logistic function, overflow-safe on both tails.
+
+    Branch-free: with ``e = exp(-|v|)`` it evaluates ``1 / (1 + e)`` where
+    ``v >= 0`` and ``e / (1 + e)`` elsewhere, the same operations, and so
+    the same bits, as evaluating each tail on its own entries.
+    ``minimum(v, -v)`` is ``-|v|`` except that a NaN keeps its sign, as
+    ``exp(v)`` on the negative tail would keep it.
+    """
     v = np.asarray(v, dtype=np.float64)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    e = np.exp(np.minimum(v, -v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
 def tanh(v):
@@ -84,29 +58,14 @@ def frobenius_norm(m):
     return float(np.sqrt(np.sum(np.asarray(m, dtype=np.float64) ** 2)))
 
 
-def spectral_norm(m, iters=SPECTRAL_ITERS, tol=SPECTRAL_TOL):
-    """Largest singular value estimated by deterministic power iteration.
-
-    Starts from the normalized all-ones vector and iterates ``v <- A^T A v``
-    until the iterate moves less than ``tol`` or ``iters`` rounds elapse.
-    """
+def spectral_norm(m):
+    """Largest singular value of a 2-D matrix."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeError("spectral_norm expects a 2-D matrix")
     if a.size == 0 or not np.any(a):
         return 0.0
-    v = np.full(a.shape[1], 1.0 / np.sqrt(a.shape[1]))
-    for _ in range(iters):
-        w = a.T @ (a @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        w /= norm
-        if np.linalg.norm(w - v) < tol:
-            v = w
-            break
-        v = w
-    return float(np.linalg.norm(a @ v))
+    return float(np.linalg.norm(a, 2))
 
 
 def matrix_norm(m, kind="frobenius"):

@@ -88,6 +88,18 @@ def naive_rnn_loss(params, sample):
     return sum(losses) / len(losses)
 
 
+def masked_sigmoid(v):
+    """Logistic function evaluated per tail through boolean masks, so each
+    entry's exponential never overflows."""
+    v = np.asarray(v, dtype=np.float64)
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
 def _sig(x):
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))

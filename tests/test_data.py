@@ -143,6 +143,15 @@ class TestRoundTrips:
             load_dataset(path)
         assert err.value.line == 3
 
+    def test_dropped_last_line_rejected(self, tmp_path):
+        ds = gen_seqclass(n=5, vocab=8, seed=1)
+        path = tmp_path / "d.jsonl"
+        save_dataset(path, ds)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))
+        with pytest.raises(InvalidInputError, match=r"lists 5 samples.*holds 4"):
+            load_dataset(path)
+
     def test_mixed_kinds_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(

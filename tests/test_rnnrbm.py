@@ -5,6 +5,7 @@ from gradmine.data import FrameSequence
 from gradmine.errors import InvalidInputError
 from gradmine.models import ModelSpec, get_model, param_blocks
 from gradmine.models.rnnrbm import cd_surrogate_loss, gibbs_step
+from gradmine.tensor import sigmoid
 
 from conftest import randomize
 from oracles import (
@@ -73,6 +74,25 @@ class TestForward:
         mine = model.forward(params, sample, rng=np.random.default_rng(99)).loss
         ref = naive_rnnrbm_cost(params, sample.frames, 1, np.random.default_rng(99))
         assert abs(mine - ref) < 1e-10
+
+    @pytest.mark.parametrize("cd_k", [1, 3])
+    def test_draws_and_positive_phase(self, rng, cd_k):
+        # T*k*(n_h + n_v) uniforms, one per unit per Gibbs half-step, and a
+        # positive phase equal to its direct evaluation.
+        model = small_model(cd_k=cd_k)
+        params = randomize(model.init_params(0), np.random.default_rng(6), 0.8)
+        t_len, n_v, n_h = 4, params.b_v.size, params.b_h.size
+        sample = random_frames(rng, t_len=t_len)
+        chain_rng = np.random.default_rng(21)
+        trace = model.forward(params, sample, rng=chain_rng)
+        ref_rng = np.random.default_rng(21)
+        for _ in range(t_len * cd_k * (n_h + n_v)):
+            ref_rng.random()
+        assert chain_rng.bit_generator.state == ref_rng.bit_generator.state
+        for t, st in enumerate(trace.stats):
+            direct = sigmoid(params.w.T @ st.v + trace.bhs[t])
+            np.testing.assert_array_equal(st.h_pos.view(np.int64),
+                                          direct.view(np.int64))
 
     def test_requires_rng(self, rng):
         model = small_model()

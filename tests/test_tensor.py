@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from gradmine.errors import InvalidInputError, ShapeError
 from gradmine.tensor import (
@@ -11,6 +16,18 @@ from gradmine.tensor import (
     spectral_norm,
     tanh,
 )
+
+from oracles import masked_sigmoid
+
+FLOAT_MAX = np.finfo(np.float64).max
+TINY = np.finfo(np.float64).tiny
+# Signed zeros, infinities, NaNs of both signs, subnormals, the edges of the
+# normal range and |v| > 745, where exp(-|v|) underflows to zero.
+SIGMOID_EDGES = np.array([
+    0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+    TINY / 3, -TINY / 3, TINY, -TINY, 745.2, -745.2, 1000.0, -1000.0,
+    FLOAT_MAX, -FLOAT_MAX,
+])
 
 
 class TestMatmul:
@@ -47,6 +64,27 @@ class TestNonlinearities:
     def test_sigmoid_saturation_is_finite(self):
         out = sigmoid(np.array([-1000.0, 1000.0]))
         np.testing.assert_array_equal(out, [0.0, 1.0])
+
+    @settings(deadline=None)
+    @example(SIGMOID_EDGES)
+    @given(arrays(
+        np.float64,
+        array_shapes(min_dims=1, max_dims=2, max_side=40),
+        elements=st.one_of(
+            st.sampled_from(SIGMOID_EDGES.tolist()),
+            st.floats(width=64, allow_nan=True, allow_infinity=True,
+                      allow_subnormal=True),
+        ),
+    ))
+    def test_sigmoid_bits_match_masked_oracle(self, v):
+        with warnings.catch_warnings(), np.errstate(
+            divide="warn", over="warn", invalid="warn", under="ignore"
+        ):
+            warnings.simplefilter("error", RuntimeWarning)
+            got = sigmoid(v)
+        np.testing.assert_array_equal(
+            got.view(np.int64), masked_sigmoid(v).view(np.int64)
+        )
 
     def test_tanh(self):
         np.testing.assert_allclose(tanh(np.array([0.0, 1.0])), [0.0, np.tanh(1.0)])
