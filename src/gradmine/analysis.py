@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import check_probs
+from .base import check_probs, check_weights
 from .errors import DistributionError, InvalidInputError
 
 
@@ -73,15 +73,8 @@ def svm_bounds(problem):
 
 
 def _normalized(values, what):
-    v = np.ascontiguousarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise DistributionError(f"{what} must be a non-empty 1-D vector")
-    if np.any(v < 0) or not np.all(np.isfinite(v)):
-        raise DistributionError(f"{what} must be finite and non-negative")
-    total = v.sum()
-    if total <= 0.0:
-        raise DistributionError(f"all {what} are zero; distribution degenerate")
-    return v / total
+    v = check_weights(values, what)
+    return v / v.sum()
 
 
 def lipschitz_distribution(bounds):
@@ -127,15 +120,8 @@ def bound_ratio(values):
 
     Equals 1 exactly for constant vectors and grows with dispersion.
     """
-    v = np.ascontiguousarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise DistributionError("values must be a non-empty 1-D vector")
-    if np.any(v < 0) or not np.all(np.isfinite(v)):
-        raise DistributionError("values must be finite and non-negative")
-    total = v.sum()
-    if total <= 0.0:
-        raise DistributionError("all values are zero")
-    return float(v.size * np.sum(v * v) / total**2)
+    v = check_weights(values, "values")
+    return float(v.size * np.sum(v * v) / v.sum() ** 2)
 
 
 def svm_convexity_stats(problem, steps=5000, lr=None):

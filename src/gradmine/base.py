@@ -67,7 +67,14 @@ def check_probs(probs, n=None, tol=PROB_SUM_TOL):
     return p
 
 
-def check_positive(value, name):
-    if not value > 0:
-        raise ConfigError(f"{name} must be > 0, got {value}")
-    return value
+def check_weights(values, what):
+    """Validate a non-empty, finite, non-negative 1-D vector with a positive
+    sum (sampling weights); returns it as a float64 array."""
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    if v.ndim != 1 or v.size == 0:
+        raise DistributionError(f"{what} must be a non-empty 1-D vector")
+    if np.any(v < 0) or not np.all(np.isfinite(v)):
+        raise DistributionError(f"{what} must be finite and non-negative")
+    if v.sum() <= 0.0:
+        raise DistributionError(f"all {what} are zero; distribution degenerate")
+    return v

@@ -16,7 +16,14 @@ import numpy as np
 
 from . import analysis, data, fim, optimizer, plotting
 from .errors import DivergenceError, GradmineError
-from .models import STREAM_EVAL, get_model, params_to_vector, spec_for_dataset
+from .models import (
+    MODEL_KINDS,
+    STREAM_EVAL,
+    get_model,
+    params_to_vector,
+    spec_of,
+    stream_rng,
+)
 
 
 def _sha256(path):
@@ -45,25 +52,12 @@ def _write_run_record(out_path, args, started, inputs, outputs):
 
 
 def _add_model_args(p, default_model="lstm"):
-    p.add_argument("--model", default=default_model,
-                   choices=["rnn", "lstm", "rnnrbm"])
+    p.add_argument("--model", default=default_model, choices=MODEL_KINDS)
     p.add_argument("--embed-dim", type=int, default=8)
     p.add_argument("--hidden", type=int, default=8)
     p.add_argument("--classes", type=int, default=2)
     p.add_argument("--context", type=int, default=8)
     p.add_argument("--cd-k", type=int, default=1)
-
-
-def _spec(args, dataset):
-    return spec_for_dataset(
-        dataset,
-        args.model,
-        embed=args.embed_dim,
-        hidden=args.hidden,
-        classes=args.classes,
-        context=args.context,
-        cd_k=args.cd_k,
-    )
 
 
 def cmd_gen(args):
@@ -95,7 +89,7 @@ def cmd_gen(args):
 def cmd_mine(args):
     started = time.perf_counter()
     dataset = data.load_dataset(args.data)
-    spec = _spec(args, dataset)
+    spec = spec_of(args, dataset)
     epsilon = args.epsilon
     if epsilon is None:
         if args.target_loss is None:
@@ -138,6 +132,11 @@ def cmd_mine(args):
 
 def _load_table_for(args, dataset):
     table = fim.load_importance(args.importance)
+    if table.model != args.model:
+        raise GradmineError(
+            f"importance table was mined with model {table.model!r}, "
+            f"this run uses {args.model!r}"
+        )
     if table.n != len(dataset):
         raise GradmineError(
             f"importance table covers {table.n} samples, "
@@ -158,7 +157,7 @@ def cmd_train(args):
         frames, lr = RBM_PRESETS[args.rbm_preset]
         args.lr = lr
         dataset = data.chunk_frames(dataset, frames)
-    spec = _spec(args, dataset)
+    spec = spec_of(args, dataset)
     table = None
     inputs = [args.data]
     if args.sampler == "importance":
@@ -207,7 +206,7 @@ def cmd_train(args):
 def cmd_compare(args):
     started = time.perf_counter()
     dataset = data.load_dataset(args.data)
-    spec = _spec(args, dataset)
+    spec = spec_of(args, dataset)
     table = _load_table_for(args, dataset)
     params0 = get_model(spec).init_params(args.seed)
 
@@ -267,7 +266,7 @@ def cmd_compare(args):
 def cmd_variance(args):
     started = time.perf_counter()
     dataset = data.load_dataset(args.data)
-    spec = _spec(args, dataset)
+    spec = spec_of(args, dataset)
     model = get_model(spec)
     params = model.init_params(args.seed)
     inputs = [args.data]
@@ -277,9 +276,7 @@ def cmd_variance(args):
         )
         params, _ = optimizer.train(dataset, params, cfg)
 
-    rng = np.random.default_rng(
-        np.random.SeedSequence([int(args.seed), STREAM_EVAL])
-    )
+    rng = stream_rng(args.seed, STREAM_EVAL)
     grads = np.stack(
         [
             params_to_vector(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ParamsMixin, check_probs
+from .base import ParamsMixin, check_probs, check_weights
 from .errors import (
     ConfigError,
     DistributionError,
@@ -39,7 +39,7 @@ from .models import (
     copy_params,
     get_model,
     param_block,
-    spec_for_dataset,
+    spec_of,
     stream_rng,
     validate_dataset,
 )
@@ -124,8 +124,7 @@ class ImportanceTable:
                  self.converged.size}
         if len(sizes) != 1 or self.n == 0:
             raise InvalidInputError("importance table columns disagree in length")
-        if np.any(self.norms < 0) or not np.all(np.isfinite(self.norms)):
-            raise InvalidInputError("norms must be finite and non-negative")
+        check_weights(self.norms, "norms")
         if np.any(self.iterations < 0):
             raise InvalidInputError("iterations must be non-negative")
         check_probs(self.probs, n=self.n, tol=1e-12)
@@ -293,22 +292,11 @@ def build_distribution(norms, smoothing=0.0):
     pull the distribution toward uniform and guarantee strictly positive
     probabilities when some norms are zero.
     """
-    if hasattr(norms, "norms"):
-        norms = norms.norms
-    v = np.ascontiguousarray(norms, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise DistributionError("norms must be a non-empty 1-D vector")
-    if np.any(v < 0) or not np.all(np.isfinite(v)):
-        raise DistributionError("norms must be finite and non-negative")
     if smoothing < 0:
         raise ConfigError("smoothing must be >= 0")
+    v = check_weights(getattr(norms, "norms", norms), "norms")
     shifted = v + smoothing * v.mean()
-    total = shifted.sum()
-    if total <= 0.0:
-        raise DistributionError(
-            "all norms are zero and smoothing is 0; distribution degenerate"
-        )
-    return build_alias(shifted / total)
+    return build_alias(shifted / shifted.sum())
 
 
 def save_importance(path, table):
@@ -338,17 +326,7 @@ def load_importance(path):
     missing = [k for k in IMPORTANCE_KEYS if k not in payload]
     if missing:
         raise InvalidInputError(f"importance file missing keys: {missing}")
-    return ImportanceTable(
-        model=payload["model"],
-        base_selector=payload["base_selector"],
-        epsilon=payload["epsilon"],
-        seed=payload["seed"],
-        norm_kind=payload["norm_kind"],
-        norms=payload["norms"],
-        probs=payload["probs"],
-        iterations=payload["iterations"],
-        converged=payload["converged"],
-    ).validate()
+    return ImportanceTable(**{k: payload[k] for k in IMPORTANCE_KEYS}).validate()
 
 
 class ImportanceMiner(ParamsMixin):
@@ -398,15 +376,7 @@ class ImportanceMiner(ParamsMixin):
 
     def fit(self, X, y=None):
         dataset = as_dataset(X)
-        spec = spec_for_dataset(
-            dataset,
-            self.model,
-            embed=self.embed_dim,
-            hidden=self.hidden,
-            classes=self.classes,
-            context=self.context,
-            cd_k=self.cd_k,
-        )
+        spec = spec_of(self, dataset)
         cfg = FimConfig(
             epsilon=self.epsilon,
             lr=self.lr,

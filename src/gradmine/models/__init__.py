@@ -1,12 +1,13 @@
-"""Model registry: a uniform train/eval interface over the three models.
+"""Model registry: one protocol over the three model modules.
 
-Each adapter is stateless; parameters travel explicitly through every
-call, so concurrent workers can hold private copies without locks. The
-frame model consumes randomness from the generator handed to ``forward``;
-the token models ignore it.
+Each module exports ``BASE_SELECTOR``, ``init_params(spec, seed)``,
+``forward(params, sample, rng=None, k=1)``, ``backward(params, sample,
+trace)``, ``errors(trace, sample)`` and ``predict(trace)``. Parameters
+travel explicitly through every call, so concurrent workers can hold
+private copies without locks. Only the frame model draws from ``rng``.
 """
 
-import numpy as np
+from dataclasses import dataclass
 
 from . import lstm, rnn, rnnrbm
 from .common import (
@@ -25,107 +26,56 @@ from .common import (
     map_blocks,
     param_block,
     param_blocks,
-    params_allfinite,
     params_to_vector,
     stream_rng,
-    zeros_like_params,
 )
-from ..errors import ConfigError
+from ..errors import InvalidInputError
+
+_MODULES = {RNN: rnn, LSTM: lstm, RNNRBM: rnnrbm}
 
 
-class _TokenModel:
-    _mod = None
+@dataclass(frozen=True)
+class Model:
+    """A spec bound to its model module. Every call looks the module
+    function up afresh, so one replaced at its module attribute (a tracer,
+    a test double) is the one that runs."""
 
-    def __init__(self, spec):
-        self.spec = spec
-        self.base_selector = self._mod.BASE_SELECTOR
-
-    @property
-    def kind(self):
-        return self.spec.kind
-
-    def init_params(self, seed):
-        return self._mod.init_params(self.spec, seed)
-
-    def forward(self, params, sample, rng=None):
-        return self._mod.forward(params, sample)
-
-    def backward(self, params, sample, trace):
-        return self._mod.backward(params, sample, trace)
-
-    def loss(self, params, sample, rng=None):
-        return self._mod.forward(params, sample).loss
-
-    def predict(self, params, sample):
-        return self._mod.predict(params, sample)
-
-    def error_count(self, params, sample, rng=None):
-        return self._mod.error_count(params, sample)
-
-
-class RnnModel(_TokenModel):
-    _mod = rnn
-
-    @staticmethod
-    def trace_errors(trace, sample):
-        if sample.is_classification:
-            return int(int(np.argmax(trace.ys[-1])) != sample.label), 1
-        pred = np.argmax(trace.ys, axis=1)
-        return int(np.sum(pred != sample.targets)), sample.tokens.size
-
-
-class LstmModel(_TokenModel):
-    _mod = lstm
-
-    @staticmethod
-    def trace_errors(trace, sample):
-        return int(int(np.argmax(trace.probs)) != sample.label), 1
-
-
-class RnnRbmModel:
-    def __init__(self, spec):
-        self.spec = spec
-        self.base_selector = rnnrbm.BASE_SELECTOR
+    spec: ModelSpec
 
     @property
     def kind(self):
         return self.spec.kind
 
+    @property
+    def module(self):
+        return _MODULES[self.spec.kind]
+
+    @property
+    def base_selector(self):
+        return self.module.BASE_SELECTOR
+
     def init_params(self, seed):
-        return rnnrbm.init_params(self.spec, seed)
+        return self.module.init_params(self.spec, seed)
 
     def forward(self, params, sample, rng=None):
-        return rnnrbm.forward(params, sample, k=self.spec.cd_k, rng=rng)
+        return self.module.forward(params, sample, rng=rng, k=self.spec.cd_k)
 
     def backward(self, params, sample, trace):
-        return rnnrbm.backward(params, sample, trace)
+        return self.module.backward(params, sample, trace)
 
     def loss(self, params, sample, rng=None):
         return self.forward(params, sample, rng=rng).loss
 
-    def predict(self, params, sample):
-        return None
+    def errors(self, trace, sample):
+        return self.module.errors(trace, sample)
 
-    def error_count(self, params, sample, rng=None):
-        return rnnrbm.error_count(params, sample, k=self.spec.cd_k, rng=rng)
-
-    @staticmethod
-    def trace_errors(trace, sample):
-        wrong = sum(
-            int(np.sum((st.recon_prob > 0.5).astype(np.float64) != st.v))
-            for st in trace.stats
-        )
-        return wrong, sample.frames.size
-
-
-_REGISTRY = {RNN: RnnModel, LSTM: LstmModel, RNNRBM: RnnRbmModel}
+    def predict(self, trace):
+        return self.module.predict(trace)
 
 
 def get_model(spec):
-    """Adapter instance for a model spec."""
-    if spec.kind not in _REGISTRY:
-        raise ConfigError(f"unknown model kind {spec.kind!r}")
-    return _REGISTRY[spec.kind](spec)
+    """The model protocol for a spec (whose kind ``ModelSpec`` validated)."""
+    return Model(spec)
 
 
 def spec_for_dataset(dataset, kind, **dims):
@@ -133,10 +83,23 @@ def spec_for_dataset(dataset, kind, **dims):
     return ModelSpec(kind=kind, vocab=dataset.vocab, **dims)
 
 
+def spec_of(settings, dataset):
+    """Spec for ``dataset`` from the model settings of parsed CLI arguments
+    or an estimator: ``model``, ``embed_dim``, ``hidden``, ``classes``,
+    ``context`` and ``cd_k``."""
+    return spec_for_dataset(
+        dataset,
+        settings.model,
+        embed=settings.embed_dim,
+        hidden=settings.hidden,
+        classes=settings.classes,
+        context=settings.context,
+        cd_k=settings.cd_k,
+    )
+
+
 def validate_dataset(spec, samples):
     """Check that every sample is the kind the model consumes."""
-    from ..errors import InvalidInputError
-
     needs_frames = spec.kind == RNNRBM
     for i, sample in enumerate(samples):
         if hasattr(sample, "frames") != needs_frames:

@@ -90,10 +90,6 @@ def map_blocks(fn, params, *others):
     return type(params)(**kwargs)
 
 
-def zeros_like_params(params):
-    return map_blocks(np.zeros_like, params)
-
-
 def copy_params(params):
     return map_blocks(np.copy, params)
 
@@ -101,10 +97,6 @@ def copy_params(params):
 def params_to_vector(params):
     """All blocks flattened and concatenated, in field order."""
     return np.concatenate([b.ravel() for b in param_blocks(params).values()])
-
-
-def params_allfinite(params):
-    return all(np.all(np.isfinite(b)) for b in param_blocks(params).values())
 
 
 def grad_norm(grads, selector, norm_kind="frobenius"):

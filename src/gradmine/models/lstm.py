@@ -131,7 +131,9 @@ def _blocks(hidden):
     return tuple(slice(i * hidden, (i + 1) * hidden) for i in range(4))
 
 
-def forward(params, sample):
+def forward(params, sample, rng=None, k=1):
+    """Cell over the tokens, head over the pooled states; deterministic, so
+    ``rng`` and ``k`` (model protocol) are ignored."""
     _check_sample(params, sample)
     tokens = sample.tokens
     t_len = tokens.size
@@ -245,9 +247,10 @@ def backward(params, sample, trace):
     )
 
 
-def predict(params, sample):
-    return int(np.argmax(forward(params, sample).probs))
+def errors(trace, sample):
+    """(mistakes, opportunities) of argmax decoding over a forward trace."""
+    return int(predict(trace) != sample.label), 1
 
 
-def error_count(params, sample):
-    return int(predict(params, sample) != sample.label), 1
+def predict(trace):
+    return int(np.argmax(trace.probs))

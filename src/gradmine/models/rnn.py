@@ -75,8 +75,9 @@ def _check_sample(params, sample):
         raise InvalidInputError(f"target index out of range [0, {vocab})")
 
 
-def forward(params, sample):
-    """Run the recurrence and return the full trace, including the loss."""
+def forward(params, sample, rng=None, k=1):
+    """Run the recurrence and return the full trace, including the loss.
+    Deterministic: ``rng`` and ``k`` (model protocol) are ignored."""
     _check_sample(params, sample)
     tokens = sample.tokens
     t_len = tokens.size
@@ -153,16 +154,14 @@ def backward(params, sample, trace):
     )
 
 
-def predict(params, sample):
-    """Argmax class at the final step (classification head)."""
-    trace = forward(params, sample)
-    return int(np.argmax(trace.ys[-1]))
-
-
-def error_count(params, sample):
-    """(mistakes, opportunities) under argmax decoding."""
-    trace = forward(params, sample)
+def errors(trace, sample):
+    """(mistakes, opportunities) of argmax decoding over a forward trace."""
     if sample.is_classification:
-        return int(np.argmax(trace.ys[-1]) != sample.label), 1
+        return int(predict(trace) != sample.label), 1
     pred = np.argmax(trace.ys, axis=1)
     return int(np.sum(pred != sample.targets)), sample.tokens.size
+
+
+def predict(trace):
+    """Argmax class at the final step (classification head)."""
+    return int(np.argmax(trace.ys[-1]))

@@ -110,8 +110,9 @@ def _check_sample(params, sample):
         )
 
 
-def forward(params, sample, k=1, rng=None):
-    """Conditioning recurrence plus one CD-k chain per frame."""
+def forward(params, sample, rng=None, k=1):
+    """Conditioning recurrence plus one CD-k chain per frame, drawing its
+    uniforms from ``rng``."""
     _check_sample(params, sample)
     if k < 1:
         raise InvalidInputError("k must be >= 1")
@@ -203,11 +204,15 @@ def cd_surrogate_loss(params, sample, stats):
     return float(total)
 
 
-def error_count(params, sample, k=1, rng=None):
+def errors(trace, sample):
     """Bit mismatches between frames and thresholded reconstructions."""
-    trace = forward(params, sample, k=k, rng=rng)
     wrong = sum(
         int(np.sum((st.recon_prob > 0.5).astype(np.float64) != st.v))
         for st in trace.stats
     )
     return wrong, sample.frames.size
+
+
+def predict(trace):
+    """The generative model has no class to predict."""
+    return None

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis
-from .base import ParamsMixin, check_probs
+from .base import ParamsMixin
 from .data import Dataset, PIANOROLL, SEQCLASS
 from .errors import ConfigError, DistributionError, DivergenceError, ParseError
 from .models import (
@@ -33,7 +33,8 @@ from .models import (
     get_model,
     map_blocks,
     params_to_vector,
-    spec_for_dataset,
+    spec_of,
+    stream_rng,
     validate_dataset,
 )
 from .sampling import build_alias, generate_sequence
@@ -134,11 +135,7 @@ class MetricsLog:
 
 def _evaluate(model, params, samples, probs, epoch, seed):
     """Loss, error rate, and estimator variance over a sample list."""
-    rng = None
-    if model.kind == "rnnrbm":
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(seed), STREAM_EVAL, int(epoch)])
-        )
+    rng = stream_rng(seed, STREAM_EVAL, epoch)
     losses = np.empty(len(samples))
     wrong = total = 0
     grads = np.empty((len(samples), params_to_vector(params).size))
@@ -146,7 +143,7 @@ def _evaluate(model, params, samples, probs, epoch, seed):
         trace = model.forward(params, sample, rng=rng)
         losses[i] = trace.loss
         grads[i] = params_to_vector(model.backward(params, sample, trace))
-        w, t = model.trace_errors(trace, sample)
+        w, t = model.errors(trace, sample)
         wrong += w
         total += t
     grad_var = analysis.gradient_variance(grads, probs)
@@ -167,24 +164,18 @@ def train(dataset, params0, cfg, eval_dataset=None):
     model = get_model(cfg.spec)
 
     if cfg.sampler == IMPORTANCE:
-        probs = check_probs(np.asarray(cfg.importance.probs, dtype=np.float64))
+        probs = cfg.importance.validate().probs
         if probs.size != n:
             raise ConfigError(
                 f"importance table covers {probs.size} samples, dataset has {n}"
             )
-        if np.any(probs <= 0.0):
-            raise DistributionError("importance table has a zero probability")
     else:
         probs = np.full(n, 1.0 / n)
 
     dist = build_alias(probs)
-    rng_draw = np.random.default_rng(
-        np.random.SeedSequence([int(cfg.seed), STREAM_DRAW])
-    )
-    rng_model = np.random.default_rng(
-        np.random.SeedSequence([int(cfg.seed), STREAM_MODEL])
-    )
-    schedule = generate_sequence(dist, cfg.epochs * n, rng_draw)
+    schedule = generate_sequence(
+        dist, cfg.epochs * n, stream_rng(cfg.seed, STREAM_DRAW))
+    rng_model = stream_rng(cfg.seed, STREAM_MODEL)
 
     log = MetricsLog(config_hash=cfg.digest(), seed=cfg.seed)
     params = copy_params(params0)
@@ -303,20 +294,9 @@ class Trainer(ParamsMixin):
         self.context = context
         self.cd_k = cd_k
 
-    def _spec(self, dataset):
-        return spec_for_dataset(
-            dataset,
-            self.model,
-            embed=self.embed_dim,
-            hidden=self.hidden,
-            classes=self.classes,
-            context=self.context,
-            cd_k=self.cd_k,
-        )
-
     def fit(self, X, y=None):
         dataset = as_dataset(X)
-        self.spec_ = self._spec(dataset)
+        self.spec_ = spec_of(self, dataset)
         cfg = TrainConfig(
             spec=self.spec_,
             lr=self.lr,
@@ -327,22 +307,28 @@ class Trainer(ParamsMixin):
             eval_every=self.eval_every,
             clip=self.clip,
         )
-        adapter = get_model(self.spec_)
-        params0 = adapter.init_params(self.seed)
+        params0 = get_model(self.spec_).init_params(self.seed)
         self.params_, self.log_ = train(dataset, params0, cfg)
         return self
 
+    def _traces(self, X):
+        """The model, and (sample, trace) pairs under the fitted parameters;
+        chains draw from the (seed, STREAM_EVAL) stream."""
+        model, rng = get_model(self.spec_), stream_rng(self.seed, STREAM_EVAL)
+        return model, ((s, model.forward(self.params_, s, rng=rng))
+                       for s in as_dataset(X))
+
     def predict(self, X):
-        adapter = get_model(self.spec_)
-        return np.array([adapter.predict(self.params_, s) for s in as_dataset(X)])
+        """Argmax class per sample; None per sample for the frame model."""
+        model, traces = self._traces(X)
+        return np.array([model.predict(trace) for _, trace in traces])
 
     def score(self, X, y=None):
         """Mean accuracy under argmax decoding (1 - error rate)."""
-        adapter = get_model(self.spec_)
-        rng = np.random.default_rng(np.random.SeedSequence([self.seed, STREAM_EVAL]))
+        model, traces = self._traces(X)
         wrong = total = 0
-        for s in as_dataset(X):
-            w, t = adapter.error_count(self.params_, s, rng=rng)
+        for s, trace in traces:
+            w, t = model.errors(trace, s)
             wrong += w
             total += t
         return 1.0 - wrong / total

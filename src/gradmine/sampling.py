@@ -9,9 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import check_probs
 from .errors import DistributionError
-
-ALIAS_SUM_TOL = 1e-9
 
 
 @dataclass
@@ -45,19 +44,8 @@ def build_alias(probs):
     renormalized exactly before table construction. Worklists are
     processed in ascending index order so construction is deterministic.
     """
-    p = np.ascontiguousarray(probs, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise DistributionError("probabilities must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(p)):
-        raise DistributionError("probabilities contain non-finite entries")
-    if np.any(p < 0.0):
-        raise DistributionError("probabilities contain negative entries")
-    total = float(p.sum())
-    if total <= 0.0:
-        raise DistributionError("probabilities sum to zero")
-    if abs(total - 1.0) > ALIAS_SUM_TOL:
-        raise DistributionError(f"probabilities sum to {total}, not 1")
-    p = p / total
+    p = check_probs(probs)
+    p = p / float(p.sum())
 
     n = p.size
     scaled = p * n

@@ -8,6 +8,7 @@ are wall-clock seconds on a single core.
 import time
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from gradmine.analysis import (
@@ -255,6 +256,7 @@ def test_criterion_8_mining_semantics():
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_desk_scale_convergence():
     start = time.perf_counter()
     target, cap = 0.3, 15

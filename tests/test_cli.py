@@ -144,6 +144,20 @@ class TestTrain:
         ])
         assert code == 2
 
+    def test_table_mined_for_another_model_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        imp = uniform_table_file(tmp_path / "imp.json", n=12)  # model "rnn"
+        code = run([
+            "train", "--data", str(data), "--model", "lstm",
+            "--sampler", "importance", "--importance", str(imp),
+            "--epochs", "1", "--embed-dim", "4", "--hidden", "5",
+            "--out", str(tmp_path / "m.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'rnn'" in err and "'lstm'" in err
+
     def test_rbm_preset_regroups_and_sets_step_size(self, tmp_path):
         data = tmp_path / "p.jsonl"
         run([

@@ -7,7 +7,7 @@ from gradmine.analysis import svm_loss_grad
 from gradmine.errors import ConfigError, DistributionError, DivergenceError, ParseError
 from gradmine.fim import ImportanceTable
 from gradmine.models import ModelSpec, get_model, param_blocks, spec_for_dataset
-from gradmine.data import gen_seqclass
+from gradmine.data import SequenceSample, gen_seqclass
 from gradmine.optimizer import (
     MetricsLog,
     MetricsRow,
@@ -103,6 +103,18 @@ class TestIsSgdStep:
 
 def tiny_dataset(n=12, seed=0):
     return gen_seqclass(n=n, vocab=8, length_range=(4, 8), hard_fraction=0.25, seed=seed)
+
+
+def targets_samples(n, seed, vocab=6):
+    """Per-step-target samples: each target is the next token id mod vocab."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        tokens = rng.integers(0, vocab, size=int(rng.integers(3, 7)))
+        if i == 0:
+            tokens[0] = vocab - 1  # pins the inferred vocab size
+        out.append(SequenceSample(tokens=tokens, targets=(tokens + 1) % vocab))
+    return out
 
 
 class TestTrain:
@@ -258,6 +270,30 @@ class TestTrainerEstimator:
         assert preds.shape == (16,)
         assert set(np.unique(preds)) <= {0, 1}
         assert 0.0 <= t.score(ds) <= 1.0
+
+    @pytest.mark.parametrize("kind, samples", [
+        ("rnn", lambda: tiny_dataset(n=10, seed=3)),
+        ("rnn", lambda: targets_samples(n=8, seed=4)),
+        ("lstm", lambda: tiny_dataset(n=10, seed=3)),
+    ], ids=["rnn-label", "rnn-targets", "lstm"])
+    def test_score_matches_last_train_error_rate(self, kind, samples):
+        ds = samples()
+        t = Trainer(model=kind, lr=0.3, epochs=2, seed=1, embed_dim=4, hidden=5)
+        t.fit(ds)
+        assert t.log_.rows[-1].split == "train"
+        assert t.score(ds) == 1.0 - t.log_.rows[-1].error_rate
+        assert t.predict(ds).shape == (len(ds),)
+
+    def test_rnnrbm_score_repeats_and_predict_has_one_entry_per_sample(self):
+        from gradmine.data import gen_pianoroll
+
+        ds = gen_pianoroll(n=5, n_v=6, length_range=(4, 7), seed=2)
+        t = Trainer(model="rnnrbm", lr=0.01, epochs=1, seed=3, hidden=4, context=3)
+        t.fit(ds)
+        score = t.score(ds)
+        assert 0.0 <= score <= 1.0
+        assert t.score(ds) == score
+        assert t.predict(ds).shape == (5,)
 
     def test_fit_accepts_plain_lists(self):
         samples = list(tiny_dataset(n=8, seed=2))
