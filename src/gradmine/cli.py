@@ -11,6 +11,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .models import (
     MODEL_KINDS,
     STREAM_EVAL,
     get_model,
-    params_to_vector,
     spec_of,
     stream_rng,
 )
@@ -60,6 +60,19 @@ def _add_model_args(p, default_model="lstm"):
     p.add_argument("--cd-k", type=int, default=1)
 
 
+def _add_train_args(p):
+    p.add_argument("--data", required=True)
+    _add_model_args(p)
+    p.add_argument("--lr", type=float, default=0.5)
+    p.add_argument("--epochs", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--eval-every", type=int, default=1)
+    p.add_argument("--clip", type=float, default=None)
+    p.add_argument("--metric", choices=["loss", "error_rate"], default="loss")
+    p.add_argument("--svg", default=None)
+    p.add_argument("--out", required=True)
+
+
 def cmd_gen(args):
     started = time.perf_counter()
     if args.task == "seqclass":
@@ -95,15 +108,7 @@ def cmd_mine(args):
         if args.target_loss is None:
             raise GradmineError("one of --epsilon / --target-loss is required")
         epsilon = fim.default_epsilon(args.target_loss)
-    cfg = fim.FimConfig(
-        epsilon=epsilon,
-        lr=args.lr,
-        t_max=args.t_max,
-        seed=args.seed,
-        base_selector=args.base_selector,
-        norm_kind=args.norm_kind,
-        embed_diagnostic=args.embed_diagnostic,
-    )
+    cfg = fim.fim_config_of(args, epsilon)
     result = fim.mine_importance(dataset, spec, cfg, n_workers=args.workers)
     table = result.table
     fim.save_importance(args.out, table)
@@ -130,137 +135,78 @@ def cmd_mine(args):
     return 0
 
 
-def _load_table_for(args, dataset):
-    table = fim.load_importance(args.importance)
-    if table.model != args.model:
-        raise GradmineError(
-            f"importance table was mined with model {table.model!r}, "
-            f"this run uses {args.model!r}"
-        )
-    if table.n != len(dataset):
-        raise GradmineError(
-            f"importance table covers {table.n} samples, "
-            f"dataset has {len(dataset)}"
-        )
-    return table
-
-
 # Frame-grouping presets for the generative model: grouped-frame count
 # paired with the step size that works at that grouping.
 RBM_PRESETS = {"50": (50, 0.3), "100": (100, 0.003)}
 
 
+def _train_and_write(args, started, dataset, spec, table, samplers, inputs,
+                     title, eval_dataset=None):
+    """Train once per sampler from one initialization, then write the
+    metrics CSV, the optional SVG of the train split, and their run
+    records. A single run keeps its split names; a comparison writes only
+    train rows, each named by its sampler."""
+    if args.epochs < 1:
+        raise GradmineError(f"--epochs must be >= 1, got {args.epochs}")
+    params0 = get_model(spec).init_params(args.seed)
+    logs = {}
+    for sampler in samplers:
+        cfg = optimizer.train_config_of(
+            args, spec, sampler, table if sampler == optimizer.IMPORTANCE else None)
+        _, logs[sampler] = optimizer.train(
+            dataset, params0, cfg, eval_dataset=eval_dataset)
+    train_rows = {s: log.split_rows("train") for s, log in logs.items()}
+
+    metrics = logs[samplers[0]] if len(samplers) == 1 else optimizer.MetricsLog(
+        rows=[replace(r, split=s) for s, rows in train_rows.items() for r in rows])
+    optimizer.save_metrics(args.out, metrics)
+    outputs = [args.out]
+    if args.svg:
+        series = [(s, [r.epoch for r in rows], [getattr(r, args.metric) for r in rows])
+                  for s, rows in train_rows.items()]
+        with open(args.svg, "w") as fh:
+            fh.write(plotting.svg_line_chart(
+                series, title=title, xlabel="epoch", ylabel=args.metric))
+        outputs.append(args.svg)
+        _write_run_record(args.svg, args, started, inputs, outputs)
+    _write_run_record(args.out, args, started, inputs, outputs)
+    for sampler, rows in train_rows.items():
+        last = rows[-1]
+        print(f"{sampler:>10}: epoch {last.epoch} loss {last.loss:.6f} "
+              f"error {last.error_rate:.4f} grad_var {last.grad_var:.6g}")
+    return 0
+
+
 def cmd_train(args):
     started = time.perf_counter()
     dataset = data.load_dataset(args.data)
-    if getattr(args, "rbm_preset", None):
-        frames, lr = RBM_PRESETS[args.rbm_preset]
-        args.lr = lr
+    if args.rbm_preset:
+        frames, args.lr = RBM_PRESETS[args.rbm_preset]
         dataset = data.chunk_frames(dataset, frames)
     spec = spec_of(args, dataset)
     table = None
     inputs = [args.data]
-    if args.sampler == "importance":
+    if args.sampler == optimizer.IMPORTANCE:
         if not args.importance:
             raise GradmineError("--sampler importance requires --importance")
-        table = _load_table_for(args, dataset)
+        table = fim.load_importance(args.importance).check_fits(spec, len(dataset))
         inputs.append(args.importance)
-    cfg = optimizer.TrainConfig(
-        spec=spec,
-        lr=args.lr,
-        epochs=args.epochs,
-        sampler=args.sampler,
-        importance=table,
-        seed=args.seed,
-        eval_every=args.eval_every,
-        clip=args.clip,
-    )
     eval_dataset = data.load_dataset(args.eval_data) if args.eval_data else None
     if eval_dataset is not None:
         inputs.append(args.eval_data)
-    params0 = get_model(spec).init_params(args.seed)
-    _, log = optimizer.train(dataset, params0, cfg, eval_dataset=eval_dataset)
-    optimizer.save_metrics(args.out, log)
-    outputs = [args.out]
-    if args.svg:
-        rows = log.split_rows("train")
-        svg = plotting.svg_line_chart(
-            [(args.sampler, [r.epoch for r in rows], [getattr(r, args.metric) for r in rows])],
-            title=f"{spec.kind} training",
-            xlabel="epoch",
-            ylabel=args.metric,
-        )
-        with open(args.svg, "w") as fh:
-            fh.write(svg)
-        outputs.append(args.svg)
-        _write_run_record(args.svg, args, started, inputs, outputs)
-    _write_run_record(args.out, args, started, inputs, outputs)
-    last = log.rows[-1]
-    print(
-        f"epoch {last.epoch}: loss {last.loss:.6f} "
-        f"error {last.error_rate:.4f} grad_var {last.grad_var:.6g}"
-    )
-    return 0
+    return _train_and_write(args, started, dataset, spec, table, [args.sampler],
+                            inputs, f"{spec.kind} training", eval_dataset)
 
 
 def cmd_compare(args):
     started = time.perf_counter()
     dataset = data.load_dataset(args.data)
     spec = spec_of(args, dataset)
-    table = _load_table_for(args, dataset)
-    params0 = get_model(spec).init_params(args.seed)
-
-    logs = {}
-    for sampler in (optimizer.UNIFORM, optimizer.IMPORTANCE):
-        cfg = optimizer.TrainConfig(
-            spec=spec,
-            lr=args.lr,
-            epochs=args.epochs,
-            sampler=sampler,
-            importance=table if sampler == optimizer.IMPORTANCE else None,
-            seed=args.seed,
-            eval_every=args.eval_every,
-            clip=args.clip,
-        )
-        _, logs[sampler] = optimizer.train(dataset, params0, cfg)
-
-    merged = optimizer.MetricsLog(seed=args.seed)
-    for sampler, log in logs.items():
-        for r in log.split_rows("train"):
-            merged.rows.append(
-                optimizer.MetricsRow(
-                    r.epoch, sampler, r.loss, r.error_rate, r.grad_var, r.wall_ms
-                )
-            )
-    optimizer.save_metrics(args.out, merged)
-    outputs = [args.out]
-
-    if args.svg:
-        series = []
-        for sampler, log in logs.items():
-            rows = log.split_rows("train")
-            series.append(
-                (sampler, [r.epoch for r in rows],
-                 [getattr(r, args.metric) for r in rows])
-            )
-        svg = plotting.svg_line_chart(
-            series,
-            title=f"{spec.kind}: uniform vs importance (lr={args.lr:g})",
-            xlabel="epoch",
-            ylabel=args.metric,
-        )
-        with open(args.svg, "w") as fh:
-            fh.write(svg)
-        outputs.append(args.svg)
-        _write_run_record(args.svg, args, started, [args.data, args.importance],
-                          outputs)
-    _write_run_record(args.out, args, started, [args.data, args.importance],
-                      outputs)
-    for sampler, log in logs.items():
-        last = log.split_rows("train")[-1]
-        print(f"{sampler:>10}: epoch {last.epoch} loss {last.loss:.6f} "
-              f"error {last.error_rate:.4f}")
-    return 0
+    table = fim.load_importance(args.importance).check_fits(spec, len(dataset))
+    return _train_and_write(
+        args, started, dataset, spec, table,
+        [optimizer.UNIFORM, optimizer.IMPORTANCE], [args.data, args.importance],
+        f"{spec.kind}: uniform vs importance (lr={args.lr:g})")
 
 
 def cmd_variance(args):
@@ -271,23 +217,15 @@ def cmd_variance(args):
     params = model.init_params(args.seed)
     inputs = [args.data]
     if args.warm_epochs:
-        cfg = optimizer.TrainConfig(
-            spec=spec, lr=args.lr, epochs=args.warm_epochs, seed=args.seed
-        )
-        params, _ = optimizer.train(dataset, params, cfg)
+        params, _ = optimizer.train(dataset, params, optimizer.TrainConfig(
+            spec=spec, lr=args.lr, epochs=args.warm_epochs, seed=args.seed))
 
     rng = stream_rng(args.seed, STREAM_EVAL)
     grads = np.stack(
-        [
-            params_to_vector(
-                model.backward(params, s, model.forward(params, s, rng=rng))
-            )
-            for s in dataset
-        ]
-    )
+        [g for *_, g in optimizer.sample_passes(model, params, dataset, rng)])
     mined_norms = mined_probs = None
     if args.importance:
-        table = _load_table_for(args, dataset)
+        table = fim.load_importance(args.importance).check_fits(spec, len(dataset))
         mined_norms, mined_probs = table.norms, table.probs
         inputs.append(args.importance)
     report = analysis.variance_report(
@@ -342,36 +280,18 @@ def build_parser():
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("train", help="train one model")
-    p.add_argument("--data", required=True)
-    _add_model_args(p)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=10)
+    _add_train_args(p)
     p.add_argument("--sampler", choices=["uniform", "importance"],
                    default="uniform")
     p.add_argument("--importance", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eval-every", type=int, default=1)
-    p.add_argument("--clip", type=float, default=None)
     p.add_argument("--eval-data", default=None)
     p.add_argument("--rbm-preset", choices=sorted(RBM_PRESETS), default=None,
                    help="frame grouping + step size preset (rnnrbm)")
-    p.add_argument("--metric", choices=["loss", "error_rate"], default="loss")
-    p.add_argument("--svg", default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("compare", help="uniform vs importance, same budget")
-    p.add_argument("--data", required=True)
-    _add_model_args(p)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=10)
+    _add_train_args(p)
     p.add_argument("--importance", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eval-every", type=int, default=1)
-    p.add_argument("--clip", type=float, default=None)
-    p.add_argument("--metric", choices=["loss", "error_rate"], default="loss")
-    p.add_argument("--svg", default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("variance", help="estimator variance report")

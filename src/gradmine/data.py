@@ -352,6 +352,9 @@ def load_dataset(path):
             manifest = json.load(fh)
     except FileNotFoundError:
         pass
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON in {manifest_path(path)}: {exc.msg}",
+                         line=exc.lineno) from exc
     if "n_samples" in manifest and int(manifest["n_samples"]) != len(samples):
         raise InvalidInputError(
             f"{path}: manifest lists {int(manifest['n_samples'])} samples "

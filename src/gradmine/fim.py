@@ -87,6 +87,22 @@ class FimConfig:
             raise ConfigError("t_max must be >= 1")
 
 
+def fim_config_of(settings, epsilon, record_history=False):
+    """Config from the mining settings of parsed CLI arguments or an
+    estimator: ``lr``, ``t_max``, ``seed``, ``base_selector``,
+    ``norm_kind`` and ``embed_diagnostic``."""
+    return FimConfig(
+        epsilon=epsilon,
+        lr=settings.lr,
+        t_max=settings.t_max,
+        seed=settings.seed,
+        base_selector=settings.base_selector,
+        norm_kind=settings.norm_kind,
+        record_history=record_history,
+        embed_diagnostic=settings.embed_diagnostic,
+    )
+
+
 @dataclass
 class HistoryRecord:
     """Step-level bookkeeping of one private run."""
@@ -130,6 +146,20 @@ class ImportanceTable:
         check_probs(self.probs, n=self.n, tol=1e-12)
         if np.any(self.probs <= 0.0):
             raise DistributionError("every mined probability must be > 0")
+        return self
+
+    def check_fits(self, spec, n):
+        """This table, validated, if it was mined for ``spec.kind`` and
+        covers ``n`` samples; ``ConfigError`` otherwise."""
+        self.validate()
+        if self.model != spec.kind:
+            raise ConfigError(
+                f"importance table was mined with model {self.model!r}, "
+                f"this run uses {spec.kind!r}"
+            )
+        if self.n != n:
+            raise ConfigError(
+                f"importance table covers {self.n} samples, dataset has {n}")
         return self
 
 
@@ -196,7 +226,11 @@ def resolve_workers(n_workers=None):
         return max(1, int(n_workers))
     env = os.environ.get(WORKERS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(
+                f"{WORKERS_ENV} must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -323,10 +357,16 @@ def load_importance(path):
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid importance JSON: {exc.msg}", line=exc.lineno)
+    if not isinstance(payload, dict):
+        raise InvalidInputError("importance file must hold a JSON object")
     missing = [k for k in IMPORTANCE_KEYS if k not in payload]
     if missing:
         raise InvalidInputError(f"importance file missing keys: {missing}")
-    return ImportanceTable(**{k: payload[k] for k in IMPORTANCE_KEYS}).validate()
+    try:
+        table = ImportanceTable(**{k: payload[k] for k in IMPORTANCE_KEYS})
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"importance file has a bad column: {exc}") from exc
+    return table.validate()
 
 
 class ImportanceMiner(ParamsMixin):
@@ -377,16 +417,7 @@ class ImportanceMiner(ParamsMixin):
     def fit(self, X, y=None):
         dataset = as_dataset(X)
         spec = spec_of(self, dataset)
-        cfg = FimConfig(
-            epsilon=self.epsilon,
-            lr=self.lr,
-            t_max=self.t_max,
-            seed=self.seed,
-            base_selector=self.base_selector,
-            norm_kind=self.norm_kind,
-            record_history=self.record_history,
-            embed_diagnostic=self.embed_diagnostic,
-        )
+        cfg = fim_config_of(self, self.epsilon, self.record_history)
         self.result_ = mine_importance(dataset, spec, cfg, n_workers=self.n_workers)
         self.spec_ = spec
         self.table_ = self.result_.table

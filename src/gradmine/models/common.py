@@ -62,10 +62,6 @@ class ModelSpec:
     def to_dict(self):
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 def param_blocks(params):
     """name -> array view of every block in a parameter dataclass."""

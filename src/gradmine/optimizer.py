@@ -1,15 +1,17 @@
 """SGD and importance-weighted SGD training loops.
 
 The two modes share one code path: both draw indices through the alias
-sampler from a materialized sequence, so runs with the same seed consume
-identical random streams and differ only in the distribution and the
-per-draw step correction. An epoch is N sampled steps, which keeps the
+sampler from a materialized sequence and take the same step, so runs with
+the same seed consume identical random streams and differ only in the
+distribution. An epoch is N sampled steps, which keeps the
 gradient-evaluation budget of weighted and uniform runs equal.
 
-Updates:
+Update, with p_i = 1/N for the uniform sampler:
 
-    uniform      w <- w - lr * g_i
-    importance   w <- w - lr / (N p_i) * g_i      (unbiased reweighting)
+    w <- w - lr * ((1/N) / p_i) * g_i      (unbiased reweighting)
+
+Computed this way the factor is exactly 1 at p_i = fl(1/N), so uniform SGD
+is importance SGD with the 1/N table, bit for bit, for every N.
 """
 
 import csv
@@ -50,18 +52,22 @@ def sgd_step(params, grads, lr):
     return map_blocks(lambda p, g: p - lr * g, params, grads)
 
 
-def is_sgd_step(params, grads, lr, n, p_i, clip=None):
-    """Importance-corrected step with effective size lr / (n * p_i).
+def _step_size(lr, n, p_i, clip=None):
+    """Importance-corrected step size lr / (n p_i), as lr * ((1/n) / p_i).
 
-    With p_i = 1/n this reproduces ``sgd_step`` bitwise. ``clip`` bounds
-    the effective step at clip * lr to guard against tiny probabilities.
+    With p_i = 1/n this is exactly lr. ``clip`` bounds the step at
+    clip * lr to guard against tiny probabilities.
     """
     if not p_i > 0.0:
         raise DistributionError(f"sampling probability must be > 0, got {p_i}")
-    step = lr / (n * p_i)
-    if clip is not None:
-        step = min(step, clip * lr)
-    return map_blocks(lambda p, g: p - step * g, params, grads)
+    step = lr * ((1.0 / n) / p_i)
+    return step if clip is None else min(step, clip * lr)
+
+
+def is_sgd_step(params, grads, lr, n, p_i, clip=None):
+    """``sgd_step`` at the importance-corrected size that ``train`` takes;
+    with p_i = 1/n it is ``sgd_step(params, grads, lr)`` bitwise."""
+    return sgd_step(params, grads, _step_size(lr, n, p_i, clip))
 
 
 @dataclass
@@ -105,6 +111,22 @@ class TrainConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def train_config_of(settings, spec, sampler, importance=None):
+    """Config for ``spec`` from the training settings of parsed CLI
+    arguments or an estimator: ``lr``, ``epochs``, ``seed``,
+    ``eval_every`` and ``clip``."""
+    return TrainConfig(
+        spec=spec,
+        lr=settings.lr,
+        epochs=settings.epochs,
+        sampler=sampler,
+        importance=importance,
+        seed=settings.seed,
+        eval_every=settings.eval_every,
+        clip=settings.clip,
+    )
+
+
 @dataclass
 class MetricsRow:
     epoch: int
@@ -133,21 +155,27 @@ class MetricsLog:
         return self.rows == other.rows
 
 
+def sample_passes(model, params, samples, rng):
+    """Forward and backward over each sample in turn, all drawing from
+    ``rng``: yields (sample, trace, flattened gradient)."""
+    for sample in samples:
+        trace = model.forward(params, sample, rng=rng)
+        yield sample, trace, params_to_vector(model.backward(params, sample, trace))
+
+
 def _evaluate(model, params, samples, probs, epoch, seed):
     """Loss, error rate, and estimator variance over a sample list."""
-    rng = stream_rng(seed, STREAM_EVAL, epoch)
-    losses = np.empty(len(samples))
+    losses, grads = [], []
     wrong = total = 0
-    grads = np.empty((len(samples), params_to_vector(params).size))
-    for i, sample in enumerate(samples):
-        trace = model.forward(params, sample, rng=rng)
-        losses[i] = trace.loss
-        grads[i] = params_to_vector(model.backward(params, sample, trace))
+    rng = stream_rng(seed, STREAM_EVAL, epoch)
+    for sample, trace, grad in sample_passes(model, params, samples, rng):
+        losses.append(trace.loss)
+        grads.append(grad)
         w, t = model.errors(trace, sample)
         wrong += w
         total += t
-    grad_var = analysis.gradient_variance(grads, probs)
-    return float(losses.mean()), wrong / total, grad_var
+    grad_var = analysis.gradient_variance(np.stack(grads), probs)
+    return float(np.mean(losses)), wrong / total, grad_var
 
 
 def train(dataset, params0, cfg, eval_dataset=None):
@@ -164,13 +192,9 @@ def train(dataset, params0, cfg, eval_dataset=None):
     model = get_model(cfg.spec)
 
     if cfg.sampler == IMPORTANCE:
-        probs = cfg.importance.validate().probs
-        if probs.size != n:
-            raise ConfigError(
-                f"importance table covers {probs.size} samples, dataset has {n}"
-            )
+        probs, clip = cfg.importance.check_fits(cfg.spec, n).probs, cfg.clip
     else:
-        probs = np.full(n, 1.0 / n)
+        probs, clip = np.full(n, 1.0 / n), None
 
     dist = build_alias(probs)
     schedule = generate_sequence(
@@ -190,12 +214,8 @@ def train(dataset, params0, cfg, eval_dataset=None):
                     f"non-finite loss at epoch {epoch}, step {step}, sample {idx}"
                 )
             grads = model.backward(params, sample, trace)
-            if cfg.sampler == IMPORTANCE:
-                params = is_sgd_step(
-                    params, grads, cfg.lr, n, probs[idx], clip=cfg.clip
-                )
-            else:
-                params = sgd_step(params, grads, cfg.lr)
+            params = sgd_step(
+                params, grads, _step_size(cfg.lr, n, probs[idx], clip))
 
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             loss, err, gvar = _evaluate(model, params, samples, probs, epoch, cfg.seed)
@@ -204,14 +224,10 @@ def train(dataset, params0, cfg, eval_dataset=None):
             wall = (time.perf_counter() - start) * 1e3
             log.rows.append(MetricsRow(epoch, "train", loss, err, gvar, wall))
             if eval_dataset is not None:
+                held = list(eval_dataset)
                 eloss, eerr, egvar = _evaluate(
-                    model,
-                    params,
-                    list(eval_dataset),
-                    np.full(len(eval_dataset), 1.0 / len(eval_dataset)),
-                    epoch,
-                    cfg.seed,
-                )
+                    model, params, held, np.full(len(held), 1.0 / len(held)),
+                    epoch, cfg.seed)
                 wall = (time.perf_counter() - start) * 1e3
                 log.rows.append(MetricsRow(epoch, "eval", eloss, eerr, egvar, wall))
     return params, log
@@ -297,16 +313,7 @@ class Trainer(ParamsMixin):
     def fit(self, X, y=None):
         dataset = as_dataset(X)
         self.spec_ = spec_of(self, dataset)
-        cfg = TrainConfig(
-            spec=self.spec_,
-            lr=self.lr,
-            epochs=self.epochs,
-            sampler=self.sampler,
-            importance=self.importance,
-            seed=self.seed,
-            eval_every=self.eval_every,
-            clip=self.clip,
-        )
+        cfg = train_config_of(self, self.spec_, self.sampler, self.importance)
         params0 = get_model(self.spec_).init_params(self.seed)
         self.params_, self.log_ = train(dataset, params0, cfg)
         return self

@@ -95,6 +95,17 @@ class TestMine:
         table = load_importance(out)
         np.testing.assert_allclose(table.probs, 1 / 12, atol=1e-12)
 
+    def test_non_integer_workers_env_exits_2(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        monkeypatch.setenv("GRADMINE_WORKERS", "abc")
+        code = run([
+            "mine", "--data", str(data), "--model", "rnn", "--epsilon", "0.05",
+            "--embed-dim", "4", "--hidden", "5", "--out", str(tmp_path / "i.json"),
+        ])
+        assert code == 2
+        assert "GRADMINE_WORKERS" in capsys.readouterr().err
+
     def test_model_dataset_mismatch_exits_2(self, tmp_path):
         data = tmp_path / "d.jsonl"
         run(gen_args(data))
@@ -144,19 +155,72 @@ class TestTrain:
         ])
         assert code == 2
 
-    def test_table_mined_for_another_model_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, extra", [
+        ("train", ["--sampler", "importance", "--epochs", "1"]),
+        ("compare", ["--epochs", "1"]),
+        ("variance", []),
+    ], ids=["train", "compare", "variance"])
+    def test_table_mined_for_another_model_exits_2(
+            self, tmp_path, capsys, command, extra):
         data = tmp_path / "d.jsonl"
         run(gen_args(data))
         imp = uniform_table_file(tmp_path / "imp.json", n=12)  # model "rnn"
+        out = tmp_path / "out"
         code = run([
-            "train", "--data", str(data), "--model", "lstm",
-            "--sampler", "importance", "--importance", str(imp),
-            "--epochs", "1", "--embed-dim", "4", "--hidden", "5",
-            "--out", str(tmp_path / "m.csv"),
+            command, "--data", str(data), "--model", "lstm",
+            "--importance", str(imp), *extra, "--embed-dim", "4", "--hidden", "5",
+            "--out", str(out),
         ])
         assert code == 2
         err = capsys.readouterr().err
         assert "'rnn'" in err and "'lstm'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_zero_epochs_exits_2(self, tmp_path, capsys, command):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        imp = uniform_table_file(tmp_path / "imp.json", n=12)
+        code = run([
+            command, "--data", str(data), "--model", "rnn", "--epochs", "0",
+            "--importance", str(imp), "--embed-dim", "4", "--hidden", "5",
+            "--out", str(tmp_path / "m.csv"),
+        ])
+        assert code == 2
+        assert "--epochs" in capsys.readouterr().err
+
+    def test_svg_writes_chart_and_run_records(self, tmp_path):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        out, svg = tmp_path / "m.csv", tmp_path / "m.svg"
+        code = run([
+            "train", "--data", str(data), "--model", "rnn", "--lr", "0.2",
+            "--epochs", "2", "--embed-dim", "4", "--hidden", "5",
+            "--metric", "error_rate", "--out", str(out), "--svg", str(svg),
+        ])
+        assert code == 0
+        assert svg.read_text().startswith("<svg")
+        for path in (out, svg):
+            record = json.loads((tmp_path / (path.name + ".run.json")).read_text())
+            assert record["outputs"] == [str(out), str(svg)]
+            assert list(record["inputs"]) == [str(data)]
+
+    def test_eval_data_writes_eval_rows(self, tmp_path):
+        data, held = tmp_path / "d.jsonl", tmp_path / "e.jsonl"
+        run(gen_args(data))
+        run(gen_args(held, n=5))
+        out = tmp_path / "m.csv"
+        code = run([
+            "train", "--data", str(data), "--eval-data", str(held),
+            "--model", "rnn", "--lr", "0.2", "--epochs", "2",
+            "--embed-dim", "4", "--hidden", "5", "--out", str(out),
+        ])
+        assert code == 0
+        log = load_metrics(out)
+        assert [(r.epoch, r.split) for r in log.rows] == [
+            (1, "train"), (1, "eval"), (2, "train"), (2, "eval")]
+        record = json.loads((tmp_path / "m.csv.run.json").read_text())
+        assert list(record["inputs"]) == [str(data), str(held)]
 
     def test_rbm_preset_regroups_and_sets_step_size(self, tmp_path):
         data = tmp_path / "p.jsonl"
@@ -264,6 +328,40 @@ class TestVariance:
         assert set(report) == {"uniform", "optimal", "mined", "lipschitz", "bound_ratio"}
         assert report["optimal"] <= report["uniform"] + 1e-10
         assert json.loads(json.dumps(report)) == report
+
+    def test_warm_epochs_train_before_measuring(self, tmp_path):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        reports = []
+        for warm in ("0", "1"):
+            out = tmp_path / f"var{warm}.json"
+            code = run([
+                "variance", "--data", str(data), "--model", "rnn", "--seed", "0",
+                "--lr", "0.2", "--warm-epochs", warm,
+                "--embed-dim", "4", "--hidden", "5", "--out", str(out),
+            ])
+            assert code == 0
+            reports.append(json.loads(out.read_text()))
+        assert reports[1]["uniform"] > 0.0
+        assert reports[1]["uniform"] != reports[0]["uniform"]
+
+    @pytest.mark.parametrize("payload", [
+        "3", json.dumps({"model": "rnn", "base_selector": "w_x", "epsilon": 1.0,
+                         "seed": 0, "norm_kind": "frobenius", "norms": [1.0],
+                         "probs": ["x"], "iterations": [0], "converged": [True]}),
+    ], ids=["top-level-number", "string-probs"])
+    def test_malformed_table_exits_2(self, tmp_path, capsys, payload):
+        data = tmp_path / "d.jsonl"
+        data.write_text(json.dumps({"tokens": [1, 2, 3], "label": 1}) + "\n")
+        imp = tmp_path / "imp.json"
+        imp.write_text(payload)
+        code = run([
+            "variance", "--data", str(data), "--model", "rnn",
+            "--importance", str(imp), "--embed-dim", "4", "--hidden", "5",
+            "--out", str(tmp_path / "var.json"),
+        ])
+        assert code == 2
+        assert "importance file" in capsys.readouterr().err
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -152,6 +152,15 @@ class TestRoundTrips:
         with pytest.raises(InvalidInputError, match=r"lists 5 samples.*holds 4"):
             load_dataset(path)
 
+    def test_malformed_manifest_names_file_and_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        save_dataset(path, gen_seqclass(n=3, vocab=8, seed=1))
+        manifest = tmp_path / "d.jsonl.manifest.json"
+        manifest.write_text('{\n  "n_samples": 3,\n  "vocab": \n}\n')
+        with pytest.raises(ParseError, match="d.jsonl.manifest.json") as err:
+            load_dataset(path)
+        assert err.value.line == 4
+
     def test_mixed_kinds_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(

@@ -260,6 +260,20 @@ class TestImportanceIO:
         with pytest.raises(InvalidInputError):
             load_importance(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda payload: 3,
+        lambda payload: dict(payload, probs=["x", "y", "z"]),
+        lambda payload: dict(payload, norms={"a": 1.0}),
+    ], ids=["top-level-number", "string-probs", "object-norms"])
+    def test_malformed_payload_is_a_validation_error(self, tmp_path, edit):
+        import json
+
+        path = tmp_path / "imp.json"
+        save_importance(path, self.make_table())
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(InvalidInputError):
+            load_importance(path)
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(InvalidInputError):
             ImportanceTable(
@@ -320,6 +334,42 @@ def test_worker_resolution_env_override(monkeypatch):
     assert resolve_workers(2) == 2  # explicit argument wins over the env
     monkeypatch.delenv(WORKERS_ENV)
     assert resolve_workers() >= 1
+
+
+def test_non_integer_workers_env_names_the_variable(monkeypatch):
+    from gradmine.fim import WORKERS_ENV, resolve_workers
+
+    monkeypatch.setenv(WORKERS_ENV, "abc")
+    with pytest.raises(ConfigError, match=WORKERS_ENV):
+        resolve_workers()
+
+
+class TestCheckFits:
+    def table(self, n=3, model="rnn"):
+        return ImportanceTable(
+            model=model, base_selector="w_x", epsilon=1.0, seed=0,
+            norm_kind="frobenius", norms=np.ones(n), probs=np.full(n, 1.0 / n),
+            iterations=np.zeros(n, dtype=int), converged=np.ones(n, dtype=bool),
+        )
+
+    def test_matching_table_is_returned(self):
+        table = self.table()
+        assert table.check_fits(rnn_spec(), 3) is table
+
+    def test_other_model_rejected_naming_both(self):
+        spec = ModelSpec(kind="lstm", vocab=8)
+        with pytest.raises(ConfigError, match=r"'rnn'.*'lstm'"):
+            self.table().check_fits(spec, 3)
+
+    def test_other_size_rejected(self):
+        with pytest.raises(ConfigError, match="covers 3 samples, dataset has 4"):
+            self.table().check_fits(rnn_spec(), 4)
+
+    def test_invalid_table_rejected(self):
+        table = self.table()
+        table.probs = np.array([0.5, 0.5, 0.5])
+        with pytest.raises(DistributionError):
+            table.check_fits(rnn_spec(), 3)
 
 
 def test_config_validation():

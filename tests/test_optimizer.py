@@ -59,9 +59,11 @@ class TestSgdStep:
 
 class TestIsSgdStep:
     def test_uniform_probability_reduces_to_sgd(self):
-        p = ScalarParams(w=np.array([1.0, -2.0]))
-        g = ScalarParams(w=np.array([0.3, 0.7]))
-        for n in (2, 8, 50, 200):
+        # the zero entry returns -step itself, so a one-ulp step error shows;
+        # 49 * fl(1/49) != 1, so lr / (n p) would not be lr at N = 49
+        p = ScalarParams(w=np.array([1.0, -2.0, 0.0]))
+        g = ScalarParams(w=np.array([0.3, 0.7, 1.0]))
+        for n in (2, 8, 49, 50, 200):
             a = is_sgd_step(p, g, 0.37, n, 1.0 / n)
             b = sgd_step(p, g, 0.37)
             np.testing.assert_array_equal(a.w, b.w)
@@ -130,20 +132,22 @@ class TestTrain:
         assert log.rows == []
 
     def test_uniform_table_importance_equals_plain_sgd(self):
-        ds = tiny_dataset()
-        spec = spec_for_dataset(ds, "rnn", embed=4, hidden=4)
-        model = get_model(spec)
-        params0 = model.init_params(1)
-        base = TrainConfig(spec=spec, lr=0.2, epochs=3, sampler="uniform", seed=5)
-        mirrored = TrainConfig(
-            spec=spec, lr=0.2, epochs=3, sampler="importance",
-            importance=uniform_table(len(ds)), seed=5,
-        )
-        p1, l1 = train(ds, params0, base)
-        p2, l2 = train(ds, params0, mirrored)
-        for name, block in param_blocks(p1).items():
-            np.testing.assert_array_equal(block, getattr(p2, name))
-        assert [r.loss for r in l1.rows] == [r.loss for r in l2.rows]
+        # 49 * fl(1/49) != 1, so lr / (n p) would not be lr at N = 49
+        for n in (12, 49):
+            ds = tiny_dataset(n=n)
+            spec = spec_for_dataset(ds, "rnn", embed=4, hidden=4)
+            model = get_model(spec)
+            params0 = model.init_params(1)
+            base = TrainConfig(spec=spec, lr=0.2, epochs=3, sampler="uniform", seed=5)
+            mirrored = TrainConfig(
+                spec=spec, lr=0.2, epochs=3, sampler="importance",
+                importance=uniform_table(len(ds)), seed=5,
+            )
+            p1, l1 = train(ds, params0, base)
+            p2, l2 = train(ds, params0, mirrored)
+            for name, block in param_blocks(p1).items():
+                np.testing.assert_array_equal(block, getattr(p2, name))
+            assert [r.loss for r in l1.rows] == [r.loss for r in l2.rows]
 
     def test_deterministic_given_seed(self):
         ds = tiny_dataset()
@@ -294,6 +298,14 @@ class TestTrainerEstimator:
         assert 0.0 <= score <= 1.0
         assert t.score(ds) == score
         assert t.predict(ds).shape == (5,)
+
+    def test_fit_rejects_table_mined_for_another_model(self):
+        ds = tiny_dataset(n=8, seed=2)
+        t = Trainer(model="lstm", lr=0.1, epochs=1, sampler="importance",
+                    importance=uniform_table(len(ds), model="rnn"),
+                    embed_dim=4, hidden=4)
+        with pytest.raises(ConfigError, match=r"'rnn'.*'lstm'"):
+            t.fit(ds)
 
     def test_fit_accepts_plain_lists(self):
         samples = list(tiny_dataset(n=8, seed=2))
