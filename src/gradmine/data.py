@@ -276,6 +276,18 @@ def chunk_frames(dataset, frames_per_sample):
     )
 
 
+def infer_vocab(samples):
+    """Symbol-space size of samples that no manifest describes: the frame
+    width, or one more than the largest token or target id (class labels
+    are checked by each model's head)."""
+    if isinstance(samples[0], FrameSequence):
+        return samples[0].width
+    return 1 + max(
+        int(max(s.tokens.max(), -1 if s.targets is None else s.targets.max()))
+        for s in samples
+    )
+
+
 def _sample_to_obj(sample):
     if isinstance(sample, FrameSequence):
         return {"frames": sample.frames.astype(int).tolist()}
@@ -355,18 +367,15 @@ def load_dataset(path):
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {manifest_path(path)}: {exc.msg}",
                          line=exc.lineno) from exc
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{manifest_path(path)} must hold a JSON object")
     if "n_samples" in manifest and int(manifest["n_samples"]) != len(samples):
         raise InvalidInputError(
             f"{path}: manifest lists {int(manifest['n_samples'])} samples "
             f"but the file holds {len(samples)}"
         )
 
-    if "vocab" in manifest:
-        vocab = int(manifest["vocab"])
-    elif kind == PIANOROLL:
-        vocab = samples[0].width
-    else:
-        vocab = int(max(int(s.tokens.max()) for s in samples)) + 1
+    vocab = int(manifest["vocab"]) if "vocab" in manifest else infer_vocab(samples)
     if kind == PIANOROLL:
         widths = {s.width for s in samples}
         if len(widths) != 1:

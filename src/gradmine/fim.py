@@ -36,7 +36,6 @@ from .errors import (
 )
 from .models import (
     STREAM_MINE,
-    copy_params,
     get_model,
     param_block,
     spec_of,
@@ -173,12 +172,11 @@ class MiningResult:
 
 def _mine_one(task):
     """Train one private model; pure in (spec, sample, cfg, index, init)."""
-    spec, sample, cfg, index, params0 = task
+    spec, sample, cfg, index, params = task
     model = get_model(spec)
     selector = cfg.base_selector or model.base_selector
     rng = stream_rng(cfg.seed, STREAM_MINE, index)
 
-    params = copy_params(params0)
     trace = model.forward(params, sample, rng=rng)
     loss = float(trace.loss)
     grad_sum = np.zeros_like(np.atleast_1d(param_block(params, selector)))
@@ -260,21 +258,9 @@ def mine_importance(dataset, spec, cfg, n_workers=None):
             chunk = max(1, len(tasks) // (workers * 4))
             outputs = list(pool.map(_mine_one, tasks, chunksize=chunk))
 
-    n = len(samples)
-    norms = np.empty(n)
-    iterations = np.empty(n, dtype=np.int64)
-    converged = np.empty(n, dtype=bool)
-    histories = [None] * n if cfg.record_history else None
-    embeddings = [None] * n if cfg.embed_diagnostic else None
-    for index, norm, steps, ok, history, emb in outputs:
-        norms[index] = norm
-        iterations[index] = steps
-        converged[index] = ok
-        if histories is not None:
-            histories[index] = history
-        if embeddings is not None:
-            embeddings[index] = emb
-
+    # Both maps keep task order, so output i belongs to sample i.
+    _, norms, iterations, converged, histories, embeddings = zip(*outputs)
+    norms = np.array(norms)
     probs = build_distribution(norms, smoothing=0.0).probs
     table = ImportanceTable(
         model=spec.kind,
@@ -289,15 +275,16 @@ def mine_importance(dataset, spec, cfg, n_workers=None):
     ).validate()
 
     spread = None
-    if embeddings is not None and all(e is not None for e in embeddings):
+    if cfg.embed_diagnostic and all(e is not None for e in embeddings):
         dists = [
-            frobenius_norm(embeddings[i] - embeddings[j])
-            for i in range(n)
-            for j in range(i + 1, n)
+            frobenius_norm(a - b)
+            for i, a in enumerate(embeddings)
+            for b in embeddings[i + 1:]
         ]
         spread = float(np.mean(dists)) if dists else 0.0
     return MiningResult(
-        table=table, init_params=params0, histories=histories,
+        table=table, init_params=params0,
+        histories=list(histories) if cfg.record_history else None,
         embedding_spread=spread,
     )
 
@@ -335,17 +322,10 @@ def build_distribution(norms, smoothing=0.0):
 
 def save_importance(path, table):
     table.validate()
-    payload = {
-        "model": table.model,
-        "base_selector": table.base_selector,
-        "epsilon": table.epsilon,
-        "seed": int(table.seed),
-        "norm_kind": table.norm_kind,
-        "norms": table.norms.tolist(),
-        "probs": table.probs.tolist(),
-        "iterations": table.iterations.tolist(),
-        "converged": [bool(c) for c in table.converged],
-    }
+    payload = {k: getattr(table, k) for k in IMPORTANCE_KEYS}
+    for k in ("norms", "probs", "iterations", "converged"):
+        payload[k] = payload[k].tolist()
+    payload["seed"] = int(table.seed)
     with open(path, "w") as fh:
         json.dump(payload, fh)
         fh.write("\n")
@@ -362,6 +342,12 @@ def load_importance(path):
     missing = [k for k in IMPORTANCE_KEYS if k not in payload]
     if missing:
         raise InvalidInputError(f"importance file missing keys: {missing}")
+    # The constructor would cast 1.7 to 1 and "no" to True.
+    its, conv = payload["iterations"], payload["converged"]
+    if not (isinstance(its, list) and all(type(i) is int for i in its)):
+        raise InvalidInputError("importance file: iterations must be integers")
+    if not (isinstance(conv, list) and all(type(c) is bool for c in conv)):
+        raise InvalidInputError("importance file: converged must be true/false")
     try:
         table = ImportanceTable(**{k: payload[k] for k in IMPORTANCE_KEYS})
     except (TypeError, ValueError) as exc:

@@ -1,6 +1,7 @@
 """Model registry: one protocol over the three model modules.
 
-Each module exports ``BASE_SELECTOR``, ``init_params(spec, seed)``,
+Each module exports ``BASE_SELECTOR``, ``layout(spec)`` (the ``(name,
+shape)`` blocks of its ``Params``), ``init_params(spec, seed)``,
 ``forward(params, sample, rng=None, k=1)``, ``backward(params, sample,
 trace)``, ``errors(trace, sample)`` and ``predict(trace)``. Parameters
 travel explicitly through every call, so concurrent workers can hold
@@ -21,12 +22,10 @@ from .common import (
     STREAM_MINE,
     STREAM_MODEL,
     ModelSpec,
-    copy_params,
+    Params,
     grad_norm,
-    map_blocks,
     param_block,
     param_blocks,
-    params_to_vector,
     stream_rng,
 )
 from ..errors import InvalidInputError

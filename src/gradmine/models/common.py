@@ -1,11 +1,15 @@
-"""Shared model plumbing: specs, parameter-block math, seeded streams.
+"""Shared model plumbing: specs, the parameter format, seeded streams.
 
-Every model stores its learned state in a dataclass whose fields are
-float64 arrays. Gradients reuse the same dataclass (block-for-block shape
-match), so update rules and norms are generic over models.
+Every model stores its learned state in one ``Params``: a float64 vector
+``vec`` with a named, reshaped view per block (``params.w_x`` …), laid out
+by the model module's ``layout(spec)``. Gradients use the same layout, so
+an update is ``params.vec - lr * grads.vec``, a copy is ``vec.copy()``, and
+the flattened gradient is ``vec``; norms pick one block by name.
 """
 
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,36 +67,64 @@ class ModelSpec:
         return dataclasses.asdict(self)
 
 
+@functools.lru_cache(maxsize=256)  # one entry per model spec in use
+def _spans(layout):
+    """name -> (start, stop, shape) of each block, and the total size."""
+    spans, start = {}, 0
+    for name, shape in layout:
+        stop = start + math.prod(shape)
+        spans[name] = (start, stop, shape)
+        start = stop
+    return spans, start
+
+
+class Params:
+    """``vec`` (zeros when not given) holds the blocks of ``layout``, a tuple
+    of ``(name, shape)`` pairs, flattened in order; each block is an
+    attribute viewing ``vec``, and assigning one writes into ``vec``."""
+
+    def __init__(self, layout, vec=None):
+        spans, size = _spans(layout)
+        vec = np.ascontiguousarray(
+            np.zeros(size) if vec is None else vec, dtype=np.float64)
+        if vec.shape != (size,):
+            raise ConfigError(
+                f"parameter vector has shape {vec.shape}, layout needs ({size},)")
+        self.__dict__.update(layout=layout, vec=vec)
+        self.__dict__.update((name, vec[start:stop].reshape(shape))
+                             for name, (start, stop, shape) in spans.items())
+
+    def __setattr__(self, name, value):
+        if name not in self.__dict__:
+            raise AttributeError(f"no parameter block {name!r}")
+        if value is not self.__dict__[name]:  # ``p.w += g`` assigns w back
+            self.__dict__[name][...] = value
+
+    def __reduce__(self):  # copies and unpickled blocks view their own vec
+        return Params, (self.layout, self.vec)
+
+    def like(self, vec=None):
+        """The same layout over ``vec``, zeros when not given."""
+        return Params(self.layout, vec)
+
+    def span(self, first, last):
+        """Blocks ``first`` through ``last``, adjacent in the layout and
+        equal in trailing shape, as one view stacked along axis 0."""
+        spans = _spans(self.layout)[0]
+        start, _, shape = spans[first]
+        return self.vec[start:spans[last][1]].reshape((-1,) + shape[1:])
+
+
 def param_blocks(params):
-    """name -> array view of every block in a parameter dataclass."""
-    return {f.name: getattr(params, f.name) for f in dataclasses.fields(params)}
+    """name -> view of every block, in layout order."""
+    return {name: getattr(params, name) for name, _ in params.layout}
 
 
 def param_block(params, name):
-    blocks = param_blocks(params)
-    if name not in blocks:
-        raise ConfigError(
-            f"unknown parameter block {name!r}; have {sorted(blocks)}"
-        )
-    return blocks[name]
-
-
-def map_blocks(fn, params, *others):
-    """Apply ``fn`` blockwise across aligned parameter dataclasses."""
-    kwargs = {}
-    for f in dataclasses.fields(params):
-        args = [getattr(params, f.name)] + [getattr(o, f.name) for o in others]
-        kwargs[f.name] = fn(*args)
-    return type(params)(**kwargs)
-
-
-def copy_params(params):
-    return map_blocks(np.copy, params)
-
-
-def params_to_vector(params):
-    """All blocks flattened and concatenated, in field order."""
-    return np.concatenate([b.ravel() for b in param_blocks(params).values()])
+    names = [n for n, _ in params.layout]
+    if name not in names:
+        raise ConfigError(f"unknown parameter block {name!r}; have {sorted(names)}")
+    return getattr(params, name)
 
 
 def grad_norm(grads, selector, norm_kind="frobenius"):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError
-from .common import STREAM_INIT, stream_rng
+from .common import STREAM_INIT, Params, stream_rng
 from ..tensor import log_softmax, sigmoid
 
 BASE_SELECTOR = "w_c"
@@ -32,25 +32,17 @@ BASE_BLOCK_SCALE = 0.02
 GATES = ("z", "f", "c", "o")
 
 
-@dataclass
-class LstmParams:
-    w_emb: np.ndarray  # (vocab, embed)
-    w_z: np.ndarray  # (hidden, embed)
-    w_f: np.ndarray
-    w_c: np.ndarray
-    w_o: np.ndarray
-    u_z: np.ndarray  # (hidden, hidden)
-    u_f: np.ndarray
-    u_c: np.ndarray
-    u_o: np.ndarray
-    b_z: np.ndarray  # (hidden,)
-    b_f: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
-    w_cls: np.ndarray  # (classes, hidden)
-    b_cls: np.ndarray  # (classes,)
-    h0: np.ndarray  # (hidden,)
-    c0: np.ndarray  # (hidden,)
+def layout(spec):
+    """Blocks in order; each gate family's (z, f, c, o) blocks are adjacent,
+    so its stacked matrix is one view of the vector (see ``_stacked``)."""
+    v, d, h, k = spec.vocab, spec.embed, spec.hidden, spec.classes
+    return (
+        (("w_emb", (v, d)),)
+        + tuple((f"w_{g}", (h, d)) for g in GATES)
+        + tuple((f"u_{g}", (h, h)) for g in GATES)
+        + tuple((f"b_{g}", (h,)) for g in GATES)
+        + (("w_cls", (k, h)), ("b_cls", (k,)), ("h0", (h,)), ("c0", (h,)))
+    )
 
 
 @dataclass
@@ -74,25 +66,17 @@ def init_params(spec, seed):
     def w(rows, cols):
         return rng.normal(0.0, 1.0 / np.sqrt(cols), size=(rows, cols))
 
-    return LstmParams(
-        w_emb=rng.normal(0.0, 0.1, size=(v, d)),
-        w_z=w(h, d),
-        w_f=w(h, d),
-        w_c=rng.normal(0.0, BASE_BLOCK_SCALE, size=(h, d)),
-        w_o=w(h, d),
-        u_z=w(h, h),
-        u_f=w(h, h),
-        u_c=w(h, h),
-        u_o=w(h, h),
-        b_z=np.zeros(h),
-        b_f=np.full(h, FORGET_BIAS),
-        b_c=np.zeros(h),
-        b_o=np.zeros(h),
-        w_cls=w(k, h),
-        b_cls=np.zeros(k),
-        h0=np.zeros(h),
-        c0=np.zeros(h),
-    )
+    p = Params(layout(spec))  # other biases, h0 and c0 start at zero
+    p.w_emb = rng.normal(0.0, 0.1, size=(v, d))
+    p.w_z = w(h, d)
+    p.w_f = w(h, d)
+    p.w_c = rng.normal(0.0, BASE_BLOCK_SCALE, size=(h, d))
+    p.w_o = w(h, d)
+    for gate in GATES:
+        setattr(p, f"u_{gate}", w(h, h))
+    p.b_f = FORGET_BIAS
+    p.w_cls = w(k, h)
+    return p
 
 
 def _check_sample(params, sample):
@@ -119,11 +103,8 @@ def _check_gates(gates, hidden):
 
 
 def _stacked(params):
-    """Gate weights stacked in (z, f, c, o) order for fused products."""
-    w = np.concatenate((params.w_z, params.w_f, params.w_c, params.w_o))
-    u = np.concatenate((params.u_z, params.u_f, params.u_c, params.u_o))
-    b = np.concatenate((params.b_z, params.b_f, params.b_c, params.b_o))
-    return w, u, b
+    """(w, u, b) gate blocks stacked in (z, f, c, o) order: views of vec."""
+    return tuple(params.span(f"{x}_z", f"{x}_o") for x in "wub")
 
 
 def _blocks(hidden):
@@ -206,6 +187,7 @@ def backward(params, sample, trace):
     dc_next = np.zeros_like(params.c0)
 
     w_all, u_all, _ = _stacked(params)
+    g = params.like()
     z_blk, f_blk, c_blk, o_blk = _blocks(hidden)
     zs, fs, gs, os_, cs, tcs = (
         trace.zs, trace.fs, trace.gs, trace.os_, trace.cs, trace.tcs)
@@ -215,7 +197,7 @@ def backward(params, sample, trace):
     one_z, one_f, one_o = 1.0 - zs, 1.0 - fs, 1.0 - os_
     one_g2, one_tc2 = 1.0 - gs**2, 1.0 - tcs**2
     da_all = np.empty((t_len, 4 * hidden))  # pre-activation grads, stacked
-    g_emb = np.zeros_like(params.w_emb)
+    g_emb = g.w_emb
     for t in range(t_len - 1, -1, -1):
         z, f, o = zs[t], fs[t], os_[t]
         dh = dh_pool + dh_next
@@ -232,19 +214,15 @@ def backward(params, sample, trace):
         g_emb[tokens[t]] += w_all.T @ da
         dh_next = u_all.T @ da
 
-    g_w = da_all.T @ trace.xs  # (4*hidden, embed)
-    g_u = da_all.T @ trace.hs[:-1]
-    g_b = da_all.sum(axis=0)
-    return LstmParams(
-        w_emb=g_emb,
-        w_z=g_w[z_blk], w_f=g_w[f_blk], w_c=g_w[c_blk], w_o=g_w[o_blk],
-        u_z=g_u[z_blk], u_f=g_u[f_blk], u_c=g_u[c_blk], u_o=g_u[o_blk],
-        b_z=g_b[z_blk], b_f=g_b[f_blk], b_c=g_b[c_blk], b_o=g_b[o_blk],
-        w_cls=np.outer(dlogits, pooled),
-        b_cls=dlogits,
-        h0=dh_next,
-        c0=dc_next,
-    )
+    g_w, g_u, g_b = _stacked(g)
+    g_w[...] = da_all.T @ trace.xs  # (4*hidden, embed)
+    g_u[...] = da_all.T @ trace.hs[:-1]
+    g_b[...] = da_all.sum(axis=0)
+    g.w_cls = np.outer(dlogits, pooled)
+    g.b_cls = dlogits
+    g.h0 = dh_next
+    g.c0 = dc_next
+    return g
 
 
 def errors(trace, sample):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError
-from .common import STREAM_INIT, stream_rng
+from .common import STREAM_INIT, Params, stream_rng
 from ..tensor import log_softmax
 
 BASE_SELECTOR = "w_x"
@@ -27,15 +27,10 @@ BASE_SELECTOR = "w_x"
 BASE_BLOCK_SCALE = 0.02
 
 
-@dataclass
-class RnnParams:
-    w_emb: np.ndarray  # (vocab, embed)
-    w_x: np.ndarray  # (hidden, embed)
-    w_h: np.ndarray  # (hidden, hidden)
-    w_s: np.ndarray  # (vocab, hidden)
-    b_h: np.ndarray  # (hidden,)
-    b_y: np.ndarray  # (vocab,)
-    h0: np.ndarray  # (hidden,)
+def layout(spec):
+    v, d, h = spec.vocab, spec.embed, spec.hidden
+    return (("w_emb", (v, d)), ("w_x", (h, d)), ("w_h", (h, h)),
+            ("w_s", (v, h)), ("b_h", (h,)), ("b_y", (v,)), ("h0", (h,)))
 
 
 @dataclass
@@ -53,15 +48,12 @@ def init_params(spec, seed):
     def w(rows, cols):
         return rng.normal(0.0, 1.0 / np.sqrt(cols), size=(rows, cols))
 
-    return RnnParams(
-        w_emb=rng.normal(0.0, 0.1, size=(v, d)),
-        w_x=rng.normal(0.0, BASE_BLOCK_SCALE, size=(h, d)),
-        w_h=w(h, h),
-        w_s=w(v, h),
-        b_h=np.zeros(h),
-        b_y=np.zeros(v),
-        h0=np.zeros(h),
-    )
+    p = Params(layout(spec))  # biases and h0 start at zero
+    p.w_emb = rng.normal(0.0, 0.1, size=(v, d))
+    p.w_x = rng.normal(0.0, BASE_BLOCK_SCALE, size=(h, d))
+    p.w_h = w(h, h)
+    p.w_s = w(v, h)
+    return p
 
 
 def _check_sample(params, sample):
@@ -125,13 +117,10 @@ def backward(params, sample, trace):
         dz[np.arange(t_len), sample.targets] -= 1.0
         dz /= t_len
 
-    g_w_emb = np.zeros_like(params.w_emb)
-    g_w_x = np.zeros_like(params.w_x)
-    g_w_h = np.zeros_like(params.w_h)
-    g_b_h = np.zeros_like(params.b_h)
-
-    g_w_s = dz.T @ trace.hs[1:]
-    g_b_y = dz.sum(axis=0)
+    g = params.like()
+    g_w_emb, g_w_x, g_w_h, g_b_h = g.w_emb, g.w_x, g.w_h, g.b_h
+    g.w_s = dz.T @ trace.hs[1:]
+    g.b_y = dz.sum(axis=0)
 
     carry = np.zeros_like(params.h0)  # d loss / d h_t from steps after t
     for t in range(t_len - 1, -1, -1):
@@ -143,15 +132,8 @@ def backward(params, sample, trace):
         g_w_emb[tokens[t]] += params.w_x.T @ da
         carry = params.w_h.T @ da
 
-    return RnnParams(
-        w_emb=g_w_emb,
-        w_x=g_w_x,
-        w_h=g_w_h,
-        w_s=g_w_s,
-        b_h=g_b_h,
-        b_y=g_b_y,
-        h0=carry,
-    )
+    g.h0 = carry
+    return g
 
 
 def errors(trace, sample):

@@ -20,23 +20,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError
-from .common import STREAM_INIT, stream_rng
+from .common import STREAM_INIT, Params, stream_rng
 from ..tensor import sigmoid
 
 BASE_SELECTOR = "w"
 
 
-@dataclass
-class RnnRbmParams:
-    w: np.ndarray  # (n_v, n_h) shared visible-hidden weights
-    b_v: np.ndarray  # (n_v,) static visible offset
-    b_h: np.ndarray  # (n_h,) static hidden offset
-    w_uv: np.ndarray  # (n_v, context)
-    w_uh: np.ndarray  # (n_h, context)
-    w_uu: np.ndarray  # (context, context)
-    w_vu: np.ndarray  # (context, n_v)
-    b_u: np.ndarray  # (context,)
-    u0: np.ndarray  # (context,)
+def layout(spec):
+    """``w`` is the shared visible-hidden weight, ``b_v``/``b_h`` the static
+    offsets; the ``*_u*`` blocks and ``u0`` drive the conditioning state."""
+    n_v, n_h, d_u = spec.vocab, spec.hidden, spec.context
+    return (("w", (n_v, n_h)), ("b_v", (n_v,)), ("b_h", (n_h,)),
+            ("w_uv", (n_v, d_u)), ("w_uh", (n_h, d_u)), ("w_uu", (d_u, d_u)),
+            ("w_vu", (d_u, n_v)), ("b_u", (d_u,)), ("u0", (d_u,)))
 
 
 @dataclass
@@ -66,17 +62,13 @@ def init_params(spec, seed):
     def w(rows, cols, scale=None):
         return rng.normal(0.0, scale or 1.0 / np.sqrt(cols), size=(rows, cols))
 
-    return RnnRbmParams(
-        w=w(n_v, n_h, scale=0.01),
-        b_v=np.zeros(n_v),
-        b_h=np.zeros(n_h),
-        w_uv=w(n_v, d_u, scale=0.01),
-        w_uh=w(n_h, d_u, scale=0.01),
-        w_uu=w(d_u, d_u),
-        w_vu=w(d_u, n_v),
-        b_u=np.zeros(d_u),
-        u0=np.zeros(d_u),
-    )
+    p = Params(layout(spec))  # biases and u0 start at zero
+    p.w = w(n_v, n_h, scale=0.01)
+    p.w_uv = w(n_v, d_u, scale=0.01)
+    p.w_uh = w(n_h, d_u, scale=0.01)
+    p.w_uu = w(d_u, d_u)
+    p.w_vu = w(d_u, n_v)
+    return p
 
 
 def gibbs_step(w, bv, bh, v, rng, h_prob=None):
@@ -159,28 +151,28 @@ def backward(params, sample, trace):
     if trace.us.shape != (t_len + 1, params.u0.size) or len(trace.stats) != t_len:
         raise InvalidInputError("trace does not match (params, sample)")
 
-    g = {name: np.zeros_like(block) for name, block in vars(params).items()}
+    g = params.like()
     dbvs = np.empty((t_len, params.b_v.size))
     dbhs = np.empty((t_len, params.b_h.size))
     for t, st in enumerate(trace.stats):
-        g["w"] -= np.outer(st.v, st.h_pos) - np.outer(st.v_star, st.h_neg)
+        g.w -= np.outer(st.v, st.h_pos) - np.outer(st.v_star, st.h_neg)
         dbvs[t] = -(st.v - st.v_star)
         dbhs[t] = -(st.h_pos - st.h_neg)
-        g["b_v"] += dbvs[t]
-        g["b_h"] += dbhs[t]
-        g["w_uv"] += np.outer(dbvs[t], trace.us[t])
-        g["w_uh"] += np.outer(dbhs[t], trace.us[t])
+        g.b_v += dbvs[t]
+        g.b_h += dbhs[t]
+        g.w_uv += np.outer(dbvs[t], trace.us[t])
+        g.w_uh += np.outer(dbhs[t], trace.us[t])
 
     du = np.zeros_like(params.u0)  # d loss / d u_{t+1}, carried backwards
     for t in range(t_len - 1, -1, -1):
         da = du * (1.0 - trace.us[t + 1] ** 2)
-        g["b_u"] += da
-        g["w_uu"] += np.outer(da, trace.us[t])
-        g["w_vu"] += np.outer(da, sample.frames[t])
+        g.b_u += da
+        g.w_uu += np.outer(da, trace.us[t])
+        g.w_vu += np.outer(da, sample.frames[t])
         du = params.w_uu.T @ da
         du += params.w_uv.T @ dbvs[t] + params.w_uh.T @ dbhs[t]
-    g["u0"] = du
-    return RnnRbmParams(**g)
+    g.u0 = du
+    return g
 
 
 def cd_surrogate_loss(params, sample, stats):

@@ -24,17 +24,14 @@ import numpy as np
 
 from . import analysis
 from .base import ParamsMixin
-from .data import Dataset, PIANOROLL, SEQCLASS
+from .data import Dataset, PIANOROLL, SEQCLASS, infer_vocab
 from .errors import ConfigError, DistributionError, DivergenceError, ParseError
 from .models import (
     STREAM_DRAW,
     STREAM_EVAL,
     STREAM_MODEL,
     ModelSpec,
-    copy_params,
     get_model,
-    map_blocks,
-    params_to_vector,
     spec_of,
     stream_rng,
     validate_dataset,
@@ -49,7 +46,7 @@ METRICS_HEADER = ["epoch", "split", "loss", "error_rate", "grad_var", "wall_ms"]
 
 def sgd_step(params, grads, lr):
     """Plain descent step; returns new parameters."""
-    return map_blocks(lambda p, g: p - lr * g, params, grads)
+    return params.like(params.vec - lr * grads.vec)
 
 
 def _step_size(lr, n, p_i, clip=None):
@@ -160,7 +157,7 @@ def sample_passes(model, params, samples, rng):
     ``rng``: yields (sample, trace, flattened gradient)."""
     for sample in samples:
         trace = model.forward(params, sample, rng=rng)
-        yield sample, trace, params_to_vector(model.backward(params, sample, trace))
+        yield sample, trace, model.backward(params, sample, trace).vec
 
 
 def _evaluate(model, params, samples, probs, epoch, seed):
@@ -202,7 +199,7 @@ def train(dataset, params0, cfg, eval_dataset=None):
     rng_model = stream_rng(cfg.seed, STREAM_MODEL)
 
     log = MetricsLog(config_hash=cfg.digest(), seed=cfg.seed)
-    params = copy_params(params0)
+    params = params0.like(params0.vec.copy())
     start = time.perf_counter()
     for epoch in range(1, cfg.epochs + 1):
         for step in range(n):
@@ -348,8 +345,5 @@ def as_dataset(X):
     samples = list(X)
     if not samples:
         raise ConfigError("empty dataset")
-    first = samples[0]
-    if hasattr(first, "frames"):
-        return Dataset(kind=PIANOROLL, samples=samples, vocab=first.width)
-    vocab = int(max(int(s.tokens.max()) for s in samples)) + 1
-    return Dataset(kind=SEQCLASS, samples=samples, vocab=vocab)
+    kind = PIANOROLL if hasattr(samples[0], "frames") else SEQCLASS
+    return Dataset(kind=kind, samples=samples, vocab=infer_vocab(samples))

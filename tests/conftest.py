@@ -6,12 +6,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gradmine.models import map_blocks
-
 
 def randomize(params, rng, scale=0.5):
     """Replace every block with same-shape normal noise (for oracles)."""
-    return map_blocks(lambda b: rng.normal(0.0, scale, b.shape), params)
+    return params.like(rng.normal(0.0, scale, params.vec.size))
 
 
 @pytest.fixture

@@ -106,6 +106,31 @@ class TestMine:
         assert code == 2
         assert "GRADMINE_WORKERS" in capsys.readouterr().err
 
+    def test_divergence_in_a_pool_worker_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        out = tmp_path / "imp.json"
+        code = run([
+            "mine", "--data", str(data), "--model", "rnn", "--epsilon", "0.001",
+            "--lr", "1e300", "--workers", "2", "--embed-dim", "4",
+            "--hidden", "5", "--out", str(out),
+        ])
+        assert code == 3
+        assert "diverged" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "imp.json.run.json").exists()
+
+    def test_manifest_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        (tmp_path / "d.jsonl.manifest.json").write_text("[1]\n")
+        code = run([
+            "mine", "--data", str(data), "--model", "rnn", "--epsilon", "0.05",
+            "--workers", "1", "--out", str(tmp_path / "i.json"),
+        ])
+        assert code == 2
+        assert "d.jsonl.manifest.json" in capsys.readouterr().err
+
     def test_model_dataset_mismatch_exits_2(self, tmp_path):
         data = tmp_path / "d.jsonl"
         run(gen_args(data))
@@ -238,6 +263,15 @@ class TestTrain:
         record = json.loads((tmp_path / "m.csv.run.json").read_text())
         assert record["config"]["lr"] == 0.3
 
+    def test_target_ids_above_every_token_fit_without_manifest(self, tmp_path):
+        data = tmp_path / "d.jsonl"
+        data.write_text(json.dumps({"tokens": [0, 1, 1], "targets": [1, 2, 3]}) + "\n")
+        code = run([
+            "train", "--data", str(data), "--model", "rnn", "--epochs", "1",
+            "--embed-dim", "3", "--hidden", "4", "--out", str(tmp_path / "m.csv"),
+        ])
+        assert code == 0
+
     def test_divergence_exits_3(self, tmp_path):
         data = tmp_path / "p.jsonl"
         run([
@@ -349,7 +383,14 @@ class TestVariance:
         "3", json.dumps({"model": "rnn", "base_selector": "w_x", "epsilon": 1.0,
                          "seed": 0, "norm_kind": "frobenius", "norms": [1.0],
                          "probs": ["x"], "iterations": [0], "converged": [True]}),
-    ], ids=["top-level-number", "string-probs"])
+        json.dumps({"model": "rnn", "base_selector": "w_x", "epsilon": 1.0,
+                    "seed": 0, "norm_kind": "frobenius", "norms": [1.0],
+                    "probs": [1.0], "iterations": [1.7], "converged": [True]}),
+        json.dumps({"model": "rnn", "base_selector": "w_x", "epsilon": 1.0,
+                    "seed": 0, "norm_kind": "frobenius", "norms": [1.0],
+                    "probs": [1.0], "iterations": [1], "converged": ["no"]}),
+    ], ids=["top-level-number", "string-probs", "fractional-iterations",
+            "string-converged"])
     def test_malformed_table_exits_2(self, tmp_path, capsys, payload):
         data = tmp_path / "d.jsonl"
         data.write_text(json.dumps({"tokens": [1, 2, 3], "label": 1}) + "\n")

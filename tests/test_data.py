@@ -10,6 +10,7 @@ from gradmine.data import (
     chunk_frames,
     gen_pianoroll,
     gen_seqclass,
+    infer_vocab,
     load_dataset,
     save_dataset,
     token_bands,
@@ -161,6 +162,14 @@ class TestRoundTrips:
             load_dataset(path)
         assert err.value.line == 4
 
+    @pytest.mark.parametrize("text", ["[1]\n", "7\n", '"n_samples"\n'])
+    def test_manifest_that_is_not_an_object_is_a_parse_error(self, tmp_path, text):
+        path = tmp_path / "d.jsonl"
+        save_dataset(path, gen_seqclass(n=3, vocab=8, seed=1))
+        (tmp_path / "d.jsonl.manifest.json").write_text(text)
+        with pytest.raises(ParseError, match="d.jsonl.manifest.json"):
+            load_dataset(path)
+
     def test_mixed_kinds_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(
@@ -178,6 +187,13 @@ class TestRoundTrips:
         path.write_text(json.dumps({"tokens": [3, 7], "label": 1}) + "\n")
         ds = load_dataset(path)
         assert ds.vocab == 8 and ds.kind == "seqclass"
+
+    def test_vocab_inferred_from_targets_too(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"tokens": [0, 1, 1], "targets": [1, 2, 3]}) + "\n")
+        ds = load_dataset(path)
+        assert ds.vocab == 4 and ds.kind == "seqlabel"
+        assert infer_vocab([SequenceSample(tokens=[5, 0], label=9)]) == 6
 
     def test_pianoroll_line_accepts_width_annotation(self, tmp_path):
         path = tmp_path / "p.jsonl"

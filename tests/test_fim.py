@@ -104,6 +104,25 @@ class TestMineImportance:
         np.testing.assert_array_equal(t1.iterations, t8.iterations)
         np.testing.assert_array_equal(t1.converged, t8.converged)
 
+    @pytest.mark.parametrize("kind", ["lstm", "rnnrbm"])
+    def test_worker_count_does_not_change_results_for(self, kind):
+        # Each pool task carries the pickled shared initialization.
+        from gradmine.data import gen_pianoroll
+
+        if kind == "lstm":
+            ds = gen_seqclass(n=6, vocab=8, length_range=(4, 8), seed=6)
+            spec = ModelSpec(kind=kind, vocab=8, embed=4, hidden=5)
+            cfg = FimConfig(epsilon=0.05, lr=0.5, seed=1, t_max=200)
+        else:
+            ds = gen_pianoroll(n=6, n_v=6, length_range=(3, 5), seed=3)
+            spec = ModelSpec(kind=kind, vocab=6, hidden=4, context=3)
+            cfg = FimConfig(epsilon=0.4, lr=0.05, seed=1, t_max=200)
+        t1 = mine_importance(ds, spec, cfg, n_workers=1).table
+        t2 = mine_importance(ds, spec, cfg, n_workers=2).table
+        assert t1.iterations.max() > 0
+        for column in ("norms", "probs", "iterations", "converged"):
+            assert getattr(t1, column).tobytes() == getattr(t2, column).tobytes()
+
     def test_loss_sequences_mostly_decrease(self):
         ds = gen_seqclass(n=10, vocab=8, length_range=(4, 8), seed=8)
         cfg = FimConfig(epsilon=0.01, lr=0.2, seed=0, record_history=True, t_max=2000)
@@ -272,6 +291,24 @@ class TestImportanceIO:
         save_importance(path, self.make_table())
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         with pytest.raises(InvalidInputError):
+            load_importance(path)
+
+    @pytest.mark.parametrize("column, values", [
+        ("iterations", [12, 40.5, 23]),
+        ("iterations", [12, True, 23]),
+        ("converged", ["no", True, False]),
+        ("converged", [1, 1, 0]),
+    ], ids=["fractional-iterations", "boolean-iterations", "string-converged",
+            "integer-converged"])
+    def test_column_values_are_not_coerced(self, tmp_path, column, values):
+        import json
+
+        path = tmp_path / "imp.json"
+        save_importance(path, self.make_table())
+        payload = json.loads(path.read_text())
+        payload[column] = values
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidInputError, match=column):
             load_importance(path)
 
     def test_mismatched_lengths_rejected(self):

@@ -7,7 +7,7 @@ from gradmine.data import FrameSequence, SequenceSample
 from gradmine.models import MODEL_KINDS, ModelSpec, get_model, lstm, rnn, rnnrbm
 
 MODULES = {"rnn": rnn, "lstm": lstm, "rnnrbm": rnnrbm}
-PROTOCOL = ("BASE_SELECTOR", "init_params", "forward", "backward", "errors", "predict")
+PROTOCOL = ("BASE_SELECTOR", "layout", "init_params", "forward", "backward", "errors", "predict")
 
 
 def spec_and_sample(kind):

@@ -1,12 +1,10 @@
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 
 from gradmine.analysis import svm_loss_grad
 from gradmine.errors import ConfigError, DistributionError, DivergenceError, ParseError
 from gradmine.fim import ImportanceTable
-from gradmine.models import ModelSpec, get_model, param_blocks, spec_for_dataset
+from gradmine.models import ModelSpec, Params, get_model, param_blocks, spec_for_dataset
 from gradmine.data import SequenceSample, gen_seqclass
 from gradmine.optimizer import (
     MetricsLog,
@@ -21,9 +19,9 @@ from gradmine.optimizer import (
 )
 
 
-@dataclass
-class ScalarParams:
-    w: np.ndarray
+def ScalarParams(w):
+    """Parameters with the one block ``w``."""
+    return Params((("w", w.shape),), w)
 
 
 def uniform_table(n, model="rnn", selector="w_x"):
@@ -264,6 +262,13 @@ class TestTrainerEstimator:
         assert t.lr == 0.5
         with pytest.raises(ConfigError):
             t.set_params(bogus=1)
+
+    def test_fit_infers_vocab_from_targets(self):
+        # target ids above every token id still fit the output layer
+        samples = [SequenceSample(tokens=[0, 1, 1], targets=[1, 2, 3]),
+                   SequenceSample(tokens=[1, 0], targets=[2, 0])]
+        t = Trainer(model="rnn", lr=0.1, epochs=1, embed_dim=3, hidden=4).fit(samples)
+        assert t.spec_.vocab == 4 and np.isfinite(t.log_.rows[-1].loss)
 
     def test_fit_predict_score(self):
         ds = tiny_dataset(n=16, seed=5)
