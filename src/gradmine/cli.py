@@ -23,6 +23,7 @@ from .models import (
     get_model,
     spec_of,
     stream_rng,
+    validate_dataset,
 )
 
 
@@ -213,6 +214,7 @@ def cmd_variance(args):
     started = time.perf_counter()
     dataset = data.load_dataset(args.data)
     spec = spec_of(args, dataset)
+    samples = validate_dataset(spec, dataset)
     model = get_model(spec)
     params = model.init_params(args.seed)
     inputs = [args.data]
@@ -222,7 +224,7 @@ def cmd_variance(args):
 
     rng = stream_rng(args.seed, STREAM_EVAL)
     grads = np.stack(
-        [g for *_, g in optimizer.sample_passes(model, params, dataset, rng)])
+        [g for *_, g in optimizer.sample_passes(model, params, samples, rng)])
     mined_norms = mined_probs = None
     if args.importance:
         table = fim.load_importance(args.importance).check_fits(spec, len(dataset))

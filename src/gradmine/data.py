@@ -278,8 +278,10 @@ def chunk_frames(dataset, frames_per_sample):
 
 def infer_vocab(samples):
     """Symbol-space size of samples that no manifest describes: the frame
-    width, or one more than the largest token or target id (class labels
-    are checked by each model's head)."""
+    width, or one more than the largest token or target id. Class labels
+    do not count; each model's ``check_sample`` bounds them."""
+    if not samples:
+        raise InvalidInputError("empty dataset")
     if isinstance(samples[0], FrameSequence):
         return samples[0].width
     return 1 + max(
@@ -303,15 +305,17 @@ def _obj_to_sample(obj, line):
         if "frames" in obj:
             seq = FrameSequence(frames=np.asarray(obj["frames"]))
             if "n_v" in obj and int(obj["n_v"]) != seq.width:
-                raise ParseError(
-                    f"n_v {obj['n_v']} does not match frame width {seq.width}",
-                    line=line,
-                )
+                raise InvalidInputError(
+                    f"n_v {obj['n_v']} does not match frame width {seq.width}")
             return seq
-        if "label" in obj:
-            return SequenceSample(tokens=obj["tokens"], label=obj["label"])
-        if "targets" in obj:
-            return SequenceSample(tokens=obj["tokens"], targets=obj["targets"])
+        for key in ("label", "targets"):
+            if key in obj:
+                tokens, ids = obj["tokens"], obj[key]
+                listed = ids if isinstance(ids, list) else [ids]
+                # The sample would cast 1.7 and true to 1.
+                if not all(type(v) is int for v in [*tokens, *listed]):
+                    raise InvalidInputError(f"tokens and {key} must be JSON integers")
+                return SequenceSample(tokens=tokens, **{key: ids})
     except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
         raise ParseError(str(exc), line=line) from exc
     raise ParseError("unrecognized sample keys", line=line)

@@ -171,13 +171,14 @@ class MiningResult:
 
 
 def _mine_one(task):
-    """Train one private model; pure in (spec, sample, cfg, index, init)."""
+    """Train one private model on a validated sample; pure in (spec,
+    sample, cfg, index, init)."""
     spec, sample, cfg, index, params = task
     model = get_model(spec)
     selector = cfg.base_selector or model.base_selector
     rng = stream_rng(cfg.seed, STREAM_MINE, index)
 
-    trace = model.forward(params, sample, rng=rng)
+    trace = model.forward_unchecked(params, sample, rng)
     loss = float(trace.loss)
     grad_sum = np.zeros_like(np.atleast_1d(param_block(params, selector)))
     norm_sum = 0.0
@@ -188,14 +189,14 @@ def _mine_one(task):
             raise DivergenceError(
                 f"private training diverged on sample {index} at step {steps}"
             )
-        grads = model.backward(params, sample, trace)
+        grads = model.backward_unchecked(params, sample, trace)
         if cfg.record_history:
             base_grad = param_block(grads, selector)
             grad_sum += base_grad
             norm_sum += matrix_norm(base_grad, cfg.norm_kind)
         params = sgd_step(params, grads, cfg.lr)
         steps += 1
-        trace = model.forward(params, sample, rng=rng)
+        trace = model.forward_unchecked(params, sample, rng)
         loss = float(trace.loss)
         if cfg.record_history:
             losses.append(loss)
@@ -239,11 +240,7 @@ def mine_importance(dataset, spec, cfg, n_workers=None):
     from ``cfg.seed``); per-sample randomness is keyed by sample index, so
     the result does not depend on worker count or scheduling.
     """
-    dataset = as_dataset(dataset)
-    samples = list(dataset)
-    if not samples:
-        raise InvalidInputError("empty dataset")
-    validate_dataset(spec, samples)
+    samples = validate_dataset(spec, dataset)
     model = get_model(spec)
     selector = cfg.base_selector or model.base_selector
     params0 = model.init_params(cfg.seed)

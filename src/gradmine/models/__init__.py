@@ -2,10 +2,12 @@
 
 Each module exports ``BASE_SELECTOR``, ``layout(spec)`` (the ``(name,
 shape)`` blocks of its ``Params``), ``init_params(spec, seed)``,
-``forward(params, sample, rng=None, k=1)``, ``backward(params, sample,
-trace)``, ``errors(trace, sample)`` and ``predict(trace)``. Parameters
-travel explicitly through every call, so concurrent workers can hold
-private copies without locks. Only the frame model draws from ``rng``.
+``check_sample(spec, sample)``, ``forward(params, sample, rng=None, k=1)``,
+``backward(params, sample, trace)``, ``errors(trace, sample)`` and
+``predict(trace)``. Parameters travel explicitly through every call, so
+concurrent workers can hold private copies without locks. Only the frame
+model draws from ``rng``. ``validate_dataset`` checks each sample once
+where data enters; the loops then call the unchecked module functions.
 """
 
 from dataclasses import dataclass
@@ -37,13 +39,10 @@ _MODULES = {RNN: rnn, LSTM: lstm, RNNRBM: rnnrbm}
 class Model:
     """A spec bound to its model module. Every call looks the module
     function up afresh, so one replaced at its module attribute (a tracer,
-    a test double) is the one that runs."""
+    a test double) is the one that runs. ``forward`` and ``backward`` run
+    ``check_sample`` first; the ``*_unchecked`` pair does not."""
 
     spec: ModelSpec
-
-    @property
-    def kind(self):
-        return self.spec.kind
 
     @property
     def module(self):
@@ -57,9 +56,19 @@ class Model:
         return self.module.init_params(self.spec, seed)
 
     def forward(self, params, sample, rng=None):
-        return self.module.forward(params, sample, rng=rng, k=self.spec.cd_k)
+        self.module.check_sample(self.spec, sample)
+        return self.forward_unchecked(params, sample, rng)
 
     def backward(self, params, sample, trace):
+        self.module.check_sample(self.spec, sample)
+        return self.backward_unchecked(params, sample, trace)
+
+    def forward_unchecked(self, params, sample, rng=None):
+        """``forward`` of a sample that ``validate_dataset`` has passed."""
+        return self.module.forward(params, sample, rng=rng, k=self.spec.cd_k)
+
+    def backward_unchecked(self, params, sample, trace):
+        """``backward`` of a sample that ``validate_dataset`` has passed."""
         return self.module.backward(params, sample, trace)
 
     def loss(self, params, sample, rng=None):
@@ -98,12 +107,14 @@ def spec_of(settings, dataset):
 
 
 def validate_dataset(spec, samples):
-    """Check that every sample is the kind the model consumes."""
-    needs_frames = spec.kind == RNNRBM
+    """``samples`` as a non-empty list, each passed by the model's
+    ``check_sample``; the error names the first sample that fails."""
+    samples = list(samples)
+    if not samples:
+        raise InvalidInputError("empty dataset")
     for i, sample in enumerate(samples):
-        if hasattr(sample, "frames") != needs_frames:
-            have = "frame" if hasattr(sample, "frames") else "token"
-            raise InvalidInputError(
-                f"sample {i} is a {have} sequence, incompatible with "
-                f"model kind {spec.kind!r}"
-            )
+        try:
+            _MODULES[spec.kind].check_sample(spec, sample)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"sample {i}: {exc}") from None
+    return samples

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, InvalidInputError
 from ..tensor import matrix_norm
 
 RNN = "rnn"
@@ -65,6 +65,21 @@ class ModelSpec:
 
     def to_dict(self):
         return dataclasses.asdict(self)
+
+
+def check_kind(spec, sample):
+    """Reject a token sequence given to the frame model, or the reverse."""
+    has_frames = hasattr(sample, "frames")
+    if has_frames != (spec.kind == RNNRBM):
+        have = "frame" if has_frames else "token"
+        raise InvalidInputError(
+            f"a {have} sequence does not fit model kind {spec.kind!r}")
+
+
+def check_ids(ids, size, what):
+    """Reject an array of ids with an entry outside [0, size)."""
+    if np.any(ids < 0) or np.any(ids >= size):
+        raise InvalidInputError(f"{what} index out of range [0, {size})")
 
 
 @functools.lru_cache(maxsize=256)  # one entry per model spec in use

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError
-from .common import STREAM_INIT, Params, stream_rng
+from .common import STREAM_INIT, Params, check_ids, check_kind, stream_rng
 from ..tensor import log_softmax, sigmoid
 
 BASE_SELECTOR = "w_c"
@@ -79,27 +79,15 @@ def init_params(spec, seed):
     return p
 
 
-def _check_sample(params, sample):
-    vocab = params.w_emb.shape[0]
-    if np.any(sample.tokens < 0) or np.any(sample.tokens >= vocab):
-        raise InvalidInputError(f"token index out of range [0, {vocab})")
+def check_sample(spec, sample):
+    """Reject a frame sequence, a token outside [0, vocab), or a missing or
+    out-of-range class label."""
+    check_kind(spec, sample)
+    check_ids(sample.tokens, spec.vocab, "token")
     if not sample.is_classification:
         raise InvalidInputError("the LSTM head needs a single class label")
-    if not 0 <= sample.label < params.b_cls.size:
-        raise InvalidInputError(f"label out of range [0, {params.b_cls.size})")
-
-
-def _check_gates(gates, hidden):
-    # Sigmoid gates lie in [0, 1], the candidate cell in [-1, 1]; NaN fails
-    # both comparisons.
-    lower = np.zeros(4 * hidden)
-    lower[_blocks(hidden)[2]] = -1.0
-    bad = ~((gates >= lower) & (gates <= 1.0)).all(axis=0)
-    if bad.any():
-        gate = GATES[int(np.flatnonzero(bad)[0]) // hidden]
-        if gate == "c":
-            raise InvalidInputError("candidate cell left [-1, 1]")
-        raise InvalidInputError(f"{gate}-gate left [0, 1]")
+    if not 0 <= sample.label < spec.classes:
+        raise InvalidInputError(f"label out of range [0, {spec.classes})")
 
 
 def _stacked(params):
@@ -115,7 +103,6 @@ def _blocks(hidden):
 def forward(params, sample, rng=None, k=1):
     """Cell over the tokens, head over the pooled states; deterministic, so
     ``rng`` and ``k`` (model protocol) are ignored."""
-    _check_sample(params, sample)
     tokens = sample.tokens
     t_len = tokens.size
     hidden = params.h0.size
@@ -141,7 +128,6 @@ def forward(params, sample, rng=None, k=1):
         np.add(gate[z_blk] * gate[c_blk], gate[f_blk] * cs[t], out=cs[t + 1])
         np.tanh(cs[t + 1], out=tcs[t])
         np.multiply(gate[o_blk], tcs[t], out=hs[t + 1])
-    _check_gates(gates, hidden)
     zs, fs, gs, os_ = (gates[:, blk] for blk in (z_blk, f_blk, c_blk, o_blk))
 
     pooled = hs[1:].mean(axis=0)
@@ -160,22 +146,14 @@ def forward(params, sample, rng=None, k=1):
     )
 
 
-def _check_trace(params, sample, trace):
-    t_len = sample.tokens.size
-    if (
-        trace.hs.shape != (t_len + 1, params.h0.size)
-        or trace.xs.shape != (t_len, params.w_emb.shape[1])
-        or trace.probs.shape != (params.b_cls.size,)
-    ):
-        raise InvalidInputError("trace does not match (params, sample)")
-
-
 def backward(params, sample, trace):
     """Exact gradients for all blocks, including h0/c0."""
-    _check_sample(params, sample)
-    _check_trace(params, sample, trace)
     tokens = sample.tokens
     t_len = tokens.size
+    if (trace.hs.shape, trace.xs.shape, trace.probs.shape) != (
+            (t_len + 1, params.h0.size), (t_len, params.w_emb.shape[1]),
+            (params.b_cls.size,)):
+        raise InvalidInputError("trace does not match (params, sample)")
 
     hidden = params.h0.size
     dlogits = trace.probs.copy()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError
-from .common import STREAM_INIT, Params, stream_rng
+from .common import STREAM_INIT, Params, check_ids, check_kind, stream_rng
 from ..tensor import log_softmax
 
 BASE_SELECTOR = "w_x"
@@ -56,21 +56,21 @@ def init_params(spec, seed):
     return p
 
 
-def _check_sample(params, sample):
-    vocab = params.w_emb.shape[0]
-    if np.any(sample.tokens < 0) or np.any(sample.tokens >= vocab):
-        raise InvalidInputError(f"token index out of range [0, {vocab})")
+def check_sample(spec, sample):
+    """Reject a frame sequence, or a token, label or target outside
+    [0, vocab)."""
+    check_kind(spec, sample)
+    check_ids(sample.tokens, spec.vocab, "token")
     if sample.is_classification:
-        if not 0 <= sample.label < vocab:
-            raise InvalidInputError(f"label out of range [0, {vocab})")
-    elif np.any(sample.targets < 0) or np.any(sample.targets >= vocab):
-        raise InvalidInputError(f"target index out of range [0, {vocab})")
+        if not 0 <= sample.label < spec.vocab:
+            raise InvalidInputError(f"label out of range [0, {spec.vocab})")
+    else:
+        check_ids(sample.targets, spec.vocab, "target")
 
 
 def forward(params, sample, rng=None, k=1):
     """Run the recurrence and return the full trace, including the loss.
     Deterministic: ``rng`` and ``k`` (model protocol) are ignored."""
-    _check_sample(params, sample)
     tokens = sample.tokens
     t_len = tokens.size
     hidden = params.h0.size
@@ -91,22 +91,14 @@ def forward(params, sample, rng=None, k=1):
     return RnnTrace(xs=xs, hs=hs, ys=np.exp(logp), loss=float(loss))
 
 
-def _check_trace(params, sample, trace):
-    t_len = sample.tokens.size
-    if (
-        trace.hs.shape != (t_len + 1, params.h0.size)
-        or trace.ys.shape != (t_len, params.b_y.size)
-        or trace.xs.shape != (t_len, params.w_emb.shape[1])
-    ):
-        raise InvalidInputError("trace does not match (params, sample)")
-
-
 def backward(params, sample, trace):
     """Exact gradients of the loss for every parameter block."""
-    _check_sample(params, sample)
-    _check_trace(params, sample, trace)
     tokens = sample.tokens
     t_len = tokens.size
+    if (trace.hs.shape, trace.ys.shape, trace.xs.shape) != (
+            (t_len + 1, params.h0.size), (t_len, params.b_y.size),
+            (t_len, params.w_emb.shape[1])):
+        raise InvalidInputError("trace does not match (params, sample)")
 
     # d loss / d logits, per step
     dz = trace.ys.copy()

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError
-from .common import STREAM_INIT, Params, stream_rng
+from .common import STREAM_INIT, Params, check_kind, stream_rng
 from ..tensor import sigmoid
 
 BASE_SELECTOR = "w"
@@ -95,19 +95,17 @@ def _bernoulli_cost(v, prob):
     return float(np.mean(out))
 
 
-def _check_sample(params, sample):
-    if sample.frames.shape[1] != params.b_v.size:
+def check_sample(spec, sample):
+    """Reject a token sequence, or frames whose width is not n_v."""
+    check_kind(spec, sample)
+    if sample.frames.shape[1] != spec.vocab:
         raise InvalidInputError(
-            f"frame width {sample.frames.shape[1]} != n_v {params.b_v.size}"
-        )
+            f"frame width {sample.frames.shape[1]} != n_v {spec.vocab}")
 
 
 def forward(params, sample, rng=None, k=1):
     """Conditioning recurrence plus one CD-k chain per frame, drawing its
     uniforms from ``rng``."""
-    _check_sample(params, sample)
-    if k < 1:
-        raise InvalidInputError("k must be >= 1")
     if rng is None:
         raise InvalidInputError("the frame model needs a random generator")
     frames = sample.frames
@@ -146,7 +144,6 @@ def forward(params, sample, rng=None, k=1):
 def backward(params, sample, trace):
     """CD gradients for the RBM blocks; exact recurrence backprop for the
     conditioning blocks, with the phase statistics treated as constants."""
-    _check_sample(params, sample)
     t_len = sample.frames.shape[0]
     if trace.us.shape != (t_len + 1, params.u0.size) or len(trace.stats) != t_len:
         raise InvalidInputError("trace does not match (params, sample)")
@@ -173,27 +170,6 @@ def backward(params, sample, trace):
         du += params.w_uv.T @ dbvs[t] + params.w_uh.T @ dbhs[t]
     g.u0 = du
     return g
-
-
-def cd_surrogate_loss(params, sample, stats):
-    """Scalar whose exact parameter gradient is what ``backward`` returns.
-
-    Rebuilds the conditioning recurrence from ``params`` and contracts it
-    against the frozen phase statistics; used to verify the conditioning
-    gradients by finite differences.
-    """
-    _check_sample(params, sample)
-    frames = sample.frames
-    u = params.u0
-    total = 0.0
-    for t, st in enumerate(stats):
-        bv = params.b_v + params.w_uv @ u
-        bh = params.b_h + params.w_uh @ u
-        pos = st.h_pos @ (params.w.T @ st.v + bh) + bv @ st.v
-        neg = st.h_neg @ (params.w.T @ st.v_star + bh) + bv @ st.v_star
-        total -= pos - neg
-        u = np.tanh(params.b_u + params.w_uu @ u + params.w_vu @ frames[t])
-    return float(total)
 
 
 def errors(trace, sample):

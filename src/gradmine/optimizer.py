@@ -153,11 +153,11 @@ class MetricsLog:
 
 
 def sample_passes(model, params, samples, rng):
-    """Forward and backward over each sample in turn, all drawing from
-    ``rng``: yields (sample, trace, flattened gradient)."""
+    """Forward and backward over each validated sample in turn, all drawing
+    from ``rng``: yields (sample, trace, flattened gradient)."""
     for sample in samples:
-        trace = model.forward(params, sample, rng=rng)
-        yield sample, trace, model.backward(params, sample, trace).vec
+        trace = model.forward_unchecked(params, sample, rng)
+        yield sample, trace, model.backward_unchecked(params, sample, trace).vec
 
 
 def _evaluate(model, params, samples, probs, epoch, seed):
@@ -180,12 +180,11 @@ def train(dataset, params0, cfg, eval_dataset=None):
 
     Fully deterministic given (dataset, params0, cfg): index draws, model
     randomness, and per-epoch evaluation each own a seeded sub-stream.
+    The training and held-out samples are checked once, here.
     """
-    samples = list(dataset)
+    samples = validate_dataset(cfg.spec, dataset)
+    held = None if eval_dataset is None else validate_dataset(cfg.spec, eval_dataset)
     n = len(samples)
-    if n == 0:
-        raise ConfigError("empty dataset")
-    validate_dataset(cfg.spec, samples)
     model = get_model(cfg.spec)
 
     if cfg.sampler == IMPORTANCE:
@@ -205,12 +204,12 @@ def train(dataset, params0, cfg, eval_dataset=None):
         for step in range(n):
             idx = int(schedule[(epoch - 1) * n + step])
             sample = samples[idx]
-            trace = model.forward(params, sample, rng=rng_model)
+            trace = model.forward_unchecked(params, sample, rng_model)
             if not np.isfinite(trace.loss):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, step {step}, sample {idx}"
                 )
-            grads = model.backward(params, sample, trace)
+            grads = model.backward_unchecked(params, sample, trace)
             params = sgd_step(
                 params, grads, _step_size(cfg.lr, n, probs[idx], clip))
 
@@ -220,8 +219,7 @@ def train(dataset, params0, cfg, eval_dataset=None):
                 raise DivergenceError(f"non-finite evaluation loss at epoch {epoch}")
             wall = (time.perf_counter() - start) * 1e3
             log.rows.append(MetricsRow(epoch, "train", loss, err, gvar, wall))
-            if eval_dataset is not None:
-                held = list(eval_dataset)
+            if held is not None:
                 eloss, eerr, egvar = _evaluate(
                     model, params, held, np.full(len(held), 1.0 / len(held)),
                     epoch, cfg.seed)
@@ -318,9 +316,10 @@ class Trainer(ParamsMixin):
     def _traces(self, X):
         """The model, and (sample, trace) pairs under the fitted parameters;
         chains draw from the (seed, STREAM_EVAL) stream."""
+        samples = validate_dataset(self.spec_, X)
         model, rng = get_model(self.spec_), stream_rng(self.seed, STREAM_EVAL)
-        return model, ((s, model.forward(self.params_, s, rng=rng))
-                       for s in as_dataset(X))
+        return model, ((s, model.forward_unchecked(self.params_, s, rng))
+                       for s in samples)
 
     def predict(self, X):
         """Argmax class per sample; None per sample for the frame model."""
@@ -343,7 +342,6 @@ def as_dataset(X):
     if isinstance(X, Dataset):
         return X
     samples = list(X)
-    if not samples:
-        raise ConfigError("empty dataset")
+    vocab = infer_vocab(samples)  # rejects an empty list
     kind = PIANOROLL if hasattr(samples[0], "frames") else SEQCLASS
-    return Dataset(kind=kind, samples=samples, vocab=infer_vocab(samples))
+    return Dataset(kind=kind, samples=samples, vocab=vocab)

@@ -193,3 +193,24 @@ def static_rbm_cd(w, bv, bh, frames, k, rng):
         g_bv -= v - chain
         g_bh -= h_pos - h_neg
     return g_w, g_bv, g_bh
+
+
+def cd_surrogate_loss(params, sample, stats):
+    """Scalar whose exact parameter gradient is what ``rnnrbm.backward``
+    returns.
+
+    Rebuilds the conditioning recurrence from ``params`` and contracts it
+    against the frozen phase statistics; used to verify the conditioning
+    gradients by finite differences.
+    """
+    frames = sample.frames
+    u = params.u0
+    total = 0.0
+    for t, st in enumerate(stats):
+        bv = params.b_v + params.w_uv @ u
+        bh = params.b_h + params.w_uh @ u
+        pos = st.h_pos @ (params.w.T @ st.v + bh) + bv @ st.v
+        neg = st.h_neg @ (params.w.T @ st.v_star + bh) + bv @ st.v_star
+        total -= pos - neg
+        u = np.tanh(params.b_u + params.w_uu @ u + params.w_vu @ frames[t])
+    return float(total)

@@ -28,12 +28,16 @@ from gradmine.models import (
     param_blocks,
     spec_for_dataset,
 )
-from gradmine.models.rnnrbm import cd_surrogate_loss
 from gradmine.optimizer import TrainConfig, train
 from gradmine.sampling import build_alias, generate_sequence
 
 from conftest import randomize
-from oracles import finite_diff_grads, max_fd_violation, static_rbm_cd
+from oracles import (
+    cd_surrogate_loss,
+    finite_diff_grads,
+    max_fd_violation,
+    static_rbm_cd,
+)
 
 
 def report(number, description, ok, detail=""):

@@ -22,6 +22,14 @@ def gen_args(path, n=12, vocab=10, extra=()):
     ]
 
 
+def pianoroll_file(path):
+    run([
+        "gen", "--task", "pianoroll", "--n", "4", "--nv", "6",
+        "--len-min", "4", "--len-max", "6", "--seed", "3", "--out", str(path),
+    ])
+    return path
+
+
 def uniform_table_file(path, n):
     table = ImportanceTable(
         model="rnn", base_selector="w_x", epsilon=1.0, seed=0,
@@ -119,6 +127,19 @@ class TestMine:
         assert "diverged" in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "imp.json.run.json").exists()
+
+    def test_diverging_lstm_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data, n=6))
+        out = tmp_path / "imp.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run([
+                "mine", "--data", str(data), "--model", "lstm", "--epsilon", "0.01",
+                "--lr", "1e300", "--workers", "1", "--out", str(out),
+            ])
+        assert code == 3
+        assert "private training diverged" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_manifest_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
@@ -285,6 +306,42 @@ class TestTrain:
         ])
         assert code == 3
 
+    def test_diverging_lstm_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data, n=6))
+        out = tmp_path / "m.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run([
+                "train", "--data", str(data), "--model", "lstm", "--lr", "1e300",
+                "--epochs", "2", "--out", str(out),
+            ])
+        assert code == 3
+        assert "non-finite loss" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("held_out, message", [
+        ("frames", "sample 0: a frame sequence"),
+        ("token-above-vocab", "sample 1: token index out of range [0, 10)"),
+    ], ids=["frames", "token-above-vocab"])
+    def test_held_out_data_the_model_cannot_read_exits_2(
+            self, tmp_path, capsys, held_out, message):
+        data, held = tmp_path / "d.jsonl", tmp_path / "e.jsonl"
+        run(gen_args(data))
+        if held_out == "frames":
+            pianoroll_file(held)
+        else:
+            held.write_text(json.dumps({"tokens": [1, 2], "label": 0}) + "\n"
+                            + json.dumps({"tokens": [3, 10], "label": 1}) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "m.csv"
+        code = run([
+            "train", "--data", str(data), "--eval-data", str(held),
+            "--model", "lstm", "--epochs", "1", "--out", str(out),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_uniform_table_control_gives_identical_curves(self, tmp_path):
@@ -341,6 +398,16 @@ class TestVariance:
         report = json.loads(out.read_text())
         assert report["uniform"] == pytest.approx(0.0, abs=1e-18)
         assert report["optimal"] == pytest.approx(0.0, abs=1e-18)
+
+    def test_frames_for_a_token_model_exit_2(self, tmp_path, capsys):
+        data = pianoroll_file(tmp_path / "p.jsonl")
+        capsys.readouterr()
+        out = tmp_path / "var.json"
+        code = run(["variance", "--data", str(data), "--model", "lstm",
+                    "--out", str(out)])
+        assert code == 2
+        assert "sample 0: a frame sequence" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_schema_and_optimal_bound(self, tmp_path):
         data = tmp_path / "d.jsonl"

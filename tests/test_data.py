@@ -195,6 +195,23 @@ class TestRoundTrips:
         assert ds.vocab == 4 and ds.kind == "seqlabel"
         assert infer_vocab([SequenceSample(tokens=[5, 0], label=9)]) == 6
 
+    @pytest.mark.parametrize("obj", [
+        {"tokens": [1.7, 2], "label": 1},
+        {"tokens": [1, 2], "label": 1.9},
+        {"tokens": [1, 2], "label": True},
+        {"tokens": [True, 2], "label": 1},
+        {"tokens": [1, 2], "targets": [1.0, 2]},
+        {"tokens": [1, 2], "targets": [0, False]},
+    ], ids=["float-token", "float-label", "bool-label", "bool-token",
+            "float-target", "bool-target"])
+    def test_non_integer_ids_are_a_parse_error(self, tmp_path, obj):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"tokens": [0, 1], "label": 0}) + "\n"
+                        + json.dumps(obj) + "\n")
+        with pytest.raises(ParseError, match="JSON integers") as err:
+            load_dataset(path)
+        assert err.value.line == 2
+
     def test_pianoroll_line_accepts_width_annotation(self, tmp_path):
         path = tmp_path / "p.jsonl"
         path.write_text(json.dumps({"n_v": 3, "frames": [[0, 1, 0], [1, 1, 0]]}) + "\n")

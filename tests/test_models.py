@@ -2,12 +2,27 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradmine.data import FrameSequence, SequenceSample
-from gradmine.models import MODEL_KINDS, ModelSpec, get_model, lstm, rnn, rnnrbm
+from gradmine.data import FrameSequence, SequenceSample, gen_pianoroll, gen_seqclass
+from gradmine.errors import InvalidInputError
+from gradmine.fim import FimConfig, mine_importance
+from gradmine.models import (
+    MODEL_KINDS,
+    ModelSpec,
+    get_model,
+    lstm,
+    rnn,
+    rnnrbm,
+    spec_for_dataset,
+    validate_dataset,
+)
+from gradmine.optimizer import TrainConfig, train
 
 MODULES = {"rnn": rnn, "lstm": lstm, "rnnrbm": rnnrbm}
-PROTOCOL = ("BASE_SELECTOR", "layout", "init_params", "forward", "backward", "errors", "predict")
+PROTOCOL = ("BASE_SELECTOR", "layout", "init_params", "check_sample", "forward",
+            "backward", "errors", "predict")
 
 
 def spec_and_sample(kind):
@@ -55,3 +70,90 @@ def test_model_calls_the_module_attribute_at_call_time(kind, monkeypatch):
     assert seen == [(sample, spec.cd_k)]
     wrong, total = model.errors(trace, sample)
     assert 0 <= wrong <= total
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_each_sample_is_checked_once_where_data_enters(kind, monkeypatch):
+    # N = 5 training samples, E = 3 epochs, M = 2 held-out samples; the
+    # private mining runs take several steps each, so any per-step check
+    # would show.
+    if kind == "rnnrbm":
+        ds = gen_pianoroll(n=7, n_v=5, length_range=(3, 5), seed=0)
+        dims = dict(hidden=4, context=3)
+    else:
+        ds = gen_seqclass(n=7, vocab=8, length_range=(4, 6), seed=0)
+        dims = dict(embed=3, hidden=4)
+    spec = spec_for_dataset(ds, kind, **dims)
+    samples, held = ds.samples[:5], ds.samples[5:]
+    checked = []
+    for module in MODULES.values():
+        def counting(spec, sample, real=module.check_sample):
+            checked.append(sample)
+            return real(spec, sample)
+        monkeypatch.setattr(module, "check_sample", counting)
+
+    params0 = get_model(spec).init_params(0)
+    train(samples, params0, TrainConfig(spec=spec, lr=0.01, epochs=3),
+          eval_dataset=held)
+    assert len(checked) == 5 + 2
+    checked.clear()
+    cfg = FimConfig(epsilon=1e-12, lr=0.01, t_max=4)
+    table = mine_importance(samples, spec, cfg, n_workers=1).table
+    assert list(table.iterations) == [4] * 5
+    assert len(checked) == 5
+
+
+ids = st.integers(min_value=-3, max_value=10)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), vocab=st.integers(1, 7), classes=st.integers(1, 4))
+@pytest.mark.parametrize("kind", ["rnn", "lstm"])
+def test_token_check_accepts_exactly_the_in_range_ids(kind, data, vocab, classes):
+    spec = ModelSpec(kind=kind, vocab=vocab, classes=classes)
+    tokens = data.draw(st.lists(ids, min_size=1, max_size=6))
+    ok = all(0 <= t < vocab for t in tokens)
+    if data.draw(st.booleans()):
+        label = data.draw(ids)
+        sample = SequenceSample(tokens=tokens, label=label)
+        ok = ok and 0 <= label < (classes if kind == "lstm" else vocab)
+    else:
+        targets = data.draw(st.lists(ids, min_size=len(tokens), max_size=len(tokens)))
+        sample = SequenceSample(tokens=tokens, targets=targets)
+        # The LSTM head reads one class label, never per-step targets.
+        ok = ok and kind == "rnn" and all(0 <= t < vocab for t in targets)
+    if ok:
+        MODULES[kind].check_sample(spec, sample)
+    else:
+        with pytest.raises(InvalidInputError):
+            MODULES[kind].check_sample(spec, sample)
+    with pytest.raises(InvalidInputError, match="frame sequence"):
+        MODULES[kind].check_sample(spec, FrameSequence(np.zeros((2, vocab))))
+
+
+@settings(deadline=None, max_examples=50)
+@given(vocab=st.integers(1, 7), width=st.integers(1, 7), t_len=st.integers(1, 4))
+def test_frame_check_accepts_exactly_the_model_width(vocab, width, t_len):
+    spec = ModelSpec(kind="rnnrbm", vocab=vocab)
+    sample = FrameSequence(np.zeros((t_len, width)))
+    if width == vocab:
+        rnnrbm.check_sample(spec, sample)
+    else:
+        with pytest.raises(InvalidInputError, match="frame width"):
+            rnnrbm.check_sample(spec, sample)
+    with pytest.raises(InvalidInputError, match="token sequence"):
+        rnnrbm.check_sample(spec, SequenceSample(tokens=[0], label=0))
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_validate_dataset_names_the_failing_sample(kind):
+    spec, good = spec_and_sample(kind)
+    if kind == "rnnrbm":
+        bad = SequenceSample(tokens=[0], label=0)
+    else:
+        bad = FrameSequence(np.zeros((2, 3)))
+    assert validate_dataset(spec, iter([good, good])) == [good, good]
+    with pytest.raises(InvalidInputError, match="sample 2: "):
+        validate_dataset(spec, [good, good, bad, good])
+    with pytest.raises(InvalidInputError, match="empty dataset"):
+        validate_dataset(spec, [])

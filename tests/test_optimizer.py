@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 from gradmine.analysis import svm_loss_grad
-from gradmine.errors import ConfigError, DistributionError, DivergenceError, ParseError
+from gradmine.errors import (
+    ConfigError,
+    DistributionError,
+    DivergenceError,
+    InvalidInputError,
+    ParseError,
+)
 from gradmine.fim import ImportanceTable
 from gradmine.models import ModelSpec, Params, get_model, param_blocks, spec_for_dataset
-from gradmine.data import SequenceSample, gen_seqclass
+from gradmine.data import SequenceSample, gen_pianoroll, gen_seqclass
 from gradmine.optimizer import (
     MetricsLog,
     MetricsRow,
@@ -166,8 +172,6 @@ class TestTrain:
     def test_divergence_guard(self):
         # saturated reconstruction probabilities hit -log(0) on mismatched
         # bits; the token models are saturation-proof, the frame model not
-        from gradmine.data import gen_pianoroll
-
         ds = gen_pianoroll(n=6, n_v=6, length_range=(4, 6), seed=3)
         spec = spec_for_dataset(ds, "rnnrbm", hidden=4, context=3, cd_k=1)
         model = get_model(spec)
@@ -294,8 +298,6 @@ class TestTrainerEstimator:
         assert t.predict(ds).shape == (len(ds),)
 
     def test_rnnrbm_score_repeats_and_predict_has_one_entry_per_sample(self):
-        from gradmine.data import gen_pianoroll
-
         ds = gen_pianoroll(n=5, n_v=6, length_range=(4, 7), seed=2)
         t = Trainer(model="rnnrbm", lr=0.01, epochs=1, seed=3, hidden=4, context=3)
         t.fit(ds)
@@ -303,6 +305,18 @@ class TestTrainerEstimator:
         assert 0.0 <= score <= 1.0
         assert t.score(ds) == score
         assert t.predict(ds).shape == (5,)
+
+    def test_fit_rejects_an_empty_list(self):
+        with pytest.raises(InvalidInputError, match="empty dataset"):
+            Trainer(model="rnn", epochs=1).fit([])
+
+    @pytest.mark.parametrize("method", ["score", "predict"])
+    def test_frames_rejected_by_a_token_model(self, method):
+        t = Trainer(model="lstm", lr=0.1, epochs=1, embed_dim=4, hidden=4)
+        t.fit(tiny_dataset(n=6, seed=2))
+        frames = gen_pianoroll(n=3, n_v=6, length_range=(3, 5), seed=1)
+        with pytest.raises(InvalidInputError, match="sample 0: a frame sequence"):
+            getattr(t, method)(frames)
 
     def test_fit_rejects_table_mined_for_another_model(self):
         ds = tiny_dataset(n=8, seed=2)

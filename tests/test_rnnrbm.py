@@ -4,11 +4,12 @@ import pytest
 from gradmine.data import FrameSequence
 from gradmine.errors import InvalidInputError
 from gradmine.models import ModelSpec, get_model, param_blocks
-from gradmine.models.rnnrbm import cd_surrogate_loss, gibbs_step
+from gradmine.models.rnnrbm import gibbs_step
 from gradmine.tensor import sigmoid
 
 from conftest import randomize
 from oracles import (
+    cd_surrogate_loss,
     finite_diff_grads,
     max_fd_violation,
     naive_rnnrbm_cost,
