@@ -63,14 +63,6 @@ from .optimizer import (
     train,
 )
 from .sampling import SamplingDistribution, build_alias, draw, generate_sequence
-from .tensor import (
-    frobenius_norm,
-    matmul,
-    matrix_norm,
-    sigmoid,
-    softmax,
-    spectral_norm,
-    tanh,
-)
+from .tensor import frobenius_norm, matrix_norm, sigmoid, spectral_norm
 
 __version__ = "0.1.0"

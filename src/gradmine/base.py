@@ -1,7 +1,7 @@
 """Estimator plumbing: scikit-learn compatible parameter handling and
 input-validation helpers shared by the fit-style classes."""
 
-import inspect
+import dataclasses
 
 import numpy as np
 
@@ -11,27 +11,18 @@ PROB_SUM_TOL = 1e-9
 
 
 class ParamsMixin:
-    """get_params/set_params over the ``__init__`` signature.
+    """get_params/set_params over the fields of a dataclass estimator.
 
     Duck-compatible with scikit-learn's ``BaseEstimator`` so the estimators
     here work with ``clone``, pipelines, and grid search without importing
-    sklearn.
+    sklearn. The dataclass supplies ``__init__`` and ``__repr__``.
     """
 
-    @classmethod
-    def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [
-            name
-            for name, p in sig.parameters.items()
-            if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
-
     def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     def set_params(self, **params):
-        valid = set(self._param_names())
+        valid = self.get_params()
         for name, value in params.items():
             if name not in valid:
                 raise ConfigError(
@@ -39,10 +30,6 @@ class ParamsMixin:
                 )
             setattr(self, name, value)
         return self
-
-    def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
 
 
 def check_probs(probs, n=None, tol=PROB_SUM_TOL):

@@ -7,6 +7,7 @@ records the command, resolved configuration, input hashes, and wall time.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -52,23 +53,24 @@ def _write_run_record(out_path, args, started, inputs, outputs):
         fh.write("\n")
 
 
-def _add_model_args(p, default_model="lstm"):
-    p.add_argument("--model", default=default_model, choices=MODEL_KINDS)
-    p.add_argument("--embed-dim", type=int, default=8)
-    p.add_argument("--hidden", type=int, default=8)
-    p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--context", type=int, default=8)
-    p.add_argument("--cd-k", type=int, default=1)
+def _add_field_args(p, est, *names):
+    """A ``--field-name`` flag per named field of the estimator class
+    ``est``, typed by the field's annotation and defaulting to its value."""
+    types = {f.name: f.type for f in dataclasses.fields(est)}
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), type=types[name],
+                       default=getattr(est, name))
+
+
+def _add_model_args(p, est):
+    p.add_argument("--model", default=est.model, choices=MODEL_KINDS)
+    _add_field_args(p, est, "embed_dim", "hidden", "classes", "context", "cd_k")
 
 
 def _add_train_args(p):
     p.add_argument("--data", required=True)
-    _add_model_args(p)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eval-every", type=int, default=1)
-    p.add_argument("--clip", type=float, default=None)
+    _add_model_args(p, optimizer.Trainer)
+    _add_field_args(p, optimizer.Trainer, "lr", "epochs", "seed", "eval_every", "clip")
     p.add_argument("--metric", choices=["loss", "error_rate"], default="loss")
     p.add_argument("--svg", default=None)
     p.add_argument("--out", required=True)
@@ -263,28 +265,27 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
+    miner = fim.ImportanceMiner
     p = sub.add_parser("mine", help="mine per-sample importance")
     p.add_argument("--data", required=True)
-    _add_model_args(p, default_model="rnn")
+    _add_model_args(p, miner)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--target-loss", type=float, default=None,
                    help="derive epsilon as 0.01 * target loss")
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--t-max", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--base-selector", default=None)
+    _add_field_args(p, miner, "lr", "t_max", "seed", "base_selector")
     p.add_argument("--norm-kind", choices=["frobenius", "spectral"],
-                   default="frobenius")
-    p.add_argument("--workers", type=int, default=None,
+                   default=miner.norm_kind)
+    p.add_argument("--workers", type=int, default=miner.n_workers,
                    help="default: GRADMINE_WORKERS or all cores")
-    p.add_argument("--embed-diagnostic", action="store_true")
+    p.add_argument("--embed-diagnostic", action="store_true",
+                   default=miner.embed_diagnostic)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("train", help="train one model")
     _add_train_args(p)
-    p.add_argument("--sampler", choices=["uniform", "importance"],
-                   default="uniform")
+    p.add_argument("--sampler", choices=[optimizer.UNIFORM, optimizer.IMPORTANCE],
+                   default=optimizer.Trainer.sampler)
     p.add_argument("--importance", default=None)
     p.add_argument("--eval-data", default=None)
     p.add_argument("--rbm-preset", choices=sorted(RBM_PRESETS), default=None,
@@ -298,9 +299,8 @@ def build_parser():
 
     p = sub.add_parser("variance", help="estimator variance report")
     p.add_argument("--data", required=True)
-    _add_model_args(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=0.5)
+    _add_model_args(p, optimizer.Trainer)
+    _add_field_args(p, optimizer.Trainer, "seed", "lr")
     p.add_argument("--warm-epochs", type=int, default=0,
                    help="uniform-train this many epochs before measuring")
     p.add_argument("--importance", default=None)

@@ -298,22 +298,31 @@ def _sample_to_obj(sample):
     return {"tokens": sample.tokens.tolist(), "targets": sample.targets.tolist()}
 
 
+def _json_ints(value):
+    """Whether ``value`` is a JSON integer or nested lists of them. The
+    sample constructors would cast 1.7 and true to 1 without complaint."""
+    if isinstance(value, list):
+        return all(_json_ints(v) for v in value)
+    return type(value) is int
+
+
 def _obj_to_sample(obj, line):
     if not isinstance(obj, dict):
         raise ParseError("sample line must be a JSON object", line=line)
     try:
         if "frames" in obj:
+            n_v = obj.get("n_v", 0)
+            if not (_json_ints(obj["frames"]) and type(n_v) is int):
+                raise InvalidInputError("frames and n_v must be JSON integers")
             seq = FrameSequence(frames=np.asarray(obj["frames"]))
-            if "n_v" in obj and int(obj["n_v"]) != seq.width:
+            if "n_v" in obj and n_v != seq.width:
                 raise InvalidInputError(
-                    f"n_v {obj['n_v']} does not match frame width {seq.width}")
+                    f"n_v {n_v} does not match frame width {seq.width}")
             return seq
         for key in ("label", "targets"):
             if key in obj:
                 tokens, ids = obj["tokens"], obj[key]
-                listed = ids if isinstance(ids, list) else [ids]
-                # The sample would cast 1.7 and true to 1.
-                if not all(type(v) is int for v in [*tokens, *listed]):
+                if not _json_ints([tokens, ids]):
                     raise InvalidInputError(f"tokens and {key} must be JSON integers")
                 return SequenceSample(tokens=tokens, **{key: ids})
     except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
@@ -373,13 +382,16 @@ def load_dataset(path):
                          line=exc.lineno) from exc
     if not isinstance(manifest, dict):
         raise ParseError(f"{manifest_path(path)} must hold a JSON object")
-    if "n_samples" in manifest and int(manifest["n_samples"]) != len(samples):
+    for key in ("n_samples", "vocab"):
+        if key in manifest and type(manifest[key]) is not int:
+            raise ParseError(f"{manifest_path(path)}: {key} must be a JSON integer")
+    if manifest.get("n_samples", len(samples)) != len(samples):
         raise InvalidInputError(
-            f"{path}: manifest lists {int(manifest['n_samples'])} samples "
+            f"{path}: manifest lists {manifest['n_samples']} samples "
             f"but the file holds {len(samples)}"
         )
 
-    vocab = int(manifest["vocab"]) if "vocab" in manifest else infer_vocab(samples)
+    vocab = manifest["vocab"] if "vocab" in manifest else infer_vocab(samples)
     if kind == PIANOROLL:
         widths = {s.width for s in samples}
         if len(widths) != 1:

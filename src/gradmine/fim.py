@@ -36,6 +36,7 @@ from .errors import (
 )
 from .models import (
     STREAM_MINE,
+    ModelSpec,
     get_model,
     param_block,
     spec_of,
@@ -86,7 +87,7 @@ class FimConfig:
             raise ConfigError("t_max must be >= 1")
 
 
-def fim_config_of(settings, epsilon, record_history=False):
+def fim_config_of(settings, epsilon, record_history=FimConfig.record_history):
     """Config from the mining settings of parsed CLI arguments or an
     estimator: ``lr``, ``t_max``, ``seed``, ``base_selector``,
     ``norm_kind`` and ``embed_diagnostic``."""
@@ -352,50 +353,33 @@ def load_importance(path):
     return table.validate()
 
 
+@dataclass(eq=False)
 class ImportanceMiner(ParamsMixin):
     """Fit-style interface to the miner.
 
     ``fit`` mines the dataset and exposes the result as the standard
     trailing-underscore attributes; ``distribution()`` turns the table
     into alias tables ready for the training loop, with optional
-    smoothing toward uniform.
+    smoothing toward uniform. Fields take the config's defaults, and the
+    CLI's ``mine`` reads its defaults from these fields.
     """
 
-    def __init__(
-        self,
-        model="rnn",
-        epsilon=0.01,
-        lr=0.1,
-        t_max=5000,
-        seed=0,
-        base_selector=None,
-        norm_kind="frobenius",
-        smoothing=0.0,
-        n_workers=None,
-        record_history=False,
-        embed_diagnostic=False,
-        embed_dim=8,
-        hidden=8,
-        classes=2,
-        context=8,
-        cd_k=1,
-    ):
-        self.model = model
-        self.epsilon = epsilon
-        self.lr = lr
-        self.t_max = t_max
-        self.seed = seed
-        self.base_selector = base_selector
-        self.norm_kind = norm_kind
-        self.smoothing = smoothing
-        self.n_workers = n_workers
-        self.record_history = record_history
-        self.embed_diagnostic = embed_diagnostic
-        self.embed_dim = embed_dim
-        self.hidden = hidden
-        self.classes = classes
-        self.context = context
-        self.cd_k = cd_k
+    model: str = "rnn"
+    epsilon: float = 0.01
+    lr: float = FimConfig.lr
+    t_max: int = FimConfig.t_max
+    seed: int = FimConfig.seed
+    base_selector: str = FimConfig.base_selector
+    norm_kind: str = FimConfig.norm_kind
+    smoothing: float = 0.0
+    n_workers: int = None
+    record_history: bool = FimConfig.record_history
+    embed_diagnostic: bool = FimConfig.embed_diagnostic
+    embed_dim: int = ModelSpec.embed
+    hidden: int = ModelSpec.hidden
+    classes: int = ModelSpec.classes
+    context: int = ModelSpec.context
+    cd_k: int = ModelSpec.cd_k
 
     def fit(self, X, y=None):
         dataset = as_dataset(X)

@@ -106,9 +106,10 @@ def spec_of(settings, dataset):
     )
 
 
-def validate_dataset(spec, samples):
+def validate_dataset(spec, samples, noun="sample"):
     """``samples`` as a non-empty list, each passed by the model's
-    ``check_sample``; the error names the first sample that fails."""
+    ``check_sample``; the error names the first sample that fails as
+    ``{noun} {index}``."""
     samples = list(samples)
     if not samples:
         raise InvalidInputError("empty dataset")
@@ -116,5 +117,5 @@ def validate_dataset(spec, samples):
         try:
             _MODULES[spec.kind].check_sample(spec, sample)
         except InvalidInputError as exc:
-            raise InvalidInputError(f"sample {i}: {exc}") from None
+            raise InvalidInputError(f"{noun} {i}: {exc}") from None
     return samples

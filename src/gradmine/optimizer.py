@@ -183,7 +183,8 @@ def train(dataset, params0, cfg, eval_dataset=None):
     The training and held-out samples are checked once, here.
     """
     samples = validate_dataset(cfg.spec, dataset)
-    held = None if eval_dataset is None else validate_dataset(cfg.spec, eval_dataset)
+    held = None if eval_dataset is None else validate_dataset(
+        cfg.spec, eval_dataset, "held-out sample")
     n = len(samples)
     model = get_model(cfg.spec)
 
@@ -267,43 +268,29 @@ def load_metrics(path):
     return log
 
 
+@dataclass(eq=False)
 class Trainer(ParamsMixin):
     """Fit-style wrapper around :func:`train`.
 
-    Parameters mirror the config; the model's symbol space is taken from
-    the dataset at fit time. After ``fit``, the learned parameter blocks
-    are in ``params_`` and the per-epoch metrics in ``log_``.
+    Fields mirror the config and take its defaults; the model's symbol
+    space is taken from the dataset at fit time. After ``fit``, the learned
+    parameter blocks are in ``params_`` and the per-epoch metrics in
+    ``log_``. The CLI reads its training defaults from these fields.
     """
 
-    def __init__(
-        self,
-        model="lstm",
-        lr=0.5,
-        epochs=10,
-        sampler=UNIFORM,
-        importance=None,
-        seed=0,
-        eval_every=1,
-        clip=None,
-        embed_dim=8,
-        hidden=8,
-        classes=2,
-        context=8,
-        cd_k=1,
-    ):
-        self.model = model
-        self.lr = lr
-        self.epochs = epochs
-        self.sampler = sampler
-        self.importance = importance
-        self.seed = seed
-        self.eval_every = eval_every
-        self.clip = clip
-        self.embed_dim = embed_dim
-        self.hidden = hidden
-        self.classes = classes
-        self.context = context
-        self.cd_k = cd_k
+    model: str = "lstm"
+    lr: float = 0.5
+    epochs: int = 10
+    sampler: str = TrainConfig.sampler
+    importance: object = TrainConfig.importance
+    seed: int = TrainConfig.seed
+    eval_every: int = TrainConfig.eval_every
+    clip: float = TrainConfig.clip
+    embed_dim: int = ModelSpec.embed
+    hidden: int = ModelSpec.hidden
+    classes: int = ModelSpec.classes
+    context: int = ModelSpec.context
+    cd_k: int = ModelSpec.cd_k
 
     def fit(self, X, y=None):
         dataset = as_dataset(X)

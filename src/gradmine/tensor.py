@@ -9,17 +9,6 @@ import numpy as np
 from .errors import InvalidInputError, ShapeError
 
 
-def matmul(a, b):
-    """Matrix product with explicit shape checking."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("matmul expects two 2-D matrices")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def sigmoid(v):
     """Elementwise logistic function, overflow-safe on both tails.
 
@@ -32,18 +21,6 @@ def sigmoid(v):
     v = np.asarray(v, dtype=np.float64)
     e = np.exp(np.minimum(v, -v))
     return np.where(v >= 0, 1.0, e) / (1.0 + e)
-
-
-def tanh(v):
-    """Elementwise hyperbolic tangent."""
-    return np.tanh(np.asarray(v, dtype=np.float64))
-
-
-def softmax(v):
-    """Probability vector via max-subtracted exponentials; sums to 1."""
-    v = np.asarray(v, dtype=np.float64)
-    e = np.exp(v - np.max(v, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def log_softmax(v):

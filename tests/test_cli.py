@@ -319,9 +319,24 @@ class TestTrain:
         assert "non-finite loss" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("vocab", "abc"), ("n_samples", None)])
+    def test_manifest_count_that_is_not_an_integer_exits_2(
+            self, tmp_path, capsys, key, value):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        manifest = tmp_path / "d.jsonl.manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), key: value}))
+        capsys.readouterr()
+        out = tmp_path / "m.csv"
+        code = run(["train", "--data", str(data), "--epochs", "1", "--out", str(out)])
+        assert code == 2
+        assert f"d.jsonl.manifest.json: {key} must be a JSON integer" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("held_out, message", [
-        ("frames", "sample 0: a frame sequence"),
-        ("token-above-vocab", "sample 1: token index out of range [0, 10)"),
+        ("frames", "held-out sample 0: a frame sequence"),
+        ("token-above-vocab", "held-out sample 1: token index out of range [0, 10)"),
     ], ids=["frames", "token-above-vocab"])
     def test_held_out_data_the_model_cannot_read_exits_2(
             self, tmp_path, capsys, held_out, message):

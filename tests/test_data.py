@@ -170,6 +170,18 @@ class TestRoundTrips:
         with pytest.raises(ParseError, match="d.jsonl.manifest.json"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("vocab", "abc"), ("vocab", 2.5), ("vocab", True), ("vocab", None),
+        ("n_samples", None), ("n_samples", 3.0), ("n_samples", "3"),
+    ])
+    def test_manifest_counts_must_be_json_integers(self, tmp_path, key, value):
+        path = tmp_path / "d.jsonl"
+        ds = gen_seqclass(n=3, vocab=8, seed=1)
+        ds.manifest[key] = value
+        save_dataset(path, ds)
+        with pytest.raises(ParseError, match=f"d.jsonl.manifest.json: {key}"):
+            load_dataset(path)
+
     def test_mixed_kinds_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(
@@ -207,6 +219,20 @@ class TestRoundTrips:
     def test_non_integer_ids_are_a_parse_error(self, tmp_path, obj):
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps({"tokens": [0, 1], "label": 0}) + "\n"
+                        + json.dumps(obj) + "\n")
+        with pytest.raises(ParseError, match="JSON integers") as err:
+            load_dataset(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("obj", [
+        {"frames": [[True, False], [1, 0]]},
+        {"frames": [[1.0, 0], [1, 0]]},
+        {"n_v": 3.7, "frames": [[1, 0, 1], [0, 1, 0]]},
+        {"n_v": True, "frames": [[1], [0]]},
+    ], ids=["bool-frame", "float-frame", "float-n_v", "bool-n_v"])
+    def test_non_integer_frames_are_a_parse_error(self, tmp_path, obj):
+        path = tmp_path / "p.jsonl"
+        path.write_text(json.dumps({"frames": [[0, 1]]}) + "\n"
                         + json.dumps(obj) + "\n")
         with pytest.raises(ParseError, match="JSON integers") as err:
             load_dataset(path)
