@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import shlex
 import sys
 import time
 from dataclasses import replace
@@ -37,10 +38,10 @@ def _sha256(path):
 
 
 def _write_run_record(out_path, args, started, inputs, outputs):
-    config = {k: v for k, v in vars(args).items() if k != "func"}
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "argv")}
     blob = json.dumps(config, sort_keys=True, default=str)
     record = {
-        "command": " ".join(sys.argv) if sys.argv else args.command,
+        "command": shlex.join(["gradmine", *args.argv]),
         "config": config,
         "config_hash": hashlib.sha256(blob.encode()).hexdigest()[:16],
         "seed": getattr(args, "seed", None),
@@ -311,7 +312,9 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv  # recorded as the command, kept out of the config
     try:
         return args.func(args)
     except DivergenceError as exc:

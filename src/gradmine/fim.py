@@ -221,17 +221,20 @@ def _mine_one(task):
 
 
 def resolve_workers(n_workers=None):
-    """Explicit argument, else the GRADMINE_WORKERS variable, else all cores."""
-    if n_workers is not None:
-        return max(1, int(n_workers))
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(
-                f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    """Explicit argument, else the GRADMINE_WORKERS variable, else all
+    cores; ``ConfigError`` for a count below 1."""
+    name, value = "workers", n_workers
+    if n_workers is None:
+        name, value = WORKERS_ENV, os.environ.get(WORKERS_ENV)
+        if not value:
+            return os.cpu_count() or 1
+    try:
+        workers = int(value)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if workers < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value!r}")
+    return workers
 
 
 def mine_importance(dataset, spec, cfg, n_workers=None):

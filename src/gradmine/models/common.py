@@ -7,7 +7,6 @@ an update is ``params.vec - lr * grads.vec``, a copy is ``vec.copy()``, and
 the flattened gradient is ``vec``; norms pick one block by name.
 """
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -62,9 +61,6 @@ class ModelSpec:
         for name in ("vocab", "embed", "hidden", "classes", "context", "cd_k"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-
-    def to_dict(self):
-        return dataclasses.asdict(self)
 
 
 def check_kind(spec, sample):

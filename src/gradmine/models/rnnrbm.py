@@ -36,22 +36,14 @@ def layout(spec):
 
 
 @dataclass
-class StepStats:
-    """Phase statistics of one frame's Gibbs chain."""
-
-    v: np.ndarray  # data frame
-    v_star: np.ndarray  # chain-end visible sample
-    h_pos: np.ndarray  # sigmoid(W^T v + bh_t)
-    h_neg: np.ndarray  # sigmoid(W^T v_star + bh_t)
-    recon_prob: np.ndarray  # visible probability at the chain end
-
-
-@dataclass
 class RnnRbmTrace:
     us: np.ndarray  # (T+1, context), us[0] = u0
     bvs: np.ndarray  # (T, n_v) per-step visible biases
     bhs: np.ndarray  # (T, n_h)
-    stats: list  # [StepStats] * T
+    v_star: np.ndarray  # (T, n_v) chain-end visible samples
+    h_pos: np.ndarray  # (T, n_h) sigmoid(W^T v_t + bh_t)
+    h_neg: np.ndarray  # (T, n_h) sigmoid(W^T v_star_t + bh_t)
+    recon: np.ndarray  # (T, n_v) visible probabilities at the chain ends
     loss: float  # monitoring cost
 
 
@@ -113,9 +105,8 @@ def forward(params, sample, rng=None, k=1):
 
     us = np.empty((t_len + 1, params.u0.size))
     us[0] = params.u0
-    bvs = np.empty((t_len, params.b_v.size))
-    bhs = np.empty((t_len, params.b_h.size))
-    stats = []
+    bvs, v_star, recon = (np.empty((t_len, params.b_v.size)) for _ in range(3))
+    bhs, h_pos, h_neg = (np.empty((t_len, params.b_h.size)) for _ in range(3))
     cost = 0.0
     for t in range(t_len):
         v = frames[t]
@@ -123,38 +114,39 @@ def forward(params, sample, rng=None, k=1):
         bhs[t] = params.b_h + params.w_uh @ us[t]
 
         # The positive phase is the first half-step's hidden probability.
-        h_pos = sigmoid(params.w.T @ v + bhs[t])
-        v_chain, h_prob = v, h_pos
-        recon = None
+        h_pos[t] = sigmoid(params.w.T @ v + bhs[t])
+        v_chain, h_prob = v, h_pos[t]
         for _ in range(k):
-            _, recon, v_chain = gibbs_step(
+            _, recon[t], v_chain = gibbs_step(
                 params.w, bvs[t], bhs[t], v_chain, rng, h_prob)
             h_prob = None
-        h_neg = sigmoid(params.w.T @ v_chain + bhs[t])
-        stats.append(
-            StepStats(v=v, v_star=v_chain, h_pos=h_pos, h_neg=h_neg, recon_prob=recon)
-        )
-        cost += _bernoulli_cost(v, recon)
+        v_star[t] = v_chain
+        h_neg[t] = sigmoid(params.w.T @ v_chain + bhs[t])
+        cost += _bernoulli_cost(v, recon[t])
 
         us[t + 1] = np.tanh(params.b_u + params.w_uu @ us[t] + params.w_vu @ v)
 
-    return RnnRbmTrace(us=us, bvs=bvs, bhs=bhs, stats=stats, loss=cost / t_len)
+    return RnnRbmTrace(us=us, bvs=bvs, bhs=bhs, v_star=v_star, h_pos=h_pos,
+                       h_neg=h_neg, recon=recon, loss=cost / t_len)
 
 
 def backward(params, sample, trace):
     """CD gradients for the RBM blocks; exact recurrence backprop for the
     conditioning blocks, with the phase statistics treated as constants."""
-    t_len = sample.frames.shape[0]
-    if trace.us.shape != (t_len + 1, params.u0.size) or len(trace.stats) != t_len:
+    frames = sample.frames
+    t_len = frames.shape[0]
+    if (trace.us.shape != (t_len + 1, params.u0.size)
+            or trace.v_star.shape != frames.shape):
         raise InvalidInputError("trace does not match (params, sample)")
 
     g = params.like()
     dbvs = np.empty((t_len, params.b_v.size))
     dbhs = np.empty((t_len, params.b_h.size))
-    for t, st in enumerate(trace.stats):
-        g.w -= np.outer(st.v, st.h_pos) - np.outer(st.v_star, st.h_neg)
-        dbvs[t] = -(st.v - st.v_star)
-        dbhs[t] = -(st.h_pos - st.h_neg)
+    for t in range(t_len):
+        v, v_star = frames[t], trace.v_star[t]
+        g.w -= np.outer(v, trace.h_pos[t]) - np.outer(v_star, trace.h_neg[t])
+        dbvs[t] = -(v - v_star)
+        dbhs[t] = -(trace.h_pos[t] - trace.h_neg[t])
         g.b_v += dbvs[t]
         g.b_h += dbhs[t]
         g.w_uv += np.outer(dbvs[t], trace.us[t])
@@ -165,7 +157,7 @@ def backward(params, sample, trace):
         da = du * (1.0 - trace.us[t + 1] ** 2)
         g.b_u += da
         g.w_uu += np.outer(da, trace.us[t])
-        g.w_vu += np.outer(da, sample.frames[t])
+        g.w_vu += np.outer(da, frames[t])
         du = params.w_uu.T @ da
         du += params.w_uv.T @ dbvs[t] + params.w_uh.T @ dbhs[t]
     g.u0 = du
@@ -174,11 +166,7 @@ def backward(params, sample, trace):
 
 def errors(trace, sample):
     """Bit mismatches between frames and thresholded reconstructions."""
-    wrong = sum(
-        int(np.sum((st.recon_prob > 0.5).astype(np.float64) != st.v))
-        for st in trace.stats
-    )
-    return wrong, sample.frames.size
+    return int(np.sum((trace.recon > 0.5) != sample.frames)), sample.frames.size
 
 
 def predict(trace):

@@ -15,8 +15,6 @@ is importance SGD with the 1/N table, bit for bit, for every N.
 """
 
 import csv
-import hashlib
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -90,23 +88,6 @@ class TrainConfig:
         if self.eval_every < 1:
             raise ConfigError("eval_every must be >= 1")
 
-    def digest(self):
-        payload = {
-            "spec": self.spec.to_dict(),
-            "lr": self.lr,
-            "epochs": self.epochs,
-            "sampler": self.sampler,
-            "seed": self.seed,
-            "eval_every": self.eval_every,
-            "clip": self.clip,
-        }
-        if self.importance is not None:
-            payload["importance"] = hashlib.sha256(
-                np.asarray(self.importance.probs, dtype=np.float64).tobytes()
-            ).hexdigest()
-        blob = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
 
 def train_config_of(settings, spec, sampler, importance=None):
     """Config for ``spec`` from the training settings of parsed CLI
@@ -137,19 +118,12 @@ class MetricsRow:
 @dataclass
 class MetricsLog:
     rows: list = field(default_factory=list)
-    config_hash: str = ""
-    seed: int = 0
 
     def split_rows(self, split):
         return [r for r in self.rows if r.split == split]
 
     def losses(self, split):
         return np.array([r.loss for r in self.split_rows(split)])
-
-    def __eq__(self, other):
-        if not isinstance(other, MetricsLog):
-            return NotImplemented
-        return self.rows == other.rows
 
 
 def sample_passes(model, params, samples, rng):
@@ -198,7 +172,7 @@ def train(dataset, params0, cfg, eval_dataset=None):
         dist, cfg.epochs * n, stream_rng(cfg.seed, STREAM_DRAW))
     rng_model = stream_rng(cfg.seed, STREAM_MODEL)
 
-    log = MetricsLog(config_hash=cfg.digest(), seed=cfg.seed)
+    log = MetricsLog()
     params = params0.like(params0.vec.copy())
     start = time.perf_counter()
     for epoch in range(1, cfg.epochs + 1):

@@ -195,22 +195,23 @@ def static_rbm_cd(w, bv, bh, frames, k, rng):
     return g_w, g_bv, g_bh
 
 
-def cd_surrogate_loss(params, sample, stats):
+def cd_surrogate_loss(params, sample, trace):
     """Scalar whose exact parameter gradient is what ``rnnrbm.backward``
     returns.
 
     Rebuilds the conditioning recurrence from ``params`` and contracts it
-    against the frozen phase statistics; used to verify the conditioning
-    gradients by finite differences.
+    against the frozen phase statistics of ``trace``; used to verify the
+    conditioning gradients by finite differences.
     """
     frames = sample.frames
     u = params.u0
     total = 0.0
-    for t, st in enumerate(stats):
+    for t, v in enumerate(frames):
+        v_star, h_pos, h_neg = trace.v_star[t], trace.h_pos[t], trace.h_neg[t]
         bv = params.b_v + params.w_uv @ u
         bh = params.b_h + params.w_uh @ u
-        pos = st.h_pos @ (params.w.T @ st.v + bh) + bv @ st.v
-        neg = st.h_neg @ (params.w.T @ st.v_star + bh) + bv @ st.v_star
+        pos = h_pos @ (params.w.T @ v + bh) + bv @ v
+        neg = h_neg @ (params.w.T @ v_star + bh) + bv @ v_star
         total -= pos - neg
-        u = np.tanh(params.b_u + params.w_uu @ u + params.w_vu @ frames[t])
+        u = np.tanh(params.b_u + params.w_uu @ u + params.w_vu @ v)
     return float(total)

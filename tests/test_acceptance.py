@@ -89,7 +89,7 @@ def test_criterion_1_gradient_correctness():
         trace = model.forward(params, sample, rng=np.random.default_rng(trial))
         grads = model.backward(params, sample, trace)
         numeric = finite_diff_grads(
-            lambda p: cd_surrogate_loss(p, sample, trace.stats), params
+            lambda p: cd_surrogate_loss(p, sample, trace), params
         )
         worst = max(worst, max_fd_violation(grads, numeric))
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shlex
 
 import numpy as np
 import pytest
@@ -49,6 +50,14 @@ class TestGen:
         assert load_dataset(out).vocab == 10
         record = json.loads((tmp_path / "d.jsonl.run.json").read_text())
         assert record["outputs"] == [str(out)]
+
+    def test_run_record_holds_the_gradmine_command(self, tmp_path):
+        out = tmp_path / "my data.jsonl"
+        argv = gen_args(out)
+        assert run(argv) == 0
+        record = json.loads((tmp_path / "my data.jsonl.run.json").read_text())
+        assert record["command"] == shlex.join(["gradmine", *argv])
+        assert "argv" not in record["config"]
 
     def test_zero_samples_exits_2(self, tmp_path):
         assert run(gen_args(tmp_path / "d.jsonl", n=0)) == 2
@@ -113,6 +122,20 @@ class TestMine:
         ])
         assert code == 2
         assert "GRADMINE_WORKERS" in capsys.readouterr().err
+
+    def test_zero_workers_exits_2_without_writing(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        out = tmp_path / "imp.json"
+        code = run([
+            "mine", "--data", str(data), "--model", "rnn", "--epsilon", "0.05",
+            "--workers", "0", "--embed-dim", "4", "--hidden", "5",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "workers must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "imp.json.run.json").exists()
 
     def test_divergence_in_a_pool_worker_exits_3(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"

@@ -381,6 +381,24 @@ def test_non_integer_workers_env_names_the_variable(monkeypatch):
         resolve_workers()
 
 
+@pytest.mark.parametrize("value", [0, -5])
+def test_non_positive_workers_are_rejected(value, monkeypatch):
+    from gradmine.fim import WORKERS_ENV, resolve_workers
+
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    with pytest.raises(ConfigError, match=f"workers must be >= 1, got {value}"):
+        resolve_workers(value)
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_non_positive_workers_env_names_the_variable(value, monkeypatch):
+    from gradmine.fim import WORKERS_ENV, resolve_workers
+
+    monkeypatch.setenv(WORKERS_ENV, value)
+    with pytest.raises(ConfigError, match=f"{WORKERS_ENV}.*{value}"):
+        resolve_workers()
+
+
 class TestCheckFits:
     def table(self, n=3, model="rnn"):
         return ImportanceTable(

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -51,6 +52,23 @@ def test_sample_is_the_second_positional_parameter(kind, fn):
     # Span tracers read the sample as args[1].
     params = list(inspect.signature(getattr(MODULES[kind], fn)).parameters)
     assert params[:2] == ["params", "sample"]
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_trace_fields_are_time_major_arrays(kind):
+    # Every per-step field is one array over time, so traces of several
+    # samples can be padded along that axis; only the head output is not.
+    spec, sample = spec_and_sample(kind)
+    model = get_model(spec)
+    trace = model.forward(model.init_params(0), sample, np.random.default_rng(0))
+    t_len = len(sample.frames) if kind == "rnnrbm" else len(sample.tokens)
+    for f in dataclasses.fields(trace):
+        if f.name == "loss":
+            continue
+        value = getattr(trace, f.name)
+        assert isinstance(value, np.ndarray), f.name
+        if f.name != "probs":
+            assert value.shape[0] in (t_len, t_len + 1), f.name
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

@@ -234,7 +234,6 @@ class TestMetricsIO:
                 MetricsRow(1, "eval", 0.5, 0.5, 2.0, 13.5),
                 MetricsRow(2, "train", 0.1, 0.0, 0.0, 20.0),
             ],
-            seed=3,
         )
         path = tmp_path / "m.csv"
         save_metrics(path, log)

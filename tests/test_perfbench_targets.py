@@ -8,6 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from gradmine import fim
+from gradmine.data import gen_seqclass
+from gradmine.models import spec_for_dataset, validate_dataset
+
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
@@ -21,3 +25,18 @@ def span_targets():
 @pytest.mark.parametrize("module_name, attr", span_targets())
 def test_span_target_resolves(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr, None))
+
+
+def test_mine_one_result_positions_match_the_table():
+    # The tracer reads a private run's steps and convergence as result[2]
+    # and result[3] of ``_mine_one``; they must be the table's entries.
+    dataset = gen_seqclass(n=4, vocab=8, length_range=(3, 6), seed=2)
+    spec = spec_for_dataset(dataset, "rnn", embed=3, hidden=4)
+    cfg = fim.FimConfig(epsilon=0.3, lr=0.2, t_max=6)
+    mined = fim.mine_importance(dataset, spec, cfg, n_workers=1)
+    samples = validate_dataset(spec, dataset)
+    for i, sample in enumerate(samples):
+        result = fim._mine_one((spec, sample, cfg, i, mined.init_params))
+        assert result[0] == i
+        assert result[2] == mined.table.iterations[i]
+        assert result[3] == mined.table.converged[i]

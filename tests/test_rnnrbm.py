@@ -90,10 +90,21 @@ class TestForward:
         for _ in range(t_len * cd_k * (n_h + n_v)):
             ref_rng.random()
         assert chain_rng.bit_generator.state == ref_rng.bit_generator.state
-        for t, st in enumerate(trace.stats):
-            direct = sigmoid(params.w.T @ st.v + trace.bhs[t])
-            np.testing.assert_array_equal(st.h_pos.view(np.int64),
+        for t, v in enumerate(sample.frames):
+            direct = sigmoid(params.w.T @ v + trace.bhs[t])
+            np.testing.assert_array_equal(trace.h_pos[t].view(np.int64),
                                           direct.view(np.int64))
+
+    def test_zero_parameters_miss_exactly_the_on_bits(self, rng):
+        # Every reconstruction probability is sigmoid(0) = 0.5, which does
+        # not exceed 0.5, so each on bit is a miss and each off bit a hit.
+        model = small_model()
+        params = model.init_params(0).like()
+        sample = random_frames(rng, t_len=5)
+        trace = model.forward(params, sample, rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(trace.recon, 0.5)
+        assert model.errors(trace, sample) == (int(sample.frames.sum()),
+                                               sample.frames.size)
 
     def test_requires_rng(self, rng):
         model = small_model()
@@ -132,7 +143,7 @@ class TestCdGradient:
             trace = model.forward(params, sample, rng=np.random.default_rng(trial))
             grads = model.backward(params, sample, trace)
             numeric = finite_diff_grads(
-                lambda p: cd_surrogate_loss(p, sample, trace.stats), params
+                lambda p: cd_surrogate_loss(p, sample, trace), params
             )
             assert max_fd_violation(grads, numeric) <= 1e-4
 
