@@ -160,36 +160,19 @@ def variance_report(grads, mined_norms=None, mined_probs=None):
     """
     g = _as_grad_matrix(grads)
     n = g.shape[0]
-    report = {
+
+    def entry(value, given):
+        try:
+            return None if given is None else value(given)
+        except DistributionError:
+            return None
+
+    norms = np.linalg.norm(g, axis=1) if mined_norms is None else mined_norms
+    return {
         "uniform": gradient_variance(g, np.full(n, 1.0 / n)),
-        "optimal": None,
-        "mined": None,
-        "lipschitz": None,
-        "bound_ratio": None,
+        "optimal": entry(lambda v: gradient_variance(v, optimal_distribution(v)), g),
+        "mined": entry(lambda p: gradient_variance(g, p), mined_probs),
+        "lipschitz": entry(
+            lambda b: gradient_variance(g, lipschitz_distribution(b)), mined_norms),
+        "bound_ratio": entry(bound_ratio, norms),
     }
-    try:
-        report["optimal"] = gradient_variance(g, optimal_distribution(g))
-    except DistributionError:
-        pass
-    if mined_probs is not None:
-        try:
-            report["mined"] = gradient_variance(g, check_probs(mined_probs, n=n))
-        except DistributionError:
-            pass
-    if mined_norms is not None:
-        try:
-            report["lipschitz"] = gradient_variance(
-                g, lipschitz_distribution(mined_norms)
-            )
-        except DistributionError:
-            pass
-        try:
-            report["bound_ratio"] = bound_ratio(mined_norms)
-        except DistributionError:
-            pass
-    else:
-        try:
-            report["bound_ratio"] = bound_ratio(np.linalg.norm(g, axis=1))
-        except DistributionError:
-            pass
-    return report

@@ -37,11 +37,12 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_run_record(out_path, args, started, inputs, outputs):
-    config = {k: v for k, v in vars(args).items() if k not in ("func", "argv")}
+def _write_run_records(argv, args, started, inputs, outputs):
+    """One run record, written beside every output as ``<output>.run.json``."""
+    config = {k: v for k, v in vars(args).items() if k != "func"}
     blob = json.dumps(config, sort_keys=True, default=str)
     record = {
-        "command": shlex.join(["gradmine", *args.argv]),
+        "command": shlex.join(["gradmine", *argv]),
         "config": config,
         "config_hash": hashlib.sha256(blob.encode()).hexdigest()[:16],
         "seed": getattr(args, "seed", None),
@@ -49,9 +50,8 @@ def _write_run_record(out_path, args, started, inputs, outputs):
         "outputs": list(outputs),
         "wall_ms": (time.perf_counter() - started) * 1e3,
     }
-    with open(str(out_path) + ".run.json", "w") as fh:
-        json.dump(record, fh, indent=2, default=str)
-        fh.write("\n")
+    for out in outputs:
+        data.write_json(f"{out}.run.json", record, indent=2, default=str)
 
 
 def _add_field_args(p, est, *names):
@@ -78,7 +78,6 @@ def _add_train_args(p):
 
 
 def cmd_gen(args):
-    started = time.perf_counter()
     if args.task == "seqclass":
         dataset = data.gen_seqclass(
             n=args.n,
@@ -98,13 +97,11 @@ def cmd_gen(args):
         if args.frames_per_sample:
             dataset = data.chunk_frames(dataset, args.frames_per_sample)
     data.save_dataset(args.out, dataset)
-    _write_run_record(args.out, args, started, [], [args.out])
     print(json.dumps(dataset.manifest, indent=2))
-    return 0
+    return [], [args.out]
 
 
 def cmd_mine(args):
-    started = time.perf_counter()
     dataset = data.load_dataset(args.data)
     spec = spec_of(args, dataset)
     epsilon = args.epsilon
@@ -116,7 +113,6 @@ def cmd_mine(args):
     result = fim.mine_importance(dataset, spec, cfg, n_workers=args.workers)
     table = result.table
     fim.save_importance(args.out, table)
-    _write_run_record(args.out, args, started, [args.data], [args.out])
 
     stalled = int(np.sum(~table.converged))
     print(
@@ -136,7 +132,7 @@ def cmd_mine(args):
     if result.embedding_spread is not None:
         print(f"private-embedding mean pairwise distance: "
               f"{result.embedding_spread:.6g}")
-    return 0
+    return [args.data], [args.out]
 
 
 # Frame-grouping presets for the generative model: grouped-frame count
@@ -144,12 +140,12 @@ def cmd_mine(args):
 RBM_PRESETS = {"50": (50, 0.3), "100": (100, 0.003)}
 
 
-def _train_and_write(args, started, dataset, spec, table, samplers, inputs,
-                     title, eval_dataset=None):
+def _train_and_write(args, dataset, spec, table, samplers, inputs, title,
+                     eval_dataset=None):
     """Train once per sampler from one initialization, then write the
-    metrics CSV, the optional SVG of the train split, and their run
-    records. A single run keeps its split names; a comparison writes only
-    train rows, each named by its sampler."""
+    metrics CSV and the optional SVG of the train split. A single run keeps
+    its split names; a comparison writes only train rows, each named by its
+    sampler."""
     if args.epochs < 1:
         raise GradmineError(f"--epochs must be >= 1, got {args.epochs}")
     params0 = get_model(spec).init_params(args.seed)
@@ -168,21 +164,17 @@ def _train_and_write(args, started, dataset, spec, table, samplers, inputs,
     if args.svg:
         series = [(s, [r.epoch for r in rows], [getattr(r, args.metric) for r in rows])
                   for s, rows in train_rows.items()]
-        with open(args.svg, "w") as fh:
-            fh.write(plotting.svg_line_chart(
-                series, title=title, xlabel="epoch", ylabel=args.metric))
+        data.write_text(args.svg, plotting.svg_line_chart(
+            series, title=title, xlabel="epoch", ylabel=args.metric))
         outputs.append(args.svg)
-        _write_run_record(args.svg, args, started, inputs, outputs)
-    _write_run_record(args.out, args, started, inputs, outputs)
     for sampler, rows in train_rows.items():
         last = rows[-1]
         print(f"{sampler:>10}: epoch {last.epoch} loss {last.loss:.6f} "
               f"error {last.error_rate:.4f} grad_var {last.grad_var:.6g}")
-    return 0
+    return inputs, outputs
 
 
 def cmd_train(args):
-    started = time.perf_counter()
     dataset = data.load_dataset(args.data)
     if args.rbm_preset:
         frames, args.lr = RBM_PRESETS[args.rbm_preset]
@@ -198,23 +190,21 @@ def cmd_train(args):
     eval_dataset = data.load_dataset(args.eval_data) if args.eval_data else None
     if eval_dataset is not None:
         inputs.append(args.eval_data)
-    return _train_and_write(args, started, dataset, spec, table, [args.sampler],
-                            inputs, f"{spec.kind} training", eval_dataset)
+    return _train_and_write(args, dataset, spec, table, [args.sampler], inputs,
+                            f"{spec.kind} training", eval_dataset)
 
 
 def cmd_compare(args):
-    started = time.perf_counter()
     dataset = data.load_dataset(args.data)
     spec = spec_of(args, dataset)
     table = fim.load_importance(args.importance).check_fits(spec, len(dataset))
     return _train_and_write(
-        args, started, dataset, spec, table,
+        args, dataset, spec, table,
         [optimizer.UNIFORM, optimizer.IMPORTANCE], [args.data, args.importance],
         f"{spec.kind}: uniform vs importance (lr={args.lr:g})")
 
 
 def cmd_variance(args):
-    started = time.perf_counter()
     dataset = data.load_dataset(args.data)
     spec = spec_of(args, dataset)
     samples = validate_dataset(spec, dataset)
@@ -236,12 +226,9 @@ def cmd_variance(args):
     report = analysis.variance_report(
         grads, mined_norms=mined_norms, mined_probs=mined_probs
     )
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    _write_run_record(args.out, args, started, inputs, [args.out])
+    data.write_json(args.out, report, indent=2)
     print(json.dumps(report, indent=2))
-    return 0
+    return inputs, [args.out]
 
 
 def build_parser():
@@ -314,9 +301,11 @@ def build_parser():
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    args.argv = argv  # recorded as the command, kept out of the config
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        inputs, outputs = args.func(args)
+        _write_run_records(argv, args, started, inputs, outputs)
+        return 0
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

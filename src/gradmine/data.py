@@ -1,4 +1,5 @@
-"""Datasets: sample containers, synthetic generators, and JSONL persistence.
+"""Datasets: sample containers, synthetic generators, JSONL persistence,
+and ``write_text``, the one writer through which every artifact is saved.
 
 Two sample flavors exist. ``SequenceSample`` holds a token sequence plus
 either one class label (classification) or per-step target tokens (sequence
@@ -12,6 +13,7 @@ mining a real signal to find at desk scale.
 """
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +26,13 @@ PIANOROLL = "pianoroll"
 
 # Token ids 0 and 1 double as class-indicator tokens in generated data.
 _N_INDICATOR = 2
+
+
+def _same_sample(a, b):
+    """Samples are equal when they serialize to the same JSON line."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return _sample_to_obj(a) == _sample_to_obj(b)
 
 
 @dataclass
@@ -55,21 +64,7 @@ class SequenceSample:
     def is_classification(self):
         return self.label is not None
 
-    def __eq__(self, other):
-        if not isinstance(other, SequenceSample):
-            return NotImplemented
-        return (
-            np.array_equal(self.tokens, other.tokens)
-            and self.label == other.label
-            and (
-                (self.targets is None and other.targets is None)
-                or (
-                    self.targets is not None
-                    and other.targets is not None
-                    and np.array_equal(self.targets, other.targets)
-                )
-            )
-        )
+    __eq__ = _same_sample
 
 
 @dataclass
@@ -93,10 +88,7 @@ class FrameSequence:
     def width(self):
         return int(self.frames.shape[1])
 
-    def __eq__(self, other):
-        if not isinstance(other, FrameSequence):
-            return NotImplemented
-        return np.array_equal(self.frames, other.frames)
+    __eq__ = _same_sample
 
 
 @dataclass
@@ -106,7 +98,7 @@ class Dataset:
     kind: str
     samples: list
     vocab: int
-    manifest: dict = field(default_factory=dict)
+    manifest: dict = field(default_factory=dict, compare=False)
 
     def __len__(self):
         return len(self.samples)
@@ -116,15 +108,6 @@ class Dataset:
 
     def __iter__(self):
         return iter(self.samples)
-
-    def __eq__(self, other):
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.vocab == other.vocab
-            and self.samples == other.samples
-        )
 
 
 def token_bands(vocab):
@@ -334,14 +317,30 @@ def manifest_path(path):
     return str(path) + ".manifest.json"
 
 
+def write_text(path, text):
+    """Write ``text`` to ``path`` whole: into a temp file beside it, then
+    renamed over it, so an interrupted write leaves the old file or none."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_json(path, obj, **kw):
+    """``obj`` as one JSON document and a newline; ``kw`` go to json.dumps."""
+    write_text(path, json.dumps(obj, **kw) + "\n")
+
+
 def save_dataset(path, dataset):
     """Write one JSON object per sample, plus a manifest sidecar."""
-    with open(path, "w") as fh:
-        for sample in dataset.samples:
-            fh.write(json.dumps(_sample_to_obj(sample)) + "\n")
-    with open(manifest_path(path), "w") as fh:
-        json.dump(dataset.manifest, fh, indent=2)
-        fh.write("\n")
+    write_text(path, "".join(json.dumps(_sample_to_obj(s)) + "\n"
+                             for s in dataset.samples))
+    write_json(manifest_path(path), dataset.manifest, indent=2)
 
 
 def load_dataset(path):

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import ParamsMixin, check_probs, check_weights
+from .data import write_json
 from .errors import (
     ConfigError,
     DistributionError,
@@ -327,9 +328,7 @@ def save_importance(path, table):
     for k in ("norms", "probs", "iterations", "converged"):
         payload[k] = payload[k].tolist()
     payload["seed"] = int(table.seed)
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_importance(path):

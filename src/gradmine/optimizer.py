@@ -15,6 +15,7 @@ is importance SGD with the 1/N table, bit for bit, for every N.
 """
 
 import csv
+import io
 import time
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import analysis
 from .base import ParamsMixin
-from .data import Dataset, PIANOROLL, SEQCLASS, infer_vocab
+from .data import Dataset, PIANOROLL, SEQCLASS, infer_vocab, write_text
 from .errors import ConfigError, DistributionError, DivergenceError, ParseError
 from .models import (
     STREAM_DRAW,
@@ -87,6 +88,8 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.eval_every < 1:
             raise ConfigError("eval_every must be >= 1")
+        if self.clip is not None and not self.clip > 0:
+            raise ConfigError(f"clip must be > 0, got {self.clip}")
 
 
 def train_config_of(settings, spec, sampler, importance=None):
@@ -205,14 +208,15 @@ def train(dataset, params0, cfg, eval_dataset=None):
 
 def save_metrics(path, log):
     """Metrics CSV: one row per (epoch, split), floats at 17 digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER)
-        for r in log.rows:
-            writer.writerow(
-                [r.epoch, r.split]
-                + [f"{v:.17g}" for v in (r.loss, r.error_rate, r.grad_var, r.wall_ms)]
-            )
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(METRICS_HEADER)
+    for r in log.rows:
+        writer.writerow(
+            [r.epoch, r.split]
+            + [f"{v:.17g}" for v in (r.loss, r.error_rate, r.grad_var, r.wall_ms)]
+        )
+    write_text(path, buf.getvalue())
 
 
 def load_metrics(path):

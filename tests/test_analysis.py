@@ -196,6 +196,30 @@ class TestVarianceReport:
             report = variance_report(g)
             assert report["optimal"] <= report["uniform"] + 1e-10
 
+    def test_all_zero_gradients_have_no_optimal_or_bound_ratio(self):
+        report = variance_report(np.zeros((4, 3)))
+        assert report["uniform"] == 0.0
+        assert report["optimal"] is None and report["bound_ratio"] is None
+
+    def test_zero_mined_norms_have_no_lipschitz_or_bound_ratio(self, rng):
+        g = rng.normal(size=(4, 3))
+        report = variance_report(g, mined_norms=np.zeros(4), mined_probs=np.full(4, 0.25))
+        assert report["lipschitz"] is None and report["bound_ratio"] is None
+        assert report["mined"] == report["uniform"]
+
+    @pytest.mark.parametrize("probs", [np.full(4, 0.3), np.array([0.5, 0.5, 0.0, 0.0])],
+                             ids=["sum-not-1", "zero-on-gradient-mass"])
+    def test_unusable_mined_probs_give_no_mined(self, rng, probs):
+        report = variance_report(rng.normal(size=(4, 3)), mined_probs=probs)
+        assert report["mined"] is None
+        assert report["optimal"] is not None
+
+    @pytest.mark.parametrize("table", [False, True])
+    def test_key_order(self, rng, table):
+        kw = dict(mined_norms=np.ones(4), mined_probs=np.full(4, 0.25)) if table else {}
+        report = variance_report(rng.normal(size=(4, 3)), **kw)
+        assert list(report) == ["uniform", "optimal", "mined", "lipschitz", "bound_ratio"]
+
     def test_missing_table_reports_none(self, rng):
         report = variance_report(rng.normal(size=(4, 3)))
         assert report["mined"] is None and report["lipschitz"] is None

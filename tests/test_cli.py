@@ -274,6 +274,33 @@ class TestTrain:
             assert record["outputs"] == [str(out), str(svg)]
             assert list(record["inputs"]) == [str(data)]
 
+    def test_every_output_gets_the_same_run_record(self, tmp_path):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        out, svg = tmp_path / "m.csv", tmp_path / "m.svg"
+        code = run([
+            "train", "--data", str(data), "--model", "rnn", "--lr", "0.2",
+            "--epochs", "1", "--embed-dim", "4", "--hidden", "5",
+            "--out", str(out), "--svg", str(svg),
+        ])
+        assert code == 0
+        records = [(tmp_path / (p.name + ".run.json")).read_bytes() for p in (out, svg)]
+        assert records[0] == records[1]
+
+    @pytest.mark.parametrize("clip", ["0", "-1", "nan"])
+    def test_clip_that_is_not_positive_exits_2(self, tmp_path, capsys, clip):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        imp = uniform_table_file(tmp_path / "imp.json", n=12)
+        code = run([
+            "train", "--data", str(data), "--model", "rnn", "--epochs", "1",
+            "--embed-dim", "4", "--hidden", "5", "--sampler", "importance",
+            "--importance", str(imp), "--clip", clip, "--out", str(tmp_path / "m.csv"),
+        ])
+        assert code == 2
+        assert "clip" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
     def test_eval_data_writes_eval_rows(self, tmp_path):
         data, held = tmp_path / "d.jsonl", tmp_path / "e.jsonl"
         run(gen_args(data))

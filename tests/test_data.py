@@ -1,11 +1,13 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
 from gradmine.data import (
     Dataset,
+    FrameSequence,
     SequenceSample,
     chunk_frames,
     gen_pianoroll,
@@ -14,6 +16,7 @@ from gradmine.data import (
     load_dataset,
     save_dataset,
     token_bands,
+    write_text,
 )
 from gradmine.errors import InvalidInputError, ParseError
 
@@ -247,3 +250,84 @@ class TestRoundTrips:
         with pytest.raises(ParseError) as err:
             load_dataset(path)
         assert err.value.line == 1
+
+
+class Crash:
+    """Stands in for a sample; reading it raises, as a process killed
+    mid-write would stop there."""
+
+    def __getattr__(self, name):
+        raise KeyboardInterrupt
+
+
+class TestWriteText:
+    def test_interrupted_first_save_leaves_no_file(self, tmp_path):
+        good = gen_seqclass(n=12, vocab=10, seed=1).samples
+        ds = Dataset(kind="seqclass", samples=good[:6] + [Crash()] + good[7:],
+                     vocab=10, manifest={"kind": "seqclass"})
+        path = tmp_path / "d.jsonl"
+        with pytest.raises(KeyboardInterrupt):
+            save_dataset(path, ds)
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.jsonl"
+        save_dataset(path, gen_seqclass(n=5, vocab=10, seed=1))
+        old = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            save_dataset(path, gen_seqclass(n=8, vocab=10, seed=2))
+        assert path.read_bytes() == old
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_keeps_the_text_exactly(self, tmp_path):
+        path = tmp_path / "t.txt"
+        write_text(path, "a\r\nb\n")
+        assert path.read_bytes() == b"a\r\nb\n"
+
+    def test_file_mode_is_that_of_plain_open(self, tmp_path):
+        write_text(tmp_path / "a", "x")
+        with open(tmp_path / "b", "w") as fh:
+            fh.write("x")
+        assert os.stat(tmp_path / "a").st_mode == os.stat(tmp_path / "b").st_mode
+
+
+SEQ = SequenceSample(tokens=[1, 2, 3], label=0)
+TAGGED = SequenceSample(tokens=[1, 2, 3], targets=[0, 1, 2])
+FRAMES = FrameSequence(frames=[[0, 1], [1, 0]])
+
+
+class TestEquality:
+    @pytest.mark.parametrize("a, b", [
+        (SEQ, SequenceSample(tokens=[1, 2, 4], label=0)),
+        (SEQ, SequenceSample(tokens=[1, 2, 3], label=1)),
+        (TAGGED, SequenceSample(tokens=[1, 2, 3], targets=[0, 1, 1])),
+        (FRAMES, FrameSequence(frames=[[0, 1], [1, 1]])),
+        (FRAMES, FrameSequence(frames=[[0, 1]])),
+        (SequenceSample(tokens=[0], label=0), SequenceSample(tokens=[0], targets=[0])),
+        (SequenceSample(tokens=[0, 1], label=0), FrameSequence(frames=[[0, 1]])),
+        (SEQ, {"tokens": [1, 2, 3], "label": 0}),
+        (FRAMES, None),
+        (Dataset(kind="seqclass", samples=[SEQ], vocab=4),
+         Dataset(kind="seqclass", samples=[SEQ], vocab=5)),
+        (Dataset(kind="seqclass", samples=[TAGGED], vocab=4),
+         Dataset(kind="seqlabel", samples=[TAGGED], vocab=4)),
+    ], ids=["token", "label", "target", "frame-bit", "frame-count",
+            "label-vs-targets", "sequence-vs-frames", "sample-vs-its-json",
+            "sample-vs-none", "dataset-vocab", "dataset-kind"])
+    def test_unequal(self, a, b):
+        assert a != b and b != a
+        assert not a == b
+
+    @pytest.mark.parametrize("a, b", [
+        (SEQ, SequenceSample(tokens=np.array([1, 2, 3], dtype=np.int32), label=0)),
+        (FRAMES, FrameSequence(frames=np.array([[False, True], [True, False]]))),
+        (Dataset(kind="seqclass", samples=[SEQ], vocab=4, manifest={"seed": 1}),
+         Dataset(kind="seqclass", samples=[SEQ], vocab=4, manifest={"seed": 2})),
+    ], ids=["token-dtype", "frame-dtype", "dataset-manifest"])
+    def test_equal(self, a, b):
+        assert a == b and b == a

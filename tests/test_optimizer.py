@@ -246,6 +246,24 @@ class TestMetricsIO:
             load_metrics(path)
         assert err.value.line == 1
 
+    def test_interrupted_save_keeps_the_old_file(self, tmp_path):
+        class Crash:
+            """A row whose reading raises, as a process killed mid-write
+            would stop there."""
+
+            def __getattr__(self, name):
+                raise KeyboardInterrupt
+
+        path = tmp_path / "m.csv"
+        save_metrics(path, MetricsLog(rows=[MetricsRow(1, "train", 0.5, 0.5, 1.0, 2.0)]))
+        old = path.read_bytes()
+        rows = [MetricsRow(e, "train", 0.1, 0.0, 0.0, 1.0) for e in range(1, 11)]
+        rows[4] = Crash()
+        with pytest.raises(KeyboardInterrupt):
+            save_metrics(path, MetricsLog(rows=rows))
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
+
     def test_field_count_enforced(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("epoch,split,loss,error_rate,grad_var,wall_ms\n1,train,0.5\n")
@@ -304,6 +322,10 @@ class TestTrainerEstimator:
         assert 0.0 <= score <= 1.0
         assert t.score(ds) == score
         assert t.predict(ds).shape == (5,)
+
+    def test_fit_rejects_a_zero_clip(self):
+        with pytest.raises(ConfigError, match="clip"):
+            Trainer(model="rnn", epochs=1, clip=0).fit(tiny_dataset())
 
     def test_fit_rejects_an_empty_list(self):
         with pytest.raises(InvalidInputError, match="empty dataset"):
