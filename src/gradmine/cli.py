@@ -23,6 +23,7 @@ from .models import (
     MODEL_KINDS,
     STREAM_EVAL,
     get_model,
+    pack,
     spec_of,
     stream_rng,
     validate_dataset,
@@ -207,22 +208,21 @@ def cmd_compare(args):
 def cmd_variance(args):
     dataset = data.load_dataset(args.data)
     spec = spec_of(args, dataset)
-    samples = validate_dataset(spec, dataset)
-    model = get_model(spec)
-    params = model.init_params(args.seed)
+    batch = pack(validate_dataset(spec, dataset))
     inputs = [args.data]
-    if args.warm_epochs:
-        params, _ = optimizer.train(dataset, params, optimizer.TrainConfig(
-            spec=spec, lr=args.lr, epochs=args.warm_epochs, seed=args.seed))
-
-    rng = stream_rng(args.seed, STREAM_EVAL)
-    grads = np.stack(
-        [g for *_, g in optimizer.sample_passes(model, params, samples, rng)])
     mined_norms = mined_probs = None
     if args.importance:
         table = fim.load_importance(args.importance).check_fits(spec, len(dataset))
         mined_norms, mined_probs = table.norms, table.probs
         inputs.append(args.importance)
+
+    model = get_model(spec)
+    params = model.init_params(args.seed)
+    if args.warm_epochs:
+        params, _ = optimizer.train(dataset, params, optimizer.TrainConfig(
+            spec=spec, lr=args.lr, epochs=args.warm_epochs, seed=args.seed))
+    trace = model.forward_batch(params, batch, stream_rng(args.seed, STREAM_EVAL))
+    grads = model.backward_batch(params, batch, trace)
     report = analysis.variance_report(
         grads, mined_norms=mined_norms, mined_probs=mined_probs
     )

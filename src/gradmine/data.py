@@ -325,9 +325,12 @@ def write_text(path, text):
         with open(tmp, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if (isinstance(exc, OSError) and exc.filename == tmp
+                and exc.filename2 is None):
+            exc.filename = path  # the temp file was never asked for
         raise
 
 

@@ -4,10 +4,16 @@ Each module exports ``BASE_SELECTOR``, ``layout(spec)`` (the ``(name,
 shape)`` blocks of its ``Params``), ``init_params(spec, seed)``,
 ``check_sample(spec, sample)``, ``forward(params, sample, rng=None, k=1)``,
 ``backward(params, sample, trace)``, ``errors(trace, sample)`` and
-``predict(trace)``. Parameters travel explicitly through every call, so
-concurrent workers can hold private copies without locks. Only the frame
-model draws from ``rng``. ``validate_dataset`` checks each sample once
-where data enters; the loops then call the unchecked module functions.
+``predict(trace)``, and the same passes over a ``pack``ed batch at one
+shared ``Params``: ``forward_batch(params, batch, rng=None, k=1)``, whose
+trace holds per-sample ``losses``, ``wrong``, ``total`` and
+``predictions``, and ``backward_batch(params, batch, trace)``, the (B, P)
+matrix of per-sample gradients. Each batched pass has the bits of the
+single-sample passes run over the batch in order. Parameters travel
+explicitly through every call, so concurrent workers can hold private
+copies without locks. Only the frame model draws from ``rng``.
+``validate_dataset`` checks each sample once where data enters; the loops
+then call the unchecked module functions.
 """
 
 from dataclasses import dataclass
@@ -26,6 +32,7 @@ from .common import (
     ModelSpec,
     Params,
     grad_norm,
+    pack,
     param_block,
     param_blocks,
     stream_rng,
@@ -70,6 +77,15 @@ class Model:
     def backward_unchecked(self, params, sample, trace):
         """``backward`` of a sample that ``validate_dataset`` has passed."""
         return self.module.backward(params, sample, trace)
+
+    def forward_batch(self, params, batch, rng=None):
+        """``forward`` of every sample of a ``pack``ed batch that
+        ``validate_dataset`` has passed, at one shared ``params``."""
+        return self.module.forward_batch(params, batch, rng=rng, k=self.spec.cd_k)
+
+    def backward_batch(self, params, batch, trace):
+        """The (B, P) per-sample gradients of a ``forward_batch`` trace."""
+        return self.module.backward_batch(params, batch, trace)
 
     def loss(self, params, sample, rng=None):
         return self.forward(params, sample, rng=rng).loss

@@ -4,7 +4,9 @@ Every model stores its learned state in one ``Params``: a float64 vector
 ``vec`` with a named, reshaped view per block (``params.w_x`` …), laid out
 by the model module's ``layout(spec)``. Gradients use the same layout, so
 an update is ``params.vec - lr * grads.vec``, a copy is ``vec.copy()``, and
-the flattened gradient is ``vec``; norms pick one block by name.
+the flattened gradient is ``vec``; norms pick one block by name. A (B, P)
+``vec`` holds B gradients, one per row. ``pack`` lays validated samples
+out for the batched passes.
 """
 
 import functools
@@ -92,18 +94,25 @@ def _spans(layout):
 class Params:
     """``vec`` (zeros when not given) holds the blocks of ``layout``, a tuple
     of ``(name, shape)`` pairs, flattened in order; each block is an
-    attribute viewing ``vec``, and assigning one writes into ``vec``."""
+    attribute viewing ``vec``, and assigning one writes into ``vec``. A
+    (B, P) ``vec`` holds one such vector per row, and each block is then a
+    (B, *shape) view."""
 
     def __init__(self, layout, vec=None):
         spans, size = _spans(layout)
         vec = np.ascontiguousarray(
             np.zeros(size) if vec is None else vec, dtype=np.float64)
-        if vec.shape != (size,):
+        if vec.ndim not in (1, 2) or vec.shape[-1] != size:
             raise ConfigError(
                 f"parameter vector has shape {vec.shape}, layout needs ({size},)")
         self.__dict__.update(layout=layout, vec=vec)
-        self.__dict__.update((name, vec[start:stop].reshape(shape))
-                             for name, (start, stop, shape) in spans.items())
+        if vec.ndim == 1:
+            self.__dict__.update((name, vec[start:stop].reshape(shape))
+                                 for name, (start, stop, shape) in spans.items())
+        else:
+            self.__dict__.update(
+                (name, vec[:, start:stop].reshape(vec.shape[:1] + shape))
+                for name, (start, stop, shape) in spans.items())
 
     def __setattr__(self, name, value):
         if name not in self.__dict__:
@@ -120,10 +129,55 @@ class Params:
 
     def span(self, first, last):
         """Blocks ``first`` through ``last``, adjacent in the layout and
-        equal in trailing shape, as one view stacked along axis 0."""
+        equal in trailing shape, as one view stacked along their first
+        axis (per row, when ``vec`` has rows)."""
         spans = _spans(self.layout)[0]
         start, _, shape = spans[first]
-        return self.vec[start:spans[last][1]].reshape((-1,) + shape[1:])
+        return self.vec[..., start:spans[last][1]].reshape(
+            self.vec.shape[:-1] + (-1,) + shape[1:])
+
+
+@dataclass(frozen=True)
+class Batch:
+    """Validated samples packed along a leading axis B and zero-padded at
+    the end of time to the longest, T: ``tokens`` (B, T) or ``frames``
+    (B, T, n_v), each sample's true length, and ``mask`` (B, T), True on a
+    sample's own steps. A token sample has its class in ``labels`` (B,), or
+    -1 there and its per-step ``targets`` in a row of (B, T)."""
+
+    lengths: np.ndarray
+    mask: np.ndarray
+    tokens: np.ndarray = None
+    frames: np.ndarray = None
+    labels: np.ndarray = None
+    targets: np.ndarray = None
+
+
+def pack(samples):
+    """One ``Batch`` of samples that ``validate_dataset`` has passed."""
+    lengths = np.array([s.length for s in samples])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+
+    def padded(rows):
+        out = np.zeros(mask.shape + rows[0].shape[1:], rows[0].dtype)
+        out[mask] = np.concatenate(rows)
+        return out
+
+    if hasattr(samples[0], "frames"):
+        return Batch(lengths, mask, frames=padded([s.frames for s in samples]))
+    return Batch(
+        lengths, mask,
+        tokens=padded([s.tokens for s in samples]),
+        labels=np.array([-1 if s.label is None else s.label for s in samples]),
+        targets=padded([np.zeros_like(s.tokens) if s.targets is None
+                        else s.targets for s in samples]))
+
+
+def add_rows_backwards(out, rows, values):
+    """``out[b, rows[b, t]] += values[b, t]`` for t from last to first, the
+    order in which a backward pass over time accumulates them."""
+    np.add.at(out, (np.arange(len(rows))[:, None], rows[:, ::-1]),
+              values[:, ::-1])
 
 
 def param_blocks(params):

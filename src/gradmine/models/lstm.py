@@ -12,6 +12,8 @@ Cell, per step over embedded tokens x_t (all gates elementwise):
 The classification head mean-pools h_1..h_T and applies a softmax layer;
 the loss is the negative log-likelihood of the sample's label. The W_c
 block of the backward pass is the norm proxy used by importance mining.
+``forward_batch``/``backward_batch`` run a packed batch of samples at once,
+with the bits of ``forward``/``backward`` on each.
 """
 
 from dataclasses import dataclass
@@ -19,8 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError
-from .common import STREAM_INIT, Params, check_ids, check_kind, stream_rng
-from ..tensor import log_softmax, sigmoid
+from .common import (
+    STREAM_INIT,
+    Params,
+    add_rows_backwards,
+    check_ids,
+    check_kind,
+    stream_rng,
+)
+from ..tensor import log_softmax, matvec, sigmoid
 
 BASE_SELECTOR = "w_c"
 FORGET_BIAS = 1.0  # keeps early memory from washing out
@@ -210,3 +219,126 @@ def errors(trace, sample):
 
 def predict(trace):
     return int(np.argmax(trace.probs))
+
+
+@dataclass
+class LstmBatchTrace:
+    """``forward_batch`` of B samples padded to T steps; entries past a
+    sample's length are padding. Fields as in ``LstmTrace``, with a leading
+    batch axis."""
+
+    xs: np.ndarray  # (B, T, embed)
+    gates: np.ndarray  # (B, T, 4*hidden) (z, f, g, o) activations
+    cs: np.ndarray  # (B, T+1, hidden)
+    tcs: np.ndarray  # (B, T, hidden)
+    hs: np.ndarray  # (B, T+1, hidden)
+    pooled: np.ndarray  # (B, hidden) mean of each sample's own states
+    probs: np.ndarray  # (B, classes)
+    losses: np.ndarray  # (B,)
+    wrong: np.ndarray  # (B,) argmax mistakes, as ``errors``
+    total: np.ndarray  # (B,) opportunities
+    predictions: np.ndarray  # (B,) ``predict`` of each sample
+
+
+def forward_batch(params, batch, rng=None, k=1):
+    """``forward`` of every sample of a ``Batch``, bit for bit, with one
+    batched product and one sigmoid call per step. Deterministic: ``rng``
+    and ``k`` are ignored."""
+    tokens, lengths, n = batch.tokens, batch.lengths, batch.lengths.size
+    t_len, hidden = tokens.shape[1], params.h0.size
+    z_blk, f_blk, c_blk, o_blk = _blocks(hidden)
+
+    xs = params.w_emb[tokens]
+    gates = np.empty((n, t_len, 4 * hidden))
+    cs = np.empty((n, t_len + 1, hidden))
+    tcs = np.empty((n, t_len, hidden))
+    hs = np.empty((n, t_len + 1, hidden))
+    cs[:, 0] = params.c0
+    hs[:, 0] = params.h0
+
+    w_all, u_all, b_all = _stacked(params)
+    pre_x = xs @ w_all.T + b_all
+    # ``forward`` takes a one-step sample's product as a vector times a
+    # matrix, whose bits differ from a row of the matrix product.
+    one = lengths == 1
+    pre_x[one, :1] = xs[one, :1] @ w_all.T + b_all
+    for t in range(t_len):
+        acts = pre_x[:, t] + matvec(u_all, hs[:, t])
+        gate = gates[:, t]
+        gate[:] = sigmoid(acts)
+        np.tanh(acts[:, c_blk], out=gate[:, c_blk])
+        np.add(gate[:, z_blk] * gate[:, c_blk], gate[:, f_blk] * cs[:, t],
+               out=cs[:, t + 1])
+        np.tanh(cs[:, t + 1], out=tcs[:, t])
+        np.multiply(gate[:, o_blk], tcs[:, t], out=hs[:, t + 1])
+
+    pooled = np.stack([hs[b, 1:size + 1].mean(axis=0)
+                       for b, size in enumerate(lengths)])
+    logp = log_softmax(matvec(params.w_cls, pooled) + params.b_cls)
+    probs = np.exp(logp)
+    predictions = np.argmax(probs, axis=1)
+    return LstmBatchTrace(
+        xs=xs, gates=gates, cs=cs, tcs=tcs, hs=hs, pooled=pooled, probs=probs,
+        losses=-logp[np.arange(n), batch.labels],
+        wrong=(predictions != batch.labels).astype(np.int64),
+        total=np.ones(n, dtype=np.int64),
+        predictions=predictions)
+
+
+def backward_batch(params, batch, trace):
+    """``backward`` of every sample of a ``Batch``: a (B, P) matrix whose
+    rows are the gradient vectors, bit for bit. Padded steps add exact
+    zeros."""
+    lengths, mask, n = batch.lengths, batch.mask, batch.lengths.size
+    t_len, hidden = mask.shape[1], params.h0.size
+    z_blk, f_blk, c_blk, o_blk = _blocks(hidden)
+
+    dlogits = trace.probs.copy()
+    dlogits[np.arange(n), batch.labels] -= 1.0
+    dh_pool = matvec(params.w_cls.T, dlogits) / lengths[:, None]
+    dh_next = np.zeros((n, hidden))
+    dc_next = np.zeros((n, hidden))
+
+    w_all, u_all, _ = _stacked(params)
+    g = params.like(np.zeros((n, params.vec.size)))
+    gates, cs, tcs = trace.gates, trace.cs, trace.tcs
+    zs, fs, gs, os_ = (gates[..., blk] for blk in (z_blk, f_blk, c_blk, o_blk))
+    one_tc2 = 1.0 - tcs**2
+    # ``backward`` forms the (z, f, c, o) blocks of da as
+    # dc*g*z*(1-z), dc*C_{t-1}*f*(1-f), dc*z*(1-g^2) and do*o*(1-o), left to
+    # right: here (a * s1) * s2, times s3 on the z and f blocks, with
+    # a = (dc, dc, dc, do) and every factor s stacked for all steps at once.
+    s1 = np.concatenate([gs, cs[:, :-1], zs, os_], axis=-1)
+    s2 = np.concatenate([zs, fs, 1.0 - gs**2, 1.0 - os_], axis=-1)
+    s3 = np.concatenate([1.0 - zs, 1.0 - fs], axis=-1)
+    a = np.empty((n, 4, hidden))
+    da_all = np.empty((n, t_len, 4 * hidden))
+    for t in range(t_len - 1, -1, -1):
+        dh = dh_pool + dh_next
+        dc = dh * os_[:, t] * one_tc2[:, t] + dc_next
+        a[:, :3] = dc[:, None]
+        np.multiply(dh, tcs[:, t], out=a[:, 3])
+
+        da = da_all[:, t]
+        np.multiply(a.reshape(n, -1), s1[:, t], out=da)
+        da *= s2[:, t]
+        da[:, :2 * hidden] *= s3[:, t]
+        active = mask[:, t, None]
+        dc_next = np.where(active, dc * fs[:, t], 0.0)
+        dh_next = np.where(active, matvec(u_all.T, da), 0.0)
+    da_all[~mask] = 0.0
+    add_rows_backwards(g.w_emb, batch.tokens, matvec(w_all.T, da_all))
+
+    g_w, g_u, g_b = _stacked(g)
+    hs, xs = trace.hs, trace.xs
+    # Sums over time run per sample: padded, they can group differently.
+    for b, size in enumerate(lengths):
+        da = da_all[b, :size]
+        g_w[b] = da.T @ xs[b, :size]
+        g_u[b] = da.T @ hs[b, :size]
+        g_b[b] = da.sum(axis=0)
+    g.w_cls = dlogits[:, :, None] * trace.pooled[:, None, :]
+    g.b_cls = dlogits
+    g.h0 = dh_next
+    g.c0 = dc_next
+    return g.vec

@@ -9,6 +9,8 @@ The loss is mean negative log-likelihood of the per-step targets, or the
 final-step negative log-likelihood when the sample carries one label.
 Backward runs untruncated through the whole history; every block of the
 returned gradient matches central finite differences of the loss.
+``forward_batch``/``backward_batch`` run a packed batch of samples at once,
+with the bits of ``forward``/``backward`` on each.
 """
 
 from dataclasses import dataclass
@@ -16,8 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError
-from .common import STREAM_INIT, Params, check_ids, check_kind, stream_rng
-from ..tensor import log_softmax
+from .common import (
+    STREAM_INIT,
+    Params,
+    add_rows_backwards,
+    check_ids,
+    check_kind,
+    stream_rng,
+)
+from ..tensor import log_softmax, matvec
 
 BASE_SELECTOR = "w_x"
 
@@ -139,3 +148,92 @@ def errors(trace, sample):
 def predict(trace):
     """Argmax class at the final step (classification head)."""
     return int(np.argmax(trace.ys[-1]))
+
+
+@dataclass
+class RnnBatchTrace:
+    """``forward_batch`` of B samples padded to T steps; entries past a
+    sample's length are padding."""
+
+    xs: np.ndarray  # (B, T, embed)
+    hs: np.ndarray  # (B, T+1, hidden)
+    ys: np.ndarray  # (B, T, vocab); backward_batch overwrites it
+    losses: np.ndarray  # (B,)
+    wrong: np.ndarray  # (B,) argmax mistakes, as ``errors``
+    total: np.ndarray  # (B,) opportunities
+    predictions: np.ndarray  # (B,) ``predict`` of each sample
+
+
+def forward_batch(params, batch, rng=None, k=1):
+    """``forward`` of every sample of a ``Batch``, bit for bit, with one
+    batched product per step. Deterministic: ``rng`` and ``k`` are ignored."""
+    tokens, lengths, n = batch.tokens, batch.lengths, batch.lengths.size
+    rows, last, cls = np.arange(n), lengths - 1, batch.labels >= 0
+    t_len = tokens.shape[1]
+
+    xs = params.w_emb[tokens]
+    wx = matvec(params.w_x, xs)
+    hs = np.empty((n, t_len + 1, params.h0.size))
+    hs[:, 0] = params.h0
+    for t in range(t_len):
+        hs[:, t + 1] = np.tanh(matvec(params.w_h, hs[:, t]) + wx[:, t] + params.b_h)
+
+    logp = matvec(params.w_s, hs[:, 1:])
+    logp += params.b_y
+    log_softmax(logp, out=logp)
+    losses = np.empty(n)
+    losses[cls] = -logp[rows[cls], last[cls], batch.labels[cls]]
+    picked = logp[rows[:, None], np.arange(t_len), batch.targets]
+    for b in np.flatnonzero(~cls):
+        losses[b] = -np.mean(picked[b, :lengths[b]])
+
+    ys = np.exp(logp, out=logp)
+    pred = np.argmax(ys, axis=-1)
+    predictions = pred[rows, last]
+    wrong = np.where(cls, predictions != batch.labels,
+                     np.sum((pred != batch.targets) & batch.mask, axis=1))
+    return RnnBatchTrace(xs=xs, hs=hs, ys=ys, losses=losses, wrong=wrong,
+                         total=np.where(cls, 1, lengths), predictions=predictions)
+
+
+def backward_batch(params, batch, trace):
+    """``backward`` of every sample of a ``Batch``: a (B, P) matrix whose
+    rows are the gradient vectors, bit for bit. Padded steps add exact
+    zeros. Turns ``trace.ys`` into d loss / d logits in place."""
+    lengths, mask, n = batch.lengths, batch.mask, batch.lengths.size
+    rows, last, cls = np.arange(n), lengths - 1, batch.labels >= 0
+    t_len, hidden = mask.shape[1], params.h0.size
+
+    dz = trace.ys
+    seq_rows, seq_steps = np.nonzero(mask & ~cls[:, None])
+    dz[seq_rows, seq_steps, batch.targets[seq_rows, seq_steps]] -= 1.0
+    dz /= np.where(cls, 1, lengths)[:, None, None]
+    dz[~(mask & (~cls[:, None] | (np.arange(t_len) == last[:, None])))] = 0.0
+    dz[rows[cls], last[cls], batch.labels[cls]] -= 1.0
+
+    g = params.like(np.zeros((n, params.vec.size)))
+    hs, xs = trace.hs, trace.xs
+    # Sums over time run per sample: padded, they can group differently.
+    for b, size in enumerate(lengths):
+        g.w_s[b] = dz[b, :size].T @ hs[b, 1:size + 1]
+        g.b_y[b] = dz[b, :size].sum(axis=0)
+
+    # One outer product per step with (h_{t-1}, x_t, 1) fills the w_h, w_x
+    # and b_h sums at once, each in ``backward``'s order; x * 1.0 is x.
+    inputs = np.concatenate([hs[:, :-1], xs, np.ones((n, t_len, 1))], axis=-1)
+    sums = np.zeros((n, hidden, inputs.shape[-1]))
+    dh_out = matvec(params.w_s.T, dz)
+    one_h2 = 1.0 - hs[:, 1:] ** 2
+    das = np.empty((n, t_len, hidden))
+    carry = np.zeros((n, hidden))
+    for t in range(t_len - 1, -1, -1):
+        da = das[:, t]
+        np.multiply(dh_out[:, t] + carry, one_h2[:, t], out=da)
+        sums += da[:, :, None] * inputs[:, t, None, :]
+        carry = np.where(mask[:, t, None], matvec(params.w_h.T, da), 0.0)
+    g.w_h = sums[..., :hidden]
+    g.w_x = sums[..., hidden:-1]
+    g.b_h = sums[..., -1]
+    add_rows_backwards(g.w_emb, batch.tokens, matvec(params.w_x.T, das))
+    g.h0 = carry
+    return g.vec

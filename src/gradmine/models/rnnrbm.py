@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import InvalidInputError
 from .common import STREAM_INIT, Params, check_kind, stream_rng
-from ..tensor import sigmoid
+from ..tensor import matvec, sigmoid
 
 BASE_SELECTOR = "w"
 
@@ -172,3 +172,105 @@ def errors(trace, sample):
 def predict(trace):
     """The generative model has no class to predict."""
     return None
+
+
+@dataclass
+class RnnRbmBatchTrace:
+    """``forward_batch`` of B samples padded to T frames; entries past a
+    sample's length are padding, except that ``h_pos`` and ``h_neg`` are
+    zero there. Fields as in ``RnnRbmTrace``, with a leading batch axis."""
+
+    us: np.ndarray  # (B, T+1, context)
+    v_star: np.ndarray  # (B, T, n_v)
+    h_pos: np.ndarray  # (B, T, n_h)
+    h_neg: np.ndarray  # (B, T, n_h)
+    losses: np.ndarray  # (B,) monitoring costs
+    wrong: np.ndarray  # (B,) bit mismatches, as ``errors``
+    total: np.ndarray  # (B,) frame bits
+    predictions: np.ndarray  # (B,) of None: no class to predict
+
+
+def forward_batch(params, batch, rng=None, k=1):
+    """``forward`` of every sample of a ``Batch`` in turn from one ``rng``,
+    bit for bit: every frame's chain runs at once on its share of one bulk
+    draw (per frame and chain step, n_h uniforms for h, then n_v for v)."""
+    if rng is None:
+        raise InvalidInputError("the frame model needs a random generator")
+    frames, lengths, mask = batch.frames, batch.lengths, batch.mask
+    n, t_len, n_v = frames.shape
+    n_h = params.b_h.size
+
+    us = np.empty((n, t_len + 1, params.u0.size))
+    us[:, 0] = params.u0
+    vu = matvec(params.w_vu, frames)
+    for t in range(t_len):
+        us[:, t + 1] = np.tanh(params.b_u + matvec(params.w_uu, us[:, t]) + vu[:, t])
+    bvs = params.b_v + matvec(params.w_uv, us[:, :-1])
+    bhs = params.b_h + matvec(params.w_uh, us[:, :-1])
+
+    # Padding draws 1.0, which samples 0 from every probability.
+    uniforms = np.ones((n, t_len, k, n_h + n_v))
+    uniforms[mask] = rng.random(int(lengths.sum()) * k * (n_h + n_v)).reshape(
+        -1, k, n_h + n_v)
+    h_pos = sigmoid(matvec(params.w.T, frames) + bhs)
+    v_chain, h_prob = frames, h_pos
+    for step in range(k):
+        if step:
+            h_prob = sigmoid(matvec(params.w.T, v_chain) + bhs)
+        h = (uniforms[:, :, step, :n_h] < h_prob).astype(np.float64)
+        recon = sigmoid(matvec(params.w, h) + bvs)
+        v_chain = (uniforms[:, :, step, n_h:] < recon).astype(np.float64)
+    h_neg = sigmoid(matvec(params.w.T, v_chain) + bhs)
+    h_pos[~mask] = 0.0
+    h_neg[~mask] = 0.0
+
+    with np.errstate(divide="ignore"):
+        costs = np.mean(np.where(frames > 0.5, -np.log(recon), -np.log1p(-recon)),
+                        axis=-1)
+    cost = np.zeros(n)
+    for t in range(t_len):  # ``forward``'s running sum, in frame order
+        cost += np.where(mask[:, t], costs[:, t], 0.0)
+    wrong = np.sum(((recon > 0.5) != frames) & mask[:, :, None], axis=(1, 2))
+    return RnnRbmBatchTrace(
+        us=us, v_star=v_chain, h_pos=h_pos, h_neg=h_neg, losses=cost / lengths,
+        wrong=wrong, total=lengths * n_v, predictions=np.full(n, None))
+
+
+def backward_batch(params, batch, trace):
+    """``backward`` of every sample of a ``Batch``: a (B, P) matrix whose
+    rows are the gradient vectors, bit for bit. Padded frames add exact
+    zeros."""
+    frames, mask = batch.frames, batch.mask
+    n, t_len, n_v = frames.shape
+    us, v_star, h_pos, h_neg = trace.us, trace.v_star, trace.h_pos, trace.h_neg
+
+    g = params.like(np.zeros((n, params.vec.size)))
+    # The adjacent (b_v, b_h) and (w_uv, w_uh) blocks take one stacked sum
+    # each, over (dbv_t, dbh_t); every entry keeps ``backward``'s order.
+    dbs = np.concatenate([-(frames - v_star), -(h_pos - h_neg)], axis=-1)
+    g_w, g_b, g_wu = g.w, g.span("b_v", "b_h"), g.span("w_uv", "w_uh")
+    for t in range(t_len):
+        g_w -= (frames[:, t, :, None] * h_pos[:, t, None, :]
+                - v_star[:, t, :, None] * h_neg[:, t, None, :])
+        g_b += dbs[:, t]
+        g_wu += dbs[:, t, :, None] * us[:, t, None, :]
+
+    # One outer product per step with (u_{t-1}, v_t, 1) fills the w_uu,
+    # w_vu and b_u sums at once; x * 1.0 is x.
+    du_bias = matvec(params.w_uv.T, dbs[..., :n_v]) + matvec(params.w_uh.T,
+                                                             dbs[..., n_v:])
+    inputs = np.concatenate([us[:, :-1], frames, np.ones((n, t_len, 1))], axis=-1)
+    sums = np.zeros((n, params.u0.size, inputs.shape[-1]))
+    one_u2 = 1.0 - us[:, 1:] ** 2
+    du = np.zeros((n, params.u0.size))
+    for t in range(t_len - 1, -1, -1):
+        da = du * one_u2[:, t]
+        sums += da[:, :, None] * inputs[:, t, None, :]
+        du = matvec(params.w_uu.T, da)
+        du += du_bias[:, t]
+        du = np.where(mask[:, t, None], du, 0.0)
+    g.w_uu = sums[..., :params.u0.size]
+    g.w_vu = sums[..., params.u0.size:-1]
+    g.b_u = sums[..., -1]
+    g.u0 = du
+    return g.vec

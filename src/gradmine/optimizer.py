@@ -31,6 +31,7 @@ from .models import (
     STREAM_MODEL,
     ModelSpec,
     get_model,
+    pack,
     spec_of,
     stream_rng,
     validate_dataset,
@@ -129,27 +130,14 @@ class MetricsLog:
         return np.array([r.loss for r in self.split_rows(split)])
 
 
-def sample_passes(model, params, samples, rng):
-    """Forward and backward over each validated sample in turn, all drawing
-    from ``rng``: yields (sample, trace, flattened gradient)."""
-    for sample in samples:
-        trace = model.forward_unchecked(params, sample, rng)
-        yield sample, trace, model.backward_unchecked(params, sample, trace).vec
-
-
-def _evaluate(model, params, samples, probs, epoch, seed):
-    """Loss, error rate, and estimator variance over a sample list."""
-    losses, grads = [], []
-    wrong = total = 0
-    rng = stream_rng(seed, STREAM_EVAL, epoch)
-    for sample, trace, grad in sample_passes(model, params, samples, rng):
-        losses.append(trace.loss)
-        grads.append(grad)
-        w, t = model.errors(trace, sample)
-        wrong += w
-        total += t
-    grad_var = analysis.gradient_variance(np.stack(grads), probs)
-    return float(np.mean(losses)), wrong / total, grad_var
+def _evaluate(model, params, batch, probs, epoch, seed):
+    """Loss, error rate, and estimator variance over a packed batch, in one
+    batched forward and backward at ``params``."""
+    trace = model.forward_batch(params, batch, stream_rng(seed, STREAM_EVAL, epoch))
+    grads = model.backward_batch(params, batch, trace)
+    grad_var = analysis.gradient_variance(grads, probs)
+    error_rate = int(np.sum(trace.wrong)) / int(np.sum(trace.total))
+    return float(np.mean(trace.losses)), error_rate, grad_var
 
 
 def train(dataset, params0, cfg, eval_dataset=None):
@@ -160,9 +148,10 @@ def train(dataset, params0, cfg, eval_dataset=None):
     The training and held-out samples are checked once, here.
     """
     samples = validate_dataset(cfg.spec, dataset)
-    held = None if eval_dataset is None else validate_dataset(
-        cfg.spec, eval_dataset, "held-out sample")
+    held = None if eval_dataset is None else pack(validate_dataset(
+        cfg.spec, eval_dataset, "held-out sample"))
     n = len(samples)
+    batch = pack(samples)
     model = get_model(cfg.spec)
 
     if cfg.sampler == IMPORTANCE:
@@ -192,14 +181,15 @@ def train(dataset, params0, cfg, eval_dataset=None):
                 params, grads, _step_size(cfg.lr, n, probs[idx], clip))
 
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
-            loss, err, gvar = _evaluate(model, params, samples, probs, epoch, cfg.seed)
+            loss, err, gvar = _evaluate(model, params, batch, probs, epoch, cfg.seed)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite evaluation loss at epoch {epoch}")
             wall = (time.perf_counter() - start) * 1e3
             log.rows.append(MetricsRow(epoch, "train", loss, err, gvar, wall))
             if held is not None:
+                n_held = held.lengths.size
                 eloss, eerr, egvar = _evaluate(
-                    model, params, held, np.full(len(held), 1.0 / len(held)),
+                    model, params, held, np.full(n_held, 1.0 / n_held),
                     epoch, cfg.seed)
                 wall = (time.perf_counter() - start) * 1e3
                 log.rows.append(MetricsRow(epoch, "eval", eloss, eerr, egvar, wall))
@@ -278,28 +268,21 @@ class Trainer(ParamsMixin):
         self.params_, self.log_ = train(dataset, params0, cfg)
         return self
 
-    def _traces(self, X):
-        """The model, and (sample, trace) pairs under the fitted parameters;
+    def _trace(self, X):
+        """One batched forward over ``X`` under the fitted parameters;
         chains draw from the (seed, STREAM_EVAL) stream."""
-        samples = validate_dataset(self.spec_, X)
-        model, rng = get_model(self.spec_), stream_rng(self.seed, STREAM_EVAL)
-        return model, ((s, model.forward_unchecked(self.params_, s, rng))
-                       for s in samples)
+        batch = pack(validate_dataset(self.spec_, X))
+        return get_model(self.spec_).forward_batch(
+            self.params_, batch, stream_rng(self.seed, STREAM_EVAL))
 
     def predict(self, X):
         """Argmax class per sample; None per sample for the frame model."""
-        model, traces = self._traces(X)
-        return np.array([model.predict(trace) for _, trace in traces])
+        return self._trace(X).predictions
 
     def score(self, X, y=None):
         """Mean accuracy under argmax decoding (1 - error rate)."""
-        model, traces = self._traces(X)
-        wrong = total = 0
-        for s, trace in traces:
-            w, t = model.errors(trace, s)
-            wrong += w
-            total += t
-        return 1.0 - wrong / total
+        trace = self._trace(X)
+        return 1.0 - int(np.sum(trace.wrong)) / int(np.sum(trace.total))
 
 
 def as_dataset(X):

@@ -1,7 +1,8 @@
 """Dense float64 matrix/vector helpers and the nonlinearities the models share.
 
 Matrices are 2-D, vectors 1-D ``numpy.float64`` arrays (row-major). All
-operations are pure functions; nothing here mutates its arguments.
+operations are pure functions; nothing here mutates its arguments unless
+asked to through ``out``.
 """
 
 import numpy as np
@@ -23,11 +24,19 @@ def sigmoid(v):
     return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
-def log_softmax(v):
-    """log(softmax(v)) computed stably from the shifted logits."""
+def log_softmax(v, out=None):
+    """log(softmax(v)) over the last axis, computed stably from the shifted
+    logits; ``out=v`` computes it in place."""
     v = np.asarray(v, dtype=np.float64)
-    shifted = v - np.max(v, axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    shifted = np.subtract(v, np.max(v, axis=-1, keepdims=True), out=out)
+    shifted -= np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    return shifted
+
+
+def matvec(m, xs):
+    """``m @ x`` for every vector ``x`` along the last axis of ``xs``; each
+    product has the bits of its own ``m @ x`` call."""
+    return np.matmul(m, xs[..., None])[..., 0]
 
 
 def frobenius_norm(m):

@@ -215,3 +215,31 @@ def cd_surrogate_loss(params, sample, trace):
         total -= pos - neg
         u = np.tanh(params.b_u + params.w_uu @ u + params.w_vu @ v)
     return float(total)
+
+
+def per_sample_passes(model, params, samples, rng):
+    """The single-sample protocol over ``samples`` in turn, all drawing from
+    ``rng``: per-sample losses, mistakes, opportunities and predictions,
+    and the (N, P) matrix of gradient vectors. The batched passes must
+    reproduce every bit of it."""
+    losses, wrong, total, predictions, grads = [], [], [], [], []
+    for sample in samples:
+        trace = model.forward_unchecked(params, sample, rng)
+        w, t = model.errors(trace, sample)
+        losses.append(trace.loss)
+        wrong.append(w)
+        total.append(t)
+        predictions.append(model.predict(trace))
+        grads.append(model.backward_unchecked(params, sample, trace).vec)
+    return losses, wrong, total, predictions, np.stack(grads)
+
+
+def evaluate_per_sample(model, params, samples, probs, rng):
+    """Mean loss, error rate and estimator variance from
+    ``per_sample_passes``, as training evaluated them one sample at a
+    time."""
+    from gradmine.analysis import gradient_variance
+
+    losses, wrong, total, _, grads = per_sample_passes(model, params, samples, rng)
+    return (float(np.mean(losses)), sum(wrong) / sum(total),
+            gradient_variance(grads, probs))

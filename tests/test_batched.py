@@ -1,0 +1,181 @@
+"""The batched passes at shared parameters against the single-sample
+protocol: every loss, error count, prediction, gradient bit and random
+draw must agree with ``oracles.per_sample_passes``."""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gradmine import optimizer
+from gradmine.data import FrameSequence, SequenceSample, gen_pianoroll, gen_seqclass
+from gradmine.models import (
+    MODEL_KINDS,
+    STREAM_EVAL,
+    ModelSpec,
+    Params,
+    get_model,
+    pack,
+    stream_rng,
+)
+
+from conftest import randomize
+from oracles import (
+    cd_surrogate_loss,
+    evaluate_per_sample,
+    finite_diff_grads,
+    max_fd_violation,
+    per_sample_passes,
+)
+
+
+def random_samples(kind, spec, lengths, rng):
+    """One sample per length; RNN samples mix labels and per-step targets."""
+    out = []
+    for n in lengths:
+        if kind == "rnnrbm":
+            out.append(FrameSequence((rng.random((n, spec.vocab)) < 0.5) * 1.0))
+            continue
+        tokens = rng.integers(0, spec.vocab, n)
+        if kind == "rnn" and rng.random() < 0.5:
+            out.append(SequenceSample(tokens, targets=rng.integers(0, spec.vocab, n)))
+        else:
+            top = spec.classes if kind == "lstm" else spec.vocab
+            out.append(SequenceSample(tokens, label=int(rng.integers(0, top))))
+    return out
+
+
+def assert_same_bits(batched, expected):
+    assert np.asarray(batched).tobytes() == np.asarray(expected).tobytes()
+
+
+# Width 1 often: BLAS takes a vector path for a matrix with one row or
+# column, whose sums over time are grouped differently.
+widths = st.just(1) | st.integers(1, 12)
+specs = st.builds(dict, vocab=widths, embed=widths, hidden=widths,
+                  classes=st.integers(1, 3), context=widths, cd_k=st.integers(1, 3))
+
+
+@settings(deadline=None, max_examples=300)
+@given(kind=st.sampled_from(MODEL_KINDS), dims=specs,
+       lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+       equal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_batched_passes_equal_the_per_sample_loop(kind, dims, lengths, equal, seed):
+    rng = np.random.default_rng(seed)
+    spec = ModelSpec(kind=kind, **dims)
+    model = get_model(spec)
+    params = randomize(model.init_params(0), rng, scale=0.8)
+    if equal:
+        lengths = [lengths[0]] * len(lengths)
+    samples = random_samples(kind, spec, lengths, rng)
+
+    draws, oracle_draws = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch = pack(samples)
+    trace = model.forward_batch(params, batch, draws)
+    grads = model.backward_batch(params, batch, trace)
+    losses, wrong, total, predictions, oracle_grads = per_sample_passes(
+        model, params, samples, oracle_draws)
+
+    assert_same_bits(trace.losses, losses)
+    assert trace.wrong.tolist() == wrong
+    assert trace.total.tolist() == total
+    assert trace.predictions.tolist() == predictions
+    assert_same_bits(grads, oracle_grads)
+    assert draws.bit_generator.state == oracle_draws.bit_generator.state
+
+
+def test_pack_pads_at_the_end_of_time():
+    samples = [SequenceSample([3, 1, 2], label=1),
+               SequenceSample([4], targets=[2])]
+    batch = pack(samples)
+    assert batch.lengths.tolist() == [3, 1]
+    assert batch.mask.tolist() == [[True] * 3, [True, False, False]]
+    assert batch.tokens.tolist() == [[3, 1, 2], [4, 0, 0]]
+    assert batch.labels.tolist() == [1, -1]
+    assert batch.targets.tolist() == [[0, 0, 0], [2, 0, 0]]
+    frames = pack([FrameSequence([[1, 0]]), FrameSequence([[0, 1], [1, 1]])])
+    assert frames.frames.tolist() == [[[1, 0], [0, 0]], [[0, 1], [1, 1]]]
+
+
+def test_a_gradient_matrix_is_params_rows():
+    spec = ModelSpec(kind="lstm", vocab=5, embed=2, hidden=3)
+    layout = get_model(spec).init_params(0).layout
+    rows = np.random.default_rng(0).normal(size=(4, Params(layout).vec.size))
+    batched = Params(layout, rows)
+    for b in range(4):
+        single = Params(layout, rows[b])
+        for name, _ in layout:
+            assert_same_bits(getattr(batched, name)[b], getattr(single, name))
+        assert_same_bits(batched.span("w_z", "w_o")[b], single.span("w_z", "w_o"))
+
+
+@pytest.mark.parametrize("kind", ["rnn", "lstm"])
+def test_batched_gradient_rows_match_finite_differences(kind):
+    rng = np.random.default_rng(7)
+    spec = ModelSpec(kind=kind, vocab=5, embed=3, hidden=4, classes=3)
+    model = get_model(spec)
+    params = randomize(model.init_params(0), rng)
+    samples = random_samples(kind, spec, [4, 1, 6, 3], rng)
+    batch = pack(samples)
+    grads = model.backward_batch(params, batch, model.forward_batch(params, batch))
+    for b in (0, 1, 2):
+        numeric = finite_diff_grads(lambda p: model.loss(p, samples[b]), params)
+        assert max_fd_violation(params.like(grads[b]), numeric) < 1e-4
+
+
+def test_batched_rnnrbm_rows_match_the_cd_surrogate():
+    # The conditioning blocks are exact gradients of the contrastive
+    # surrogate at the batch's own chain ends.
+    rng = np.random.default_rng(3)
+    spec = ModelSpec(kind="rnnrbm", vocab=5, hidden=4, context=3)
+    model = get_model(spec)
+    params = randomize(model.init_params(0), rng)
+    samples = random_samples("rnnrbm", spec, [3, 5, 1], rng)
+    batch = pack(samples)
+    trace = model.forward_batch(params, batch, np.random.default_rng(0))
+    grads = model.backward_batch(params, batch, trace)
+    for b, sample in enumerate(samples):
+        size = sample.length
+        frozen = SimpleNamespace(**{
+            name: getattr(trace, name)[b, :size]
+            for name in ("v_star", "h_pos", "h_neg")})
+        numeric = finite_diff_grads(
+            lambda p: cd_surrogate_loss(p, sample, frozen), params)
+        assert max_fd_violation(params.like(grads[b]), numeric) < 1e-4
+
+
+def fitted(kind, seed=1):
+    if kind == "rnnrbm":
+        ds = gen_pianoroll(n=6, n_v=6, length_range=(3, 7), seed=2)
+        t = optimizer.Trainer(model=kind, lr=0.01, epochs=1, seed=seed,
+                              hidden=4, context=3)
+    else:  # with a one-step sample, and per-step targets for the RNN
+        ds = list(gen_seqclass(n=9, vocab=8, length_range=(2, 7), seed=3))
+        ds.append(SequenceSample([5], label=1))
+        if kind == "rnn":
+            ds.append(SequenceSample([2, 6, 1], targets=[6, 1, 1]))
+        t = optimizer.Trainer(model=kind, lr=0.3, epochs=2, seed=seed,
+                              embed_dim=4, hidden=5)
+    return t.fit(ds), list(ds)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_predict_and_score_equal_the_per_sample_loop(kind):
+    t, samples = fitted(kind)
+    _, wrong, total, predictions, _ = per_sample_passes(
+        get_model(t.spec_), t.params_, samples, stream_rng(t.seed, STREAM_EVAL))
+    assert t.predict(samples).tolist() == predictions
+    assert t.score(samples) == 1.0 - sum(wrong) / sum(total)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_evaluate_equals_the_per_sample_loop(kind):
+    t, samples = fitted(kind)
+    model = get_model(t.spec_)
+    probs = np.random.default_rng(0).dirichlet(np.ones(len(samples)))
+    got = optimizer._evaluate(model, t.params_, pack(samples), probs, 4, t.seed)
+    expected = evaluate_per_sample(model, t.params_, samples, probs,
+                                   stream_rng(t.seed, STREAM_EVAL, 4))
+    assert_same_bits(got, expected)

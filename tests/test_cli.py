@@ -70,6 +70,13 @@ class TestGen:
             h.append(hashlib.sha256(out.read_bytes()).hexdigest())
         assert h[0] == h[1]
 
+    def test_missing_output_directory_names_the_target(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "d.jsonl"
+        assert run(gen_args(out)) == 2
+        err = capsys.readouterr().err
+        assert f"'{out}'" in err and ".tmp" not in err
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_pianoroll_gen(self, tmp_path):
         out = tmp_path / "p.jsonl"
         code = run([
@@ -510,6 +517,27 @@ class TestVariance:
             reports.append(json.loads(out.read_text()))
         assert reports[1]["uniform"] > 0.0
         assert reports[1]["uniform"] != reports[0]["uniform"]
+
+    @pytest.mark.parametrize("model, n", [("lstm", 12), ("rnn", 11)],
+                             ids=["another-model", "another-count"])
+    def test_mismatched_table_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, model, n):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        imp = uniform_table_file(tmp_path / "imp.json", n)
+        calls = []
+        monkeypatch.setattr(cli.optimizer, "train",
+                            lambda *a, **k: calls.append(a))
+        before = set(tmp_path.iterdir())
+        code = run([
+            "variance", "--data", str(data), "--model", model, "--seed", "0",
+            "--warm-epochs", "3", "--importance", str(imp),
+            "--embed-dim", "4", "--hidden", "5", "--out", str(tmp_path / "var.json"),
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert calls == []
+        assert set(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("payload", [
         "3", json.dumps({"model": "rnn", "base_selector": "w_x", "epsilon": 1.0,

@@ -23,7 +23,7 @@ from gradmine.optimizer import TrainConfig, train
 
 MODULES = {"rnn": rnn, "lstm": lstm, "rnnrbm": rnnrbm}
 PROTOCOL = ("BASE_SELECTOR", "layout", "init_params", "check_sample", "forward",
-            "backward", "errors", "predict")
+            "backward", "errors", "predict", "forward_batch", "backward_batch")
 
 
 def spec_and_sample(kind):
