@@ -309,7 +309,9 @@ def main(argv=None):
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (GradmineError, FileNotFoundError) as exc:
+    except (GradmineError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise  # not a file the user named
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -328,9 +328,9 @@ def write_text(path, text):
     except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        if (isinstance(exc, OSError) and exc.filename == tmp
-                and exc.filename2 is None):
-            exc.filename = path  # the temp file was never asked for
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            # The temp file was never asked for: name the target alone.
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
 
 

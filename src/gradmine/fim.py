@@ -13,15 +13,16 @@ gradient it ever received, so samples that keep producing large gradients
 drag the block further and end with larger norms. ``history_sum_check``
 verifies that identity and its triangle-inequality bound on recorded runs.
 
-Mining is embarrassingly parallel: each sample's work is a pure function
-of (shared init, sample, config, per-sample seed), so results are
-identical for any worker count.
+Each private run is a pure function of (shared init, sample, config,
+per-sample seed). The runs train in lockstep, one row each of a per-row
+parameter batch, sharded by sample index over the workers; every row has
+the bits of its run alone, so results are identical for any worker count.
 """
 
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .models import (
     STREAM_MINE,
     ModelSpec,
     get_model,
+    pack,
     param_block,
     spec_of,
     stream_rng,
@@ -172,53 +174,97 @@ class MiningResult:
     embedding_spread: float = None  # mean pairwise distance of private embeddings
 
 
-def _mine_one(task):
-    """Train one private model on a validated sample; pure in (spec,
-    sample, cfg, index, init)."""
-    spec, sample, cfg, index, params = task
+def _take_rows(obj, keep):
+    """A ``Batch`` or batched-pass trace of only the rows ``keep``; every
+    field is None or batch-major (see ``gradmine.models``)."""
+    return replace(obj, **{f.name: getattr(obj, f.name)[keep] for f in fields(obj)
+                           if getattr(obj, f.name) is not None})
+
+
+def _mine_rows(task):
+    """Train the private models of validated samples ``first``, ``first +
+    1``, ... in lockstep, one row of a (B, P) parameter batch each, and
+    return a ``_mine_one`` result per sample. A row leaves the batch at its
+    own step count, with the bits of its run alone."""
+    spec, samples, cfg, first, params0 = task
     model = get_model(spec)
     selector = cfg.base_selector or model.base_selector
-    rng = stream_rng(cfg.seed, STREAM_MINE, index)
-
-    trace = model.forward_unchecked(params, sample, rng)
-    loss = float(trace.loss)
-    grad_sum = np.zeros_like(np.atleast_1d(param_block(params, selector)))
-    norm_sum = 0.0
-    losses = [loss]
-    steps = 0
-    while loss > cfg.epsilon and steps < cfg.t_max:
-        if not np.isfinite(loss):
-            raise DivergenceError(
-                f"private training diverged on sample {index} at step {steps}"
-            )
-        grads = model.backward_unchecked(params, sample, trace)
+    n = len(samples)
+    rows = np.arange(n)  # the runs still training, in sample order
+    rngs = [stream_rng(cfg.seed, STREAM_MINE, first + i) for i in rows]
+    params = params0.like(np.repeat(params0.vec[None], n, axis=0))
+    final = params.vec.copy()
+    last = np.zeros(n)
+    steps = np.zeros(n, dtype=np.int64)
+    grad_sum = np.zeros((n,) + param_block(params0, selector).shape)
+    norm_sum = np.zeros(n)
+    losses = [[] for _ in rows]
+    limit = n  # a run that diverges ends every run above it
+    error = None
+    batch = pack(samples)
+    trace = model.forward_batch(params, batch, rngs)
+    while True:
+        loss = trace.losses
         if cfg.record_history:
-            base_grad = param_block(grads, selector)
-            grad_sum += base_grad
-            norm_sum += matrix_norm(base_grad, cfg.norm_kind)
+            for i, value in zip(rows, loss):
+                losses[i].append(float(value))
+        going = (loss > cfg.epsilon) & (steps[rows] < cfg.t_max)
+        failed = np.flatnonzero(~np.isfinite(loss) & (rows < limit))
+        if failed.size:
+            limit = rows[failed[0]]
+            at = f" at step {steps[limit]}" if going[failed[0]] else ""
+            error = DivergenceError(
+                f"private training diverged on sample {first + limit}{at}")
+        stop = ~going & (rows < limit)
+        keep = going & (rows < limit)
+        final[rows[stop]] = params.vec[stop]
+        last[rows[stop]] = loss[stop]
+        shrunk = not keep.all()
+        if shrunk:
+            rows = rows[keep]
+            if not rows.size:
+                break
+            params = params.like(params.vec[keep])
+            trace = _take_rows(trace, keep)
+            batch = _take_rows(batch, keep)
+        grads = params.like(model.backward_batch(params, batch, trace))
+        if cfg.record_history:
+            base_grads = param_block(grads, selector)
+            grad_sum[rows] += base_grads
+            norm_sum[rows] += [matrix_norm(g, cfg.norm_kind) for g in base_grads]
         params = sgd_step(params, grads, cfg.lr)
-        steps += 1
-        trace = model.forward_unchecked(params, sample, rng)
-        loss = float(trace.loss)
-        if cfg.record_history:
-            losses.append(loss)
-    if not np.isfinite(loss):
-        raise DivergenceError(f"private training diverged on sample {index}")
+        steps[rows] += 1
+        if shrunk:  # drop the padding that only finished runs needed
+            batch = pack([samples[i] for i in rows])
+        trace = model.forward_batch(params, batch, [rngs[i] for i in rows])
+    if error is not None:
+        raise error
 
-    base = param_block(params, selector)
-    norm = matrix_norm(base, cfg.norm_kind)
-    history = None
-    if cfg.record_history:
-        history = HistoryRecord(
-            base_final=base.copy(),
-            grad_sum=grad_sum,
-            norm_sum=norm_sum,
-            losses=losses,
-        )
-    emb = None
-    if cfg.embed_diagnostic and hasattr(params, "w_emb"):
-        emb = params.w_emb.copy()
-    return index, norm, steps, bool(loss <= cfg.epsilon), history, emb
+    out = []
+    for i in range(n):
+        p = params0.like(final[i])
+        base = param_block(p, selector)
+        norm = matrix_norm(base, cfg.norm_kind)
+        history = None
+        if cfg.record_history:
+            history = HistoryRecord(
+                base_final=base.copy(),
+                grad_sum=grad_sum[i],
+                norm_sum=float(norm_sum[i]),
+                losses=losses[i],
+            )
+        emb = None
+        if cfg.embed_diagnostic and hasattr(p, "w_emb"):
+            emb = p.w_emb.copy()
+        converged = bool(last[i] <= cfg.epsilon)
+        out.append((first + i, norm, int(steps[i]), converged, history, emb))
+    return out
+
+
+def _mine_one(task):
+    """One private run (spec, sample, cfg, index, init): one row of ``_mine_rows``."""
+    spec, sample, cfg, index, params = task
+    return _mine_rows((spec, [sample], cfg, index, params))[0]
 
 
 def resolve_workers(n_workers=None):
@@ -251,16 +297,19 @@ def mine_importance(dataset, spec, cfg, n_workers=None):
     params0 = model.init_params(cfg.seed)
     param_block(params0, selector)  # fail fast on a bad selector
 
-    tasks = [(spec, s, cfg, i, params0) for i, s in enumerate(samples)]
-    workers = resolve_workers(n_workers)
-    if workers == 1 or len(samples) == 1:
-        outputs = [_mine_one(t) for t in tasks]
+    # One lockstep batch per worker, over a contiguous range of samples. A
+    # batch pays each step's per-call cost once for all its rows, so workers
+    # beyond the cores would only queue that cost up behind each other.
+    workers = min(resolve_workers(n_workers), os.cpu_count() or 1, len(samples))
+    ranges = np.array_split(np.arange(len(samples)), workers)
+    shards = [(spec, samples[r[0]:r[-1] + 1], cfg, int(r[0]), params0) for r in ranges]
+    if len(shards) == 1:
+        outputs = _mine_rows(shards[0])
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (workers * 4))
-            outputs = list(pool.map(_mine_one, tasks, chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
+            outputs = [out for shard in pool.map(_mine_rows, shards) for out in shard]
 
-    # Both maps keep task order, so output i belongs to sample i.
+    # The map keeps shard order, so output i belongs to sample i.
     _, norms, iterations, converged, histories, embeddings = zip(*outputs)
     norms = np.array(norms)
     probs = build_distribution(norms, smoothing=0.0).probs

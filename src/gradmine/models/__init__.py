@@ -5,15 +5,18 @@ shape)`` blocks of its ``Params``), ``init_params(spec, seed)``,
 ``check_sample(spec, sample)``, ``forward(params, sample, rng=None, k=1)``,
 ``backward(params, sample, trace)``, ``errors(trace, sample)`` and
 ``predict(trace)``, and the same passes over a ``pack``ed batch at one
-shared ``Params``: ``forward_batch(params, batch, rng=None, k=1)``, whose
-trace holds per-sample ``losses``, ``wrong``, ``total`` and
-``predictions``, and ``backward_batch(params, batch, trace)``, the (B, P)
-matrix of per-sample gradients. Each batched pass has the bits of the
-single-sample passes run over the batch in order. Parameters travel
-explicitly through every call, so concurrent workers can hold private
-copies without locks. Only the frame model draws from ``rng``.
-``validate_dataset`` checks each sample once where data enters; the loops
-then call the unchecked module functions.
+shared ``Params`` or one row each of a (B, P) one: ``forward_batch(params,
+batch, rng=None, k=1)``, whose trace holds per-sample ``losses``,
+``wrong``, ``total`` and ``predictions``, and ``backward_batch(params,
+batch, trace)``, the (B, P) matrix of per-sample gradients. Each batched
+pass has the bits of the single-sample passes run over the batch in order,
+or of each on its own given one generator per row. Every field of a
+batched trace, as of a ``Batch``, is None or has B as its leading axis,
+so indexing each field with the same rows cuts either to those rows.
+Parameters travel explicitly through every call, so concurrent workers
+can hold private copies without locks. Only the frame model draws from
+``rng``. ``validate_dataset`` checks each sample once where data enters;
+the loops then call the unchecked module functions.
 """
 
 from dataclasses import dataclass
@@ -80,7 +83,7 @@ class Model:
 
     def forward_batch(self, params, batch, rng=None):
         """``forward`` of every sample of a ``pack``ed batch that
-        ``validate_dataset`` has passed, at one shared ``params``."""
+        ``validate_dataset`` has passed, at shared or per-row ``params``."""
         return self.module.forward_batch(params, batch, rng=rng, k=self.spec.cd_k)
 
     def backward_batch(self, params, batch, trace):

@@ -5,8 +5,8 @@ Every model stores its learned state in one ``Params``: a float64 vector
 by the model module's ``layout(spec)``. Gradients use the same layout, so
 an update is ``params.vec - lr * grads.vec``, a copy is ``vec.copy()``, and
 the flattened gradient is ``vec``; norms pick one block by name. A (B, P)
-``vec`` holds B gradients, one per row. ``pack`` lays validated samples
-out for the batched passes.
+``vec`` holds B gradients, or B parameter sets, one per row. ``pack`` lays
+validated samples out for the batched passes.
 """
 
 import functools

@@ -29,7 +29,7 @@ from .common import (
     check_kind,
     stream_rng,
 )
-from ..tensor import log_softmax, matvec, sigmoid
+from ..tensor import embed, log_softmax, matvec, per_step, sigmoid, transpose
 
 BASE_SELECTOR = "w_c"
 FORGET_BIAS = 1.0  # keeps early memory from washing out
@@ -245,10 +245,10 @@ def forward_batch(params, batch, rng=None, k=1):
     batched product and one sigmoid call per step. Deterministic: ``rng``
     and ``k`` are ignored."""
     tokens, lengths, n = batch.tokens, batch.lengths, batch.lengths.size
-    t_len, hidden = tokens.shape[1], params.h0.size
+    t_len, hidden = tokens.shape[1], params.h0.shape[-1]
     z_blk, f_blk, c_blk, o_blk = _blocks(hidden)
 
-    xs = params.w_emb[tokens]
+    xs = embed(params.w_emb, tokens)
     gates = np.empty((n, t_len, 4 * hidden))
     cs = np.empty((n, t_len + 1, hidden))
     tcs = np.empty((n, t_len, hidden))
@@ -257,11 +257,13 @@ def forward_batch(params, batch, rng=None, k=1):
     hs[:, 0] = params.h0
 
     w_all, u_all, b_all = _stacked(params)
-    pre_x = xs @ w_all.T + b_all
+    pre_x = np.matmul(xs, transpose(w_all)) + per_step(b_all)
     # ``forward`` takes a one-step sample's product as a vector times a
     # matrix, whose bits differ from a row of the matrix product.
     one = lengths == 1
-    pre_x[one, :1] = xs[one, :1] @ w_all.T + b_all
+    if one.any():
+        pre_x[one, :1] = (np.matmul(xs[:, :1], transpose(w_all))
+                          + per_step(b_all))[one]
     for t in range(t_len):
         acts = pre_x[:, t] + matvec(u_all, hs[:, t])
         gate = gates[:, t]
@@ -290,17 +292,17 @@ def backward_batch(params, batch, trace):
     rows are the gradient vectors, bit for bit. Padded steps add exact
     zeros."""
     lengths, mask, n = batch.lengths, batch.mask, batch.lengths.size
-    t_len, hidden = mask.shape[1], params.h0.size
+    t_len, hidden = mask.shape[1], params.h0.shape[-1]
     z_blk, f_blk, c_blk, o_blk = _blocks(hidden)
 
     dlogits = trace.probs.copy()
     dlogits[np.arange(n), batch.labels] -= 1.0
-    dh_pool = matvec(params.w_cls.T, dlogits) / lengths[:, None]
+    dh_pool = matvec(transpose(params.w_cls), dlogits) / lengths[:, None]
     dh_next = np.zeros((n, hidden))
     dc_next = np.zeros((n, hidden))
 
     w_all, u_all, _ = _stacked(params)
-    g = params.like(np.zeros((n, params.vec.size)))
+    g = params.like(np.zeros((n, params.vec.shape[-1])))
     gates, cs, tcs = trace.gates, trace.cs, trace.tcs
     zs, fs, gs, os_ = (gates[..., blk] for blk in (z_blk, f_blk, c_blk, o_blk))
     one_tc2 = 1.0 - tcs**2
@@ -325,9 +327,9 @@ def backward_batch(params, batch, trace):
         da[:, :2 * hidden] *= s3[:, t]
         active = mask[:, t, None]
         dc_next = np.where(active, dc * fs[:, t], 0.0)
-        dh_next = np.where(active, matvec(u_all.T, da), 0.0)
+        dh_next = np.where(active, matvec(transpose(u_all), da), 0.0)
     da_all[~mask] = 0.0
-    add_rows_backwards(g.w_emb, batch.tokens, matvec(w_all.T, da_all))
+    add_rows_backwards(g.w_emb, batch.tokens, matvec(transpose(w_all), da_all))
 
     g_w, g_u, g_b = _stacked(g)
     hs, xs = trace.hs, trace.xs

@@ -26,7 +26,7 @@ from .common import (
     check_kind,
     stream_rng,
 )
-from ..tensor import log_softmax, matvec
+from ..tensor import embed, log_softmax, matvec, per_step, transpose
 
 BASE_SELECTOR = "w_x"
 
@@ -171,15 +171,15 @@ def forward_batch(params, batch, rng=None, k=1):
     rows, last, cls = np.arange(n), lengths - 1, batch.labels >= 0
     t_len = tokens.shape[1]
 
-    xs = params.w_emb[tokens]
+    xs = embed(params.w_emb, tokens)
     wx = matvec(params.w_x, xs)
-    hs = np.empty((n, t_len + 1, params.h0.size))
+    hs = np.empty((n, t_len + 1, params.h0.shape[-1]))
     hs[:, 0] = params.h0
     for t in range(t_len):
         hs[:, t + 1] = np.tanh(matvec(params.w_h, hs[:, t]) + wx[:, t] + params.b_h)
 
     logp = matvec(params.w_s, hs[:, 1:])
-    logp += params.b_y
+    logp += per_step(params.b_y)
     log_softmax(logp, out=logp)
     losses = np.empty(n)
     losses[cls] = -logp[rows[cls], last[cls], batch.labels[cls]]
@@ -202,7 +202,7 @@ def backward_batch(params, batch, trace):
     zeros. Turns ``trace.ys`` into d loss / d logits in place."""
     lengths, mask, n = batch.lengths, batch.mask, batch.lengths.size
     rows, last, cls = np.arange(n), lengths - 1, batch.labels >= 0
-    t_len, hidden = mask.shape[1], params.h0.size
+    t_len, hidden = mask.shape[1], params.h0.shape[-1]
 
     dz = trace.ys
     seq_rows, seq_steps = np.nonzero(mask & ~cls[:, None])
@@ -211,7 +211,7 @@ def backward_batch(params, batch, trace):
     dz[~(mask & (~cls[:, None] | (np.arange(t_len) == last[:, None])))] = 0.0
     dz[rows[cls], last[cls], batch.labels[cls]] -= 1.0
 
-    g = params.like(np.zeros((n, params.vec.size)))
+    g = params.like(np.zeros((n, params.vec.shape[-1])))
     hs, xs = trace.hs, trace.xs
     # Sums over time run per sample: padded, they can group differently.
     for b, size in enumerate(lengths):
@@ -222,7 +222,7 @@ def backward_batch(params, batch, trace):
     # and b_h sums at once, each in ``backward``'s order; x * 1.0 is x.
     inputs = np.concatenate([hs[:, :-1], xs, np.ones((n, t_len, 1))], axis=-1)
     sums = np.zeros((n, hidden, inputs.shape[-1]))
-    dh_out = matvec(params.w_s.T, dz)
+    dh_out = matvec(transpose(params.w_s), dz)
     one_h2 = 1.0 - hs[:, 1:] ** 2
     das = np.empty((n, t_len, hidden))
     carry = np.zeros((n, hidden))
@@ -230,10 +230,10 @@ def backward_batch(params, batch, trace):
         da = das[:, t]
         np.multiply(dh_out[:, t] + carry, one_h2[:, t], out=da)
         sums += da[:, :, None] * inputs[:, t, None, :]
-        carry = np.where(mask[:, t, None], matvec(params.w_h.T, da), 0.0)
+        carry = np.where(mask[:, t, None], matvec(transpose(params.w_h), da), 0.0)
     g.w_h = sums[..., :hidden]
     g.w_x = sums[..., hidden:-1]
     g.b_h = sums[..., -1]
-    add_rows_backwards(g.w_emb, batch.tokens, matvec(params.w_x.T, das))
+    add_rows_backwards(g.w_emb, batch.tokens, matvec(transpose(params.w_x), das))
     g.h0 = carry
     return g.vec

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import InvalidInputError
 from .common import STREAM_INIT, Params, check_kind, stream_rng
-from ..tensor import matvec, sigmoid
+from ..tensor import matvec, per_step, sigmoid, transpose
 
 BASE_SELECTOR = "w"
 
@@ -192,35 +192,42 @@ class RnnRbmBatchTrace:
 
 def forward_batch(params, batch, rng=None, k=1):
     """``forward`` of every sample of a ``Batch`` in turn from one ``rng``,
-    bit for bit: every frame's chain runs at once on its share of one bulk
-    draw (per frame and chain step, n_h uniforms for h, then n_v for v)."""
+    or of each from its own when ``rng`` is a sequence of generators, bit
+    for bit: every frame's chain runs at once on its share of one bulk draw
+    per generator (per frame and chain step, n_h uniforms for h, then n_v
+    for v)."""
     if rng is None:
         raise InvalidInputError("the frame model needs a random generator")
     frames, lengths, mask = batch.frames, batch.lengths, batch.mask
     n, t_len, n_v = frames.shape
-    n_h = params.b_h.size
+    n_h = params.b_h.shape[-1]
 
-    us = np.empty((n, t_len + 1, params.u0.size))
+    us = np.empty((n, t_len + 1, params.u0.shape[-1]))
     us[:, 0] = params.u0
     vu = matvec(params.w_vu, frames)
     for t in range(t_len):
         us[:, t + 1] = np.tanh(params.b_u + matvec(params.w_uu, us[:, t]) + vu[:, t])
-    bvs = params.b_v + matvec(params.w_uv, us[:, :-1])
-    bhs = params.b_h + matvec(params.w_uh, us[:, :-1])
+    bvs = per_step(params.b_v) + matvec(params.w_uv, us[:, :-1])
+    bhs = per_step(params.b_h) + matvec(params.w_uh, us[:, :-1])
 
     # Padding draws 1.0, which samples 0 from every probability.
+    width = k * (n_h + n_v)
+    if isinstance(rng, np.random.Generator):
+        draws = rng.random(int(lengths.sum()) * width)
+    else:
+        draws = np.concatenate([r.random(m * width) for r, m in zip(rng, lengths)])
     uniforms = np.ones((n, t_len, k, n_h + n_v))
-    uniforms[mask] = rng.random(int(lengths.sum()) * k * (n_h + n_v)).reshape(
-        -1, k, n_h + n_v)
-    h_pos = sigmoid(matvec(params.w.T, frames) + bhs)
+    uniforms[mask] = draws.reshape(-1, k, n_h + n_v)
+    w, w_t = params.w, transpose(params.w)
+    h_pos = sigmoid(matvec(w_t, frames) + bhs)
     v_chain, h_prob = frames, h_pos
     for step in range(k):
         if step:
-            h_prob = sigmoid(matvec(params.w.T, v_chain) + bhs)
+            h_prob = sigmoid(matvec(w_t, v_chain) + bhs)
         h = (uniforms[:, :, step, :n_h] < h_prob).astype(np.float64)
-        recon = sigmoid(matvec(params.w, h) + bvs)
+        recon = sigmoid(matvec(w, h) + bvs)
         v_chain = (uniforms[:, :, step, n_h:] < recon).astype(np.float64)
-    h_neg = sigmoid(matvec(params.w.T, v_chain) + bhs)
+    h_neg = sigmoid(matvec(w_t, v_chain) + bhs)
     h_pos[~mask] = 0.0
     h_neg[~mask] = 0.0
 
@@ -244,7 +251,7 @@ def backward_batch(params, batch, trace):
     n, t_len, n_v = frames.shape
     us, v_star, h_pos, h_neg = trace.us, trace.v_star, trace.h_pos, trace.h_neg
 
-    g = params.like(np.zeros((n, params.vec.size)))
+    g = params.like(np.zeros((n, params.vec.shape[-1])))
     # The adjacent (b_v, b_h) and (w_uv, w_uh) blocks take one stacked sum
     # each, over (dbv_t, dbh_t); every entry keeps ``backward``'s order.
     dbs = np.concatenate([-(frames - v_star), -(h_pos - h_neg)], axis=-1)
@@ -257,20 +264,20 @@ def backward_batch(params, batch, trace):
 
     # One outer product per step with (u_{t-1}, v_t, 1) fills the w_uu,
     # w_vu and b_u sums at once; x * 1.0 is x.
-    du_bias = matvec(params.w_uv.T, dbs[..., :n_v]) + matvec(params.w_uh.T,
-                                                             dbs[..., n_v:])
+    du_bias = (matvec(transpose(params.w_uv), dbs[..., :n_v])
+               + matvec(transpose(params.w_uh), dbs[..., n_v:]))
     inputs = np.concatenate([us[:, :-1], frames, np.ones((n, t_len, 1))], axis=-1)
-    sums = np.zeros((n, params.u0.size, inputs.shape[-1]))
+    sums = np.zeros((n, us.shape[-1], inputs.shape[-1]))
     one_u2 = 1.0 - us[:, 1:] ** 2
-    du = np.zeros((n, params.u0.size))
+    du = np.zeros((n, us.shape[-1]))
     for t in range(t_len - 1, -1, -1):
         da = du * one_u2[:, t]
         sums += da[:, :, None] * inputs[:, t, None, :]
-        du = matvec(params.w_uu.T, da)
+        du = matvec(transpose(params.w_uu), da)
         du += du_bias[:, t]
         du = np.where(mask[:, t, None], du, 0.0)
-    g.w_uu = sums[..., :params.u0.size]
-    g.w_vu = sums[..., params.u0.size:-1]
+    g.w_uu = sums[..., :us.shape[-1]]
+    g.w_vu = sums[..., us.shape[-1]:-1]
     g.b_u = sums[..., -1]
     g.u0 = du
     return g.vec

@@ -34,9 +34,27 @@ def log_softmax(v, out=None):
 
 
 def matvec(m, xs):
-    """``m @ x`` for every vector ``x`` along the last axis of ``xs``; each
-    product has the bits of its own ``m @ x`` call."""
+    """``m @ x`` for every vector ``x`` along the last axis of ``xs``, with
+    ``m`` one matrix or one per row of ``xs`` (B, ..., n); each product has
+    the bits of its own ``m @ x`` call."""
+    if 2 < m.ndim <= xs.ndim:
+        m = m[:, None]
     return np.matmul(m, xs[..., None])[..., 0]
+
+
+def transpose(m):
+    """``m.T``, or that of each matrix of a stack."""
+    return np.swapaxes(m, -1, -2)
+
+
+def per_step(v):
+    """A vector, or one per row (B, n), to add to (B, T, n) arrays."""
+    return v[:, None] if v.ndim == 2 else v
+
+
+def embed(table, ids):
+    """``table[ids]`` for (B, T) ids, from each row's own table if it has rows."""
+    return table[np.arange(len(ids))[:, None], ids] if table.ndim == 3 else table[ids]
 
 
 def frobenius_norm(m):

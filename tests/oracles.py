@@ -9,7 +9,11 @@ import math
 
 import numpy as np
 
-from gradmine.models import param_blocks
+from gradmine.errors import DivergenceError
+from gradmine.fim import HistoryRecord
+from gradmine.models import STREAM_MINE, get_model, param_block, param_blocks, stream_rng
+from gradmine.optimizer import sgd_step
+from gradmine.tensor import matrix_norm
 
 
 def finite_diff_grads(loss_fn, params, step=1e-5):
@@ -243,3 +247,56 @@ def evaluate_per_sample(model, params, samples, probs, rng):
     losses, wrong, total, _, grads = per_sample_passes(model, params, samples, rng)
     return (float(np.mean(losses)), sum(wrong) / sum(total),
             gradient_variance(grads, probs))
+
+
+def mine_one_scalar(task):
+    """One private mining run, one sample at a time with the single-sample
+    passes: the loop the lockstep miner must reproduce bit for bit.
+    Returns ``fim._mine_one``'s tuple."""
+    spec, sample, cfg, index, params = task
+    model = get_model(spec)
+    selector = cfg.base_selector or model.base_selector
+    rng = stream_rng(cfg.seed, STREAM_MINE, index)
+
+    trace = model.forward_unchecked(params, sample, rng)
+    loss = float(trace.loss)
+    grad_sum = np.zeros_like(np.atleast_1d(param_block(params, selector)))
+    norm_sum = 0.0
+    losses = [loss]
+    steps = 0
+    while loss > cfg.epsilon and steps < cfg.t_max:
+        if not np.isfinite(loss):
+            raise DivergenceError(
+                f"private training diverged on sample {index} at step {steps}")
+        grads = model.backward_unchecked(params, sample, trace)
+        if cfg.record_history:
+            base_grad = param_block(grads, selector)
+            grad_sum += base_grad
+            norm_sum += matrix_norm(base_grad, cfg.norm_kind)
+        params = sgd_step(params, grads, cfg.lr)
+        steps += 1
+        trace = model.forward_unchecked(params, sample, rng)
+        loss = float(trace.loss)
+        if cfg.record_history:
+            losses.append(loss)
+    if not np.isfinite(loss):
+        raise DivergenceError(f"private training diverged on sample {index}")
+
+    base = param_block(params, selector)
+    history = None
+    if cfg.record_history:
+        history = HistoryRecord(base_final=base.copy(), grad_sum=grad_sum,
+                                norm_sum=norm_sum, losses=losses)
+    emb = None
+    if cfg.embed_diagnostic and hasattr(params, "w_emb"):
+        emb = params.w_emb.copy()
+    return (index, matrix_norm(base, cfg.norm_kind), steps,
+            bool(loss <= cfg.epsilon), history, emb)
+
+
+def mine_rows_scalar(task):
+    """``fim._mine_rows`` as a loop of ``mine_one_scalar``, in sample order;
+    patched in for it, ``mine_importance`` mines as the scalar oracle."""
+    spec, samples, cfg, first, params = task
+    return [mine_one_scalar((spec, sample, cfg, first + i, params))
+            for i, sample in enumerate(samples)]

@@ -10,6 +10,8 @@ from gradmine.data import load_dataset
 from gradmine.fim import ImportanceTable, load_importance, save_importance
 from gradmine.optimizer import load_metrics
 
+from conftest import cores
+
 
 def run(argv):
     return cli.main(argv)
@@ -75,6 +77,14 @@ class TestGen:
         assert run(gen_args(out)) == 2
         err = capsys.readouterr().err
         assert f"'{out}'" in err and ".tmp" not in err
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_output_that_is_a_directory_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "d.jsonl"
+        out.mkdir()
+        assert run(gen_args(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{out}'" in err and ".tmp" not in err
         assert not list(tmp_path.rglob("*.tmp"))
 
     def test_pianoroll_gen(self, tmp_path):
@@ -148,11 +158,12 @@ class TestMine:
         data = tmp_path / "d.jsonl"
         run(gen_args(data))
         out = tmp_path / "imp.json"
-        code = run([
-            "mine", "--data", str(data), "--model", "rnn", "--epsilon", "0.001",
-            "--lr", "1e300", "--workers", "2", "--embed-dim", "4",
-            "--hidden", "5", "--out", str(out),
-        ])
+        with cores(2):
+            code = run([
+                "mine", "--data", str(data), "--model", "rnn", "--epsilon", "0.001",
+                "--lr", "1e300", "--workers", "2", "--embed-dim", "4",
+                "--hidden", "5", "--out", str(out),
+            ])
         assert code == 3
         assert "diverged" in capsys.readouterr().err
         assert not out.exists()

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+
+from gradmine import fim
 
 from gradmine.data import Dataset, SequenceSample, gen_seqclass
 from gradmine.errors import (
@@ -21,6 +25,8 @@ from gradmine.fim import (
 )
 from gradmine.models import ModelSpec, get_model, param_block, spec_for_dataset
 from gradmine.sampling import SamplingDistribution
+
+from conftest import cores
 
 
 def dataset_of(samples, vocab):
@@ -104,24 +110,50 @@ class TestMineImportance:
         np.testing.assert_array_equal(t1.iterations, t8.iterations)
         np.testing.assert_array_equal(t1.converged, t8.converged)
 
-    @pytest.mark.parametrize("kind", ["lstm", "rnnrbm"])
-    def test_worker_count_does_not_change_results_for(self, kind):
-        # Each pool task carries the pickled shared initialization.
+    @staticmethod
+    def _small_case(kind, n):
         from gradmine.data import gen_pianoroll
 
-        if kind == "lstm":
-            ds = gen_seqclass(n=6, vocab=8, length_range=(4, 8), seed=6)
-            spec = ModelSpec(kind=kind, vocab=8, embed=4, hidden=5)
-            cfg = FimConfig(epsilon=0.05, lr=0.5, seed=1, t_max=200)
-        else:
-            ds = gen_pianoroll(n=6, n_v=6, length_range=(3, 5), seed=3)
+        if kind == "rnnrbm":
+            ds = gen_pianoroll(n=n, n_v=6, length_range=(3, 5), seed=3)
             spec = ModelSpec(kind=kind, vocab=6, hidden=4, context=3)
-            cfg = FimConfig(epsilon=0.4, lr=0.05, seed=1, t_max=200)
-        t1 = mine_importance(ds, spec, cfg, n_workers=1).table
-        t2 = mine_importance(ds, spec, cfg, n_workers=2).table
+            return ds, spec, FimConfig(epsilon=0.4, lr=0.05, seed=1, t_max=200)
+        ds = gen_seqclass(n=n, vocab=8, length_range=(4, 8), seed=6)
+        spec = ModelSpec(kind=kind, vocab=8, embed=4, hidden=5)
+        return ds, spec, FimConfig(epsilon=0.05, lr=0.5, seed=1, t_max=200)
+
+    def _assert_same_table(self, t1, t2):
         assert t1.iterations.max() > 0
         for column in ("norms", "probs", "iterations", "converged"):
             assert getattr(t1, column).tobytes() == getattr(t2, column).tobytes()
+
+    @pytest.mark.parametrize("kind", ["rnn", "lstm", "rnnrbm"])
+    def test_worker_count_does_not_change_results_for(self, kind):
+        # Each pool task carries the pickled shared initialization.
+        ds, spec, cfg = self._small_case(kind, 6)
+        t1 = mine_importance(ds, spec, cfg, n_workers=1).table
+        with cores(2):
+            t2 = mine_importance(ds, spec, cfg, n_workers=2).table
+        self._assert_same_table(t1, t2)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("kind", ["rnn", "lstm", "rnnrbm"])
+    def test_uneven_shards_do_not_change_results(self, kind, workers):
+        # Five samples split into shards of 3 + 2, or 2 + 2 + 1.
+        ds, spec, cfg = self._small_case(kind, 5)
+        t1 = mine_importance(ds, spec, cfg, n_workers=1).table
+        with cores(workers):
+            t2 = mine_importance(ds, spec, cfg, n_workers=workers).table
+        self._assert_same_table(t1, t2)
+
+    def test_workers_beyond_the_cores_share_a_batch(self):
+        # One core: four workers run one lockstep batch, in this process.
+        ds, spec, cfg = self._small_case("rnn", 5)
+        t1 = mine_importance(ds, spec, cfg, n_workers=1).table
+        with cores(1), mock.patch.object(fim, "ProcessPoolExecutor") as pool:
+            t4 = mine_importance(ds, spec, cfg, n_workers=4).table
+        pool.assert_not_called()
+        self._assert_same_table(t1, t4)
 
     def test_loss_sequences_mostly_decrease(self):
         ds = gen_seqclass(n=10, vocab=8, length_range=(4, 8), seed=8)
