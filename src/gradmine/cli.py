@@ -206,6 +206,8 @@ def cmd_compare(args):
 
 
 def cmd_variance(args):
+    if args.warm_epochs < 0:
+        raise GradmineError(f"--warm-epochs must be >= 0, got {args.warm_epochs}")
     dataset = data.load_dataset(args.data)
     spec = spec_of(args, dataset)
     batch = pack(validate_dataset(spec, dataset))
@@ -221,8 +223,8 @@ def cmd_variance(args):
     if args.warm_epochs:
         params, _ = optimizer.train(dataset, params, optimizer.TrainConfig(
             spec=spec, lr=args.lr, epochs=args.warm_epochs, seed=args.seed))
-    trace = model.forward_batch(params, batch, stream_rng(args.seed, STREAM_EVAL))
-    grads = model.backward_batch(params, batch, trace)
+    trace = model.forward(params, batch, stream_rng(args.seed, STREAM_EVAL))
+    grads = model.backward(params, batch, trace)
     report = analysis.variance_report(
         grads, mined_norms=mined_norms, mined_probs=mined_probs
     )

@@ -202,7 +202,7 @@ def _mine_rows(task):
     limit = n  # a run that diverges ends every run above it
     error = None
     batch = pack(samples)
-    trace = model.forward_batch(params, batch, rngs)
+    trace = model.forward(params, batch, rngs)
     while True:
         loss = trace.losses
         if cfg.record_history:
@@ -227,7 +227,7 @@ def _mine_rows(task):
             params = params.like(params.vec[keep])
             trace = _take_rows(trace, keep)
             batch = _take_rows(batch, keep)
-        grads = params.like(model.backward_batch(params, batch, trace))
+        grads = params.like(model.backward(params, batch, trace))
         if cfg.record_history:
             base_grads = param_block(grads, selector)
             grad_sum[rows] += base_grads
@@ -236,7 +236,7 @@ def _mine_rows(task):
         steps[rows] += 1
         if shrunk:  # drop the padding that only finished runs needed
             batch = pack([samples[i] for i in rows])
-        trace = model.forward_batch(params, batch, [rngs[i] for i in rows])
+        trace = model.forward(params, batch, [rngs[i] for i in rows])
     if error is not None:
         raise error
 
@@ -364,8 +364,8 @@ def build_distribution(norms, smoothing=0.0):
     pull the distribution toward uniform and guarantee strictly positive
     probabilities when some norms are zero.
     """
-    if smoothing < 0:
-        raise ConfigError("smoothing must be >= 0")
+    if not 0 <= smoothing < np.inf:  # also rejects NaN
+        raise ConfigError(f"smoothing must be finite and >= 0, got {smoothing}")
     v = check_weights(getattr(norms, "norms", norms), "norms")
     shifted = v + smoothing * v.mean()
     return build_alias(shifted / shifted.sum())

@@ -2,21 +2,21 @@
 
 Each module exports ``BASE_SELECTOR``, ``layout(spec)`` (the ``(name,
 shape)`` blocks of its ``Params``), ``init_params(spec, seed)``,
-``check_sample(spec, sample)``, ``forward(params, sample, rng=None, k=1)``,
-``backward(params, sample, trace)``, ``errors(trace, sample)`` and
-``predict(trace)``, and the same passes over a ``pack``ed batch at one
-shared ``Params`` or one row each of a (B, P) one: ``forward_batch(params,
-batch, rng=None, k=1)``, whose trace holds per-sample ``losses``,
-``wrong``, ``total`` and ``predictions``, and ``backward_batch(params,
-batch, trace)``, the (B, P) matrix of per-sample gradients. Each batched
-pass has the bits of the single-sample passes run over the batch in order,
-or of each on its own given one generator per row. Every field of a
-batched trace, as of a ``Batch``, is None or has B as its leading axis,
-so indexing each field with the same rows cuts either to those rows.
-Parameters travel explicitly through every call, so concurrent workers
-can hold private copies without locks. Only the frame model draws from
-``rng``. ``validate_dataset`` checks each sample once where data enters;
-the loops then call the unchecked module functions.
+``check_sample(spec, sample)`` and one implementation of each pass, over
+a ``pack``ed batch at one shared ``Params`` or one row each of a (B, P)
+one: ``forward(params, batch, rng=None, k=1)``, whose trace holds
+per-sample ``losses``, ``wrong``, ``total`` and ``predictions``, and
+``backward(params, batch, trace)``, the (B, P) matrix of per-sample
+gradients. Each sample's row has the bits it has in a batch of its own,
+which a one-sample batch, ``pack(validate_dataset(spec, [sample]))``,
+gives; a batch drawn from one generator draws as its samples would in
+turn, and one given a generator per row draws from each as its sample
+would alone. Every field of a trace, as of a ``Batch``, is None or has B
+as its leading axis, so indexing each field with the same rows cuts
+either to those rows. Parameters travel explicitly through every call, so
+concurrent workers can hold private copies without locks. Only the frame
+model draws from ``rng``. ``validate_dataset`` checks each sample once
+where data enters; the passes check nothing per sample.
 """
 
 from dataclasses import dataclass
@@ -49,8 +49,7 @@ _MODULES = {RNN: rnn, LSTM: lstm, RNNRBM: rnnrbm}
 class Model:
     """A spec bound to its model module. Every call looks the module
     function up afresh, so one replaced at its module attribute (a tracer,
-    a test double) is the one that runs. ``forward`` and ``backward`` run
-    ``check_sample`` first; the ``*_unchecked`` pair does not."""
+    a test double) is the one that runs."""
 
     spec: ModelSpec
 
@@ -65,39 +64,14 @@ class Model:
     def init_params(self, seed):
         return self.module.init_params(self.spec, seed)
 
-    def forward(self, params, sample, rng=None):
-        self.module.check_sample(self.spec, sample)
-        return self.forward_unchecked(params, sample, rng)
-
-    def backward(self, params, sample, trace):
-        self.module.check_sample(self.spec, sample)
-        return self.backward_unchecked(params, sample, trace)
-
-    def forward_unchecked(self, params, sample, rng=None):
-        """``forward`` of a sample that ``validate_dataset`` has passed."""
-        return self.module.forward(params, sample, rng=rng, k=self.spec.cd_k)
-
-    def backward_unchecked(self, params, sample, trace):
-        """``backward`` of a sample that ``validate_dataset`` has passed."""
-        return self.module.backward(params, sample, trace)
-
-    def forward_batch(self, params, batch, rng=None):
-        """``forward`` of every sample of a ``pack``ed batch that
+    def forward(self, params, batch, rng=None):
+        """The trace of every sample of a ``pack``ed batch that
         ``validate_dataset`` has passed, at shared or per-row ``params``."""
-        return self.module.forward_batch(params, batch, rng=rng, k=self.spec.cd_k)
+        return self.module.forward(params, batch, rng=rng, k=self.spec.cd_k)
 
-    def backward_batch(self, params, batch, trace):
-        """The (B, P) per-sample gradients of a ``forward_batch`` trace."""
-        return self.module.backward_batch(params, batch, trace)
-
-    def loss(self, params, sample, rng=None):
-        return self.forward(params, sample, rng=rng).loss
-
-    def errors(self, trace, sample):
-        return self.module.errors(trace, sample)
-
-    def predict(self, trace):
-        return self.module.predict(trace)
+    def backward(self, params, batch, trace):
+        """The (B, P) per-sample gradients of a ``forward`` trace."""
+        return self.module.backward(params, batch, trace)
 
 
 def get_model(spec):

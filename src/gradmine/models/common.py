@@ -173,6 +173,12 @@ def pack(samples):
                         else s.targets for s in samples]))
 
 
+def check_trace(batch, states):
+    """Reject a trace whose (B, T+1, ...) ``states`` do not fit ``batch``."""
+    if states.shape[:2] != (batch.mask.shape[0], batch.mask.shape[1] + 1):
+        raise InvalidInputError("trace does not match the batch")
+
+
 def add_rows_backwards(out, rows, values):
     """``out[b, rows[b, t]] += values[b, t]`` for t from last to first, the
     order in which a backward pass over time accumulates them."""

@@ -12,8 +12,8 @@ Cell, per step over embedded tokens x_t (all gates elementwise):
 The classification head mean-pools h_1..h_T and applies a softmax layer;
 the loss is the negative log-likelihood of the sample's label. The W_c
 block of the backward pass is the norm proxy used by importance mining.
-``forward_batch``/``backward_batch`` run a packed batch of samples at once,
-with the bits of ``forward``/``backward`` on each.
+Both passes run a packed batch of samples at once, and each sample's row
+has the bits it has in a batch of its own.
 """
 
 from dataclasses import dataclass
@@ -27,6 +27,7 @@ from .common import (
     add_rows_backwards,
     check_ids,
     check_kind,
+    check_trace,
     stream_rng,
 )
 from ..tensor import embed, log_softmax, matvec, per_step, sigmoid, transpose
@@ -52,20 +53,6 @@ def layout(spec):
         + tuple((f"b_{g}", (h,)) for g in GATES)
         + (("w_cls", (k, h)), ("b_cls", (k,)), ("h0", (h,)), ("c0", (h,)))
     )
-
-
-@dataclass
-class LstmTrace:
-    xs: np.ndarray  # (T, embed)
-    zs: np.ndarray  # (T, hidden) gate activations
-    fs: np.ndarray
-    gs: np.ndarray  # candidate cells, in (-1, 1)
-    os_: np.ndarray
-    cs: np.ndarray  # (T+1, hidden), cs[0] = c0
-    tcs: np.ndarray  # (T, hidden) tanh(C_t), cached for backward
-    hs: np.ndarray  # (T+1, hidden), hs[0] = h0
-    probs: np.ndarray  # (classes,) head output
-    loss: float
 
 
 def init_params(spec, seed):
@@ -109,141 +96,28 @@ def _blocks(hidden):
     return tuple(slice(i * hidden, (i + 1) * hidden) for i in range(4))
 
 
-def forward(params, sample, rng=None, k=1):
-    """Cell over the tokens, head over the pooled states; deterministic, so
-    ``rng`` and ``k`` (model protocol) are ignored."""
-    tokens = sample.tokens
-    t_len = tokens.size
-    hidden = params.h0.size
-    z_blk, f_blk, c_blk, o_blk = _blocks(hidden)
-
-    xs = params.w_emb[tokens]
-    gates = np.empty((t_len, 4 * hidden))  # (z, f, g, o) activations
-    cs = np.empty((t_len + 1, hidden))
-    tcs = np.empty((t_len, hidden))
-    hs = np.empty((t_len + 1, hidden))
-    cs[0] = params.c0
-    hs[0] = params.h0
-
-    w_all, u_all, b_all = _stacked(params)
-    pre_x = xs @ w_all.T + b_all  # (T, 4*hidden), input share of every gate
-    for t in range(t_len):
-        acts = pre_x[t] + u_all @ hs[t]
-        # One sigmoid over all four blocks; the c block is then overwritten
-        # by its tanh. Elementwise, so each gate gets the bits of its own call.
-        gate = gates[t]
-        gate[:] = sigmoid(acts)
-        np.tanh(acts[c_blk], out=gate[c_blk])
-        np.add(gate[z_blk] * gate[c_blk], gate[f_blk] * cs[t], out=cs[t + 1])
-        np.tanh(cs[t + 1], out=tcs[t])
-        np.multiply(gate[o_blk], tcs[t], out=hs[t + 1])
-    zs, fs, gs, os_ = (gates[:, blk] for blk in (z_blk, f_blk, c_blk, o_blk))
-
-    pooled = hs[1:].mean(axis=0)
-    logp = log_softmax(params.w_cls @ pooled + params.b_cls)
-    return LstmTrace(
-        xs=xs,
-        zs=zs,
-        fs=fs,
-        gs=gs,
-        os_=os_,
-        cs=cs,
-        tcs=tcs,
-        hs=hs,
-        probs=np.exp(logp),
-        loss=float(-logp[sample.label]),
-    )
-
-
-def backward(params, sample, trace):
-    """Exact gradients for all blocks, including h0/c0."""
-    tokens = sample.tokens
-    t_len = tokens.size
-    if (trace.hs.shape, trace.xs.shape, trace.probs.shape) != (
-            (t_len + 1, params.h0.size), (t_len, params.w_emb.shape[1]),
-            (params.b_cls.size,)):
-        raise InvalidInputError("trace does not match (params, sample)")
-
-    hidden = params.h0.size
-    dlogits = trace.probs.copy()
-    dlogits[sample.label] -= 1.0
-    pooled = trace.hs[1:].mean(axis=0)
-
-    dh_pool = (params.w_cls.T @ dlogits) / t_len
-    dh_next = np.zeros_like(params.h0)
-    dc_next = np.zeros_like(params.c0)
-
-    w_all, u_all, _ = _stacked(params)
-    g = params.like()
-    z_blk, f_blk, c_blk, o_blk = _blocks(hidden)
-    zs, fs, gs, os_, cs, tcs = (
-        trace.zs, trace.fs, trace.gs, trace.os_, trace.cs, trace.tcs)
-    # Factors that do not depend on the carried gradients, for all T at
-    # once; each product below keeps its left-to-right order, so every
-    # gradient has the bits of the step-by-step evaluation.
-    one_z, one_f, one_o = 1.0 - zs, 1.0 - fs, 1.0 - os_
-    one_g2, one_tc2 = 1.0 - gs**2, 1.0 - tcs**2
-    da_all = np.empty((t_len, 4 * hidden))  # pre-activation grads, stacked
-    g_emb = g.w_emb
-    for t in range(t_len - 1, -1, -1):
-        z, f, o = zs[t], fs[t], os_[t]
-        dh = dh_pool + dh_next
-        do = dh * tcs[t]
-        dc = dh * o * one_tc2[t] + dc_next
-
-        da = da_all[t]
-        da[z_blk] = dc * gs[t] * z * one_z[t]
-        da[f_blk] = dc * cs[t] * f * one_f[t]
-        da[c_blk] = dc * z * one_g2[t]
-        da[o_blk] = do * o * one_o[t]
-        dc_next = dc * f
-
-        g_emb[tokens[t]] += w_all.T @ da
-        dh_next = u_all.T @ da
-
-    g_w, g_u, g_b = _stacked(g)
-    g_w[...] = da_all.T @ trace.xs  # (4*hidden, embed)
-    g_u[...] = da_all.T @ trace.hs[:-1]
-    g_b[...] = da_all.sum(axis=0)
-    g.w_cls = np.outer(dlogits, pooled)
-    g.b_cls = dlogits
-    g.h0 = dh_next
-    g.c0 = dc_next
-    return g
-
-
-def errors(trace, sample):
-    """(mistakes, opportunities) of argmax decoding over a forward trace."""
-    return int(predict(trace) != sample.label), 1
-
-
-def predict(trace):
-    return int(np.argmax(trace.probs))
-
-
 @dataclass
 class LstmBatchTrace:
-    """``forward_batch`` of B samples padded to T steps; entries past a
-    sample's length are padding. Fields as in ``LstmTrace``, with a leading
-    batch axis."""
+    """``forward`` of B samples padded to T steps; entries past a sample's
+    length are padding."""
 
     xs: np.ndarray  # (B, T, embed)
     gates: np.ndarray  # (B, T, 4*hidden) (z, f, g, o) activations
     cs: np.ndarray  # (B, T+1, hidden)
-    tcs: np.ndarray  # (B, T, hidden)
+    tcs: np.ndarray  # (B, T, hidden) tanh(C_t), kept for backward
     hs: np.ndarray  # (B, T+1, hidden)
     pooled: np.ndarray  # (B, hidden) mean of each sample's own states
-    probs: np.ndarray  # (B, classes)
+    probs: np.ndarray  # (B, classes) head output
     losses: np.ndarray  # (B,)
-    wrong: np.ndarray  # (B,) argmax mistakes, as ``errors``
+    wrong: np.ndarray  # (B,) argmax mistakes
     total: np.ndarray  # (B,) opportunities
-    predictions: np.ndarray  # (B,) ``predict`` of each sample
+    predictions: np.ndarray  # (B,) argmax class of each sample
 
 
-def forward_batch(params, batch, rng=None, k=1):
-    """``forward`` of every sample of a ``Batch``, bit for bit, with one
-    batched product and one sigmoid call per step. Deterministic: ``rng``
-    and ``k`` are ignored."""
+def forward(params, batch, rng=None, k=1):
+    """Cell over every sample of a ``Batch``, one batched product and one
+    sigmoid call per step, and head over each sample's pooled states.
+    Deterministic: ``rng`` and ``k`` (model protocol) are ignored."""
     tokens, lengths, n = batch.tokens, batch.lengths, batch.lengths.size
     t_len, hidden = tokens.shape[1], params.h0.shape[-1]
     z_blk, f_blk, c_blk, o_blk = _blocks(hidden)
@@ -258,13 +132,16 @@ def forward_batch(params, batch, rng=None, k=1):
 
     w_all, u_all, b_all = _stacked(params)
     pre_x = np.matmul(xs, transpose(w_all)) + per_step(b_all)
-    # ``forward`` takes a one-step sample's product as a vector times a
-    # matrix, whose bits differ from a row of the matrix product.
+    # Packed alone, a one-step sample's input product is a vector times a
+    # matrix, whose bits differ from a row of the matrix product; it is
+    # taken that way in every batch, so its row does not depend on the batch.
     one = lengths == 1
     if one.any():
         pre_x[one, :1] = (np.matmul(xs[:, :1], transpose(w_all))
                           + per_step(b_all))[one]
     for t in range(t_len):
+        # One sigmoid over all four blocks; the c block is then overwritten
+        # by its tanh. Elementwise, so each gate gets the bits of its own call.
         acts = pre_x[:, t] + matvec(u_all, hs[:, t])
         gate = gates[:, t]
         gate[:] = sigmoid(acts)
@@ -287,10 +164,11 @@ def forward_batch(params, batch, rng=None, k=1):
         predictions=predictions)
 
 
-def backward_batch(params, batch, trace):
-    """``backward`` of every sample of a ``Batch``: a (B, P) matrix whose
-    rows are the gradient vectors, bit for bit. Padded steps add exact
-    zeros."""
+def backward(params, batch, trace):
+    """Exact gradients of each sample's loss for all blocks, including
+    h0/c0: a (B, P) matrix with one gradient vector per row. Padded steps
+    add exact zeros."""
+    check_trace(batch, trace.hs)
     lengths, mask, n = batch.lengths, batch.mask, batch.lengths.size
     t_len, hidden = mask.shape[1], params.h0.shape[-1]
     z_blk, f_blk, c_blk, o_blk = _blocks(hidden)
@@ -306,15 +184,17 @@ def backward_batch(params, batch, trace):
     gates, cs, tcs = trace.gates, trace.cs, trace.tcs
     zs, fs, gs, os_ = (gates[..., blk] for blk in (z_blk, f_blk, c_blk, o_blk))
     one_tc2 = 1.0 - tcs**2
-    # ``backward`` forms the (z, f, c, o) blocks of da as
-    # dc*g*z*(1-z), dc*C_{t-1}*f*(1-f), dc*z*(1-g^2) and do*o*(1-o), left to
-    # right: here (a * s1) * s2, times s3 on the z and f blocks, with
-    # a = (dc, dc, dc, do) and every factor s stacked for all steps at once.
+    # The (z, f, c, o) blocks of da are dc*g*z*(1-z), dc*C_{t-1}*f*(1-f),
+    # dc*z*(1-g^2) and do*o*(1-o), multiplied left to right: here
+    # (a * s1) * s2, times s3 on the z and f blocks, with a = (dc, dc, dc, do)
+    # and every factor s stacked for all steps at once.
     s1 = np.concatenate([gs, cs[:, :-1], zs, os_], axis=-1)
     s2 = np.concatenate([zs, fs, 1.0 - gs**2, 1.0 - os_], axis=-1)
     s3 = np.concatenate([1.0 - zs, 1.0 - fs], axis=-1)
     a = np.empty((n, 4, hidden))
     da_all = np.empty((n, t_len, 4 * hidden))
+    u_all_t = transpose(u_all)
+    padded = not mask.all()  # never so for a training step's one-row batch
     for t in range(t_len - 1, -1, -1):
         dh = dh_pool + dh_next
         dc = dh * os_[:, t] * one_tc2[:, t] + dc_next
@@ -325,10 +205,14 @@ def backward_batch(params, batch, trace):
         np.multiply(a.reshape(n, -1), s1[:, t], out=da)
         da *= s2[:, t]
         da[:, :2 * hidden] *= s3[:, t]
-        active = mask[:, t, None]
-        dc_next = np.where(active, dc * fs[:, t], 0.0)
-        dh_next = np.where(active, matvec(transpose(u_all), da), 0.0)
-    da_all[~mask] = 0.0
+        dc_next = dc * fs[:, t]
+        dh_next = matvec(u_all_t, da)
+        if padded:  # each sample's carries start from zero at its last step
+            active = mask[:, t, None]
+            dc_next = np.where(active, dc_next, 0.0)
+            dh_next = np.where(active, dh_next, 0.0)
+    if padded:
+        da_all[~mask] = 0.0
     add_rows_backwards(g.w_emb, batch.tokens, matvec(transpose(w_all), da_all))
 
     g_w, g_u, g_b = _stacked(g)

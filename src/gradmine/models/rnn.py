@@ -7,10 +7,10 @@ Recurrence, per step over the embedded tokens x_t:
 
 The loss is mean negative log-likelihood of the per-step targets, or the
 final-step negative log-likelihood when the sample carries one label.
-Backward runs untruncated through the whole history; every block of the
-returned gradient matches central finite differences of the loss.
-``forward_batch``/``backward_batch`` run a packed batch of samples at once,
-with the bits of ``forward``/``backward`` on each.
+Both passes run a packed batch of samples at once, and each sample's row
+has the bits it has in a batch of its own. Backward runs untruncated
+through the whole history; every block of each returned gradient row
+matches central finite differences of that sample's loss.
 """
 
 from dataclasses import dataclass
@@ -24,6 +24,7 @@ from .common import (
     add_rows_backwards,
     check_ids,
     check_kind,
+    check_trace,
     stream_rng,
 )
 from ..tensor import embed, log_softmax, matvec, per_step, transpose
@@ -40,14 +41,6 @@ def layout(spec):
     v, d, h = spec.vocab, spec.embed, spec.hidden
     return (("w_emb", (v, d)), ("w_x", (h, d)), ("w_h", (h, h)),
             ("w_s", (v, h)), ("b_h", (h,)), ("b_y", (v,)), ("h0", (h,)))
-
-
-@dataclass
-class RnnTrace:
-    xs: np.ndarray  # (T, embed) embedded inputs
-    hs: np.ndarray  # (T+1, hidden), hs[0] = h0
-    ys: np.ndarray  # (T, vocab) per-step output distributions
-    loss: float
 
 
 def init_params(spec, seed):
@@ -77,96 +70,24 @@ def check_sample(spec, sample):
         check_ids(sample.targets, spec.vocab, "target")
 
 
-def forward(params, sample, rng=None, k=1):
-    """Run the recurrence and return the full trace, including the loss.
-    Deterministic: ``rng`` and ``k`` (model protocol) are ignored."""
-    tokens = sample.tokens
-    t_len = tokens.size
-    hidden = params.h0.size
-
-    xs = params.w_emb[tokens]
-    hs = np.empty((t_len + 1, hidden))
-    hs[0] = params.h0
-    logits = np.empty((t_len, params.b_y.size))
-    for t in range(t_len):
-        hs[t + 1] = np.tanh(params.w_h @ hs[t] + params.w_x @ xs[t] + params.b_h)
-        logits[t] = params.w_s @ hs[t + 1] + params.b_y
-
-    logp = log_softmax(logits)
-    if sample.is_classification:
-        loss = -logp[t_len - 1, sample.label]
-    else:
-        loss = -np.mean(logp[np.arange(t_len), sample.targets])
-    return RnnTrace(xs=xs, hs=hs, ys=np.exp(logp), loss=float(loss))
-
-
-def backward(params, sample, trace):
-    """Exact gradients of the loss for every parameter block."""
-    tokens = sample.tokens
-    t_len = tokens.size
-    if (trace.hs.shape, trace.ys.shape, trace.xs.shape) != (
-            (t_len + 1, params.h0.size), (t_len, params.b_y.size),
-            (t_len, params.w_emb.shape[1])):
-        raise InvalidInputError("trace does not match (params, sample)")
-
-    # d loss / d logits, per step
-    dz = trace.ys.copy()
-    if sample.is_classification:
-        dz[: t_len - 1] = 0.0
-        dz[t_len - 1, sample.label] -= 1.0
-    else:
-        dz[np.arange(t_len), sample.targets] -= 1.0
-        dz /= t_len
-
-    g = params.like()
-    g_w_emb, g_w_x, g_w_h, g_b_h = g.w_emb, g.w_x, g.w_h, g.b_h
-    g.w_s = dz.T @ trace.hs[1:]
-    g.b_y = dz.sum(axis=0)
-
-    carry = np.zeros_like(params.h0)  # d loss / d h_t from steps after t
-    for t in range(t_len - 1, -1, -1):
-        dh = params.w_s.T @ dz[t] + carry
-        da = dh * (1.0 - trace.hs[t + 1] ** 2)
-        g_w_h += np.outer(da, trace.hs[t])
-        g_w_x += np.outer(da, trace.xs[t])
-        g_b_h += da
-        g_w_emb[tokens[t]] += params.w_x.T @ da
-        carry = params.w_h.T @ da
-
-    g.h0 = carry
-    return g
-
-
-def errors(trace, sample):
-    """(mistakes, opportunities) of argmax decoding over a forward trace."""
-    if sample.is_classification:
-        return int(predict(trace) != sample.label), 1
-    pred = np.argmax(trace.ys, axis=1)
-    return int(np.sum(pred != sample.targets)), sample.tokens.size
-
-
-def predict(trace):
-    """Argmax class at the final step (classification head)."""
-    return int(np.argmax(trace.ys[-1]))
-
-
 @dataclass
 class RnnBatchTrace:
-    """``forward_batch`` of B samples padded to T steps; entries past a
-    sample's length are padding."""
+    """``forward`` of B samples padded to T steps; entries past a sample's
+    length are padding."""
 
     xs: np.ndarray  # (B, T, embed)
     hs: np.ndarray  # (B, T+1, hidden)
-    ys: np.ndarray  # (B, T, vocab); backward_batch overwrites it
+    ys: np.ndarray  # (B, T, vocab) output distributions; backward overwrites it
     losses: np.ndarray  # (B,)
-    wrong: np.ndarray  # (B,) argmax mistakes, as ``errors``
+    wrong: np.ndarray  # (B,) argmax mistakes: at the last step, or per step
     total: np.ndarray  # (B,) opportunities
-    predictions: np.ndarray  # (B,) ``predict`` of each sample
+    predictions: np.ndarray  # (B,) argmax class at each sample's last step
 
 
-def forward_batch(params, batch, rng=None, k=1):
-    """``forward`` of every sample of a ``Batch``, bit for bit, with one
-    batched product per step. Deterministic: ``rng`` and ``k`` are ignored."""
+def forward(params, batch, rng=None, k=1):
+    """Run the recurrence over every sample of a ``Batch``, one batched
+    product per step, and return the trace with each sample's loss.
+    Deterministic: ``rng`` and ``k`` (model protocol) are ignored."""
     tokens, lengths, n = batch.tokens, batch.lengths, batch.lengths.size
     rows, last, cls = np.arange(n), lengths - 1, batch.labels >= 0
     t_len = tokens.shape[1]
@@ -196,10 +117,11 @@ def forward_batch(params, batch, rng=None, k=1):
                          total=np.where(cls, 1, lengths), predictions=predictions)
 
 
-def backward_batch(params, batch, trace):
-    """``backward`` of every sample of a ``Batch``: a (B, P) matrix whose
-    rows are the gradient vectors, bit for bit. Padded steps add exact
+def backward(params, batch, trace):
+    """Exact gradients of each sample's loss for every parameter block: a
+    (B, P) matrix with one gradient vector per row. Padded steps add exact
     zeros. Turns ``trace.ys`` into d loss / d logits in place."""
+    check_trace(batch, trace.hs)
     lengths, mask, n = batch.lengths, batch.mask, batch.lengths.size
     rows, last, cls = np.arange(n), lengths - 1, batch.labels >= 0
     t_len, hidden = mask.shape[1], params.h0.shape[-1]
@@ -219,18 +141,20 @@ def backward_batch(params, batch, trace):
         g.b_y[b] = dz[b, :size].sum(axis=0)
 
     # One outer product per step with (h_{t-1}, x_t, 1) fills the w_h, w_x
-    # and b_h sums at once, each in ``backward``'s order; x * 1.0 is x.
+    # and b_h sums at once, each accumulated from the last step to the
+    # first; x * 1.0 is x.
     inputs = np.concatenate([hs[:, :-1], xs, np.ones((n, t_len, 1))], axis=-1)
     sums = np.zeros((n, hidden, inputs.shape[-1]))
     dh_out = matvec(transpose(params.w_s), dz)
     one_h2 = 1.0 - hs[:, 1:] ** 2
     das = np.empty((n, t_len, hidden))
     carry = np.zeros((n, hidden))
+    w_h_t = transpose(params.w_h)
     for t in range(t_len - 1, -1, -1):
         da = das[:, t]
         np.multiply(dh_out[:, t] + carry, one_h2[:, t], out=da)
         sums += da[:, :, None] * inputs[:, t, None, :]
-        carry = np.where(mask[:, t, None], matvec(transpose(params.w_h), da), 0.0)
+        carry = np.where(mask[:, t, None], matvec(w_h_t, da), 0.0)
     g.w_h = sums[..., :hidden]
     g.w_x = sums[..., hidden:-1]
     g.b_h = sums[..., -1]

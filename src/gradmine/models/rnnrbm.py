@@ -12,7 +12,9 @@ the reconstruction used both for the contrastive weight updates and for
 the monitoring cost (mean frame-wise binary cross-entropy). Gradients for
 W, b_v, b_h are the usual positive/negative phase differences; gradients
 for the conditioning parameters backpropagate exactly through the
-recurrence with the phase statistics held fixed.
+recurrence with the phase statistics held fixed. Both passes run a packed
+batch of samples at once, and each sample's row has the bits it has in a
+batch of its own.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError
-from .common import STREAM_INIT, Params, check_kind, stream_rng
+from .common import STREAM_INIT, Params, check_kind, check_trace, stream_rng
 from ..tensor import matvec, per_step, sigmoid, transpose
 
 BASE_SELECTOR = "w"
@@ -33,18 +35,6 @@ def layout(spec):
     return (("w", (n_v, n_h)), ("b_v", (n_v,)), ("b_h", (n_h,)),
             ("w_uv", (n_v, d_u)), ("w_uh", (n_h, d_u)), ("w_uu", (d_u, d_u)),
             ("w_vu", (d_u, n_v)), ("b_u", (d_u,)), ("u0", (d_u,)))
-
-
-@dataclass
-class RnnRbmTrace:
-    us: np.ndarray  # (T+1, context), us[0] = u0
-    bvs: np.ndarray  # (T, n_v) per-step visible biases
-    bhs: np.ndarray  # (T, n_h)
-    v_star: np.ndarray  # (T, n_v) chain-end visible samples
-    h_pos: np.ndarray  # (T, n_h) sigmoid(W^T v_t + bh_t)
-    h_neg: np.ndarray  # (T, n_h) sigmoid(W^T v_star_t + bh_t)
-    recon: np.ndarray  # (T, n_v) visible probabilities at the chain ends
-    loss: float  # monitoring cost
 
 
 def init_params(spec, seed):
@@ -63,30 +53,6 @@ def init_params(spec, seed):
     return p
 
 
-def gibbs_step(w, bv, bh, v, rng, h_prob=None):
-    """One alternating Gibbs update from visible state ``v``.
-
-    Returns (h_sample, v_next_prob, v_next_sample). Consumes exactly one
-    uniform array per layer, in h-then-v order, so chains are bitwise
-    reproducible from the generator state. ``h_prob``, when given, must be
-    ``sigmoid(w.T @ v + bh)``, which the caller already holds.
-    """
-    if h_prob is None:
-        h_prob = sigmoid(w.T @ v + bh)
-    h = (rng.random(h_prob.size) < h_prob).astype(np.float64)
-    v_prob = sigmoid(w @ h + bv)
-    v_next = (rng.random(v_prob.size) < v_prob).astype(np.float64)
-    return h, v_prob, v_next
-
-
-def _bernoulli_cost(v, prob):
-    # v is exactly 0/1. A saturated mismatch legitimately yields inf,
-    # caught by callers' divergence guards.
-    with np.errstate(divide="ignore"):
-        out = np.where(v > 0.5, -np.log(prob), -np.log1p(-prob))
-    return float(np.mean(out))
-
-
 def check_sample(spec, sample):
     """Reject a token sequence, or frames whose width is not n_v."""
     check_kind(spec, sample)
@@ -95,107 +61,45 @@ def check_sample(spec, sample):
             f"frame width {sample.frames.shape[1]} != n_v {spec.vocab}")
 
 
-def forward(params, sample, rng=None, k=1):
-    """Conditioning recurrence plus one CD-k chain per frame, drawing its
-    uniforms from ``rng``."""
-    if rng is None:
-        raise InvalidInputError("the frame model needs a random generator")
-    frames = sample.frames
-    t_len = frames.shape[0]
-
-    us = np.empty((t_len + 1, params.u0.size))
-    us[0] = params.u0
-    bvs, v_star, recon = (np.empty((t_len, params.b_v.size)) for _ in range(3))
-    bhs, h_pos, h_neg = (np.empty((t_len, params.b_h.size)) for _ in range(3))
-    cost = 0.0
-    for t in range(t_len):
-        v = frames[t]
-        bvs[t] = params.b_v + params.w_uv @ us[t]
-        bhs[t] = params.b_h + params.w_uh @ us[t]
-
-        # The positive phase is the first half-step's hidden probability.
-        h_pos[t] = sigmoid(params.w.T @ v + bhs[t])
-        v_chain, h_prob = v, h_pos[t]
-        for _ in range(k):
-            _, recon[t], v_chain = gibbs_step(
-                params.w, bvs[t], bhs[t], v_chain, rng, h_prob)
-            h_prob = None
-        v_star[t] = v_chain
-        h_neg[t] = sigmoid(params.w.T @ v_chain + bhs[t])
-        cost += _bernoulli_cost(v, recon[t])
-
-        us[t + 1] = np.tanh(params.b_u + params.w_uu @ us[t] + params.w_vu @ v)
-
-    return RnnRbmTrace(us=us, bvs=bvs, bhs=bhs, v_star=v_star, h_pos=h_pos,
-                       h_neg=h_neg, recon=recon, loss=cost / t_len)
-
-
-def backward(params, sample, trace):
-    """CD gradients for the RBM blocks; exact recurrence backprop for the
-    conditioning blocks, with the phase statistics treated as constants."""
-    frames = sample.frames
-    t_len = frames.shape[0]
-    if (trace.us.shape != (t_len + 1, params.u0.size)
-            or trace.v_star.shape != frames.shape):
-        raise InvalidInputError("trace does not match (params, sample)")
-
-    g = params.like()
-    dbvs = np.empty((t_len, params.b_v.size))
-    dbhs = np.empty((t_len, params.b_h.size))
-    for t in range(t_len):
-        v, v_star = frames[t], trace.v_star[t]
-        g.w -= np.outer(v, trace.h_pos[t]) - np.outer(v_star, trace.h_neg[t])
-        dbvs[t] = -(v - v_star)
-        dbhs[t] = -(trace.h_pos[t] - trace.h_neg[t])
-        g.b_v += dbvs[t]
-        g.b_h += dbhs[t]
-        g.w_uv += np.outer(dbvs[t], trace.us[t])
-        g.w_uh += np.outer(dbhs[t], trace.us[t])
-
-    du = np.zeros_like(params.u0)  # d loss / d u_{t+1}, carried backwards
-    for t in range(t_len - 1, -1, -1):
-        da = du * (1.0 - trace.us[t + 1] ** 2)
-        g.b_u += da
-        g.w_uu += np.outer(da, trace.us[t])
-        g.w_vu += np.outer(da, frames[t])
-        du = params.w_uu.T @ da
-        du += params.w_uv.T @ dbvs[t] + params.w_uh.T @ dbhs[t]
-    g.u0 = du
-    return g
-
-
-def errors(trace, sample):
-    """Bit mismatches between frames and thresholded reconstructions."""
-    return int(np.sum((trace.recon > 0.5) != sample.frames)), sample.frames.size
-
-
-def predict(trace):
-    """The generative model has no class to predict."""
-    return None
-
-
 @dataclass
 class RnnRbmBatchTrace:
-    """``forward_batch`` of B samples padded to T frames; entries past a
-    sample's length are padding, except that ``h_pos`` and ``h_neg`` are
-    zero there. Fields as in ``RnnRbmTrace``, with a leading batch axis."""
+    """``forward`` of B samples padded to T frames; entries past a sample's
+    length are padding, except that ``h_pos`` and ``h_neg`` are zero there."""
 
-    us: np.ndarray  # (B, T+1, context)
-    v_star: np.ndarray  # (B, T, n_v)
-    h_pos: np.ndarray  # (B, T, n_h)
-    h_neg: np.ndarray  # (B, T, n_h)
+    us: np.ndarray  # (B, T+1, context), us[:, 0] = u0
+    v_star: np.ndarray  # (B, T, n_v) chain-end visible samples
+    h_pos: np.ndarray  # (B, T, n_h) sigmoid(W^T v_t + bh_t)
+    h_neg: np.ndarray  # (B, T, n_h) sigmoid(W^T v_star_t + bh_t)
     losses: np.ndarray  # (B,) monitoring costs
-    wrong: np.ndarray  # (B,) bit mismatches, as ``errors``
+    wrong: np.ndarray  # (B,) bit mismatches of the thresholded reconstructions
     total: np.ndarray  # (B,) frame bits
     predictions: np.ndarray  # (B,) of None: no class to predict
 
 
-def forward_batch(params, batch, rng=None, k=1):
-    """``forward`` of every sample of a ``Batch`` in turn from one ``rng``,
-    or of each from its own when ``rng`` is a sequence of generators, bit
-    for bit: every frame's chain runs at once on its share of one bulk draw
-    per generator (per frame and chain step, n_h uniforms for h, then n_v
-    for v)."""
+def gibbs_step(w, bv, bh, v, uniforms, h_prob=None):
+    """One alternating Gibbs update of every chain from visible states
+    ``v`` (..., n_v), sampling h from the first n_h ``uniforms`` (...,
+    n_h + n_v) and then v from the rest.
+
+    Returns (h_sample, v_next_prob, v_next_sample). ``h_prob``, when given,
+    must be ``sigmoid(w.T @ v + bh)``, which the caller already holds.
+    """
+    n_h = bh.shape[-1]
+    if h_prob is None:
+        h_prob = sigmoid(matvec(transpose(w), v) + bh)
+    h = (uniforms[..., :n_h] < h_prob).astype(np.float64)
+    v_prob = sigmoid(matvec(w, h) + bv)
+    v_next = (uniforms[..., n_h:] < v_prob).astype(np.float64)
+    return h, v_prob, v_next
+
+
+def forward(params, batch, rng=None, k=1):
+    """Conditioning recurrence plus one CD-k chain per frame for every
+    sample of a ``Batch``, drawing in turn from one ``rng``, or each from
+    its own when ``rng`` is a sequence of generators: every frame's chain
+    runs at once on its share of one bulk draw per generator (per frame and
+    chain step, n_h uniforms for h, then n_v for v), so the generators end
+    as if each sample had drawn alone."""
     if rng is None:
         raise InvalidInputError("the frame model needs a random generator")
     frames, lengths, mask = batch.frames, batch.lengths, batch.mask
@@ -218,15 +122,14 @@ def forward_batch(params, batch, rng=None, k=1):
         draws = np.concatenate([r.random(m * width) for r, m in zip(rng, lengths)])
     uniforms = np.ones((n, t_len, k, n_h + n_v))
     uniforms[mask] = draws.reshape(-1, k, n_h + n_v)
-    w, w_t = params.w, transpose(params.w)
+    # The positive phase is the first half-step's hidden probability.
+    w_t = transpose(params.w)
     h_pos = sigmoid(matvec(w_t, frames) + bhs)
     v_chain, h_prob = frames, h_pos
     for step in range(k):
-        if step:
-            h_prob = sigmoid(matvec(w_t, v_chain) + bhs)
-        h = (uniforms[:, :, step, :n_h] < h_prob).astype(np.float64)
-        recon = sigmoid(matvec(w, h) + bvs)
-        v_chain = (uniforms[:, :, step, n_h:] < recon).astype(np.float64)
+        _, recon, v_chain = gibbs_step(
+            params.w, bvs, bhs, v_chain, uniforms[:, :, step], h_prob)
+        h_prob = None
     h_neg = sigmoid(matvec(w_t, v_chain) + bhs)
     h_pos[~mask] = 0.0
     h_neg[~mask] = 0.0
@@ -235,7 +138,8 @@ def forward_batch(params, batch, rng=None, k=1):
         costs = np.mean(np.where(frames > 0.5, -np.log(recon), -np.log1p(-recon)),
                         axis=-1)
     cost = np.zeros(n)
-    for t in range(t_len):  # ``forward``'s running sum, in frame order
+    # A running sum in frame order: a padded sum over time can group differently.
+    for t in range(t_len):
         cost += np.where(mask[:, t], costs[:, t], 0.0)
     wrong = np.sum(((recon > 0.5) != frames) & mask[:, :, None], axis=(1, 2))
     return RnnRbmBatchTrace(
@@ -243,17 +147,19 @@ def forward_batch(params, batch, rng=None, k=1):
         wrong=wrong, total=lengths * n_v, predictions=np.full(n, None))
 
 
-def backward_batch(params, batch, trace):
-    """``backward`` of every sample of a ``Batch``: a (B, P) matrix whose
-    rows are the gradient vectors, bit for bit. Padded frames add exact
-    zeros."""
+def backward(params, batch, trace):
+    """CD gradients for the RBM blocks and exact recurrence backprop for
+    the conditioning blocks, with the phase statistics treated as
+    constants: a (B, P) matrix with one gradient vector per row. Padded
+    frames add exact zeros."""
+    check_trace(batch, trace.us)
     frames, mask = batch.frames, batch.mask
     n, t_len, n_v = frames.shape
     us, v_star, h_pos, h_neg = trace.us, trace.v_star, trace.h_pos, trace.h_neg
 
     g = params.like(np.zeros((n, params.vec.shape[-1])))
     # The adjacent (b_v, b_h) and (w_uv, w_uh) blocks take one stacked sum
-    # each, over (dbv_t, dbh_t); every entry keeps ``backward``'s order.
+    # each, over (dbv_t, dbh_t), accumulated in frame order.
     dbs = np.concatenate([-(frames - v_star), -(h_pos - h_neg)], axis=-1)
     g_w, g_b, g_wu = g.w, g.span("b_v", "b_h"), g.span("w_uv", "w_uh")
     for t in range(t_len):

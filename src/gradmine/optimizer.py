@@ -133,8 +133,8 @@ class MetricsLog:
 def _evaluate(model, params, batch, probs, epoch, seed):
     """Loss, error rate, and estimator variance over a packed batch, in one
     batched forward and backward at ``params``."""
-    trace = model.forward_batch(params, batch, stream_rng(seed, STREAM_EVAL, epoch))
-    grads = model.backward_batch(params, batch, trace)
+    trace = model.forward(params, batch, stream_rng(seed, STREAM_EVAL, epoch))
+    grads = model.backward(params, batch, trace)
     grad_var = analysis.gradient_variance(grads, probs)
     error_rate = int(np.sum(trace.wrong)) / int(np.sum(trace.total))
     return float(np.mean(trace.losses)), error_rate, grad_var
@@ -145,13 +145,16 @@ def train(dataset, params0, cfg, eval_dataset=None):
 
     Fully deterministic given (dataset, params0, cfg): index draws, model
     randomness, and per-epoch evaluation each own a seeded sub-stream.
-    The training and held-out samples are checked once, here.
+    The training and held-out samples are checked once, here. Each step
+    runs the model's passes on the drawn sample's one-row batch, packed
+    once per run.
     """
     samples = validate_dataset(cfg.spec, dataset)
     held = None if eval_dataset is None else pack(validate_dataset(
         cfg.spec, eval_dataset, "held-out sample"))
     n = len(samples)
     batch = pack(samples)
+    rows = [pack([sample]) for sample in samples]
     model = get_model(cfg.spec)
 
     if cfg.sampler == IMPORTANCE:
@@ -170,13 +173,12 @@ def train(dataset, params0, cfg, eval_dataset=None):
     for epoch in range(1, cfg.epochs + 1):
         for step in range(n):
             idx = int(schedule[(epoch - 1) * n + step])
-            sample = samples[idx]
-            trace = model.forward_unchecked(params, sample, rng_model)
-            if not np.isfinite(trace.loss):
+            trace = model.forward(params, rows[idx], rng_model)
+            if not np.isfinite(trace.losses[0]):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, step {step}, sample {idx}"
                 )
-            grads = model.backward_unchecked(params, sample, trace)
+            grads = params.like(model.backward(params, rows[idx], trace)[0])
             params = sgd_step(
                 params, grads, _step_size(cfg.lr, n, probs[idx], clip))
 
@@ -272,7 +274,7 @@ class Trainer(ParamsMixin):
         """One batched forward over ``X`` under the fitted parameters;
         chains draw from the (seed, STREAM_EVAL) stream."""
         batch = pack(validate_dataset(self.spec_, X))
-        return get_model(self.spec_).forward_batch(
+        return get_model(self.spec_).forward(
             self.params_, batch, stream_rng(self.seed, STREAM_EVAL))
 
     def predict(self, X):

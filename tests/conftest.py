@@ -1,9 +1,13 @@
 import sys
+from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
+
+from gradmine.models import get_model, pack, validate_dataset
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -17,6 +21,40 @@ def cores(n):
     """Mine as if the machine had ``n`` cores, so that up to ``n`` workers
     split the samples into that many shards on any machine."""
     return mock.patch("os.cpu_count", return_value=n)
+
+
+class OneSample:
+    """The library's passes on one sample at a time, for tests written per
+    sample: each call checks the sample as ``validate_dataset`` checks data
+    entering the library, packs it as a one-row ``Batch`` and runs the
+    model's ``forward`` or ``backward`` on that row. Traces are the
+    library's, so every field leads with a batch axis of 1."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.model = get_model(spec)
+
+    def init_params(self, seed):
+        return self.model.init_params(seed)
+
+    def row(self, sample):
+        return pack(validate_dataset(self.spec, [sample]))
+
+    def forward(self, params, sample, rng=None):
+        return self.model.forward(params, self.row(sample), rng)
+
+    def backward(self, params, sample, trace):
+        """The sample's gradient, as ``Params``."""
+        return params.like(self.model.backward(params, self.row(sample), trace)[0])
+
+    def loss(self, params, sample, rng=None):
+        return float(self.forward(params, sample, rng).losses[0])
+
+
+def first_row(trace):
+    """Row 0 of every field of a library trace: one sample's trace, for
+    oracles that read per-sample arrays."""
+    return SimpleNamespace(**{f.name: getattr(trace, f.name)[0] for f in fields(trace)})
 
 
 @pytest.fixture

@@ -1,19 +1,36 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written as plain step-by-step code, deliberately not
-sharing structure with the library (no stacked gates, no fused products),
-so agreement between the two is meaningful.
+sharing structure with the library's batched passes (no padding, no
+per-row parameters, one sample per call), so agreement between the two is
+meaningful. The single-sample passes at the end are the library's passes
+as they were before it ran every pass batched; the batched passes, the
+training step and lockstep mining must reproduce them bit for bit.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from gradmine.errors import DivergenceError
+from gradmine import optimizer
+from gradmine.errors import DivergenceError, InvalidInputError
 from gradmine.fim import HistoryRecord
-from gradmine.models import STREAM_MINE, get_model, param_block, param_blocks, stream_rng
+from gradmine.models import (
+    STREAM_DRAW,
+    STREAM_MINE,
+    STREAM_MODEL,
+    get_model,
+    pack,
+    param_block,
+    param_blocks,
+    stream_rng,
+    validate_dataset,
+)
+from gradmine.models.lstm import _blocks, _stacked
 from gradmine.optimizer import sgd_step
-from gradmine.tensor import matrix_norm
+from gradmine.sampling import build_alias, generate_sequence
+from gradmine.tensor import log_softmax, matrix_norm, sigmoid
 
 
 def finite_diff_grads(loss_fn, params, step=1e-5):
@@ -222,19 +239,20 @@ def cd_surrogate_loss(params, sample, trace):
 
 
 def per_sample_passes(model, params, samples, rng):
-    """The single-sample protocol over ``samples`` in turn, all drawing from
-    ``rng``: per-sample losses, mistakes, opportunities and predictions,
-    and the (N, P) matrix of gradient vectors. The batched passes must
-    reproduce every bit of it."""
+    """The single-sample passes of ``model``'s kind over ``samples`` in
+    turn, all drawing from ``rng``: per-sample losses, mistakes,
+    opportunities and predictions, and the (N, P) matrix of gradient
+    vectors. The batched passes must reproduce every bit of it."""
+    forward, backward, errors, predict = SCALAR[model.spec.kind]
     losses, wrong, total, predictions, grads = [], [], [], [], []
     for sample in samples:
-        trace = model.forward_unchecked(params, sample, rng)
-        w, t = model.errors(trace, sample)
+        trace = forward(params, sample, rng, model.spec.cd_k)
+        w, t = errors(trace, sample)
         losses.append(trace.loss)
         wrong.append(w)
         total.append(t)
-        predictions.append(model.predict(trace))
-        grads.append(model.backward_unchecked(params, sample, trace).vec)
+        predictions.append(predict(trace))
+        grads.append(backward(params, sample, trace).vec)
     return losses, wrong, total, predictions, np.stack(grads)
 
 
@@ -254,11 +272,11 @@ def mine_one_scalar(task):
     passes: the loop the lockstep miner must reproduce bit for bit.
     Returns ``fim._mine_one``'s tuple."""
     spec, sample, cfg, index, params = task
-    model = get_model(spec)
-    selector = cfg.base_selector or model.base_selector
+    forward, backward = SCALAR[spec.kind][:2]
+    selector = cfg.base_selector or get_model(spec).base_selector
     rng = stream_rng(cfg.seed, STREAM_MINE, index)
 
-    trace = model.forward_unchecked(params, sample, rng)
+    trace = forward(params, sample, rng, spec.cd_k)
     loss = float(trace.loss)
     grad_sum = np.zeros_like(np.atleast_1d(param_block(params, selector)))
     norm_sum = 0.0
@@ -268,14 +286,14 @@ def mine_one_scalar(task):
         if not np.isfinite(loss):
             raise DivergenceError(
                 f"private training diverged on sample {index} at step {steps}")
-        grads = model.backward_unchecked(params, sample, trace)
+        grads = backward(params, sample, trace)
         if cfg.record_history:
             base_grad = param_block(grads, selector)
             grad_sum += base_grad
             norm_sum += matrix_norm(base_grad, cfg.norm_kind)
         params = sgd_step(params, grads, cfg.lr)
         steps += 1
-        trace = model.forward_unchecked(params, sample, rng)
+        trace = forward(params, sample, rng, spec.cd_k)
         loss = float(trace.loss)
         if cfg.record_history:
             losses.append(loss)
@@ -300,3 +318,321 @@ def mine_rows_scalar(task):
     spec, samples, cfg, first, params = task
     return [mine_one_scalar((spec, sample, cfg, first + i, params))
             for i, sample in enumerate(samples)]
+
+
+def train_scalar(dataset, params0, cfg, eval_dataset=None):
+    """``optimizer.train`` with each training step run through the
+    single-sample passes: the loop the one-row training step must reproduce
+    bit for bit. Evaluation runs the library's batched ``_evaluate``, as
+    this loop always did. Returns (params, metrics log with ``wall_ms`` 0,
+    the model-stream generator at its end state)."""
+    forward, backward = SCALAR[cfg.spec.kind][:2]
+    samples = validate_dataset(cfg.spec, dataset)
+    held = None if eval_dataset is None else pack(validate_dataset(
+        cfg.spec, eval_dataset, "held-out sample"))
+    n = len(samples)
+    batch = pack(samples)
+    model = get_model(cfg.spec)
+    if cfg.sampler == optimizer.IMPORTANCE:
+        probs, clip = cfg.importance.check_fits(cfg.spec, n).probs, cfg.clip
+    else:
+        probs, clip = np.full(n, 1.0 / n), None
+    schedule = generate_sequence(
+        build_alias(probs), cfg.epochs * n, stream_rng(cfg.seed, STREAM_DRAW))
+    rng_model = stream_rng(cfg.seed, STREAM_MODEL)
+
+    log = optimizer.MetricsLog()
+    params = params0.like(params0.vec.copy())
+    for epoch in range(1, cfg.epochs + 1):
+        for step in range(n):
+            idx = int(schedule[(epoch - 1) * n + step])
+            trace = forward(params, samples[idx], rng_model, cfg.spec.cd_k)
+            if not np.isfinite(trace.loss):
+                raise DivergenceError(
+                    f"non-finite loss at epoch {epoch}, step {step}, sample {idx}")
+            grads = backward(params, samples[idx], trace)
+            params = sgd_step(
+                params, grads, optimizer._step_size(cfg.lr, n, probs[idx], clip))
+        if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
+            loss, err, gvar = optimizer._evaluate(
+                model, params, batch, probs, epoch, cfg.seed)
+            if not np.isfinite(loss):
+                raise DivergenceError(f"non-finite evaluation loss at epoch {epoch}")
+            log.rows.append(optimizer.MetricsRow(epoch, "train", loss, err, gvar, 0.0))
+            if held is not None:
+                n_held = held.lengths.size
+                row = optimizer._evaluate(model, params, held,
+                                          np.full(n_held, 1.0 / n_held), epoch, cfg.seed)
+                log.rows.append(optimizer.MetricsRow(epoch, "eval", *row, 0.0))
+    return params, log, rng_model
+
+
+# The single-sample passes: ``forward(params, sample, rng, k)`` returns a
+# trace of one sample's per-step arrays and its ``loss``, ``backward`` the
+# gradient as ``Params``, ``errors`` (mistakes, opportunities) and
+# ``predict`` the argmax class (None for the frame model).
+
+
+@dataclass
+class RnnTrace:
+    xs: np.ndarray  # (T, embed) embedded inputs
+    hs: np.ndarray  # (T+1, hidden), hs[0] = h0
+    ys: np.ndarray  # (T, vocab) per-step output distributions
+    loss: float
+
+
+def rnn_forward(params, sample, rng=None, k=1):
+    tokens = sample.tokens
+    t_len = tokens.size
+    xs = params.w_emb[tokens]
+    hs = np.empty((t_len + 1, params.h0.size))
+    hs[0] = params.h0
+    logits = np.empty((t_len, params.b_y.size))
+    for t in range(t_len):
+        hs[t + 1] = np.tanh(params.w_h @ hs[t] + params.w_x @ xs[t] + params.b_h)
+        logits[t] = params.w_s @ hs[t + 1] + params.b_y
+
+    logp = log_softmax(logits)
+    if sample.is_classification:
+        loss = -logp[t_len - 1, sample.label]
+    else:
+        loss = -np.mean(logp[np.arange(t_len), sample.targets])
+    return RnnTrace(xs=xs, hs=hs, ys=np.exp(logp), loss=float(loss))
+
+
+def rnn_backward(params, sample, trace):
+    tokens = sample.tokens
+    t_len = tokens.size
+    dz = trace.ys.copy()  # d loss / d logits, per step
+    if sample.is_classification:
+        dz[: t_len - 1] = 0.0
+        dz[t_len - 1, sample.label] -= 1.0
+    else:
+        dz[np.arange(t_len), sample.targets] -= 1.0
+        dz /= t_len
+
+    g = params.like()
+    g_w_emb, g_w_x, g_w_h, g_b_h = g.w_emb, g.w_x, g.w_h, g.b_h
+    g.w_s = dz.T @ trace.hs[1:]
+    g.b_y = dz.sum(axis=0)
+    carry = np.zeros_like(params.h0)  # d loss / d h_t from steps after t
+    for t in range(t_len - 1, -1, -1):
+        dh = params.w_s.T @ dz[t] + carry
+        da = dh * (1.0 - trace.hs[t + 1] ** 2)
+        g_w_h += np.outer(da, trace.hs[t])
+        g_w_x += np.outer(da, trace.xs[t])
+        g_b_h += da
+        g_w_emb[tokens[t]] += params.w_x.T @ da
+        carry = params.w_h.T @ da
+    g.h0 = carry
+    return g
+
+
+def rnn_predict(trace):
+    return int(np.argmax(trace.ys[-1]))
+
+
+def rnn_errors(trace, sample):
+    if sample.is_classification:
+        return int(rnn_predict(trace) != sample.label), 1
+    pred = np.argmax(trace.ys, axis=1)
+    return int(np.sum(pred != sample.targets)), sample.tokens.size
+
+
+@dataclass
+class LstmTrace:
+    xs: np.ndarray  # (T, embed)
+    zs: np.ndarray  # (T, hidden) gate activations
+    fs: np.ndarray
+    gs: np.ndarray  # candidate cells, in (-1, 1)
+    os_: np.ndarray
+    cs: np.ndarray  # (T+1, hidden), cs[0] = c0
+    tcs: np.ndarray  # (T, hidden) tanh(C_t)
+    hs: np.ndarray  # (T+1, hidden), hs[0] = h0
+    probs: np.ndarray  # (classes,) head output
+    loss: float
+
+
+def lstm_forward(params, sample, rng=None, k=1):
+    tokens = sample.tokens
+    t_len = tokens.size
+    hidden = params.h0.size
+    z_blk, f_blk, c_blk, o_blk = _blocks(hidden)
+
+    xs = params.w_emb[tokens]
+    gates = np.empty((t_len, 4 * hidden))  # (z, f, g, o) activations
+    cs = np.empty((t_len + 1, hidden))
+    tcs = np.empty((t_len, hidden))
+    hs = np.empty((t_len + 1, hidden))
+    cs[0] = params.c0
+    hs[0] = params.h0
+    w_all, u_all, b_all = _stacked(params)
+    pre_x = xs @ w_all.T + b_all  # (T, 4*hidden), input share of every gate
+    for t in range(t_len):
+        acts = pre_x[t] + u_all @ hs[t]
+        gate = gates[t]
+        gate[:] = sigmoid(acts)
+        np.tanh(acts[c_blk], out=gate[c_blk])
+        np.add(gate[z_blk] * gate[c_blk], gate[f_blk] * cs[t], out=cs[t + 1])
+        np.tanh(cs[t + 1], out=tcs[t])
+        np.multiply(gate[o_blk], tcs[t], out=hs[t + 1])
+    zs, fs, gs, os_ = (gates[:, blk] for blk in (z_blk, f_blk, c_blk, o_blk))
+
+    pooled = hs[1:].mean(axis=0)
+    logp = log_softmax(params.w_cls @ pooled + params.b_cls)
+    return LstmTrace(xs=xs, zs=zs, fs=fs, gs=gs, os_=os_, cs=cs, tcs=tcs,
+                     hs=hs, probs=np.exp(logp), loss=float(-logp[sample.label]))
+
+
+def lstm_backward(params, sample, trace):
+    tokens = sample.tokens
+    t_len = tokens.size
+    z_blk, f_blk, c_blk, o_blk = _blocks(params.h0.size)
+    dlogits = trace.probs.copy()
+    dlogits[sample.label] -= 1.0
+    pooled = trace.hs[1:].mean(axis=0)
+    dh_pool = (params.w_cls.T @ dlogits) / t_len
+    dh_next = np.zeros_like(params.h0)
+    dc_next = np.zeros_like(params.c0)
+
+    w_all, u_all, _ = _stacked(params)
+    g = params.like()
+    zs, fs, gs, os_, cs, tcs = (
+        trace.zs, trace.fs, trace.gs, trace.os_, trace.cs, trace.tcs)
+    one_z, one_f, one_o = 1.0 - zs, 1.0 - fs, 1.0 - os_
+    one_g2, one_tc2 = 1.0 - gs**2, 1.0 - tcs**2
+    da_all = np.empty((t_len, 4 * params.h0.size))  # pre-activation grads
+    for t in range(t_len - 1, -1, -1):
+        z, f, o = zs[t], fs[t], os_[t]
+        dh = dh_pool + dh_next
+        do = dh * tcs[t]
+        dc = dh * o * one_tc2[t] + dc_next
+        da = da_all[t]
+        da[z_blk] = dc * gs[t] * z * one_z[t]
+        da[f_blk] = dc * cs[t] * f * one_f[t]
+        da[c_blk] = dc * z * one_g2[t]
+        da[o_blk] = do * o * one_o[t]
+        dc_next = dc * f
+        g.w_emb[tokens[t]] += w_all.T @ da
+        dh_next = u_all.T @ da
+
+    g_w, g_u, g_b = _stacked(g)
+    g_w[...] = da_all.T @ trace.xs
+    g_u[...] = da_all.T @ trace.hs[:-1]
+    g_b[...] = da_all.sum(axis=0)
+    g.w_cls = np.outer(dlogits, pooled)
+    g.b_cls = dlogits
+    g.h0 = dh_next
+    g.c0 = dc_next
+    return g
+
+
+def lstm_predict(trace):
+    return int(np.argmax(trace.probs))
+
+
+def lstm_errors(trace, sample):
+    return int(lstm_predict(trace) != sample.label), 1
+
+
+@dataclass
+class RnnRbmTrace:
+    us: np.ndarray  # (T+1, context), us[0] = u0
+    bvs: np.ndarray  # (T, n_v) per-step visible biases
+    bhs: np.ndarray  # (T, n_h)
+    v_star: np.ndarray  # (T, n_v) chain-end visible samples
+    h_pos: np.ndarray  # (T, n_h) sigmoid(W^T v_t + bh_t)
+    h_neg: np.ndarray  # (T, n_h) sigmoid(W^T v_star_t + bh_t)
+    recon: np.ndarray  # (T, n_v) visible probabilities at the chain ends
+    loss: float  # monitoring cost
+
+
+def rnnrbm_gibbs_step(w, bv, bh, v, rng, h_prob=None):
+    """One Gibbs update of one chain, drawing n_h then n_v uniforms from
+    ``rng``: (h_sample, v_next_prob, v_next_sample)."""
+    if h_prob is None:
+        h_prob = sigmoid(w.T @ v + bh)
+    h = (rng.random(h_prob.size) < h_prob).astype(np.float64)
+    v_prob = sigmoid(w @ h + bv)
+    v_next = (rng.random(v_prob.size) < v_prob).astype(np.float64)
+    return h, v_prob, v_next
+
+
+def bernoulli_cost(v, prob):
+    """Mean cross-entropy of 0/1 ``v`` under ``prob``; inf on a saturated
+    mismatch."""
+    with np.errstate(divide="ignore"):
+        out = np.where(v > 0.5, -np.log(prob), -np.log1p(-prob))
+    return float(np.mean(out))
+
+
+def rnnrbm_forward(params, sample, rng=None, k=1):
+    if rng is None:
+        raise InvalidInputError("the frame model needs a random generator")
+    frames = sample.frames
+    t_len = frames.shape[0]
+    us = np.empty((t_len + 1, params.u0.size))
+    us[0] = params.u0
+    bvs, v_star, recon = (np.empty((t_len, params.b_v.size)) for _ in range(3))
+    bhs, h_pos, h_neg = (np.empty((t_len, params.b_h.size)) for _ in range(3))
+    cost = 0.0
+    for t in range(t_len):
+        v = frames[t]
+        bvs[t] = params.b_v + params.w_uv @ us[t]
+        bhs[t] = params.b_h + params.w_uh @ us[t]
+        h_pos[t] = sigmoid(params.w.T @ v + bhs[t])
+        v_chain, h_prob = v, h_pos[t]
+        for _ in range(k):
+            _, recon[t], v_chain = rnnrbm_gibbs_step(
+                params.w, bvs[t], bhs[t], v_chain, rng, h_prob)
+            h_prob = None
+        v_star[t] = v_chain
+        h_neg[t] = sigmoid(params.w.T @ v_chain + bhs[t])
+        cost += bernoulli_cost(v, recon[t])
+        us[t + 1] = np.tanh(params.b_u + params.w_uu @ us[t] + params.w_vu @ v)
+    return RnnRbmTrace(us=us, bvs=bvs, bhs=bhs, v_star=v_star, h_pos=h_pos,
+                       h_neg=h_neg, recon=recon, loss=cost / t_len)
+
+
+def rnnrbm_backward(params, sample, trace):
+    frames = sample.frames
+    t_len = frames.shape[0]
+    g = params.like()
+    dbvs = np.empty((t_len, params.b_v.size))
+    dbhs = np.empty((t_len, params.b_h.size))
+    for t in range(t_len):
+        v, v_star = frames[t], trace.v_star[t]
+        g.w -= np.outer(v, trace.h_pos[t]) - np.outer(v_star, trace.h_neg[t])
+        dbvs[t] = -(v - v_star)
+        dbhs[t] = -(trace.h_pos[t] - trace.h_neg[t])
+        g.b_v += dbvs[t]
+        g.b_h += dbhs[t]
+        g.w_uv += np.outer(dbvs[t], trace.us[t])
+        g.w_uh += np.outer(dbhs[t], trace.us[t])
+
+    du = np.zeros_like(params.u0)  # d loss / d u_{t+1}, carried backwards
+    for t in range(t_len - 1, -1, -1):
+        da = du * (1.0 - trace.us[t + 1] ** 2)
+        g.b_u += da
+        g.w_uu += np.outer(da, trace.us[t])
+        g.w_vu += np.outer(da, frames[t])
+        du = params.w_uu.T @ da
+        du += params.w_uv.T @ dbvs[t] + params.w_uh.T @ dbhs[t]
+    g.u0 = du
+    return g
+
+
+def rnnrbm_errors(trace, sample):
+    return int(np.sum((trace.recon > 0.5) != sample.frames)), sample.frames.size
+
+
+def rnnrbm_predict(trace):
+    return None
+
+
+# kind -> (forward, backward, errors, predict)
+SCALAR = {
+    "rnn": (rnn_forward, rnn_backward, rnn_errors, rnn_predict),
+    "lstm": (lstm_forward, lstm_backward, lstm_errors, lstm_predict),
+    "rnnrbm": (rnnrbm_forward, rnnrbm_backward, rnnrbm_errors, rnnrbm_predict),
+}

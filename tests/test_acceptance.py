@@ -31,7 +31,7 @@ from gradmine.models import (
 from gradmine.optimizer import TrainConfig, train
 from gradmine.sampling import build_alias, generate_sequence
 
-from conftest import randomize
+from conftest import OneSample, first_row, randomize
 from oracles import (
     cd_surrogate_loss,
     finite_diff_grads,
@@ -52,7 +52,7 @@ def test_criterion_1_gradient_correctness():
     worst = 0.0
 
     spec = ModelSpec(kind="rnn", vocab=6, embed=4, hidden=5)
-    model = get_model(spec)
+    model = OneSample(spec)
     for trial in range(20):
         params = randomize(model.init_params(trial), rng, 0.5)
         t_len = int(rng.integers(1, 5))
@@ -66,7 +66,7 @@ def test_criterion_1_gradient_correctness():
         worst = max(worst, max_fd_violation(grads, numeric))
 
     spec = ModelSpec(kind="lstm", vocab=6, embed=4, hidden=5, classes=2)
-    model = get_model(spec)
+    model = OneSample(spec)
     for trial in range(20):
         params = randomize(model.init_params(trial), rng, 0.5)
         t_len = int(rng.integers(1, 5))
@@ -78,7 +78,7 @@ def test_criterion_1_gradient_correctness():
         worst = max(worst, max_fd_violation(grads, numeric))
 
     spec = ModelSpec(kind="rnnrbm", vocab=5, hidden=4, context=3, cd_k=1)
-    model = get_model(spec)
+    model = OneSample(spec)
     for trial in range(20):
         params = randomize(model.init_params(trial), rng, 0.5)
         t_len = int(rng.integers(1, 5))
@@ -89,7 +89,7 @@ def test_criterion_1_gradient_correctness():
         trace = model.forward(params, sample, rng=np.random.default_rng(trial))
         grads = model.backward(params, sample, trace)
         numeric = finite_diff_grads(
-            lambda p: cd_surrogate_loss(p, sample, trace), params
+            lambda p: cd_surrogate_loss(p, sample, first_row(trace)), params
         )
         worst = max(worst, max_fd_violation(grads, numeric))
 
@@ -317,7 +317,7 @@ def test_criterion_9_desk_scale_convergence():
 def test_criterion_10_rbm_decoupling():
     rng = np.random.default_rng(1000)
     spec = ModelSpec(kind="rnnrbm", vocab=6, hidden=5, context=3, cd_k=1)
-    model = get_model(spec)
+    model = OneSample(spec)
     params = randomize(model.init_params(0), rng, 0.4)
     for name in ("w_uv", "w_uh", "w_uu", "w_vu"):
         getattr(params, name)[:] = 0.0
@@ -333,7 +333,7 @@ def test_criterion_10_rbm_decoupling():
     weight_err = float(np.max(np.abs(grads.w - g_w)))
 
     zero = randomize(model.init_params(0), rng, 0.0)
-    cost = model.forward(zero, sample, rng=np.random.default_rng(1)).loss
+    cost = model.loss(zero, sample, rng=np.random.default_rng(1))
     cost_err = abs(cost - np.log(2))
     report(
         10,

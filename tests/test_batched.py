@@ -1,8 +1,10 @@
-"""The batched passes at shared parameters against the single-sample
-protocol: every loss, error count, prediction, gradient bit and random
-draw must agree with ``oracles.per_sample_passes``."""
+"""The batched passes against the single-sample passes of the oracles:
+every loss, error count, prediction, gradient bit and random draw must
+agree with ``oracles.per_sample_passes``, and a training run, whose steps
+run one-row batches, with ``oracles.train_scalar``."""
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +13,12 @@ from hypothesis import strategies as st
 
 from gradmine import optimizer
 from gradmine.data import FrameSequence, SequenceSample, gen_pianoroll, gen_seqclass
+from gradmine.errors import DivergenceError
+from gradmine.fim import ImportanceTable
 from gradmine.models import (
     MODEL_KINDS,
     STREAM_EVAL,
+    STREAM_MODEL,
     ModelSpec,
     Params,
     get_model,
@@ -21,13 +26,14 @@ from gradmine.models import (
     stream_rng,
 )
 
-from conftest import randomize
+from conftest import OneSample, randomize
 from oracles import (
     cd_surrogate_loss,
     evaluate_per_sample,
     finite_diff_grads,
     max_fd_violation,
     per_sample_passes,
+    train_scalar,
 )
 
 
@@ -78,8 +84,8 @@ def test_batched_passes_equal_the_per_sample_loop(kind, dims, lengths, equal, se
 
     draws, oracle_draws = np.random.default_rng(seed), np.random.default_rng(seed)
     batch = pack(samples)
-    trace = model.forward_batch(params, batch, draws)
-    grads = model.backward_batch(params, batch, trace)
+    trace = model.forward(params, batch, draws)
+    grads = model.backward(params, batch, trace)
     losses, wrong, total, predictions, oracle_grads = per_sample_passes(
         model, params, samples, oracle_draws)
 
@@ -120,13 +126,13 @@ def test_a_gradient_matrix_is_params_rows():
 def test_batched_gradient_rows_match_finite_differences(kind):
     rng = np.random.default_rng(7)
     spec = ModelSpec(kind=kind, vocab=5, embed=3, hidden=4, classes=3)
-    model = get_model(spec)
+    model, one = get_model(spec), OneSample(spec)
     params = randomize(model.init_params(0), rng)
     samples = random_samples(kind, spec, [4, 1, 6, 3], rng)
     batch = pack(samples)
-    grads = model.backward_batch(params, batch, model.forward_batch(params, batch))
+    grads = model.backward(params, batch, model.forward(params, batch))
     for b in (0, 1, 2):
-        numeric = finite_diff_grads(lambda p: model.loss(p, samples[b]), params)
+        numeric = finite_diff_grads(lambda p: one.loss(p, samples[b]), params)
         assert max_fd_violation(params.like(grads[b]), numeric) < 1e-4
 
 
@@ -139,8 +145,8 @@ def test_batched_rnnrbm_rows_match_the_cd_surrogate():
     params = randomize(model.init_params(0), rng)
     samples = random_samples("rnnrbm", spec, [3, 5, 1], rng)
     batch = pack(samples)
-    trace = model.forward_batch(params, batch, np.random.default_rng(0))
-    grads = model.backward_batch(params, batch, trace)
+    trace = model.forward(params, batch, np.random.default_rng(0))
+    grads = model.backward(params, batch, trace)
     for b, sample in enumerate(samples):
         size = sample.length
         frozen = SimpleNamespace(**{
@@ -184,3 +190,77 @@ def test_evaluate_equals_the_per_sample_loop(kind):
     expected = evaluate_per_sample(model, t.params_, samples, probs,
                                    stream_rng(t.seed, STREAM_EVAL, 4))
     assert_same_bits(got, expected)
+
+
+def train_outcome(train, samples, params0, cfg, held):
+    """Final parameter bits, every metrics field but ``wall_ms``, and the
+    end state of the model-stream generator; or the divergence message."""
+    try:
+        params, log, model_rng = train(samples, params0, cfg, held)
+    except DivergenceError as exc:
+        return str(exc)
+    rows = [(r.epoch, r.split, *(np.float64(v).tobytes()
+                                 for v in (r.loss, r.error_rate, r.grad_var)))
+            for r in log.rows]
+    return params.vec.tobytes(), rows, model_rng.bit_generator.state
+
+
+def library_train(samples, params0, cfg, held):
+    """``optimizer.train``, also returning the generator it drew the model
+    stream from."""
+    made = []
+
+    def recording(seed, stream, extra=None):
+        made.append((stream, stream_rng(seed, stream, extra)))
+        return made[-1][1]
+
+    with mock.patch.object(optimizer, "stream_rng", recording):
+        params, log = optimizer.train(samples, params0, cfg, eval_dataset=held)
+    (model_rng,) = [gen for stream, gen in made if stream == STREAM_MODEL]
+    return params, log, model_rng
+
+
+train_specs = st.builds(dict, vocab=widths, embed=widths, hidden=widths,
+                        classes=st.integers(1, 3), context=widths,
+                        cd_k=st.sampled_from([1, 3]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(kind=st.sampled_from(MODEL_KINDS), dims=train_specs,
+       lengths=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+       held_lengths=st.lists(st.integers(1, 12), max_size=3),
+       importance=st.booleans(), clip=st.sampled_from([None, 1.5]),
+       lr=st.sampled_from([0.05, 0.5, 3.0]), epochs=st.integers(1, 3),
+       eval_every=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+@example(kind="rnnrbm", dims=dict(vocab=1, embed=1, hidden=1, classes=1,
+                                  context=1, cd_k=3),
+         lengths=[3, 1, 12], held_lengths=[2, 5], importance=True, clip=1.5,
+         lr=0.5, epochs=2, eval_every=1, seed=3)
+@example(kind="lstm", dims=dict(vocab=5, embed=12, hidden=11, classes=2,
+                                context=1, cd_k=1),
+         lengths=[2, 1, 1, 10], held_lengths=[1], importance=False, clip=None,
+         lr=0.5, epochs=2, eval_every=1, seed=0)
+def test_train_equals_the_scalar_loop(kind, dims, lengths, held_lengths,
+                                      importance, clip, lr, epochs, eval_every, seed):
+    rng = np.random.default_rng(seed)
+    spec = ModelSpec(kind=kind, **dims)
+    samples = random_samples(kind, spec, lengths, rng)
+    held = random_samples(kind, spec, held_lengths, rng) or None
+    params0 = randomize(get_model(spec).init_params(0), rng)
+    table = None
+    if importance:
+        n = len(samples)
+        norms = rng.random(n) + 0.01
+        table = ImportanceTable(
+            model=kind, base_selector="w", epsilon=1.0, seed=0,
+            norm_kind="frobenius", norms=norms, probs=norms / norms.sum(),
+            iterations=np.zeros(n, dtype=int), converged=np.ones(n, dtype=bool))
+    cfg = optimizer.TrainConfig(
+        spec=spec, lr=lr, epochs=epochs,
+        sampler=optimizer.IMPORTANCE if importance else optimizer.UNIFORM,
+        importance=table, seed=seed % 1000, eval_every=eval_every,
+        clip=clip if importance else None)
+    with np.errstate(all="ignore"):
+        expected = train_outcome(train_scalar, samples, params0, cfg, held)
+        got = train_outcome(library_train, samples, params0, cfg, held)
+    assert got == expected

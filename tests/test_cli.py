@@ -529,6 +529,23 @@ class TestVariance:
         assert reports[1]["uniform"] > 0.0
         assert reports[1]["uniform"] != reports[0]["uniform"]
 
+    def test_negative_warm_epochs_exit_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        loads = []
+        monkeypatch.setattr(cli.data, "load_dataset",
+                            lambda *a, **k: loads.append(a))
+        before = set(tmp_path.iterdir())
+        code = run([
+            "variance", "--data", str(data), "--model", "rnn",
+            "--warm-epochs", "-1", "--out", str(tmp_path / "var.json"),
+        ])
+        assert code == 2
+        assert "--warm-epochs must be >= 0, got -1" in capsys.readouterr().err
+        assert loads == []
+        assert set(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("model, n", [("lstm", 12), ("rnn", 11)],
                              ids=["another-model", "another-count"])
     def test_mismatched_table_exits_2_before_any_work(

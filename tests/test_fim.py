@@ -23,10 +23,10 @@ from gradmine.fim import (
     mine_importance,
     save_importance,
 )
-from gradmine.models import ModelSpec, get_model, param_block, spec_for_dataset
+from gradmine.models import ModelSpec, param_block, spec_for_dataset
 from gradmine.sampling import SamplingDistribution
 
-from conftest import cores
+from conftest import OneSample, cores
 
 
 def dataset_of(samples, vocab):
@@ -77,7 +77,7 @@ class TestMineImportance:
         mined_top = set(np.argsort(-table.probs)[:5].tolist())
         assert mined_top == hard
 
-        model = get_model(spec)
+        model = OneSample(spec)
         params = model.init_params(0)
         sup = np.zeros(20)
         order_rng = np.random.default_rng(42)
@@ -269,6 +269,19 @@ class TestBuildDistribution:
             iterations=[5, 9], converged=[True, True],
         )
         np.testing.assert_allclose(build_distribution(table).probs, [0.25, 0.75])
+
+    @pytest.mark.parametrize("smoothing", [np.nan, np.inf, -0.5])
+    def test_smoothing_must_be_finite_and_non_negative(self, smoothing):
+        with pytest.raises(ConfigError, match="smoothing"):
+            build_distribution(np.array([1.0, 3.0]), smoothing=smoothing)
+        miner = ImportanceMiner(smoothing=smoothing)
+        miner.table_ = ImportanceTable(
+            model="rnn", base_selector="w_x", epsilon=0.1, seed=0,
+            norm_kind="frobenius", norms=[1.0, 3.0], probs=[0.25, 0.75],
+            iterations=[5, 9], converged=[True, True],
+        )
+        with pytest.raises(ConfigError, match="smoothing"):
+            miner.distribution()
 
 
 class TestImportanceIO:

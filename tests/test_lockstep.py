@@ -139,7 +139,7 @@ def test_every_batched_field_is_batch_major(kind):
     params = params.like(np.repeat(params.vec[None], 3, axis=0))
     rngs = [np.random.default_rng(i) for i in range(3)]
     batch = pack(samples)
-    trace = model.forward_batch(params, batch, rngs)
+    trace = model.forward(params, batch, rngs)
     for obj in (batch, trace):
         for field in fields(obj):
             value = getattr(obj, field.name)

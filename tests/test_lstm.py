@@ -3,15 +3,15 @@ import pytest
 
 from gradmine.data import SequenceSample
 from gradmine.errors import InvalidInputError
-from gradmine.models import ModelSpec, get_model, param_blocks
+from gradmine.models import ModelSpec, param_blocks
 from gradmine.models import lstm
 
-from conftest import randomize
+from conftest import OneSample, randomize
 from oracles import finite_diff_grads, max_fd_violation, naive_lstm_loss
 
 
 def small_model(classes=2):
-    return get_model(ModelSpec(kind="lstm", vocab=6, embed=4, hidden=5, classes=classes))
+    return OneSample(ModelSpec(kind="lstm", vocab=6, embed=4, hidden=5, classes=classes))
 
 
 class TestForward:
@@ -20,13 +20,14 @@ class TestForward:
         params = randomize(model.init_params(0), np.random.default_rng(0), 0.0)
         sample = SequenceSample(tokens=[0, 1, 2], label=1)
         trace = model.forward(params, sample)
-        np.testing.assert_allclose(trace.zs, 0.5)
-        np.testing.assert_allclose(trace.fs, 0.5)
-        np.testing.assert_allclose(trace.os_, 0.5)
+        zs, fs, _, os_ = np.split(trace.gates[0], 4, axis=-1)
+        np.testing.assert_allclose(zs, 0.5)
+        np.testing.assert_allclose(fs, 0.5)
+        np.testing.assert_allclose(os_, 0.5)
         np.testing.assert_array_equal(trace.cs, 0.0)
         np.testing.assert_array_equal(trace.hs, 0.0)
         np.testing.assert_allclose(trace.probs, 1 / 3)
-        assert abs(trace.loss - np.log(3)) < 1e-12
+        assert abs(trace.losses[0] - np.log(3)) < 1e-12
 
     def test_gate_saturation_carries_memory(self, rng):
         model = small_model()
@@ -35,7 +36,7 @@ class TestForward:
         params.b_z[:] = -1e3  # input gate pinned at 0
         params.c0[:] = rng.normal(size=5)
         trace = model.forward(params, SequenceSample(tokens=[1, 2, 3, 4], label=0))
-        np.testing.assert_allclose(trace.cs[-1], params.c0, atol=1e-12)
+        np.testing.assert_allclose(trace.cs[0, -1], params.c0, atol=1e-12)
 
     def test_matches_naive_recurrence(self, rng):
         model = small_model()
@@ -49,9 +50,10 @@ class TestForward:
             params = randomize(model.init_params(trial), rng, 2.0)
             sample = SequenceSample(tokens=rng.integers(0, 6, size=6), label=1)
             trace = model.forward(params, sample)
-            for gate in (trace.zs, trace.fs, trace.os_):
+            zs, fs, gs, os_ = np.split(trace.gates[0], 4, axis=-1)
+            for gate in (zs, fs, os_):
                 assert np.all(gate >= 0.0) and np.all(gate <= 1.0)
-            assert np.all(np.abs(trace.gs) <= 1.0)
+            assert np.all(np.abs(gs) <= 1.0)
 
     def test_requires_label(self):
         model = small_model()
@@ -86,7 +88,7 @@ class TestBackward:
         params.b_cls[1] = 50.0
         sample = SequenceSample(tokens=[1, 2, 3], label=1)
         trace = model.forward(params, sample)
-        assert trace.loss < 1e-12
+        assert trace.losses[0] < 1e-12
         grads = model.backward(params, sample, trace)
         for block in param_blocks(grads).values():
             assert np.max(np.abs(block)) < 1e-6

@@ -11,9 +11,11 @@ from gradmine.errors import InvalidInputError
 from gradmine.fim import FimConfig, mine_importance
 from gradmine.models import (
     MODEL_KINDS,
+    Model,
     ModelSpec,
     get_model,
     lstm,
+    pack,
     rnn,
     rnnrbm,
     spec_for_dataset,
@@ -23,7 +25,10 @@ from gradmine.optimizer import TrainConfig, train
 
 MODULES = {"rnn": rnn, "lstm": lstm, "rnnrbm": rnnrbm}
 PROTOCOL = ("BASE_SELECTOR", "layout", "init_params", "check_sample", "forward",
-            "backward", "errors", "predict", "forward_batch", "backward_batch")
+            "backward")
+# Beyond the protocol, only the frame model's chain half-step, which its
+# forward calls k times per pass, is public.
+EXTRA = {"rnn": set(), "lstm": set(), "rnnrbm": {"gibbs_step"}}
 
 
 def spec_and_sample(kind):
@@ -47,28 +52,44 @@ def test_module_exports_the_protocol(kind):
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_each_pass_has_one_implementation(kind):
+    # The batched passes are the only ones: a module defines no public
+    # function beyond the protocol, and ``Model`` no single-sample method.
+    module = MODULES[kind]
+    public = {name for name, obj in vars(module).items()
+              if inspect.isfunction(obj) and obj.__module__ == module.__name__
+              and not name.startswith("_")}
+    assert public == set(PROTOCOL[1:]) | EXTRA[kind]
+    methods = {name for name in dir(Model) if not name.startswith("_")}
+    assert methods == {"module", "base_selector", "init_params", "forward", "backward"}
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
 @pytest.mark.parametrize("fn", ["forward", "backward"])
 def test_sample_is_the_second_positional_parameter(kind, fn):
-    # Span tracers read the sample as args[1].
+    # Span tracers read the packed samples as args[1].
     params = list(inspect.signature(getattr(MODULES[kind], fn)).parameters)
-    assert params[:2] == ["params", "sample"]
+    assert params[:2] == ["params", "batch"]
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_trace_fields_are_time_major_arrays(kind):
-    # Every per-step field is one array over time, so traces of several
-    # samples can be padded along that axis; only the head output is not.
+    # Every per-step field is one array over time after the batch axis, so
+    # samples of several lengths pad along that axis; the per-sample
+    # fields have the batch axis alone, or one of the head's width.
     spec, sample = spec_and_sample(kind)
     model = get_model(spec)
-    trace = model.forward(model.init_params(0), sample, np.random.default_rng(0))
+    trace = model.forward(model.init_params(0), pack([sample]),
+                          np.random.default_rng(0))
     t_len = len(sample.frames) if kind == "rnnrbm" else len(sample.tokens)
     for f in dataclasses.fields(trace):
-        if f.name == "loss":
-            continue
         value = getattr(trace, f.name)
-        assert isinstance(value, np.ndarray), f.name
-        if f.name != "probs":
-            assert value.shape[0] in (t_len, t_len + 1), f.name
+        assert isinstance(value, np.ndarray) and value.shape[0] == 1, f.name
+        if value.ndim == 3:
+            assert value.shape[1] in (t_len, t_len + 1), f.name
+        else:
+            assert f.name in ("losses", "wrong", "total", "predictions",
+                              "pooled", "probs"), f.name
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -76,6 +97,7 @@ def test_model_calls_the_module_attribute_at_call_time(kind, monkeypatch):
     spec, sample = spec_and_sample(kind)
     model = get_model(spec)
     params = model.init_params(0)
+    batch = pack([sample])
     seen = []
     real = MODULES[kind].forward
 
@@ -84,10 +106,9 @@ def test_model_calls_the_module_attribute_at_call_time(kind, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(MODULES[kind], "forward", spy)
-    trace = model.forward(params, sample, rng=np.random.default_rng(0))
-    assert seen == [(sample, spec.cd_k)]
-    wrong, total = model.errors(trace, sample)
-    assert 0 <= wrong <= total
+    trace = model.forward(params, batch, rng=np.random.default_rng(0))
+    assert seen == [(batch, spec.cd_k)]
+    assert 0 <= trace.wrong[0] <= trace.total[0]
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

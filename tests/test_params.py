@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gradmine.data import SequenceSample
 from gradmine.errors import ConfigError
-from gradmine.models import MODEL_KINDS, ModelSpec, Params, get_model, lstm, param_blocks
+from gradmine.models import MODEL_KINDS, ModelSpec, Params, get_model, lstm, pack, param_blocks
 from gradmine.optimizer import sgd_step
 
 # Block order of each model, which is also the order of flattened gradients.
@@ -92,7 +92,8 @@ def test_backward_returns_the_same_layout():
     model = get_model(spec)
     params = model.init_params(0)
     sample = SequenceSample(tokens=[1, 2, 5], label=1)
-    grads = model.backward(params, sample, model.forward(params, sample))
+    batch = pack([sample])
+    grads = params.like(model.backward(params, batch, model.forward(params, batch))[0])
     assert grads.layout == params.layout
     assert not np.shares_memory(grads.vec, params.vec)
 

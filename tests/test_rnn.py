@@ -3,15 +3,15 @@ import pytest
 
 from gradmine.data import SequenceSample
 from gradmine.errors import ConfigError, InvalidInputError
-from gradmine.models import ModelSpec, get_model, grad_norm, param_blocks
+from gradmine.models import ModelSpec, grad_norm, param_blocks
 from gradmine.models import rnn
 
-from conftest import randomize
+from conftest import OneSample, randomize
 from oracles import finite_diff_grads, max_fd_violation, naive_rnn_loss
 
 
 def small_model():
-    return get_model(ModelSpec(kind="rnn", vocab=6, embed=4, hidden=5))
+    return OneSample(ModelSpec(kind="rnn", vocab=6, embed=4, hidden=5))
 
 
 def random_sample(rng, vocab=6, max_len=4, classification=False):
@@ -24,12 +24,12 @@ def random_sample(rng, vocab=6, max_len=4, classification=False):
 
 class TestForward:
     def test_zero_params_uniform_output(self):
-        model = get_model(ModelSpec(kind="rnn", vocab=4, embed=3, hidden=2))
+        model = OneSample(ModelSpec(kind="rnn", vocab=4, embed=3, hidden=2))
         params = randomize(model.init_params(0), np.random.default_rng(0), 0.0)
         sample = SequenceSample(tokens=[0, 1, 2], targets=[1, 2, 3])
         trace = model.forward(params, sample)
-        np.testing.assert_allclose(trace.ys, 0.25)
-        assert abs(trace.loss - np.log(4)) < 1e-12
+        np.testing.assert_allclose(trace.ys[0], 0.25)
+        assert abs(trace.losses[0] - np.log(4)) < 1e-12
 
     def test_dead_recurrence_gives_constant_state(self, rng):
         model = small_model()
@@ -39,14 +39,14 @@ class TestForward:
         params.b_h[:] = rng.normal(size=5)
         trace = model.forward(params, SequenceSample(tokens=[0, 3, 5], label=1))
         for t in range(3):
-            np.testing.assert_allclose(trace.hs[t + 1], np.tanh(params.b_h))
+            np.testing.assert_allclose(trace.hs[0, t + 1], np.tanh(params.b_h))
 
     def test_matches_naive_recurrence(self, rng):
         model = small_model()
         params = randomize(model.init_params(0), np.random.default_rng(0), 0.6)
         sample = SequenceSample(tokens=[1, 5, 0], targets=[2, 0, 3])
         trace = model.forward(params, sample)
-        assert abs(trace.loss - naive_rnn_loss(params, sample)) < 1e-10
+        assert abs(trace.losses[0] - naive_rnn_loss(params, sample)) < 1e-10
         cls = SequenceSample(tokens=[1, 5, 0], label=4)
         assert abs(model.loss(params, cls) - naive_rnn_loss(params, cls)) < 1e-10
 
@@ -76,7 +76,7 @@ class TestBackward:
         params.b_y[0] = 50.0
         sample = SequenceSample(tokens=[2, 4, 1], targets=[0, 0, 0])
         trace = model.forward(params, sample)
-        assert trace.loss < 1e-12
+        assert trace.losses[0] < 1e-12
         grads = model.backward(params, sample, trace)
         for block in param_blocks(grads).values():
             assert np.max(np.abs(block)) < 1e-6
@@ -133,7 +133,7 @@ class TestProperties:
         sample = SequenceSample(tokens=[0, 1], targets=[1, 0])
         t1 = model.forward(params, sample)
         t2 = model.forward(params, sample)
-        assert t1.loss == t2.loss
+        assert t1.losses[0] == t2.losses[0]
         np.testing.assert_array_equal(t1.hs, t2.hs)
 
 
@@ -185,7 +185,7 @@ def test_classification_head_uses_final_step_only(rng):
     params = randomize(model.init_params(8), rng, 0.5)
     sample = SequenceSample(tokens=[1, 2, 3], label=4)
     trace = model.forward(params, sample)
-    assert abs(trace.loss + np.log(trace.ys[-1, 4])) < 1e-12
+    assert abs(trace.losses[0] + np.log(trace.ys[0, -1, 4])) < 1e-12
 
 
 def test_base_selector_default():
