@@ -79,6 +79,8 @@ def _add_train_args(p):
 
 
 def cmd_gen(args):
+    if args.frames_per_sample and args.task != "pianoroll":
+        raise GradmineError("--frames-per-sample applies only to --task pianoroll")
     if args.task == "seqclass":
         dataset = data.gen_seqclass(
             n=args.n,
@@ -103,13 +105,15 @@ def cmd_gen(args):
 
 
 def cmd_mine(args):
-    dataset = data.load_dataset(args.data)
-    spec = spec_of(args, dataset)
     epsilon = args.epsilon
     if epsilon is None:
         if args.target_loss is None:
             raise GradmineError("one of --epsilon / --target-loss is required")
+        if not args.target_loss > 0:  # also rejects NaN
+            raise GradmineError(f"--target-loss must be > 0, got {args.target_loss}")
         epsilon = fim.default_epsilon(args.target_loss)
+    dataset = data.load_dataset(args.data)
+    spec = spec_of(args, dataset)
     cfg = fim.fim_config_of(args, epsilon)
     result = fim.mine_importance(dataset, spec, cfg, n_workers=args.workers)
     table = result.table

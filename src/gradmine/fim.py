@@ -22,7 +22,7 @@ the bits of its run alone, so results are identical for any worker count.
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,13 +174,6 @@ class MiningResult:
     embedding_spread: float = None  # mean pairwise distance of private embeddings
 
 
-def _take_rows(obj, keep):
-    """A ``Batch`` or batched-pass trace of only the rows ``keep``; every
-    field is None or batch-major (see ``gradmine.models``)."""
-    return replace(obj, **{f.name: getattr(obj, f.name)[keep] for f in fields(obj)
-                           if getattr(obj, f.name) is not None})
-
-
 def _mine_rows(task):
     """Train the private models of validated samples ``first``, ``first +
     1``, ... in lockstep, one row of a (B, P) parameter batch each, and
@@ -202,8 +195,8 @@ def _mine_rows(task):
     limit = n  # a run that diverges ends every run above it
     error = None
     batch = pack(samples)
-    trace = model.forward(params, batch, rngs)
     while True:
+        trace = model.forward(params, batch, [rngs[i] for i in rows])
         loss = trace.losses
         if cfg.record_history:
             for i, value in zip(rows, loss):
@@ -219,24 +212,20 @@ def _mine_rows(task):
         keep = going & (rows < limit)
         final[rows[stop]] = params.vec[stop]
         last[rows[stop]] = loss[stop]
-        shrunk = not keep.all()
-        if shrunk:
-            rows = rows[keep]
-            if not rows.size:
-                break
+        if not keep.any():
+            break
+        grads = model.backward(params, batch, trace)
+        if not keep.all():  # drop finished runs, and the padding only they needed
+            rows, grads = rows[keep], grads[keep]
             params = params.like(params.vec[keep])
-            trace = _take_rows(trace, keep)
-            batch = _take_rows(batch, keep)
-        grads = params.like(model.backward(params, batch, trace))
+            batch = pack([samples[i] for i in rows])
+        grads = params.like(grads)
         if cfg.record_history:
             base_grads = param_block(grads, selector)
             grad_sum[rows] += base_grads
             norm_sum[rows] += [matrix_norm(g, cfg.norm_kind) for g in base_grads]
         params = sgd_step(params, grads, cfg.lr)
         steps[rows] += 1
-        if shrunk:  # drop the padding that only finished runs needed
-            batch = pack([samples[i] for i in rows])
-        trace = model.forward(params, batch, [rngs[i] for i in rows])
     if error is not None:
         raise error
 
@@ -295,7 +284,8 @@ def mine_importance(dataset, spec, cfg, n_workers=None):
     model = get_model(spec)
     selector = cfg.base_selector or model.base_selector
     params0 = model.init_params(cfg.seed)
-    param_block(params0, selector)  # fail fast on a bad selector
+    # Fail fast on a bad selector, or a norm that does not fit its block.
+    matrix_norm(param_block(params0, selector), cfg.norm_kind)
 
     # One lockstep batch per worker, over a contiguous range of samples. A
     # batch pays each step's per-call cost once for all its rows, so workers

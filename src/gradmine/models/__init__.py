@@ -12,8 +12,8 @@ which a one-sample batch, ``pack(validate_dataset(spec, [sample]))``,
 gives; a batch drawn from one generator draws as its samples would in
 turn, and one given a generator per row draws from each as its sample
 would alone. Every field of a trace, as of a ``Batch``, is None or has B
-as its leading axis, so indexing each field with the same rows cuts
-either to those rows. Parameters travel explicitly through every call, so
+as its leading axis, so one sample's row of either is the same index into
+every field. Parameters travel explicitly through every call, so
 concurrent workers can hold private copies without locks. Only the frame
 model draws from ``rng``. ``validate_dataset`` checks each sample once
 where data enters; the passes check nothing per sample.

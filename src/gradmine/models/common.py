@@ -106,13 +106,9 @@ class Params:
             raise ConfigError(
                 f"parameter vector has shape {vec.shape}, layout needs ({size},)")
         self.__dict__.update(layout=layout, vec=vec)
-        if vec.ndim == 1:
-            self.__dict__.update((name, vec[start:stop].reshape(shape))
-                                 for name, (start, stop, shape) in spans.items())
-        else:
-            self.__dict__.update(
-                (name, vec[:, start:stop].reshape(vec.shape[:1] + shape))
-                for name, (start, stop, shape) in spans.items())
+        self.__dict__.update(
+            (name, vec[..., start:stop].reshape(vec.shape[:-1] + shape))
+            for name, (start, stop, shape) in spans.items())
 
     def __setattr__(self, name, value):
         if name not in self.__dict__:

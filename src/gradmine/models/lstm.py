@@ -30,7 +30,7 @@ from .common import (
     check_trace,
     stream_rng,
 )
-from ..tensor import embed, log_softmax, matvec, per_step, sigmoid, transpose
+from ..tensor import embed, log_softmax, matvec, sigmoid, transpose
 
 BASE_SELECTOR = "w_c"
 FORGET_BIAS = 1.0  # keeps early memory from washing out
@@ -131,14 +131,14 @@ def forward(params, batch, rng=None, k=1):
     hs[:, 0] = params.h0
 
     w_all, u_all, b_all = _stacked(params)
-    pre_x = np.matmul(xs, transpose(w_all)) + per_step(b_all)
+    pre_x = np.matmul(xs, transpose(w_all)) + b_all[..., None, :]
     # Packed alone, a one-step sample's input product is a vector times a
     # matrix, whose bits differ from a row of the matrix product; it is
     # taken that way in every batch, so its row does not depend on the batch.
     one = lengths == 1
     if one.any():
         pre_x[one, :1] = (np.matmul(xs[:, :1], transpose(w_all))
-                          + per_step(b_all))[one]
+                          + b_all[..., None, :])[one]
     for t in range(t_len):
         # One sigmoid over all four blocks; the c block is then overwritten
         # by its tanh. Elementwise, so each gate gets the bits of its own call.

@@ -27,7 +27,7 @@ from .common import (
     check_trace,
     stream_rng,
 )
-from ..tensor import embed, log_softmax, matvec, per_step, transpose
+from ..tensor import embed, log_softmax, matvec, transpose
 
 BASE_SELECTOR = "w_x"
 
@@ -100,7 +100,7 @@ def forward(params, batch, rng=None, k=1):
         hs[:, t + 1] = np.tanh(matvec(params.w_h, hs[:, t]) + wx[:, t] + params.b_h)
 
     logp = matvec(params.w_s, hs[:, 1:])
-    logp += per_step(params.b_y)
+    logp += params.b_y[..., None, :]
     log_softmax(logp, out=logp)
     losses = np.empty(n)
     losses[cls] = -logp[rows[cls], last[cls], batch.labels[cls]]

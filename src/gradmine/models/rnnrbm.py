@@ -23,7 +23,7 @@ import numpy as np
 
 from ..errors import InvalidInputError
 from .common import STREAM_INIT, Params, check_kind, check_trace, stream_rng
-from ..tensor import matvec, per_step, sigmoid, transpose
+from ..tensor import matvec, sigmoid, transpose
 
 BASE_SELECTOR = "w"
 
@@ -111,8 +111,8 @@ def forward(params, batch, rng=None, k=1):
     vu = matvec(params.w_vu, frames)
     for t in range(t_len):
         us[:, t + 1] = np.tanh(params.b_u + matvec(params.w_uu, us[:, t]) + vu[:, t])
-    bvs = per_step(params.b_v) + matvec(params.w_uv, us[:, :-1])
-    bhs = per_step(params.b_h) + matvec(params.w_uh, us[:, :-1])
+    bvs = params.b_v[..., None, :] + matvec(params.w_uv, us[:, :-1])
+    bhs = params.b_h[..., None, :] + matvec(params.w_uh, us[:, :-1])
 
     # Padding draws 1.0, which samples 0 from every probability.
     width = k * (n_h + n_v)

@@ -47,11 +47,6 @@ def transpose(m):
     return np.swapaxes(m, -1, -2)
 
 
-def per_step(v):
-    """A vector, or one per row (B, n), to add to (B, T, n) arrays."""
-    return v[:, None] if v.ndim == 2 else v
-
-
 def embed(table, ids):
     """``table[ids]`` for (B, T) ids, from each row's own table if it has rows."""
     return table[np.arange(len(ids))[:, None], ids] if table.ndim == 3 else table[ids]

@@ -87,6 +87,13 @@ class TestGen:
         assert err.startswith("error: ") and f"'{out}'" in err and ".tmp" not in err
         assert not list(tmp_path.rglob("*.tmp"))
 
+    def test_frames_per_sample_without_pianoroll_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "d.jsonl"
+        assert run(gen_args(out, extra=["--frames-per-sample", "5"])) == 2
+        err = capsys.readouterr().err
+        assert "--frames-per-sample" in err and "--task pianoroll" in err
+        assert not list(tmp_path.iterdir())
+
     def test_pianoroll_gen(self, tmp_path):
         out = tmp_path / "p.jsonl"
         code = run([
@@ -214,6 +221,41 @@ class TestMine:
         run(gen_args(data))
         code = run(["mine", "--data", str(data), "--out", str(tmp_path / "i.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("target", ["-1", "0", "nan"])
+    def test_target_loss_that_is_not_positive_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, target):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        loads = []
+        monkeypatch.setattr(cli.data, "load_dataset",
+                            lambda *a, **k: loads.append(a))
+        before = set(tmp_path.iterdir())
+        code = run([
+            "mine", "--data", str(data), "--model", "rnn",
+            "--target-loss", target, "--out", str(tmp_path / "i.json"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--target-loss must be > 0, got {float(target)}" in err
+        assert loads == []
+        assert set(tmp_path.iterdir()) == before
+
+    def test_spectral_norm_of_a_vector_block_exits_2_before_mining(
+            self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        capsys.readouterr()
+        mined = []
+        monkeypatch.setattr(cli.fim, "_mine_rows", mined.append)
+        code = run([
+            "mine", "--data", str(data), "--model", "rnn", "--epsilon", "0.05",
+            "--base-selector", "b_h", "--norm-kind", "spectral", "--workers", "1",
+            "--embed-dim", "4", "--hidden", "5", "--out", str(tmp_path / "i.json"),
+        ])
+        assert code == 2
+        assert "spectral_norm expects a 2-D matrix" in capsys.readouterr().err
+        assert mined == []
 
 
 class TestTrain:

@@ -10,6 +10,7 @@ from gradmine.errors import (
     ConfigError,
     DistributionError,
     InvalidInputError,
+    ShapeError,
     UnsupportedOperationError,
 )
 from gradmine.fim import (
@@ -181,6 +182,20 @@ class TestMineImportance:
         ds = gen_seqclass(n=4, vocab=8, length_range=(4, 8), seed=1)
         cfg = FimConfig(epsilon=0.1, base_selector="w_q")
         with pytest.raises(ConfigError):
+            mine_importance(ds, rnn_spec(), cfg, n_workers=1)
+
+    @pytest.mark.parametrize("selector, norm_kind, error", [
+        ("b_h", "spectral", ShapeError), (None, "l1", InvalidInputError),
+    ], ids=["spectral-of-a-vector", "unknown-norm"])
+    def test_norm_that_cannot_be_taken_fails_before_mining(
+            self, monkeypatch, selector, norm_kind, error):
+        def no_mining(task):
+            raise AssertionError("private training started")
+
+        monkeypatch.setattr(fim, "_mine_rows", no_mining)
+        ds = gen_seqclass(n=4, vocab=8, length_range=(4, 8), seed=1)
+        cfg = FimConfig(epsilon=0.1, base_selector=selector, norm_kind=norm_kind)
+        with pytest.raises(error):
             mine_importance(ds, rnn_spec(), cfg, n_workers=1)
 
     def test_frame_model_mining_smoke(self):

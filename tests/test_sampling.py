@@ -1,9 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from gradmine.errors import DistributionError
+from gradmine.fim import build_distribution
+from gradmine.optimizer import _step_size
 from gradmine.sampling import build_alias, draw, generate_sequence
+
+
+def weights(mass):
+    """Lists of weights drawn from ``mass``, about a fifth of them zero,
+    with at least one positive."""
+    entry = st.tuples(st.integers(0, 4), mass).map(lambda t: t[1] if t[0] else 0.0)
+    return st.lists(entry, min_size=1, max_size=50).filter(any)
+
+
+# Ordinary masses and tiny ones, whose normalized probability is still normal.
+MASSES = st.one_of(st.floats(1e-3, 1e3), st.floats(1e-300, 1e-12))
 
 
 class TestBuildAlias:
@@ -102,3 +117,42 @@ class TestGenerateSequence:
         dist = build_alias([1.0])
         with pytest.raises(DistributionError):
             generate_sequence(dist, -1, np.random.default_rng(0))
+
+
+class TestProperties:
+    # A smoothing so small that smoothing * mean is subnormal rounds differently
+    # at each scale, so it is drawn as 0 or from [1e-6, 3.7].
+    @settings(deadline=None, max_examples=200)
+    @given(weights(st.floats(1e-6, 1e6)), st.integers(-30, 30),
+           st.one_of(st.just(0.0), st.floats(1e-6, 3.7)))
+    def test_scaling_norms_by_a_power_of_two_keeps_the_probs(self, norms, k, smoothing):
+        norms = np.array(norms)
+        base = build_distribution(norms, smoothing).probs
+        scaled = build_distribution(norms * 2.0**k, smoothing).probs
+        np.testing.assert_array_equal(scaled.view(np.int64), base.view(np.int64))
+
+    @settings(deadline=None, max_examples=200)
+    @given(weights(MASSES), st.integers(0, 2**32 - 1))
+    def test_alias_tables_reproduce_probs_and_never_draw_a_zero(self, w, seed):
+        w = np.array(w)
+        dist = build_alias(w / w.sum())
+        np.testing.assert_allclose(dist.reconstructed(), dist.probs, rtol=0, atol=1e-12)
+        seq = generate_sequence(dist, 2000, np.random.default_rng(seed))
+        assert np.all(dist.probs[seq] > 0.0)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_importance_step_is_unbiased_by_enumeration(self, data):
+        # E_p[(1 / (N p_i)) g_i] = mean(g): sum over every index i of p_i
+        # times the step size train takes for i, times g_i.
+        w = np.array(data.draw(st.lists(MASSES, min_size=1, max_size=50)))
+        n = w.size
+        p = w / w.sum()
+        # A subnormal g_i has no relative precision left to keep in p_i * step * g_i.
+        entry = st.floats(-1e3, 1e3, allow_subnormal=False)
+        g = np.array(data.draw(st.lists(
+            st.lists(entry, min_size=3, max_size=3), min_size=n, max_size=n)))
+        mean_step = sum(p[i] * _step_size(1.0, n, p[i]) * g[i] for i in range(n))
+        # Relative to mean |g|: the entries may cancel, so mean(g) can be 0.
+        assert np.all(np.abs(mean_step - g.mean(axis=0))
+                      <= 1e-12 * np.abs(g).mean(axis=0))
