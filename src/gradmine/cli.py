@@ -55,6 +55,16 @@ def _write_run_records(argv, args, started, inputs, outputs):
         data.write_json(f"{out}.run.json", record, indent=2, default=str)
 
 
+def _check_flags(args, **rules):
+    """Reject, naming it, the first set flag that breaks its rule, ``"> x"``
+    or ``">= x"`` (NaN breaks both); commands call this before any load."""
+    for name, rule in rules.items():
+        value, (op, bound) = getattr(args, name), rule.split()
+        if value is not None and not (
+                value > float(bound) if op == ">" else value >= float(bound)):
+            raise GradmineError(f"--{name.replace('_', '-')} must be {rule}, got {value}")
+
+
 def _add_field_args(p, est, *names):
     """A ``--field-name`` flag per named field of the estimator class
     ``est``, typed by the field's annotation and defaulting to its value."""
@@ -105,12 +115,12 @@ def cmd_gen(args):
 
 
 def cmd_mine(args):
+    _check_flags(args, epsilon="> 0", lr="> 0", t_max=">= 1")
     epsilon = args.epsilon
     if epsilon is None:
         if args.target_loss is None:
             raise GradmineError("one of --epsilon / --target-loss is required")
-        if not args.target_loss > 0:  # also rejects NaN
-            raise GradmineError(f"--target-loss must be > 0, got {args.target_loss}")
+        _check_flags(args, target_loss="> 0")
         epsilon = fim.default_epsilon(args.target_loss)
     dataset = data.load_dataset(args.data)
     spec = spec_of(args, dataset)
@@ -147,22 +157,16 @@ RBM_PRESETS = {"50": (50, 0.3), "100": (100, 0.003)}
 
 def _train_and_write(args, dataset, spec, table, samplers, inputs, title,
                      eval_dataset=None):
-    """Train once per sampler from one initialization, then write the
-    metrics CSV and the optional SVG of the train split. A single run keeps
-    its split names; a comparison writes only train rows, each named by its
-    sampler."""
-    if args.epochs < 1:
-        raise GradmineError(f"--epochs must be >= 1, got {args.epochs}")
+    """Train one run per sampler from one initialization, in lockstep, and
+    write the metrics CSV and optional SVG of the train split: a single run
+    keeps its split names, a comparison names each train row by its sampler."""
     params0 = get_model(spec).init_params(args.seed)
-    logs = {}
-    for sampler in samplers:
-        cfg = optimizer.train_config_of(
-            args, spec, sampler, table if sampler == optimizer.IMPORTANCE else None)
-        _, logs[sampler] = optimizer.train(
-            dataset, params0, cfg, eval_dataset=eval_dataset)
-    train_rows = {s: log.split_rows("train") for s, log in logs.items()}
+    cfgs = [optimizer.train_config_of(
+        args, spec, s, table if s == optimizer.IMPORTANCE else None) for s in samplers]
+    logs = [log for _, log in optimizer.train(dataset, params0, cfgs, eval_dataset)]
+    train_rows = {s: log.split_rows("train") for s, log in zip(samplers, logs)}
 
-    metrics = logs[samplers[0]] if len(samplers) == 1 else optimizer.MetricsLog(
+    metrics = logs[0] if len(samplers) == 1 else optimizer.MetricsLog(
         rows=[replace(r, split=s) for s, rows in train_rows.items() for r in rows])
     optimizer.save_metrics(args.out, metrics)
     outputs = [args.out]
@@ -180,6 +184,7 @@ def _train_and_write(args, dataset, spec, table, samplers, inputs, title,
 
 
 def cmd_train(args):
+    _check_flags(args, lr="> 0", epochs=">= 1", clip="> 0")
     dataset = data.load_dataset(args.data)
     if args.rbm_preset:
         frames, args.lr = RBM_PRESETS[args.rbm_preset]
@@ -200,6 +205,7 @@ def cmd_train(args):
 
 
 def cmd_compare(args):
+    _check_flags(args, lr="> 0", epochs=">= 1", clip="> 0")
     dataset = data.load_dataset(args.data)
     spec = spec_of(args, dataset)
     table = fim.load_importance(args.importance).check_fits(spec, len(dataset))
@@ -210,8 +216,7 @@ def cmd_compare(args):
 
 
 def cmd_variance(args):
-    if args.warm_epochs < 0:
-        raise GradmineError(f"--warm-epochs must be >= 0, got {args.warm_epochs}")
+    _check_flags(args, warm_epochs=">= 0", lr="> 0")
     dataset = data.load_dataset(args.data)
     spec = spec_of(args, dataset)
     batch = pack(validate_dataset(spec, dataset))
@@ -225,8 +230,8 @@ def cmd_variance(args):
     model = get_model(spec)
     params = model.init_params(args.seed)
     if args.warm_epochs:
-        params, _ = optimizer.train(dataset, params, optimizer.TrainConfig(
-            spec=spec, lr=args.lr, epochs=args.warm_epochs, seed=args.seed))
+        [(params, _)] = optimizer.train(dataset, params, [optimizer.TrainConfig(
+            spec=spec, lr=args.lr, epochs=args.warm_epochs, seed=args.seed)])
     trace = model.forward(params, batch, stream_rng(args.seed, STREAM_EVAL))
     grads = model.backward(params, batch, trace)
     report = analysis.variance_report(

@@ -174,6 +174,7 @@ class MiningResult:
     embedding_spread: float = None  # mean pairwise distance of private embeddings
 
 
+@np.errstate(all="ignore")  # a non-finite loss ends in DivergenceError
 def _mine_rows(task):
     """Train the private models of validated samples ``first``, ``first +
     1``, ... in lockstep, one row of a (B, P) parameter batch each, and

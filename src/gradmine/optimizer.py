@@ -55,10 +55,10 @@ def _step_size(lr, n, p_i, clip=None):
     With p_i = 1/n this is exactly lr. ``clip`` bounds the step at
     clip * lr to guard against tiny probabilities.
     """
-    if not p_i > 0.0:
+    if not np.all(p_i > 0.0):
         raise DistributionError(f"sampling probability must be > 0, got {p_i}")
     step = lr * ((1.0 / n) / p_i)
-    return step if clip is None else min(step, clip * lr)
+    return step if clip is None else np.minimum(step, clip * lr)
 
 
 def is_sgd_step(params, grads, lr, n, p_i, clip=None):
@@ -140,62 +140,81 @@ def _evaluate(model, params, batch, probs, epoch, seed):
     return float(np.mean(trace.losses)), error_rate, grad_var
 
 
-def train(dataset, params0, cfg, eval_dataset=None):
-    """Run the sampled training loop; returns (params, metrics log).
-
-    Fully deterministic given (dataset, params0, cfg): index draws, model
-    randomness, and per-epoch evaluation each own a seeded sub-stream.
-    The training and held-out samples are checked once, here. Each step
-    runs the model's passes on the drawn sample's one-row batch, packed
-    once per run.
+@np.errstate(all="ignore")  # a non-finite loss ends in DivergenceError
+def train(dataset, params0, cfgs, eval_dataset=None):
+    """Train one run per config from ``params0``; returns a (params,
+    metrics log) per config. Index draws, model randomness and per-epoch
+    evaluation each own a seeded sub-stream. The runs share spec, epochs
+    and eval_every and train in lockstep as the rows of a (R, P) parameter
+    batch, each with the bits of its run alone; a run that diverges ends
+    every run after it, and the first raises, as running them in turn
+    would. The samples are checked once, here.
     """
-    samples = validate_dataset(cfg.spec, dataset)
+    spec, epochs, eval_every = cfgs[0].spec, cfgs[0].epochs, cfgs[0].eval_every
+    if any((c.spec, c.epochs, c.eval_every) != (spec, epochs, eval_every)
+           for c in cfgs):
+        raise ConfigError("lockstep runs must share spec, epochs and eval_every")
+    samples = validate_dataset(spec, dataset)
     held = None if eval_dataset is None else pack(validate_dataset(
-        cfg.spec, eval_dataset, "held-out sample"))
+        spec, eval_dataset, "held-out sample"))
     n = len(samples)
     batch = pack(samples)
-    rows = [pack([sample]) for sample in samples]
-    model = get_model(cfg.spec)
+    model = get_model(spec)
 
-    if cfg.sampler == IMPORTANCE:
-        probs, clip = cfg.importance.check_fits(cfg.spec, n).probs, cfg.clip
-    else:
-        probs, clip = np.full(n, 1.0 / n), None
+    probs = np.array([c.importance.check_fits(spec, n).probs if c.sampler == IMPORTANCE
+                      else np.full(n, 1.0 / n) for c in cfgs])
+    schedule = np.array([generate_sequence(
+        build_alias(p), epochs * n, stream_rng(c.seed, STREAM_DRAW))
+        for p, c in zip(probs, cfgs)])
+    sizes = np.array([
+        _step_size(c.lr, n, p[s], c.clip if c.sampler == IMPORTANCE else None)
+        for c, p, s in zip(cfgs, probs, schedule)])
+    rngs = [stream_rng(c.seed, STREAM_MODEL) for c in cfgs]
 
-    dist = build_alias(probs)
-    schedule = generate_sequence(
-        dist, cfg.epochs * n, stream_rng(cfg.seed, STREAM_DRAW))
-    rng_model = stream_rng(cfg.seed, STREAM_MODEL)
-
-    log = MetricsLog()
-    params = params0.like(params0.vec.copy())
+    logs = [MetricsLog() for _ in cfgs]
+    packed = {}  # each step's batch, by the samples drawn; one-row ones repeat
+    params = params0.like(np.repeat(params0.vec[None], len(cfgs), axis=0))
+    live, error = len(cfgs), None  # runs 0 .. live - 1 are still training
     start = time.perf_counter()
-    for epoch in range(1, cfg.epochs + 1):
-        for step in range(n):
-            idx = int(schedule[(epoch - 1) * n + step])
-            trace = model.forward(params, rows[idx], rng_model)
-            if not np.isfinite(trace.losses[0]):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, step {step}, sample {idx}"
-                )
-            grads = params.like(model.backward(params, rows[idx], trace)[0])
-            params = sgd_step(
-                params, grads, _step_size(cfg.lr, n, probs[idx], clip))
+    for t in range(epochs * n):
+        epoch, step = t // n + 1, t % n
+        idx = schedule[:live, t]
+        if (key := idx.tobytes()) not in packed:
+            packed[key] = pack([samples[i] for i in idx])
+        drawn = packed[key]
+        trace = model.forward(params, drawn, rngs[:live])
+        grads = model.backward(params, drawn, trace)
+        failed = np.flatnonzero(~np.isfinite(trace.losses))
+        if failed.size:
+            live = failed[0]
+            error = DivergenceError(
+                f"non-finite loss at epoch {epoch}, step {step}, sample {idx[live]}")
+            params, grads = params.like(params.vec[:live]), grads[:live]
+        params = sgd_step(params, params.like(grads), sizes[:live, t, None])
 
-        if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
-            loss, err, gvar = _evaluate(model, params, batch, probs, epoch, cfg.seed)
-            if not np.isfinite(loss):
-                raise DivergenceError(f"non-finite evaluation loss at epoch {epoch}")
-            wall = (time.perf_counter() - start) * 1e3
-            log.rows.append(MetricsRow(epoch, "train", loss, err, gvar, wall))
-            if held is not None:
-                n_held = held.lengths.size
-                eloss, eerr, egvar = _evaluate(
-                    model, params, held, np.full(n_held, 1.0 / n_held),
-                    epoch, cfg.seed)
+        if step == n - 1 and (epoch % eval_every == 0 or epoch == epochs):
+            for r in range(live):
+                row, seed = params0.like(params.vec[r]), cfgs[r].seed
+                loss, err, gvar = _evaluate(model, row, batch, probs[r], epoch, seed)
+                if not np.isfinite(loss):
+                    live = r
+                    error = DivergenceError(
+                        f"non-finite evaluation loss at epoch {epoch}")
+                    params = params.like(params.vec[:live])
+                    break
                 wall = (time.perf_counter() - start) * 1e3
-                log.rows.append(MetricsRow(epoch, "eval", eloss, eerr, egvar, wall))
-    return params, log
+                logs[r].rows.append(MetricsRow(epoch, "train", loss, err, gvar, wall))
+                if held is not None:
+                    n_held = held.lengths.size
+                    scores = _evaluate(model, row, held, np.full(n_held, 1.0 / n_held),
+                                       epoch, seed)
+                    wall = (time.perf_counter() - start) * 1e3
+                    logs[r].rows.append(MetricsRow(epoch, "eval", *scores, wall))
+        if not live:
+            break
+    if error is not None:
+        raise error
+    return [(params0.like(vec), log) for vec, log in zip(params.vec, logs)]
 
 
 def save_metrics(path, log):
@@ -267,7 +286,7 @@ class Trainer(ParamsMixin):
         self.spec_ = spec_of(self, dataset)
         cfg = train_config_of(self, self.spec_, self.sampler, self.importance)
         params0 = get_model(self.spec_).init_params(self.seed)
-        self.params_, self.log_ = train(dataset, params0, cfg)
+        [(self.params_, self.log_)] = train(dataset, params0, [cfg])
         return self
 
     def _trace(self, X):

@@ -191,8 +191,8 @@ def test_criterion_6_uniform_reduction_bitwise():
     is_cfg = TrainConfig(
         spec=spec, lr=0.3, epochs=10, sampler="importance", importance=table, seed=17
     )
-    p1, l1 = train(ds, params0, plain_cfg)
-    p2, l2 = train(ds, params0, is_cfg)
+    [(p1, l1)] = train(ds, params0, [plain_cfg])
+    [(p2, l2)] = train(ds, params0, [is_cfg])
     ok = all(
         np.array_equal(block, getattr(p2, name))
         for name, block in param_blocks(p1).items()
@@ -282,8 +282,9 @@ def test_criterion_9_desk_scale_convergence():
         mined = mine_importance(
             ds, spec, FimConfig(epsilon=0.003, lr=0.5, seed=seed), n_workers=1
         ).table
-        for sampler in ("uniform", "importance"):
-            cfg = TrainConfig(
+        samplers = ("uniform", "importance")
+        cfgs = [
+            TrainConfig(
                 spec=spec,
                 lr=0.5,
                 epochs=14,
@@ -291,7 +292,9 @@ def test_criterion_9_desk_scale_convergence():
                 importance=mined if sampler == "importance" else None,
                 seed=seed,
             )
-            _, log = train(ds, params0, cfg)
+            for sampler in samplers
+        ]
+        for sampler, (_, log) in zip(samplers, train(ds, params0, cfgs)):
             losses = log.losses("train")
             reach[sampler].append(epochs_to_target(losses))
             loss10[sampler].append(losses[9])

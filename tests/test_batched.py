@@ -192,75 +192,111 @@ def test_evaluate_equals_the_per_sample_loop(kind):
     assert_same_bits(got, expected)
 
 
-def train_outcome(train, samples, params0, cfg, held):
+def outcome(params, log, model_rng):
     """Final parameter bits, every metrics field but ``wall_ms``, and the
-    end state of the model-stream generator; or the divergence message."""
-    try:
-        params, log, model_rng = train(samples, params0, cfg, held)
-    except DivergenceError as exc:
-        return str(exc)
+    end state of the model-stream generator."""
     rows = [(r.epoch, r.split, *(np.float64(v).tobytes()
                                  for v in (r.loss, r.error_rate, r.grad_var)))
             for r in log.rows]
     return params.vec.tobytes(), rows, model_rng.bit_generator.state
 
 
-def library_train(samples, params0, cfg, held):
-    """``optimizer.train``, also returning the generator it drew the model
-    stream from."""
+def scalar_outcomes(samples, params0, cfgs, held):
+    """``train_scalar`` over ``cfgs`` in turn: every run's outcome, or the
+    first divergence message."""
+    try:
+        return [outcome(*train_scalar(samples, params0, cfg, held)) for cfg in cfgs]
+    except DivergenceError as exc:
+        return str(exc)
+
+
+def library_outcomes(samples, params0, cfgs, held):
+    """One lockstep ``optimizer.train`` call over ``cfgs``: every run's
+    outcome, with the generator each drew its model stream from, or the
+    divergence message."""
     made = []
 
     def recording(seed, stream, extra=None):
         made.append((stream, stream_rng(seed, stream, extra)))
         return made[-1][1]
 
-    with mock.patch.object(optimizer, "stream_rng", recording):
-        params, log = optimizer.train(samples, params0, cfg, eval_dataset=held)
-    (model_rng,) = [gen for stream, gen in made if stream == STREAM_MODEL]
-    return params, log, model_rng
+    try:
+        with mock.patch.object(optimizer, "stream_rng", recording):
+            results = optimizer.train(samples, params0, cfgs, eval_dataset=held)
+    except DivergenceError as exc:
+        return str(exc)
+    model_rngs = [gen for stream, gen in made if stream == STREAM_MODEL]
+    assert len(model_rngs) == len(cfgs)
+    return [outcome(p, log, gen) for (p, log), gen in zip(results, model_rngs)]
 
 
 train_specs = st.builds(dict, vocab=widths, embed=widths, hidden=widths,
                         classes=st.integers(1, 3), context=widths,
                         cd_k=st.sampled_from([1, 3]))
+# One lockstep row each: lr 3.0 makes some runs diverge.
+runs = st.lists(st.fixed_dictionaries(dict(
+    importance=st.booleans(), clip=st.sampled_from([None, 1.5]),
+    lr=st.sampled_from([0.05, 0.5, 3.0]), seed=st.integers(0, 999))),
+    min_size=1, max_size=3)
+
+
+def run(importance=False, clip=None, lr=0.5, seed=0):
+    return dict(importance=importance, clip=clip, lr=lr, seed=seed)
 
 
 @settings(deadline=None, max_examples=150)
 @given(kind=st.sampled_from(MODEL_KINDS), dims=train_specs,
        lengths=st.lists(st.integers(1, 12), min_size=1, max_size=5),
-       held_lengths=st.lists(st.integers(1, 12), max_size=3),
-       importance=st.booleans(), clip=st.sampled_from([None, 1.5]),
-       lr=st.sampled_from([0.05, 0.5, 3.0]), epochs=st.integers(1, 3),
-       eval_every=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+       held_lengths=st.lists(st.integers(1, 12), max_size=3), runs=runs,
+       epochs=st.integers(1, 3), eval_every=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1))
 @example(kind="rnnrbm", dims=dict(vocab=1, embed=1, hidden=1, classes=1,
                                   context=1, cd_k=3),
-         lengths=[3, 1, 12], held_lengths=[2, 5], importance=True, clip=1.5,
-         lr=0.5, epochs=2, eval_every=1, seed=3)
+         lengths=[3, 1, 12], held_lengths=[2, 5],
+         runs=[run(importance=True, clip=1.5, seed=3)],
+         epochs=2, eval_every=1, seed=3)
 @example(kind="lstm", dims=dict(vocab=5, embed=12, hidden=11, classes=2,
                                 context=1, cd_k=1),
-         lengths=[2, 1, 1, 10], held_lengths=[1], importance=False, clip=None,
-         lr=0.5, epochs=2, eval_every=1, seed=0)
-def test_train_equals_the_scalar_loop(kind, dims, lengths, held_lengths,
-                                      importance, clip, lr, epochs, eval_every, seed):
+         lengths=[2, 1, 1, 10], held_lengths=[1], runs=[run()],
+         epochs=2, eval_every=1, seed=0)
+# Run 1 diverges at epoch 2, step 1, before run 0 does at step 2: the
+# message is run 0's, as running them in turn would raise.
+@example(kind="rnnrbm", dims=dict(vocab=2, embed=3, hidden=2, classes=2,
+                                  context=3, cd_k=1),
+         lengths=[4, 7, 5], held_lengths=[1],
+         runs=[run(importance=True, lr=3.0, seed=883),
+               run(importance=True, lr=3.0, seed=370)],
+         epochs=3, eval_every=1, seed=868)
+# Only run 1 diverges, and only in its epoch-2 evaluation.
+@example(kind="rnnrbm", dims=dict(vocab=1, embed=3, hidden=1, classes=2,
+                                  context=3, cd_k=1),
+         lengths=[4, 2], held_lengths=[2, 5],
+         runs=[run(seed=384), run(lr=3.0, seed=106)],
+         epochs=3, eval_every=1, seed=785)
+def test_train_equals_the_scalar_loop(kind, dims, lengths, held_lengths, runs,
+                                      epochs, eval_every, seed):
+    """One lockstep call over the drawn runs equals ``train_scalar`` over
+    them in turn, or raises the divergence message that loop raises first."""
     rng = np.random.default_rng(seed)
     spec = ModelSpec(kind=kind, **dims)
     samples = random_samples(kind, spec, lengths, rng)
     held = random_samples(kind, spec, held_lengths, rng) or None
     params0 = randomize(get_model(spec).init_params(0), rng)
-    table = None
-    if importance:
-        n = len(samples)
-        norms = rng.random(n) + 0.01
-        table = ImportanceTable(
-            model=kind, base_selector="w", epsilon=1.0, seed=0,
-            norm_kind="frobenius", norms=norms, probs=norms / norms.sum(),
-            iterations=np.zeros(n, dtype=int), converged=np.ones(n, dtype=bool))
-    cfg = optimizer.TrainConfig(
-        spec=spec, lr=lr, epochs=epochs,
-        sampler=optimizer.IMPORTANCE if importance else optimizer.UNIFORM,
-        importance=table, seed=seed % 1000, eval_every=eval_every,
-        clip=clip if importance else None)
+    n = len(samples)
+    cfgs = []
+    for r in runs:
+        table = None
+        if r["importance"]:
+            norms = rng.random(n) + 0.01
+            table = ImportanceTable(
+                model=kind, base_selector="w", epsilon=1.0, seed=0,
+                norm_kind="frobenius", norms=norms, probs=norms / norms.sum(),
+                iterations=np.zeros(n, dtype=int), converged=np.ones(n, dtype=bool))
+        cfgs.append(optimizer.TrainConfig(
+            spec=spec, lr=r["lr"], epochs=epochs,
+            sampler=optimizer.IMPORTANCE if table else optimizer.UNIFORM,
+            importance=table, seed=r["seed"], eval_every=eval_every,
+            clip=r["clip"] if table else None))
     with np.errstate(all="ignore"):
-        expected = train_outcome(train_scalar, samples, params0, cfg, held)
-        got = train_outcome(library_train, samples, params0, cfg, held)
-    assert got == expected
+        expected = scalar_outcomes(samples, params0, cfgs, held)
+    assert library_outcomes(samples, params0, cfgs, held) == expected

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,9 +37,9 @@ def pianoroll_file(path):
     return path
 
 
-def uniform_table_file(path, n):
+def uniform_table_file(path, n, model="rnn"):
     table = ImportanceTable(
-        model="rnn", base_selector="w_x", epsilon=1.0, seed=0,
+        model=model, base_selector="w_x", epsilon=1.0, seed=0,
         norm_kind="frobenius", norms=np.ones(n), probs=np.full(n, 1.0 / n),
         iterations=np.zeros(n, dtype=int), converged=np.ones(n, dtype=bool),
     )
@@ -257,6 +261,21 @@ class TestMine:
         assert "spectral_norm expects a 2-D matrix" in capsys.readouterr().err
         assert mined == []
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epsilon", "-1", "--epsilon must be > 0, got -1.0"),
+        ("--epsilon", "nan", "--epsilon must be > 0, got nan"),
+        ("--lr", "-1", "--lr must be > 0, got -1.0"),
+        ("--t-max", "0", "--t-max must be >= 1, got 0"),
+    ])
+    def test_flag_out_of_range_exits_2_naming_it_before_the_load(
+            self, tmp_path, capsys, flag, value, message):
+        args = {"--epsilon": "0.1", flag: value}
+        code = run(["mine", "--data", str(tmp_path / "missing.jsonl"),
+                    *[a for kv in args.items() for a in kv],
+                    "--out", str(tmp_path / "i.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestTrain:
     def test_uniform_training_writes_metrics(self, tmp_path):
@@ -317,6 +336,18 @@ class TestTrain:
         ])
         assert code == 2
         assert "--epochs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "-1", "--lr must be > 0, got -1.0"),
+        ("--lr", "nan", "--lr must be > 0, got nan"),
+        ("--epochs", "0", "--epochs must be >= 1, got 0"),
+    ])
+    def test_flag_out_of_range_exits_2_naming_it_before_the_load(
+            self, tmp_path, capsys, flag, value, message):
+        code = run(["train", "--data", str(tmp_path / "missing.jsonl"),
+                    flag, value, "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_svg_writes_chart_and_run_records(self, tmp_path):
         data = tmp_path / "d.jsonl"
@@ -509,6 +540,43 @@ class TestCompare:
         assert digests[0] == digests[1]
 
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "-1", "--lr must be > 0, got -1.0"),
+        ("--clip", "0", "--clip must be > 0, got 0.0"),
+    ])
+    def test_flag_out_of_range_exits_2_naming_it_before_the_load(
+            self, tmp_path, capsys, flag, value, message):
+        code = run(["compare", "--data", str(tmp_path / "missing.jsonl"),
+                    "--importance", str(tmp_path / "missing.json"),
+                    flag, value, "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command", ["mine", "train", "compare"])
+def test_divergence_prints_only_its_error_line(tmp_path, command, workers):
+    # A fresh interpreter, so that numpy's warnings reach stderr as a user
+    # sees them, from pool workers too; mining shards over up to 2 cores.
+    data = tmp_path / "d.jsonl"
+    run(gen_args(data, n=8))
+    imp = uniform_table_file(tmp_path / "imp.json", n=8, model="lstm")
+    argv = {
+        "mine": ["--epsilon", "0.01"],
+        "train": ["--epochs", "2"],
+        "compare": ["--epochs", "2", "--importance", str(imp)],
+    }[command]
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradmine.cli", command, "--data", str(data),
+         "--model", "lstm", "--lr", "1e300", *argv, "--out", str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": str(src), "GRADMINE_WORKERS": workers},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+
+
 class TestVariance:
     def test_identical_samples_give_zero_variances(self, tmp_path):
         data = tmp_path / "d.jsonl"
@@ -587,6 +655,14 @@ class TestVariance:
         assert "--warm-epochs must be >= 0, got -1" in capsys.readouterr().err
         assert loads == []
         assert set(tmp_path.iterdir()) == before
+
+    def test_lr_that_is_not_positive_exits_2_naming_it_before_the_load(
+            self, tmp_path, capsys):
+        code = run(["variance", "--data", str(tmp_path / "missing.jsonl"),
+                    "--lr", "-1", "--warm-epochs", "1",
+                    "--out", str(tmp_path / "var.json")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --lr must be > 0, got -1.0\n"
 
     @pytest.mark.parametrize("model, n", [("lstm", 12), ("rnn", 11)],
                              ids=["another-model", "another-count"])

@@ -1,9 +1,13 @@
 import hashlib
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradmine.data import (
     Dataset,
@@ -112,7 +116,47 @@ class TestChunkFrames:
             chunk_frames(ds, 4)
 
 
+def token_lists(length):
+    return st.lists(st.integers(0, 2**63 - 1), min_size=length, max_size=length)
+
+
+@st.composite
+def datasets(draw):
+    """1-4 samples of one kind, each 1-5 steps long, with ids up to the
+    int64 limit, and a manifest or none."""
+    kind = draw(st.sampled_from(["seqclass", "seqlabel", "pianoroll"]))
+    width = draw(st.integers(1, 4))
+    samples = []
+    for length in draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)):
+        if kind == "pianoroll":
+            frames = draw(st.lists(st.lists(st.sampled_from([0, 1]), min_size=width,
+                                            max_size=width), min_size=length,
+                                   max_size=length))
+            samples.append(FrameSequence(frames))
+        elif kind == "seqclass":
+            samples.append(SequenceSample(
+                draw(token_lists(length)), label=draw(st.integers(-2**63, 2**63 - 1))))
+        else:
+            samples.append(SequenceSample(
+                draw(token_lists(length)), targets=draw(token_lists(length))))
+    vocab = infer_vocab(samples)
+    manifest = draw(st.sampled_from([{}, {"kind": kind, "vocab": vocab}]))
+    return Dataset(kind=kind, samples=samples, vocab=vocab, manifest=manifest)
+
+
 class TestRoundTrips:
+    @settings(deadline=None, max_examples=200)
+    @given(ds=datasets())
+    def test_save_then_load_gives_the_same_dataset(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.jsonl"
+            save_dataset(path, ds)
+            loaded = load_dataset(path)
+        assert loaded == ds
+        assert loaded.manifest == {**ds.manifest, "kind": ds.kind,
+                                   "n_samples": len(ds), "vocab": ds.vocab,
+                                   "source": str(path)}
+
     def test_seqclass_round_trip(self, tmp_path):
         ds = gen_seqclass(n=25, vocab=12, seed=4)
         path = tmp_path / "d.jsonl"

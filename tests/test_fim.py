@@ -1,7 +1,11 @@
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gradmine import fim
 
@@ -24,7 +28,7 @@ from gradmine.fim import (
     mine_importance,
     save_importance,
 )
-from gradmine.models import ModelSpec, param_block, spec_for_dataset
+from gradmine.models import MODEL_KINDS, ModelSpec, param_block, spec_for_dataset
 from gradmine.sampling import SamplingDistribution
 
 from conftest import OneSample, cores
@@ -299,7 +303,43 @@ class TestBuildDistribution:
             miner.distribution()
 
 
+def table_bits(table):
+    """Every field of a table, floats as their bytes."""
+    return [getattr(table, k).tobytes() if isinstance(getattr(table, k), np.ndarray)
+            else getattr(table, k) for k in fim.IMPORTANCE_KEYS]
+
+
+@st.composite
+def tables(draw):
+    """Valid tables of 1-6 samples, with floats from subnormal to huge."""
+    n = draw(st.integers(1, 6))
+    weights = np.array(draw(st.lists(
+        st.floats(5e-324, 1e300), min_size=n, max_size=n)))
+    probs = weights / weights.sum()
+    assume(np.all(probs > 0.0))
+    return ImportanceTable(
+        model=draw(st.sampled_from(MODEL_KINDS)),
+        base_selector=draw(st.text(max_size=8)),
+        epsilon=draw(st.floats(5e-324, 1.7976931348623157e308)),
+        seed=draw(st.integers(0, 2**63 - 1)),
+        norm_kind=draw(st.sampled_from(["frobenius", "spectral"])),
+        norms=draw(st.lists(st.floats(0.0, 1e300),
+                            min_size=n, max_size=n).filter(any)),
+        probs=probs,
+        iterations=draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n)),
+        converged=draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+    ).validate()
+
+
 class TestImportanceIO:
+    @settings(deadline=None, max_examples=200)
+    @given(table=tables())
+    def test_save_then_load_gives_the_same_table(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "imp.json"
+            save_importance(path, table)
+            assert table_bits(load_importance(path)) == table_bits(table)
+
     def make_table(self):
         return ImportanceTable(
             model="rnn", base_selector="w_x", epsilon=0.01, seed=7,

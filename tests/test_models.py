@@ -132,7 +132,7 @@ def test_each_sample_is_checked_once_where_data_enters(kind, monkeypatch):
         monkeypatch.setattr(module, "check_sample", counting)
 
     params0 = get_model(spec).init_params(0)
-    train(samples, params0, TrainConfig(spec=spec, lr=0.01, epochs=3),
+    train(samples, params0, [TrainConfig(spec=spec, lr=0.01, epochs=3)],
           eval_dataset=held)
     assert len(checked) == 5 + 2
     checked.clear()

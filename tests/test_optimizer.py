@@ -130,7 +130,7 @@ class TestTrain:
         model = get_model(spec)
         params0 = model.init_params(0)
         cfg = TrainConfig(spec=spec, lr=0.1, epochs=0)
-        params, log = train(ds, params0, cfg)
+        [(params, log)] = train(ds, params0, [cfg])
         for name, block in param_blocks(params).items():
             np.testing.assert_array_equal(block, getattr(params0, name))
         assert log.rows == []
@@ -147,8 +147,8 @@ class TestTrain:
                 spec=spec, lr=0.2, epochs=3, sampler="importance",
                 importance=uniform_table(len(ds)), seed=5,
             )
-            p1, l1 = train(ds, params0, base)
-            p2, l2 = train(ds, params0, mirrored)
+            [(p1, l1)] = train(ds, params0, [base])
+            [(p2, l2)] = train(ds, params0, [mirrored])
             for name, block in param_blocks(p1).items():
                 np.testing.assert_array_equal(block, getattr(p2, name))
             assert [r.loss for r in l1.rows] == [r.loss for r in l2.rows]
@@ -159,8 +159,8 @@ class TestTrain:
         model = get_model(spec)
         params0 = model.init_params(3)
         cfg = TrainConfig(spec=spec, lr=0.3, epochs=2, seed=9)
-        p1, l1 = train(ds, params0, cfg)
-        p2, l2 = train(ds, params0, cfg)
+        [(p1, l1)] = train(ds, params0, [cfg])
+        [(p2, l2)] = train(ds, params0, [cfg])
         for name, block in param_blocks(p1).items():
             np.testing.assert_array_equal(block, getattr(p2, name))
         # wall time is physical; every computed quantity must match exactly
@@ -178,7 +178,7 @@ class TestTrain:
         params0 = model.init_params(0)
         cfg = TrainConfig(spec=spec, lr=1e4, epochs=3, seed=0)
         with pytest.raises(DivergenceError):
-            train(ds, params0, cfg)
+            train(ds, params0, [cfg])
 
     def test_importance_length_mismatch(self):
         ds = tiny_dataset()
@@ -188,14 +188,15 @@ class TestTrain:
             importance=uniform_table(len(ds) + 2),
         )
         with pytest.raises(ConfigError):
-            train(ds, get_model(spec).init_params(0), cfg)
+            train(ds, get_model(spec).init_params(0), [cfg])
 
     def test_eval_split_rows(self):
         ds = tiny_dataset()
         held = tiny_dataset(n=6, seed=77)
         spec = spec_for_dataset(ds, "rnn", embed=4, hidden=4)
         cfg = TrainConfig(spec=spec, lr=0.1, epochs=2, seed=1)
-        _, log = train(ds, get_model(spec).init_params(0), cfg, eval_dataset=held)
+        [(_, log)] = train(ds, get_model(spec).init_params(0), [cfg],
+                           eval_dataset=held)
         assert [r.split for r in log.rows] == ["train", "eval", "train", "eval"]
         assert all(np.isfinite(r.loss) for r in log.rows)
 
@@ -203,14 +204,14 @@ class TestTrain:
         ds = tiny_dataset()
         spec = spec_for_dataset(ds, "rnn", embed=4, hidden=4)
         cfg = TrainConfig(spec=spec, lr=0.1, epochs=5, seed=1, eval_every=2)
-        _, log = train(ds, get_model(spec).init_params(0), cfg)
+        [(_, log)] = train(ds, get_model(spec).init_params(0), [cfg])
         assert [r.epoch for r in log.rows] == [2, 4, 5]
 
     def test_epochs_strictly_increasing_and_finite(self):
         ds = tiny_dataset()
         spec = spec_for_dataset(ds, "lstm", embed=4, hidden=4, classes=2)
         cfg = TrainConfig(spec=spec, lr=0.4, epochs=4, seed=2)
-        _, log = train(ds, get_model(spec).init_params(2), cfg)
+        [(_, log)] = train(ds, get_model(spec).init_params(2), [cfg])
         epochs = [r.epoch for r in log.rows]
         assert epochs == sorted(set(epochs))
         for r in log.rows:
@@ -224,6 +225,17 @@ class TestTrain:
             TrainConfig(spec=spec, lr=-0.1, epochs=1)
         with pytest.raises(ConfigError):
             TrainConfig(spec=spec, lr=0.1, epochs=1, sampler="bandit")
+
+    @pytest.mark.parametrize("change", [
+        dict(epochs=3), dict(eval_every=2), dict(spec=ModelSpec(kind="rnn", vocab=8)),
+    ])
+    def test_lockstep_runs_must_share_spec_epochs_and_eval_every(self, change):
+        ds = tiny_dataset()
+        spec = spec_for_dataset(ds, "rnn", embed=4, hidden=4)
+        first = TrainConfig(spec=spec, lr=0.1, epochs=2)
+        other = TrainConfig(**{**vars(first), "lr": 0.2, **change})
+        with pytest.raises(ConfigError, match="share spec, epochs and eval_every"):
+            train(ds, get_model(spec).init_params(0), [first, other])
 
 
 class TestMetricsIO:
