@@ -1,0 +1,99 @@
+"""Desk-scale mining time of source trees, in alternating runs.
+
+    python3 scripts/desk_mine.py --src ../parent --src . --out BENCH_desk_mine.json
+
+Mines the desk set of acceptance criterion 9 (``gen_seqclass`` n=200,
+vocab 50, lengths 6-40, hard fraction 0.25, seed 7; LSTM with embed 8 and
+hidden 12; epsilon 0.003, lr 0.5) with one worker, for seeds 0-2 of that test.
+Every run is a fresh interpreter that imports ``gradmine`` from
+``<tree>/src``, with BLAS at one thread and the process pinned to one CPU;
+runs are recorded under their tree as given. For each seed, pair j of three
+runs the trees in the given order when j is even and in reverse when j is
+odd.
+
+The output keeps each run's wall seconds of ``mine_importance`` alone and
+the sha256 of the mined norms and of the iterations, so that the tables of
+the trees can be compared, and per tree and seed the median seconds.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+SEEDS = (0, 1, 2)
+PAIRS = 3
+
+RUN = """
+import hashlib, json, sys, time
+from gradmine.data import gen_seqclass
+from gradmine.fim import FimConfig, mine_importance
+from gradmine.models import spec_for_dataset
+
+seed = int(sys.argv[1])
+ds = gen_seqclass(n=200, vocab=50, length_range=(6, 40), hard_fraction=0.25, seed=7)
+spec = spec_for_dataset(ds, "lstm", embed=8, hidden=12, classes=2)
+cfg = FimConfig(epsilon=0.003, lr=0.5, seed=seed)
+start = time.perf_counter()
+table = mine_importance(ds, spec, cfg, n_workers=1).table
+seconds = time.perf_counter() - start
+print(json.dumps({
+    "seconds": seconds,
+    "norms_sha256": hashlib.sha256(table.norms.tobytes()).hexdigest(),
+    "iterations_sha256": hashlib.sha256(table.iterations.tobytes()).hexdigest(),
+    "private_steps": int(table.iterations.sum()),
+}))
+"""
+
+
+def mine_once(tree, seed):
+    env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
+    env.update((name, "1") for name in BLAS_THREADS)
+    proc = subprocess.run([sys.executable, "-c", RUN, str(seed)], env=env,
+                          capture_output=True, text=True, timeout=900)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"{tree} seed {seed}: exit {proc.returncode}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--src", action="append", required=True,
+                   help="a tree holding src/gradmine; repeat to compare")
+    p.add_argument("--out", required=True)
+    args = p.parse_args(argv)
+    trees = list(dict.fromkeys(args.src))
+
+    cpu = min(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    runs = []
+    for seed in SEEDS:
+        for pair in range(PAIRS):
+            for tree in trees if pair % 2 == 0 else trees[::-1]:
+                run = dict(tree=tree, seed=seed, pair=pair, **mine_once(tree, seed))
+                runs.append(run)
+                print(f"{tree} seed {seed} pair {pair}: {run['seconds']:.2f} s",
+                      file=sys.stderr, flush=True)
+
+    medians = {tree: {str(seed): statistics.median(
+        r["seconds"] for r in runs if r["tree"] == tree and r["seed"] == seed)
+        for seed in SEEDS} for tree in trees}
+    result = {
+        "dataset": "gen_seqclass(n=200, vocab=50, length_range=(6, 40), "
+                   "hard_fraction=0.25, seed=7)",
+        "config": "LSTM embed 8, hidden 12; FimConfig(epsilon=0.003, lr=0.5, "
+                  "seed=<seed>), n_workers=1",
+        "cpu": cpu,
+        "median_seconds": medians,
+        "runs": runs,
+    }
+    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

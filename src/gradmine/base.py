@@ -56,12 +56,13 @@ def check_probs(probs, n=None, tol=PROB_SUM_TOL):
 
 def check_weights(values, what):
     """Validate a non-empty, finite, non-negative 1-D vector with a positive
-    sum (sampling weights); returns it as a float64 array."""
+    entry (sampling weights); returns it as a float64 array scaled by a power
+    of two to a largest entry in [0.5, 1), so that its sums stay finite."""
     v = np.ascontiguousarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise DistributionError(f"{what} must be a non-empty 1-D vector")
     if np.any(v < 0) or not np.all(np.isfinite(v)):
         raise DistributionError(f"{what} must be finite and non-negative")
-    if v.sum() <= 0.0:
+    if v.max() <= 0.0:
         raise DistributionError(f"all {what} are zero; distribution degenerate")
-    return v
+    return np.ldexp(v, -np.frexp(v.max())[1])

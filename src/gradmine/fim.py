@@ -21,7 +21,6 @@ the bits of its run alone, so results are identical for any worker count.
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,7 +295,8 @@ def mine_importance(dataset, spec, cfg, n_workers=None):
     shards = [(spec, samples[r[0]:r[-1] + 1], cfg, int(r[0]), params0) for r in ranges]
     if len(shards) == 1:
         outputs = _mine_rows(shards[0])
-    else:
+    else:  # imported here, so that one-worker runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=len(shards)) as pool:
             outputs = [out for shard in pool.map(_mine_rows, shards) for out in shard]
 

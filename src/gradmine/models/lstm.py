@@ -13,7 +13,9 @@ The classification head mean-pools h_1..h_T and applies a softmax layer;
 the loss is the negative log-likelihood of the sample's label. The W_c
 block of the backward pass is the norm proxy used by importance mining.
 Both passes run a packed batch of samples at once, and each sample's row
-has the bits it has in a batch of its own.
+has the bits it has in a batch of its own. They sort the rows longest first
+and keep their step buffers time-major (T, B, ...), so each step runs on one
+contiguous block: the rows still inside their sequence.
 """
 
 from dataclasses import dataclass
@@ -98,8 +100,10 @@ def _blocks(hidden):
 
 @dataclass
 class LstmBatchTrace:
-    """``forward`` of B samples padded to T steps; entries past a sample's
-    length are padding."""
+    """``forward`` of B samples padded to T steps. The fields above
+    ``losses`` have their rows longest first (``_longest_first``), and the
+    states are batch-major views of time-major buffers, zero past a row's
+    length; ``losses`` and the fields below it are in the caller's order."""
 
     xs: np.ndarray  # (B, T, embed)
     gates: np.ndarray  # (B, T, 4*hidden) (z, f, g, o) activations
@@ -114,43 +118,58 @@ class LstmBatchTrace:
     predictions: np.ndarray  # (B,) argmax class of each sample
 
 
+def _longest_first(params, batch):
+    """``params`` (rows, if it has them), tokens, lengths and labels sorted by
+    falling length (stable), so the rows still inside their sequence at a
+    step lead; and the index that puts sorted rows back in caller order."""
+    lengths = batch.lengths
+    if (np.diff(lengths) <= 0).all():
+        return params, batch.tokens, lengths, batch.labels, slice(None)
+    order = np.argsort(-lengths, kind="stable")
+    if params.vec.ndim == 2:
+        params = params.like(params.vec[order])
+    return (params, batch.tokens[order], lengths[order], batch.labels[order],
+            np.argsort(order))
+
+
 def forward(params, batch, rng=None, k=1):
-    """Cell over every sample of a ``Batch``, one batched product and one
-    sigmoid call per step, and head over each sample's pooled states.
-    Deterministic: ``rng`` and ``k`` (model protocol) are ignored."""
-    tokens, lengths, n = batch.tokens, batch.lengths, batch.lengths.size
-    t_len, hidden = tokens.shape[1], params.h0.shape[-1]
+    """Cell over a ``Batch``, each step one product and one sigmoid call on
+    the rows still inside their sequence, and head over each sample's pooled
+    states. Deterministic: ``rng`` and ``k`` (model protocol) are ignored."""
+    params, tokens, lengths, labels, back = _longest_first(params, batch)
+    (n, t_len), hidden = tokens.shape, params.h0.shape[-1]
     z_blk, f_blk, c_blk, o_blk = _blocks(hidden)
 
     xs = embed(params.w_emb, tokens)
-    gates = np.empty((n, t_len, 4 * hidden))
-    cs = np.empty((n, t_len + 1, hidden))
-    tcs = np.empty((n, t_len, hidden))
-    hs = np.empty((n, t_len + 1, hidden))
-    cs[:, 0] = params.c0
-    hs[:, 0] = params.h0
+    gates = np.zeros((t_len, n, 4 * hidden))
+    tcs = np.zeros((t_len, n, hidden))
+    cs, hs = np.zeros((2, t_len + 1, n, hidden))
+    cs[0], hs[0] = params.c0, params.h0
 
     w_all, u_all, b_all = _stacked(params)
-    pre_x = np.matmul(xs, transpose(w_all)) + b_all[..., None, :]
+    pre_x = np.empty((t_len, n, 4 * hidden))
+    np.matmul(xs, transpose(w_all), out=pre_x.swapaxes(0, 1))
     # Packed alone, a one-step sample's input product is a vector times a
     # matrix, whose bits differ from a row of the matrix product; it is
     # taken that way in every batch, so its row does not depend on the batch.
     one = lengths == 1
     if one.any():
-        pre_x[one, :1] = (np.matmul(xs[:, :1], transpose(w_all))
-                          + b_all[..., None, :])[one]
-    for t in range(t_len):
+        pre_x[0, one] = np.matmul(xs[:, :1], transpose(w_all))[one, 0]
+    pre_x += b_all
+    for t, a in enumerate(batch.mask.sum(axis=0).tolist()):
         # One sigmoid over all four blocks; the c block is then overwritten
         # by its tanh. Elementwise, so each gate gets the bits of its own call.
-        acts = pre_x[:, t] + matvec(u_all, hs[:, t])
-        gate = gates[:, t]
+        u = u_all[:a] if u_all.ndim == 3 else u_all  # per-row or shared
+        acts = pre_x[t, :a] + matvec(u, hs[t, :a])
+        gate = gates[t, :a]
         gate[:] = sigmoid(acts)
         np.tanh(acts[:, c_blk], out=gate[:, c_blk])
-        np.add(gate[:, z_blk] * gate[:, c_blk], gate[:, f_blk] * cs[:, t],
-               out=cs[:, t + 1])
-        np.tanh(cs[:, t + 1], out=tcs[:, t])
-        np.multiply(gate[:, o_blk], tcs[:, t], out=hs[:, t + 1])
+        np.add(gate[:, z_blk] * gate[:, c_blk], gate[:, f_blk] * cs[t, :a],
+               out=cs[t + 1, :a])
+        np.tanh(cs[t + 1, :a], out=tcs[t, :a])
+        np.multiply(gate[:, o_blk], tcs[t, :a], out=hs[t + 1, :a])
 
+    gates, cs, tcs, hs = (x.swapaxes(0, 1) for x in (gates, cs, tcs, hs))
     pooled = np.stack([hs[b, 1:size + 1].mean(axis=0)
                        for b, size in enumerate(lengths)])
     logp = log_softmax(matvec(params.w_cls, pooled) + params.b_cls)
@@ -158,65 +177,59 @@ def forward(params, batch, rng=None, k=1):
     predictions = np.argmax(probs, axis=1)
     return LstmBatchTrace(
         xs=xs, gates=gates, cs=cs, tcs=tcs, hs=hs, pooled=pooled, probs=probs,
-        losses=-logp[np.arange(n), batch.labels],
-        wrong=(predictions != batch.labels).astype(np.int64),
+        losses=-logp[np.arange(n), labels][back],
+        wrong=(predictions != labels).astype(np.int64)[back],
         total=np.ones(n, dtype=np.int64),
-        predictions=predictions)
+        predictions=predictions[back])
 
 
 def backward(params, batch, trace):
     """Exact gradients of each sample's loss for all blocks, including
-    h0/c0: a (B, P) matrix with one gradient vector per row. Padded steps
-    add exact zeros."""
+    h0/c0: a (B, P) matrix with one gradient vector per row, in the
+    caller's order."""
     check_trace(batch, trace.hs)
-    lengths, mask, n = batch.lengths, batch.mask, batch.lengths.size
-    t_len, hidden = mask.shape[1], params.h0.shape[-1]
+    params, tokens, lengths, labels, back = _longest_first(params, batch)
+    (n, t_len), hidden = tokens.shape, params.h0.shape[-1]
     z_blk, f_blk, c_blk, o_blk = _blocks(hidden)
 
     dlogits = trace.probs.copy()
-    dlogits[np.arange(n), batch.labels] -= 1.0
+    dlogits[np.arange(n), labels] -= 1.0
     dh_pool = matvec(transpose(params.w_cls), dlogits) / lengths[:, None]
-    dh_next = np.zeros((n, hidden))
-    dc_next = np.zeros((n, hidden))
+    dh_next, dc_next = np.zeros((2, n, hidden))  # zero up to a row's last step
 
     w_all, u_all, _ = _stacked(params)
     g = params.like(np.zeros((n, params.vec.shape[-1])))
-    gates, cs, tcs = trace.gates, trace.cs, trace.tcs
+    gates, cs, tcs = (x.swapaxes(0, 1) for x in (trace.gates, trace.cs, trace.tcs))
     zs, fs, gs, os_ = (gates[..., blk] for blk in (z_blk, f_blk, c_blk, o_blk))
     one_tc2 = 1.0 - tcs**2
     # The (z, f, c, o) blocks of da are dc*g*z*(1-z), dc*C_{t-1}*f*(1-f),
     # dc*z*(1-g^2) and do*o*(1-o), multiplied left to right: here
     # (a * s1) * s2, times s3 on the z and f blocks, with a = (dc, dc, dc, do)
     # and every factor s stacked for all steps at once.
-    s1 = np.concatenate([gs, cs[:, :-1], zs, os_], axis=-1)
+    s1 = np.concatenate([gs, cs[:-1], zs, os_], axis=-1)
     s2 = np.concatenate([zs, fs, 1.0 - gs**2, 1.0 - os_], axis=-1)
     s3 = np.concatenate([1.0 - zs, 1.0 - fs], axis=-1)
     a = np.empty((n, 4, hidden))
-    da_all = np.empty((n, t_len, 4 * hidden))
+    da_all = np.zeros((t_len, n, 4 * hidden))  # padded steps stay zero
     u_all_t = transpose(u_all)
-    padded = not mask.all()  # never so for a training step's one-row batch
-    for t in range(t_len - 1, -1, -1):
-        dh = dh_pool + dh_next
-        dc = dh * os_[:, t] * one_tc2[:, t] + dc_next
-        a[:, :3] = dc[:, None]
-        np.multiply(dh, tcs[:, t], out=a[:, 3])
+    for t, live in reversed(list(enumerate(batch.mask.sum(axis=0).tolist()))):
+        dh = dh_pool[:live] + dh_next[:live]
+        dc = dh * os_[t, :live] * one_tc2[t, :live] + dc_next[:live]
+        a[:live, :3] = dc[:, None]
+        np.multiply(dh, tcs[t, :live], out=a[:live, 3])
 
-        da = da_all[:, t]
-        np.multiply(a.reshape(n, -1), s1[:, t], out=da)
-        da *= s2[:, t]
-        da[:, :2 * hidden] *= s3[:, t]
-        dc_next = dc * fs[:, t]
-        dh_next = matvec(u_all_t, da)
-        if padded:  # each sample's carries start from zero at its last step
-            active = mask[:, t, None]
-            dc_next = np.where(active, dc_next, 0.0)
-            dh_next = np.where(active, dh_next, 0.0)
-    if padded:
-        da_all[~mask] = 0.0
-    add_rows_backwards(g.w_emb, batch.tokens, matvec(transpose(w_all), da_all))
+        da = da_all[t, :live]
+        np.multiply(a[:live].reshape(live, -1), s1[t, :live], out=da)
+        da *= s2[t, :live]
+        da[:, :2 * hidden] *= s3[t, :live]
+        dc_next[:live] = dc * fs[t, :live]
+        dh_next[:live] = matvec(u_all_t[:live] if u_all.ndim == 3 else u_all_t, da)
+    del s1, s2, s3, one_tc2  # room for the batch-major copy of da_all
+    da_all = np.ascontiguousarray(da_all.swapaxes(0, 1))
+    add_rows_backwards(g.w_emb, tokens, matvec(transpose(w_all), da_all))
 
     g_w, g_u, g_b = _stacked(g)
-    hs, xs = trace.hs, trace.xs
+    hs, xs = np.ascontiguousarray(trace.hs), trace.xs
     # Sums over time run per sample: padded, they can group differently.
     for b, size in enumerate(lengths):
         da = da_all[b, :size]
@@ -227,4 +240,4 @@ def backward(params, batch, trace):
     g.b_cls = dlogits
     g.h0 = dh_next
     g.c0 = dc_next
-    return g.vec
+    return g.vec[back]

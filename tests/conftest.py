@@ -52,8 +52,11 @@ class OneSample:
 
 
 def first_row(trace):
-    """Row 0 of every field of a library trace: one sample's trace, for
-    oracles that read per-sample arrays."""
+    """The only row of every field of a one-row library trace: one sample's
+    trace, for oracles that read per-sample arrays. A trace of more rows is
+    refused, as its fields need not share one row order (the LSTM's states
+    are longest first, its losses in the caller's order)."""
+    assert len(trace.losses) == 1, "first_row reads one-row traces only"
     return SimpleNamespace(**{f.name: getattr(trace, f.name)[0] for f in fields(trace)})
 
 

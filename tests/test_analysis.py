@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,13 @@ class TestDistributions:
         with pytest.raises(DistributionError):
             lipschitz_distribution([0.0, 0.0])
 
+    def test_bounds_near_the_float_max_give_finite_probs(self):
+        # Their sum overflows; check_weights scales them by a power of two.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = lipschitz_distribution([1e308, 1e308])
+        np.testing.assert_array_equal(p, [0.5, 0.5])
+
     def test_optimal_distribution_hand_case(self):
         grads = np.array([[1.0, 0.0], [0.0, 3.0]])
         np.testing.assert_allclose(optimal_distribution(grads), [0.25, 0.75])
@@ -161,6 +170,11 @@ class TestBoundRatio:
 
     def test_single_spike(self):
         assert abs(bound_ratio([1.0, 0.0, 0.0, 0.0]) - 4.0) < 1e-12
+
+    def test_values_near_the_float_max(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bound_ratio([1e308, 1e308]) == 1.0
 
     def test_always_at_least_one(self, rng):
         for _ in range(10**4):

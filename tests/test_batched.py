@@ -73,6 +73,11 @@ specs = st.builds(dict, vocab=widths, embed=widths, hidden=widths,
 @example(kind="lstm", dims=dict(vocab=5, embed=12, hidden=11, classes=2,
                                 context=1, cd_k=1),
          lengths=[2, 1, 1, 10], equal=False, seed=0)
+# Hidden width 1 and a longer sample first: the per-sample ``u`` gradient
+# product must take each sample's states as a contiguous matrix.
+@example(kind="lstm", dims=dict(vocab=1, embed=1, hidden=1, classes=2,
+                                context=1, cd_k=1),
+         lengths=[1, 2], equal=False, seed=0)
 def test_batched_passes_equal_the_per_sample_loop(kind, dims, lengths, equal, seed):
     rng = np.random.default_rng(seed)
     spec = ModelSpec(kind=kind, **dims)
@@ -95,6 +100,43 @@ def test_batched_passes_equal_the_per_sample_loop(kind, dims, lengths, equal, se
     assert trace.predictions.tolist() == predictions
     assert_same_bits(grads, oracle_grads)
     assert draws.bit_generator.state == oracle_draws.bit_generator.state
+
+
+@settings(deadline=None, max_examples=150)
+@given(kind=st.sampled_from(MODEL_KINDS), dims=specs,
+       lengths=st.lists(st.integers(1, 12), min_size=2, max_size=6),
+       per_row=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(kind="lstm", dims=dict(vocab=5, embed=3, hidden=4, classes=3,
+                                context=1, cd_k=1),
+         lengths=[3, 9, 1, 9, 4], per_row=True, seed=1)
+def test_permuting_the_samples_permutes_every_output(kind, dims, lengths, per_row,
+                                                     seed):
+    """Rows are independent of their place in the batch: with shared or
+    per-row parameters, and each sample's own generator, a permuted batch
+    gives the permuted losses, counts, predictions and gradient rows."""
+    rng = np.random.default_rng(seed)
+    spec = ModelSpec(kind=kind, **dims)
+    model = get_model(spec)
+    n = len(lengths)
+    perm = rng.permutation(n)
+    samples = random_samples(kind, spec, lengths, rng)
+    params = randomize(model.init_params(0), rng, scale=0.8)
+    if per_row:
+        params = params.like(rng.normal(0.0, 0.8, (n, params.vec.size)))
+
+    def passes(order):
+        rows = params.like(params.vec[order]) if per_row else params
+        draws = [np.random.default_rng([seed, int(i)]) for i in order]
+        batch = pack([samples[i] for i in order])
+        trace = model.forward(rows, batch, draws)
+        return trace, model.backward(rows, batch, trace)
+
+    trace, grads = passes(np.arange(n))
+    moved, moved_grads = passes(perm)
+    for name in ("losses", "wrong", "total"):
+        assert_same_bits(getattr(moved, name), getattr(trace, name)[perm])
+    assert moved.predictions.tolist() == trace.predictions[perm].tolist()
+    assert_same_bits(moved_grads, grads[perm])
 
 
 def test_pack_pads_at_the_end_of_time():

@@ -1,4 +1,5 @@
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -155,7 +156,7 @@ class TestMineImportance:
         # One core: four workers run one lockstep batch, in this process.
         ds, spec, cfg = self._small_case("rnn", 5)
         t1 = mine_importance(ds, spec, cfg, n_workers=1).table
-        with cores(1), mock.patch.object(fim, "ProcessPoolExecutor") as pool:
+        with cores(1), mock.patch("concurrent.futures.ProcessPoolExecutor") as pool:
             t4 = mine_importance(ds, spec, cfg, n_workers=4).table
         pool.assert_not_called()
         self._assert_same_table(t1, t4)
@@ -280,6 +281,13 @@ class TestBuildDistribution:
         np.testing.assert_array_equal(build_distribution(4.0 * norms).probs, base)
         np.testing.assert_allclose(build_distribution(3.7 * norms).probs, base,
                                    rtol=1e-14)
+
+    def test_norms_near_the_float_max_give_finite_probs(self):
+        # Their sum overflows; the norms are scaled by a power of two first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = build_distribution(np.array([1e308, 1e308]))
+        np.testing.assert_array_equal(dist.probs, [0.5, 0.5])
 
     def test_accepts_table(self):
         table = ImportanceTable(

@@ -130,8 +130,8 @@ def test_divergence_names_the_sample_the_scalar_loop_names(case, workers):
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_every_batched_field_is_batch_major(kind):
-    # Code that reads one sample of a Batch or a batched trace (conftest's
-    # first_row) indexes every field by row, so each must be None or lead with B.
+    # Code that reads one sample of a Batch or a batched trace indexes every
+    # field by row, so each must be None or lead with B.
     spec = ModelSpec(kind=kind, vocab=5, embed=4, hidden=6, classes=2, context=7)
     samples = random_samples(kind, spec, [2, 5, 1], np.random.default_rng(0))
     model = get_model(spec)
