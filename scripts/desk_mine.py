@@ -32,11 +32,11 @@ RUN = """
 import hashlib, json, sys, time
 from gradmine.data import gen_seqclass
 from gradmine.fim import FimConfig, mine_importance
-from gradmine.models import spec_for_dataset
+from gradmine.models import ModelSpec
 
 seed = int(sys.argv[1])
 ds = gen_seqclass(n=200, vocab=50, length_range=(6, 40), hard_fraction=0.25, seed=7)
-spec = spec_for_dataset(ds, "lstm", embed=8, hidden=12, classes=2)
+spec = ModelSpec(kind="lstm", vocab=ds.vocab, embed=8, hidden=12, classes=2)
 cfg = FimConfig(epsilon=0.003, lr=0.5, seed=seed)
 start = time.perf_counter()
 table = mine_importance(ds, spec, cfg, n_workers=1).table

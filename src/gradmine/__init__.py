@@ -50,7 +50,7 @@ from .fim import (
     mine_importance,
     save_importance,
 )
-from .models import ModelSpec, get_model, grad_norm, spec_for_dataset
+from .models import ModelSpec, get_model
 from .optimizer import (
     MetricsLog,
     MetricsRow,
@@ -62,7 +62,7 @@ from .optimizer import (
     sgd_step,
     train,
 )
-from .sampling import SamplingDistribution, build_alias, draw, generate_sequence
+from .sampling import SamplingDistribution, build_alias, generate_sequence
 from .tensor import frobenius_norm, matrix_norm, sigmoid, spectral_norm
 
 __version__ = "0.1.0"

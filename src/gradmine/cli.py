@@ -55,11 +55,20 @@ def _write_run_records(argv, args, started, inputs, outputs):
         data.write_json(f"{out}.run.json", record, indent=2, default=str)
 
 
-def _check_flags(args, **rules):
-    """Reject, naming it, the first set flag that breaks its rule, ``"> x"``
-    or ``">= x"`` (NaN breaks both); commands call this before any load."""
-    for name, rule in rules.items():
-        value, (op, bound) = getattr(args, name), rule.split()
+# The range of every numeric flag, ``"> x"`` or ``">= x"`` (NaN breaks both).
+FLAG_RULES = {
+    **dict.fromkeys(("epsilon", "target_loss", "lr", "clip"), "> 0"),
+    **dict.fromkeys(("t_max", "epochs", "eval_every", "workers", "embed_dim",
+                     "hidden", "classes", "context", "cd_k"), ">= 1"),
+    "warm_epochs": ">= 0",
+}
+
+
+def _check_flags(args):
+    """Reject, naming it, the first set flag of the command that breaks its
+    ``FLAG_RULES`` entry; ``main`` calls this before the command runs."""
+    for name, rule in FLAG_RULES.items():
+        value, (op, bound) = getattr(args, name, None), rule.split()
         if value is not None and not (
                 value > float(bound) if op == ">" else value >= float(bound)):
             raise GradmineError(f"--{name.replace('_', '-')} must be {rule}, got {value}")
@@ -115,12 +124,10 @@ def cmd_gen(args):
 
 
 def cmd_mine(args):
-    _check_flags(args, epsilon="> 0", lr="> 0", t_max=">= 1")
     epsilon = args.epsilon
     if epsilon is None:
         if args.target_loss is None:
             raise GradmineError("one of --epsilon / --target-loss is required")
-        _check_flags(args, target_loss="> 0")
         epsilon = fim.default_epsilon(args.target_loss)
     dataset = data.load_dataset(args.data)
     spec = spec_of(args, dataset)
@@ -184,7 +191,6 @@ def _train_and_write(args, dataset, spec, table, samplers, inputs, title,
 
 
 def cmd_train(args):
-    _check_flags(args, lr="> 0", epochs=">= 1", clip="> 0")
     dataset = data.load_dataset(args.data)
     if args.rbm_preset:
         frames, args.lr = RBM_PRESETS[args.rbm_preset]
@@ -205,7 +211,6 @@ def cmd_train(args):
 
 
 def cmd_compare(args):
-    _check_flags(args, lr="> 0", epochs=">= 1", clip="> 0")
     dataset = data.load_dataset(args.data)
     spec = spec_of(args, dataset)
     table = fim.load_importance(args.importance).check_fits(spec, len(dataset))
@@ -216,7 +221,6 @@ def cmd_compare(args):
 
 
 def cmd_variance(args):
-    _check_flags(args, warm_epochs=">= 0", lr="> 0")
     dataset = data.load_dataset(args.data)
     spec = spec_of(args, dataset)
     batch = pack(validate_dataset(spec, dataset))
@@ -314,6 +318,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        _check_flags(args)
         inputs, outputs = args.func(args)
         _write_run_records(argv, args, started, inputs, outputs)
         return 0

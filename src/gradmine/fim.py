@@ -357,7 +357,7 @@ def build_distribution(norms, smoothing=0.0):
     """
     if not 0 <= smoothing < np.inf:  # also rejects NaN
         raise ConfigError(f"smoothing must be finite and >= 0, got {smoothing}")
-    v = check_weights(getattr(norms, "norms", norms), "norms")
+    v = check_weights(norms, "norms")
     shifted = v + smoothing * v.mean()
     return build_alias(shifted / shifted.sum())
 
@@ -437,4 +437,4 @@ class ImportanceMiner(ParamsMixin):
         return self
 
     def distribution(self):
-        return build_distribution(self.table_, smoothing=self.smoothing)
+        return build_distribution(self.table_.norms, smoothing=self.smoothing)

@@ -9,14 +9,15 @@ per-sample ``losses``, ``wrong``, ``total`` and ``predictions``, and
 ``backward(params, batch, trace)``, the (B, P) matrix of per-sample
 gradients. Each sample's row has the bits it has in a batch of its own,
 which a one-sample batch, ``pack(validate_dataset(spec, [sample]))``,
-gives; a batch drawn from one generator draws as its samples would in
-turn, and one given a generator per row draws from each as its sample
-would alone. Every field of a trace, as of a ``Batch``, is None or has B
-as its leading axis, so one sample's row of either is the same index into
-every field. Parameters travel explicitly through every call, so
-concurrent workers can hold private copies without locks. Only the frame
-model draws from ``rng``. ``validate_dataset`` checks each sample once
-where data enters; the passes check nothing per sample.
+gives. Only the frame model draws from ``rng``: each sample takes its
+draws from its own generator, given one per row, or in turn from one
+shared generator, so either ends as if each sample had drawn alone. Every
+field of a trace, as of a ``Batch``, is None or has B as its leading
+axis, so one sample's row of either is the same index into every field.
+Parameters travel explicitly through every call, so concurrent workers
+can hold private copies without locks. ``spec_of`` is the one spec
+builder, and ``validate_dataset`` checks each sample once where data
+enters; the passes check nothing per sample.
 """
 
 from dataclasses import dataclass
@@ -34,7 +35,6 @@ from .common import (
     STREAM_MODEL,
     ModelSpec,
     Params,
-    grad_norm,
     pack,
     param_block,
     param_blocks,
@@ -79,18 +79,13 @@ def get_model(spec):
     return Model(spec)
 
 
-def spec_for_dataset(dataset, kind, **dims):
-    """Build a spec whose symbol space matches the dataset."""
-    return ModelSpec(kind=kind, vocab=dataset.vocab, **dims)
-
-
 def spec_of(settings, dataset):
-    """Spec for ``dataset`` from the model settings of parsed CLI arguments
-    or an estimator: ``model``, ``embed_dim``, ``hidden``, ``classes``,
-    ``context`` and ``cd_k``."""
-    return spec_for_dataset(
-        dataset,
-        settings.model,
+    """Spec for ``dataset``, whose ``vocab`` it takes, from the model
+    settings of parsed CLI arguments or an estimator: ``model``,
+    ``embed_dim``, ``hidden``, ``classes``, ``context`` and ``cd_k``."""
+    return ModelSpec(
+        kind=settings.model,
+        vocab=dataset.vocab,
         embed=settings.embed_dim,
         hidden=settings.hidden,
         classes=settings.classes,

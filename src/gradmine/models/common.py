@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, InvalidInputError
-from ..tensor import matrix_norm
 
 RNN = "rnn"
 LSTM = "lstm"
@@ -192,8 +191,3 @@ def param_block(params, name):
     if name not in names:
         raise ConfigError(f"unknown parameter block {name!r}; have {sorted(names)}")
     return getattr(params, name)
-
-
-def grad_norm(grads, selector, norm_kind="frobenius"):
-    """Norm of one gradient block, selected by parameter name."""
-    return matrix_norm(param_block(grads, selector), kind=norm_kind)

@@ -95,11 +95,11 @@ def gibbs_step(w, bv, bh, v, uniforms, h_prob=None):
 
 def forward(params, batch, rng=None, k=1):
     """Conditioning recurrence plus one CD-k chain per frame for every
-    sample of a ``Batch``, drawing in turn from one ``rng``, or each from
-    its own when ``rng`` is a sequence of generators: every frame's chain
-    runs at once on its share of one bulk draw per generator (per frame and
-    chain step, n_h uniforms for h, then n_v for v), so the generators end
-    as if each sample had drawn alone."""
+    sample of a ``Batch``. Each sample takes one draw for all its frames
+    (per frame and chain step, n_h uniforms for h, then n_v for v) from its
+    own generator when ``rng`` is a sequence of them, or in turn from one
+    shared ``rng``: one bulk draw equals the same draws taken in pieces, so
+    every generator ends as if each sample had drawn alone."""
     if rng is None:
         raise InvalidInputError("the frame model needs a random generator")
     frames, lengths, mask = batch.frames, batch.lengths, batch.mask
@@ -116,10 +116,8 @@ def forward(params, batch, rng=None, k=1):
 
     # Padding draws 1.0, which samples 0 from every probability.
     width = k * (n_h + n_v)
-    if isinstance(rng, np.random.Generator):
-        draws = rng.random(int(lengths.sum()) * width)
-    else:
-        draws = np.concatenate([r.random(m * width) for r, m in zip(rng, lengths)])
+    rngs = [rng] * n if isinstance(rng, np.random.Generator) else rng
+    draws = np.concatenate([r.random(m * width) for r, m in zip(rngs, lengths)])
     uniforms = np.ones((n, t_len, k, n_h + n_v))
     uniforms[mask] = draws.reshape(-1, k, n_h + n_v)
     # The positive phase is the first half-step's hidden probability.

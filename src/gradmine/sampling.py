@@ -67,15 +67,6 @@ def build_alias(probs):
     return SamplingDistribution(probs=p, alias_prob=alias_prob, alias_idx=alias_idx)
 
 
-def draw(dist, rng):
-    """One index distributed per the tables: pick a cell, then accept or
-    fall through to its alias. Consumes exactly two uniforms."""
-    i = int(rng.integers(dist.n))
-    if rng.random() < dist.alias_prob[i]:
-        return i
-    return int(dist.alias_idx[i])
-
-
 def generate_sequence(dist, length, rng):
     """``length`` i.i.d. draws, materialized up front.
 

@@ -26,7 +26,6 @@ from gradmine.models import (
     get_model,
     param_block,
     param_blocks,
-    spec_for_dataset,
 )
 from gradmine.optimizer import TrainConfig, train
 from gradmine.sampling import build_alias, generate_sequence
@@ -179,7 +178,7 @@ def test_criterion_5_gradient_bound_domination():
 
 def test_criterion_6_uniform_reduction_bitwise():
     ds = gen_seqclass(n=50, vocab=12, length_range=(4, 10), hard_fraction=0.25, seed=60)
-    spec = spec_for_dataset(ds, "rnn", embed=5, hidden=6)
+    spec = ModelSpec(kind="rnn", vocab=ds.vocab, embed=5, hidden=6)
     model = get_model(spec)
     params0 = model.init_params(3)
     table = ImportanceTable(
@@ -225,7 +224,7 @@ def test_criterion_7_sampler_fidelity():
 
 def test_criterion_8_mining_semantics():
     ds = gen_seqclass(n=10, vocab=10, length_range=(4, 9), hard_fraction=0.3, seed=80)
-    spec = spec_for_dataset(ds, "rnn", embed=4, hidden=5)
+    spec = ModelSpec(kind="rnn", vocab=ds.vocab, embed=4, hidden=5)
 
     cfg = FimConfig(epsilon=0.02, lr=0.2, seed=5, t_max=2000)
     t1 = mine_importance(ds, spec, cfg, n_workers=1).table
@@ -272,7 +271,7 @@ def test_criterion_9_desk_scale_convergence():
         return cap
 
     ds = gen_seqclass(n=200, vocab=50, length_range=(6, 40), hard_fraction=0.25, seed=7)
-    spec = spec_for_dataset(ds, "lstm", embed=8, hidden=12, classes=2)
+    spec = ModelSpec(kind="lstm", vocab=ds.vocab, embed=8, hidden=12, classes=2)
     model = get_model(spec)
 
     reach = {"uniform": [], "importance": []}

@@ -47,6 +47,14 @@ def uniform_table_file(path, n, model="rnn"):
     return path
 
 
+def recorded_loads(monkeypatch):
+    """The paths of every dataset or table the CLI loads from now on."""
+    loads = []
+    monkeypatch.setattr(cli.data, "load_dataset", loads.append)
+    monkeypatch.setattr(cli.fim, "load_importance", loads.append)
+    return loads
+
+
 class TestGen:
     def test_writes_dataset_manifest_and_run_record(self, tmp_path, capsys):
         out = tmp_path / "d.jsonl"
@@ -266,15 +274,19 @@ class TestMine:
         ("--epsilon", "nan", "--epsilon must be > 0, got nan"),
         ("--lr", "-1", "--lr must be > 0, got -1.0"),
         ("--t-max", "0", "--t-max must be >= 1, got 0"),
+        ("--workers", "0", "--workers must be >= 1, got 0"),
+        ("--target-loss", "0", "--target-loss must be > 0, got 0.0"),
     ])
     def test_flag_out_of_range_exits_2_naming_it_before_the_load(
-            self, tmp_path, capsys, flag, value, message):
+            self, tmp_path, capsys, monkeypatch, flag, value, message):
+        loads = recorded_loads(monkeypatch)
         args = {"--epsilon": "0.1", flag: value}
         code = run(["mine", "--data", str(tmp_path / "missing.jsonl"),
                     *[a for kv in args.items() for a in kv],
                     "--out", str(tmp_path / "i.json")])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert loads == []
 
 
 class TestTrain:
@@ -341,13 +353,17 @@ class TestTrain:
         ("--lr", "-1", "--lr must be > 0, got -1.0"),
         ("--lr", "nan", "--lr must be > 0, got nan"),
         ("--epochs", "0", "--epochs must be >= 1, got 0"),
+        ("--eval-every", "0", "--eval-every must be >= 1, got 0"),
+        ("--cd-k", "0", "--cd-k must be >= 1, got 0"),
     ])
     def test_flag_out_of_range_exits_2_naming_it_before_the_load(
-            self, tmp_path, capsys, flag, value, message):
+            self, tmp_path, capsys, monkeypatch, flag, value, message):
+        loads = recorded_loads(monkeypatch)
         code = run(["train", "--data", str(tmp_path / "missing.jsonl"),
                     flag, value, "--out", str(tmp_path / "m.csv")])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert loads == []
 
     def test_svg_writes_chart_and_run_records(self, tmp_path):
         data = tmp_path / "d.jsonl"
@@ -543,14 +559,17 @@ class TestCompare:
     @pytest.mark.parametrize("flag, value, message", [
         ("--lr", "-1", "--lr must be > 0, got -1.0"),
         ("--clip", "0", "--clip must be > 0, got 0.0"),
+        ("--embed-dim", "0", "--embed-dim must be >= 1, got 0"),
     ])
     def test_flag_out_of_range_exits_2_naming_it_before_the_load(
-            self, tmp_path, capsys, flag, value, message):
+            self, tmp_path, capsys, monkeypatch, flag, value, message):
+        loads = recorded_loads(monkeypatch)
         code = run(["compare", "--data", str(tmp_path / "missing.jsonl"),
                     "--importance", str(tmp_path / "missing.json"),
                     flag, value, "--out", str(tmp_path / "m.csv")])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert loads == []
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -29,8 +29,9 @@ from gradmine.fim import (
     mine_importance,
     save_importance,
 )
-from gradmine.models import MODEL_KINDS, ModelSpec, param_block, spec_for_dataset
+from gradmine.models import MODEL_KINDS, ModelSpec, param_block
 from gradmine.sampling import SamplingDistribution
+from gradmine.tensor import matrix_norm
 
 from conftest import OneSample, cores
 
@@ -69,7 +70,6 @@ class TestMineImportance:
         # five engineered hard samples (long, rare-band) must take the five
         # largest mined probabilities, and a gradient-norm-tracking oracle
         # over whole-dataset training must agree with that ranking
-        from gradmine.models import grad_norm
         from gradmine.optimizer import sgd_step
 
         ds = gen_seqclass(n=20, vocab=30, length_range=(6, 40), hard_fraction=0.25, seed=3)
@@ -77,7 +77,7 @@ class TestMineImportance:
         hard = set(np.flatnonzero(lens > 20).tolist())
         assert len(hard) == 5
 
-        spec = spec_for_dataset(ds, "lstm", embed=8, hidden=10, classes=2)
+        spec = ModelSpec(kind="lstm", vocab=ds.vocab, embed=8, hidden=10, classes=2)
         cfg = FimConfig(epsilon=0.003, lr=0.5, seed=0)
         table = mine_importance(ds, spec, cfg, n_workers=1).table
         mined_top = set(np.argsort(-table.probs)[:5].tolist())
@@ -91,7 +91,7 @@ class TestMineImportance:
             for i in order_rng.permutation(20):
                 s = ds[int(i)]
                 grads = model.backward(params, s, model.forward(params, s))
-                sup[int(i)] = max(sup[int(i)], grad_norm(grads, "w_c"))
+                sup[int(i)] = max(sup[int(i)], matrix_norm(param_block(grads, "w_c")))
                 params = sgd_step(params, grads, 0.05)
         oracle_top = set(np.argsort(-sup)[:5].tolist())
         assert oracle_top == hard
@@ -295,7 +295,7 @@ class TestBuildDistribution:
             norm_kind="frobenius", norms=[1.0, 3.0], probs=[0.25, 0.75],
             iterations=[5, 9], converged=[True, True],
         )
-        np.testing.assert_allclose(build_distribution(table).probs, [0.25, 0.75])
+        np.testing.assert_allclose(build_distribution(table.norms).probs, [0.25, 0.75])
 
     @pytest.mark.parametrize("smoothing", [np.nan, np.inf, -0.5])
     def test_smoothing_must_be_finite_and_non_negative(self, smoothing):

@@ -18,7 +18,6 @@ from gradmine.models import (
     pack,
     rnn,
     rnnrbm,
-    spec_for_dataset,
     validate_dataset,
 )
 from gradmine.optimizer import TrainConfig, train
@@ -122,7 +121,7 @@ def test_each_sample_is_checked_once_where_data_enters(kind, monkeypatch):
     else:
         ds = gen_seqclass(n=7, vocab=8, length_range=(4, 6), seed=0)
         dims = dict(embed=3, hidden=4)
-    spec = spec_for_dataset(ds, kind, **dims)
+    spec = ModelSpec(kind=kind, vocab=ds.vocab, **dims)
     samples, held = ds.samples[:5], ds.samples[5:]
     checked = []
     for module in MODULES.values():

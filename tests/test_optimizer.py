@@ -10,7 +10,7 @@ from gradmine.errors import (
     ParseError,
 )
 from gradmine.fim import ImportanceTable
-from gradmine.models import ModelSpec, Params, get_model, param_blocks, spec_for_dataset
+from gradmine.models import ModelSpec, Params, get_model, param_blocks
 from gradmine.data import SequenceSample, gen_pianoroll, gen_seqclass
 from gradmine.optimizer import (
     MetricsLog,
@@ -126,7 +126,7 @@ def targets_samples(n, seed, vocab=6):
 class TestTrain:
     def test_zero_epochs_is_identity(self):
         ds = tiny_dataset()
-        spec = spec_for_dataset(ds, "rnn", embed=4, hidden=4)
+        spec = ModelSpec(kind="rnn", vocab=ds.vocab, embed=4, hidden=4)
         model = get_model(spec)
         params0 = model.init_params(0)
         cfg = TrainConfig(spec=spec, lr=0.1, epochs=0)
@@ -139,7 +139,7 @@ class TestTrain:
         # 49 * fl(1/49) != 1, so lr / (n p) would not be lr at N = 49
         for n in (12, 49):
             ds = tiny_dataset(n=n)
-            spec = spec_for_dataset(ds, "rnn", embed=4, hidden=4)
+            spec = ModelSpec(kind="rnn", vocab=ds.vocab, embed=4, hidden=4)
             model = get_model(spec)
             params0 = model.init_params(1)
             base = TrainConfig(spec=spec, lr=0.2, epochs=3, sampler="uniform", seed=5)
@@ -155,7 +155,7 @@ class TestTrain:
 
     def test_deterministic_given_seed(self):
         ds = tiny_dataset()
-        spec = spec_for_dataset(ds, "lstm", embed=4, hidden=4, classes=2)
+        spec = ModelSpec(kind="lstm", vocab=ds.vocab, embed=4, hidden=4, classes=2)
         model = get_model(spec)
         params0 = model.init_params(3)
         cfg = TrainConfig(spec=spec, lr=0.3, epochs=2, seed=9)
@@ -173,7 +173,7 @@ class TestTrain:
         # saturated reconstruction probabilities hit -log(0) on mismatched
         # bits; the token models are saturation-proof, the frame model not
         ds = gen_pianoroll(n=6, n_v=6, length_range=(4, 6), seed=3)
-        spec = spec_for_dataset(ds, "rnnrbm", hidden=4, context=3, cd_k=1)
+        spec = ModelSpec(kind="rnnrbm", vocab=ds.vocab, hidden=4, context=3, cd_k=1)
         model = get_model(spec)
         params0 = model.init_params(0)
         cfg = TrainConfig(spec=spec, lr=1e4, epochs=3, seed=0)
@@ -182,7 +182,7 @@ class TestTrain:
 
     def test_importance_length_mismatch(self):
         ds = tiny_dataset()
-        spec = spec_for_dataset(ds, "rnn", embed=4, hidden=4)
+        spec = ModelSpec(kind="rnn", vocab=ds.vocab, embed=4, hidden=4)
         cfg = TrainConfig(
             spec=spec, lr=0.1, epochs=1, sampler="importance",
             importance=uniform_table(len(ds) + 2),
@@ -193,7 +193,7 @@ class TestTrain:
     def test_eval_split_rows(self):
         ds = tiny_dataset()
         held = tiny_dataset(n=6, seed=77)
-        spec = spec_for_dataset(ds, "rnn", embed=4, hidden=4)
+        spec = ModelSpec(kind="rnn", vocab=ds.vocab, embed=4, hidden=4)
         cfg = TrainConfig(spec=spec, lr=0.1, epochs=2, seed=1)
         [(_, log)] = train(ds, get_model(spec).init_params(0), [cfg],
                            eval_dataset=held)
@@ -202,14 +202,14 @@ class TestTrain:
 
     def test_eval_cadence(self):
         ds = tiny_dataset()
-        spec = spec_for_dataset(ds, "rnn", embed=4, hidden=4)
+        spec = ModelSpec(kind="rnn", vocab=ds.vocab, embed=4, hidden=4)
         cfg = TrainConfig(spec=spec, lr=0.1, epochs=5, seed=1, eval_every=2)
         [(_, log)] = train(ds, get_model(spec).init_params(0), [cfg])
         assert [r.epoch for r in log.rows] == [2, 4, 5]
 
     def test_epochs_strictly_increasing_and_finite(self):
         ds = tiny_dataset()
-        spec = spec_for_dataset(ds, "lstm", embed=4, hidden=4, classes=2)
+        spec = ModelSpec(kind="lstm", vocab=ds.vocab, embed=4, hidden=4, classes=2)
         cfg = TrainConfig(spec=spec, lr=0.4, epochs=4, seed=2)
         [(_, log)] = train(ds, get_model(spec).init_params(2), [cfg])
         epochs = [r.epoch for r in log.rows]
@@ -231,7 +231,7 @@ class TestTrain:
     ])
     def test_lockstep_runs_must_share_spec_epochs_and_eval_every(self, change):
         ds = tiny_dataset()
-        spec = spec_for_dataset(ds, "rnn", embed=4, hidden=4)
+        spec = ModelSpec(kind="rnn", vocab=ds.vocab, embed=4, hidden=4)
         first = TrainConfig(spec=spec, lr=0.1, epochs=2)
         other = TrainConfig(**{**vars(first), "lr": 0.2, **change})
         with pytest.raises(ConfigError, match="share spec, epochs and eval_every"):

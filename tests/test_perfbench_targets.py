@@ -10,7 +10,7 @@ import pytest
 
 from gradmine import fim
 from gradmine.data import gen_seqclass
-from gradmine.models import spec_for_dataset, validate_dataset
+from gradmine.models import ModelSpec, validate_dataset
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -31,7 +31,7 @@ def test_mine_one_result_positions_match_the_table():
     # The tracer reads a private run's steps and convergence as result[2]
     # and result[3] of ``_mine_one``; they must be the table's entries.
     dataset = gen_seqclass(n=4, vocab=8, length_range=(3, 6), seed=2)
-    spec = spec_for_dataset(dataset, "rnn", embed=3, hidden=4)
+    spec = ModelSpec(kind="rnn", vocab=dataset.vocab, embed=3, hidden=4)
     cfg = fim.FimConfig(epsilon=0.3, lr=0.2, t_max=6)
     mined = fim.mine_importance(dataset, spec, cfg, n_workers=1)
     samples = validate_dataset(spec, dataset)

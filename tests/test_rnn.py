@@ -3,8 +3,9 @@ import pytest
 
 from gradmine.data import SequenceSample
 from gradmine.errors import ConfigError, InvalidInputError
-from gradmine.models import ModelSpec, grad_norm, param_blocks
+from gradmine.models import ModelSpec, param_block, param_blocks
 from gradmine.models import rnn
+from gradmine.tensor import matrix_norm
 
 from conftest import OneSample, randomize
 from oracles import finite_diff_grads, max_fd_violation, naive_rnn_loss
@@ -141,20 +142,20 @@ class TestGradNorm:
     def test_zero_gradients(self):
         model = small_model()
         zero = randomize(model.init_params(0), np.random.default_rng(0), 0.0)
-        assert grad_norm(zero, "w_x") == 0.0
+        assert matrix_norm(param_block(zero, "w_x")) == 0.0
 
     def test_matches_direct_frobenius(self, rng):
         model = small_model()
         params = randomize(model.init_params(1), rng, 0.5)
         sample = SequenceSample(tokens=[1, 2], label=3)
         grads = model.backward(params, sample, model.forward(params, sample))
-        assert grad_norm(grads, "w_x") == np.linalg.norm(grads.w_x)
+        assert matrix_norm(param_block(grads, "w_x")) == np.linalg.norm(grads.w_x)
 
     def test_unknown_selector(self, rng):
         model = small_model()
         params = model.init_params(1)
         with pytest.raises(ConfigError):
-            grad_norm(params, "w_q")
+            param_block(params, "w_q")
 
     def test_ranking_matches_finite_difference_oracle(self, rng):
         model = small_model()
@@ -164,7 +165,7 @@ class TestGradNorm:
         numeric = []
         for s in samples:
             grads = model.backward(params, s, model.forward(params, s))
-            analytic.append(grad_norm(grads, "w_x"))
+            analytic.append(matrix_norm(param_block(grads, "w_x")))
             fd = np.zeros_like(params.w_x)
             it = np.nditer(params.w_x, flags=["multi_index"])
             for _ in it:
