@@ -59,8 +59,9 @@ def _write_run_records(argv, args, started, inputs, outputs):
 FLAG_RULES = {
     **dict.fromkeys(("epsilon", "target_loss", "lr", "clip"), "> 0"),
     **dict.fromkeys(("t_max", "epochs", "eval_every", "workers", "embed_dim",
-                     "hidden", "classes", "context", "cd_k"), ">= 1"),
-    "warm_epochs": ">= 0",
+                     "hidden", "classes", "context", "cd_k", "n", "patterns"), ">= 1"),
+    **dict.fromkeys(("warm_epochs", "frames_per_sample"), ">= 0"),
+    **dict.fromkeys(("vocab", "nv"), ">= 4"),
 }
 
 
@@ -100,6 +101,12 @@ def _add_train_args(p):
 def cmd_gen(args):
     if args.frames_per_sample and args.task != "pianoroll":
         raise GradmineError("--frames-per-sample applies only to --task pianoroll")
+    low = 2 if args.task == "seqclass" else 1
+    if not low <= args.len_min <= args.len_max:
+        raise GradmineError(f"--len-min and --len-max must satisfy {low} <= --len-min "
+                            f"<= --len-max, got {args.len_min} and {args.len_max}")
+    if not 0 <= args.hard <= 1:
+        raise GradmineError(f"--hard must be in [0, 1], got {args.hard}")
     if args.task == "seqclass":
         dataset = data.gen_seqclass(
             n=args.n,

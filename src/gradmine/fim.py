@@ -183,8 +183,9 @@ def _mine_rows(task):
     model = get_model(spec)
     selector = cfg.base_selector or model.base_selector
     n = len(samples)
-    rows = np.arange(n)  # the runs still training, in sample order
-    rngs = [stream_rng(cfg.seed, STREAM_MINE, first + i) for i in rows]
+    # The runs still training, by sample index, longest first: no pass gathers.
+    rows = np.argsort([-s.length for s in samples], kind="stable")
+    rngs = [stream_rng(cfg.seed, STREAM_MINE, first + i) for i in range(n)]
     params = params0.like(np.repeat(params0.vec[None], n, axis=0))
     final = params.vec.copy()
     last = np.zeros(n)
@@ -194,7 +195,7 @@ def _mine_rows(task):
     losses = [[] for _ in rows]
     limit = n  # a run that diverges ends every run above it
     error = None
-    batch = pack(samples)
+    batch = pack([samples[i] for i in rows])
     while True:
         trace = model.forward(params, batch, [rngs[i] for i in rows])
         loss = trace.losses
@@ -203,9 +204,10 @@ def _mine_rows(task):
                 losses[i].append(float(value))
         going = (loss > cfg.epsilon) & (steps[rows] < cfg.t_max)
         failed = np.flatnonzero(~np.isfinite(loss) & (rows < limit))
-        if failed.size:
-            limit = rows[failed[0]]
-            at = f" at step {steps[limit]}" if going[failed[0]] else ""
+        if failed.size:  # the lowest sample index among them
+            low = failed[np.argmin(rows[failed])]
+            limit = rows[low]
+            at = f" at step {steps[limit]}" if going[low] else ""
             error = DivergenceError(
                 f"private training diverged on sample {first + limit}{at}")
         stop = ~going & (rows < limit)

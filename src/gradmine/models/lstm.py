@@ -170,8 +170,10 @@ def forward(params, batch, rng=None, k=1):
         np.multiply(gate[:, o_blk], tcs[t, :a], out=hs[t + 1, :a])
 
     gates, cs, tcs, hs = (x.swapaxes(0, 1) for x in (gates, cs, tcs, hs))
-    pooled = np.stack([hs[b, 1:size + 1].mean(axis=0)
-                       for b, size in enumerate(lengths)])
+    # Each sample's mean, as ``mean(axis=0)`` takes it: one sum per sample
+    # (grouped, sums can round apart at hidden width 1), then one division.
+    pooled = np.stack([np.add.reduce(hs[b, 1:size + 1], axis=0)
+                       for b, size in enumerate(lengths)]) / lengths[:, None]
     logp = log_softmax(matvec(params.w_cls, pooled) + params.b_cls)
     probs = np.exp(logp)
     predictions = np.argmax(probs, axis=1)
@@ -199,30 +201,36 @@ def backward(params, batch, trace):
 
     w_all, u_all, _ = _stacked(params)
     g = params.like(np.zeros((n, params.vec.shape[-1])))
-    gates, cs, tcs = (x.swapaxes(0, 1) for x in (trace.gates, trace.cs, trace.tcs))
-    zs, fs, gs, os_ = (gates[..., blk] for blk in (z_blk, f_blk, c_blk, o_blk))
+    # Only the live slots [t, :a_t] enter the factors, gathered step after
+    # step: step t owns rows off[t]:off[t + 1] of each.
+    inside = lengths > np.arange(t_len)[:, None]
+    off = [0, *np.cumsum(inside.sum(axis=1)).tolist()]
+    gates, cs, tcs = (x.swapaxes(0, 1)[inside]
+                      for x in (trace.gates, trace.cs[:, :-1], trace.tcs))
+    zs, fs, gs, os_ = (gates[:, blk] for blk in (z_blk, f_blk, c_blk, o_blk))
     one_tc2 = 1.0 - tcs**2
     # The (z, f, c, o) blocks of da are dc*g*z*(1-z), dc*C_{t-1}*f*(1-f),
     # dc*z*(1-g^2) and do*o*(1-o), multiplied left to right: here
     # (a * s1) * s2, times s3 on the z and f blocks, with a = (dc, dc, dc, do)
-    # and every factor s stacked for all steps at once.
-    s1 = np.concatenate([gs, cs[:-1], zs, os_], axis=-1)
+    # and every factor s stacked for all live slots at once.
+    s1 = np.concatenate([gs, cs, zs, os_], axis=-1)
     s2 = np.concatenate([zs, fs, 1.0 - gs**2, 1.0 - os_], axis=-1)
     s3 = np.concatenate([1.0 - zs, 1.0 - fs], axis=-1)
     a = np.empty((n, 4, hidden))
     da_all = np.zeros((t_len, n, 4 * hidden))  # padded steps stay zero
     u_all_t = transpose(u_all)
-    for t, live in reversed(list(enumerate(batch.mask.sum(axis=0).tolist()))):
+    for t in reversed(range(t_len)):
+        at, live = slice(off[t], off[t + 1]), off[t + 1] - off[t]
         dh = dh_pool[:live] + dh_next[:live]
-        dc = dh * os_[t, :live] * one_tc2[t, :live] + dc_next[:live]
+        dc = dh * os_[at] * one_tc2[at] + dc_next[:live]
         a[:live, :3] = dc[:, None]
-        np.multiply(dh, tcs[t, :live], out=a[:live, 3])
+        np.multiply(dh, tcs[at], out=a[:live, 3])
 
         da = da_all[t, :live]
-        np.multiply(a[:live].reshape(live, -1), s1[t, :live], out=da)
-        da *= s2[t, :live]
-        da[:, :2 * hidden] *= s3[t, :live]
-        dc_next[:live] = dc * fs[t, :live]
+        np.multiply(a[:live].reshape(live, -1), s1[at], out=da)
+        da *= s2[at]
+        da[:, :2 * hidden] *= s3[at]
+        dc_next[:live] = dc * fs[at]
         dh_next[:live] = matvec(u_all_t[:live] if u_all.ndim == 3 else u_all_t, da)
     del s1, s2, s3, one_tc2  # room for the batch-major copy of da_all
     da_all = np.ascontiguousarray(da_all.swapaxes(0, 1))
@@ -230,12 +238,13 @@ def backward(params, batch, trace):
 
     g_w, g_u, g_b = _stacked(g)
     hs, xs = np.ascontiguousarray(trace.hs), trace.xs
-    # Sums over time run per sample: padded, they can group differently.
-    for b, size in enumerate(lengths):
-        da = da_all[b, :size]
-        g_w[b] = da.T @ xs[b, :size]
-        g_u[b] = da.T @ hs[b, :size]
-        g_b[b] = da.sum(axis=0)
+    # Sums over time run per length group (a slice): padded, they can round apart.
+    first = np.unique(-lengths, return_index=True)[1].tolist() + [n]
+    for i, j in zip(first, first[1:]):
+        da = da_all[i:j, :lengths[i]]
+        g_w[i:j] = np.matmul(da.transpose(0, 2, 1), xs[i:j, :lengths[i]])
+        g_u[i:j] = np.matmul(da.transpose(0, 2, 1), hs[i:j, :lengths[i]])
+        g_b[i:j] = da.sum(axis=1)
     g.w_cls = dlogits[:, :, None] * trace.pooled[:, None, :]
     g.b_cls = dlogits
     g.h0 = dh_next

@@ -242,16 +242,7 @@ def load_metrics(path):
             if len(row) != len(METRICS_HEADER):
                 raise ParseError(f"expected {len(METRICS_HEADER)} fields", line=i)
             try:
-                log.rows.append(
-                    MetricsRow(
-                        epoch=int(row[0]),
-                        split=row[1],
-                        loss=float(row[2]),
-                        error_rate=float(row[3]),
-                        grad_var=float(row[4]),
-                        wall_ms=float(row[5]),
-                    )
-                )
+                log.rows.append(MetricsRow(int(row[0]), row[1], *map(float, row[2:])))
             except ValueError as exc:
                 raise ParseError(str(exc), line=i) from exc
     return log

@@ -78,6 +78,12 @@ specs = st.builds(dict, vocab=widths, embed=widths, hidden=widths,
 @example(kind="lstm", dims=dict(vocab=1, embed=1, hidden=1, classes=2,
                                 context=1, cd_k=1),
          lengths=[1, 2], equal=False, seed=0)
+# Hidden width 1 and two equal lengths of at least 8: a mean over time taken
+# for the pair at once rounds differently from each sample's own, so the
+# pooling's mean stays per sample.
+@example(kind="lstm", dims=dict(vocab=1, embed=1, hidden=1, classes=2,
+                                context=1, cd_k=1),
+         lengths=[8, 8], equal=False, seed=1)
 def test_batched_passes_equal_the_per_sample_loop(kind, dims, lengths, equal, seed):
     rng = np.random.default_rng(seed)
     spec = ModelSpec(kind=kind, **dims)

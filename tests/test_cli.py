@@ -76,6 +76,31 @@ class TestGen:
     def test_zero_samples_exits_2(self, tmp_path):
         assert run(gen_args(tmp_path / "d.jsonl", n=0)) == 2
 
+    @pytest.mark.parametrize("task, flag, value, message", [
+        ("seqclass", "--n", "0", "--n must be >= 1, got 0"),
+        ("seqclass", "--vocab", "3", "--vocab must be >= 4, got 3"),
+        ("pianoroll", "--nv", "0", "--nv must be >= 4, got 0"),
+        ("pianoroll", "--patterns", "0", "--patterns must be >= 1, got 0"),
+        ("pianoroll", "--frames-per-sample", "-2",
+         "--frames-per-sample must be >= 0, got -2"),
+        ("seqclass", "--len-min", "1", "--len-min and --len-max must satisfy "
+         "2 <= --len-min <= --len-max, got 1 and 8"),
+        ("pianoroll", "--len-min", "0", "--len-min and --len-max must satisfy "
+         "1 <= --len-min <= --len-max, got 0 and 8"),
+        ("seqclass", "--len-max", "3", "--len-min and --len-max must satisfy "
+         "2 <= --len-min <= --len-max, got 4 and 3"),
+        ("seqclass", "--hard", "1.5", "--hard must be in [0, 1], got 1.5"),
+    ])
+    def test_flag_out_of_range_exits_2_naming_it(self, tmp_path, capsys, task,
+                                                 flag, value, message):
+        out = tmp_path / "d.jsonl"
+        args = {"--task": task, "--n": "4", "--len-min": "4", "--len-max": "8",
+                flag: value}
+        code = run(["gen", *[a for kv in args.items() for a in kv], "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_same_args_identical_file_hash(self, tmp_path):
         h = []
         for name in ("a.jsonl", "b.jsonl"):

@@ -15,7 +15,7 @@ from gradmine import fim
 from gradmine.data import gen_pianoroll, gen_seqclass
 from gradmine.errors import DivergenceError
 from gradmine.fim import FimConfig, mine_importance
-from gradmine.models import MODEL_KINDS, ModelSpec, get_model, pack
+from gradmine.models import MODEL_KINDS, ModelSpec, get_model, lstm, pack
 
 from conftest import cores
 from oracles import mine_rows_scalar
@@ -75,6 +75,12 @@ specs = st.builds(dict, vocab=widths, embed=widths, hidden=widths,
                                 context=1, cd_k=1),
          lengths=[2, 1, 1, 10], epsilon=1e-12, lr=0.5, t_max=3,
          norm_kind="frobenius", record=True, workers=1, seed=871)
+# Lengths shortest first: the miner sorts them longest first and must still
+# key every output, generator and history by sample index.
+@example(kind="lstm", dims=dict(vocab=5, embed=3, hidden=4, classes=2,
+                                context=1, cd_k=1),
+         lengths=[1, 3, 10, 2], epsilon=1e-12, lr=0.5, t_max=4,
+         norm_kind="frobenius", record=True, workers=2, seed=3)
 def test_lockstep_mining_equals_the_scalar_loop(
         kind, dims, lengths, epsilon, lr, t_max, norm_kind, record, workers, seed):
     rng = np.random.default_rng(seed)
@@ -111,6 +117,15 @@ DIVERGING = {
     "in-the-second-shard": (rbm_case(1.0, seed=7), "sample 4 at step 13"),
     # samples 4 and 5 diverge at step 3, sample 0 only at step 23
     "second-shard-first": (rbm_case(1.5, seed=5), "sample 0 at step 23"),
+    # sample 0 (length 4) diverges at step 11, after sample 1 (length 5),
+    # which the longest-first batch runs ahead of it, at step 2
+    "shorter-lower-run-after-a-longer-one": (rbm_case(3.0, seed=8),
+                                             "sample 0 at step 11"),
+    # samples 0 (length 4) and 1 (length 5) diverge together at step 10,
+    # where sample 1 leads the longest-first batch; samples 2, 4 and 5
+    # diverged at steps 3-4
+    "shorter-lower-run-beside-a-longer-one": (rbm_case(2.0, seed=0),
+                                              "sample 0 at step 10"),
     # a NaN loss ends a run without a step in the message
     "nan-rnn": (token_case("rnn"), "sample 0"),
     "nan-lstm": (token_case("lstm"), "sample 0"),
@@ -144,3 +159,23 @@ def test_every_batched_field_is_batch_major(kind):
         for field in fields(obj):
             value = getattr(obj, field.name)
             assert value is None or value.shape[0] == 3, field.name
+
+
+def test_mining_batches_arrive_longest_first():
+    # The miner sorts its rows once, so no pass has to gather them.
+    samples = list(gen_seqclass(n=12, vocab=8, length_range=(2, 9), seed=4))
+    lengths = [s.length for s in samples]
+    assert lengths != sorted(lengths, reverse=True)
+    spec = ModelSpec(kind="lstm", vocab=8, embed=3, hidden=4)
+    original, backs = lstm._longest_first, []
+
+    def spy(params, batch):
+        out = original(params, batch)
+        backs.append(out[-1])
+        return out
+
+    with mock.patch.object(lstm, "_longest_first", spy):
+        mine_importance(samples, spec, FimConfig(epsilon=0.01, lr=0.5, t_max=20),
+                        n_workers=1)
+    assert len(backs) > 2
+    assert all(isinstance(back, slice) and back == slice(None) for back in backs)
