@@ -249,8 +249,7 @@ def chunk_frames(dataset, frames_per_sample):
     for s in dataset.samples:
         for start in range(0, s.length, frames_per_sample):
             part = s.frames[start : start + frames_per_sample]
-            if part.shape[0] > 0:
-                chunks.append(FrameSequence(frames=part.copy()))
+            chunks.append(FrameSequence(frames=part.copy()))
     manifest = dict(dataset.manifest)
     manifest["n_samples"] = len(chunks)
     manifest["frames_per_sample"] = int(frames_per_sample)

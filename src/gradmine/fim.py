@@ -21,7 +21,7 @@ the bits of its run alone, so results are identical for any worker count.
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,18 +50,6 @@ from .sampling import build_alias
 from .tensor import frobenius_norm, matrix_norm
 
 WORKERS_ENV = "GRADMINE_WORKERS"
-
-IMPORTANCE_KEYS = (
-    "model",
-    "base_selector",
-    "epsilon",
-    "seed",
-    "norm_kind",
-    "norms",
-    "probs",
-    "iterations",
-    "converged",
-)
 
 
 def default_epsilon(target_loss):
@@ -163,6 +151,9 @@ class ImportanceTable:
             raise ConfigError(
                 f"importance table covers {self.n} samples, dataset has {n}")
         return self
+
+
+IMPORTANCE_KEYS = tuple(f.name for f in fields(ImportanceTable))
 
 
 @dataclass
@@ -367,8 +358,8 @@ def build_distribution(norms, smoothing=0.0):
 def save_importance(path, table):
     table.validate()
     payload = {k: getattr(table, k) for k in IMPORTANCE_KEYS}
-    for k in ("norms", "probs", "iterations", "converged"):
-        payload[k] = payload[k].tolist()
+    payload = {k: v.tolist() if isinstance(v, np.ndarray) else v
+               for k, v in payload.items()}
     payload["seed"] = int(table.seed)
     write_json(path, payload)
 

@@ -13,7 +13,7 @@ gives. Only the frame model draws from ``rng``: each sample takes its
 draws from its own generator, given one per row, or in turn from one
 shared generator, so either ends as if each sample had drawn alone. Every
 field of a trace, as of a ``Batch``, is None or has B as its leading
-axis, so one sample's row of either is the same index into every field.
+axis, in the batch's row order but for the LSTM's states (longest first).
 Parameters travel explicitly through every call, so concurrent workers
 can hold private copies without locks. ``spec_of`` is the one spec
 builder, and ``validate_dataset`` checks each sample once where data
@@ -37,7 +37,6 @@ from .common import (
     Params,
     pack,
     param_block,
-    param_blocks,
     stream_rng,
 )
 from ..errors import InvalidInputError

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, InvalidInputError
+from ..tensor import matvec, transpose
 
 RNN = "rnn"
 LSTM = "lstm"
@@ -181,9 +182,27 @@ def add_rows_backwards(out, rows, values):
               values[:, ::-1])
 
 
-def param_blocks(params):
-    """name -> view of every block, in layout order."""
-    return {name: getattr(params, name) for name, _ in params.layout}
+def tanh_backward(w_rec, states, inputs, ext, mask):
+    """Backpropagate through ``s_t = tanh(W s_{t-1} + V x_t + b)``, over
+    (B, T+1, H) ``states`` and (B, T, ·) ``inputs``, from ``ext``, the
+    gradient reaching each s_t from outside the recurrence. Returns the (W,
+    V, b) gradient rows, each step's d loss / d pre-activation, and the
+    gradient of s_0. One outer product per step with (s_{t-1}, x_t, 1)
+    fills the three sums, each accumulated from the last step to the first
+    (x * 1.0 is x); a padded step carries nothing back."""
+    n, t_len, hidden = ext.shape
+    stacked = np.concatenate([states[:, :-1], inputs, np.ones((n, t_len, 1))], axis=-1)
+    sums = np.zeros((n, hidden, stacked.shape[-1]))
+    one_s2 = 1.0 - states[:, 1:] ** 2
+    das = np.empty((n, t_len, hidden))
+    carry = np.zeros((n, hidden))
+    w_t = transpose(w_rec)
+    for t in range(t_len - 1, -1, -1):
+        da = das[:, t]
+        np.multiply(ext[:, t] + carry, one_s2[:, t], out=da)
+        sums += da[:, :, None] * stacked[:, t, None, :]
+        carry = np.where(mask[:, t, None], matvec(w_t, da), 0.0)
+    return sums[..., :hidden], sums[..., hidden:-1], sums[..., -1], das, carry
 
 
 def param_block(params, name):

@@ -26,6 +26,7 @@ from .common import (
     check_kind,
     check_trace,
     stream_rng,
+    tanh_backward,
 )
 from ..tensor import embed, log_softmax, matvec, transpose
 
@@ -124,7 +125,7 @@ def backward(params, batch, trace):
     check_trace(batch, trace.hs)
     lengths, mask, n = batch.lengths, batch.mask, batch.lengths.size
     rows, last, cls = np.arange(n), lengths - 1, batch.labels >= 0
-    t_len, hidden = mask.shape[1], params.h0.shape[-1]
+    t_len = mask.shape[1]
 
     dz = trace.ys
     seq_rows, seq_steps = np.nonzero(mask & ~cls[:, None])
@@ -140,24 +141,7 @@ def backward(params, batch, trace):
         g.w_s[b] = dz[b, :size].T @ hs[b, 1:size + 1]
         g.b_y[b] = dz[b, :size].sum(axis=0)
 
-    # One outer product per step with (h_{t-1}, x_t, 1) fills the w_h, w_x
-    # and b_h sums at once, each accumulated from the last step to the
-    # first; x * 1.0 is x.
-    inputs = np.concatenate([hs[:, :-1], xs, np.ones((n, t_len, 1))], axis=-1)
-    sums = np.zeros((n, hidden, inputs.shape[-1]))
-    dh_out = matvec(transpose(params.w_s), dz)
-    one_h2 = 1.0 - hs[:, 1:] ** 2
-    das = np.empty((n, t_len, hidden))
-    carry = np.zeros((n, hidden))
-    w_h_t = transpose(params.w_h)
-    for t in range(t_len - 1, -1, -1):
-        da = das[:, t]
-        np.multiply(dh_out[:, t] + carry, one_h2[:, t], out=da)
-        sums += da[:, :, None] * inputs[:, t, None, :]
-        carry = np.where(mask[:, t, None], matvec(w_h_t, da), 0.0)
-    g.w_h = sums[..., :hidden]
-    g.w_x = sums[..., hidden:-1]
-    g.b_h = sums[..., -1]
+    g.w_h, g.w_x, g.b_h, das, g.h0 = tanh_backward(
+        params.w_h, hs, xs, matvec(transpose(params.w_s), dz), mask)
     add_rows_backwards(g.w_emb, batch.tokens, matvec(transpose(params.w_x), das))
-    g.h0 = carry
     return g.vec

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError
-from .common import STREAM_INIT, Params, check_kind, check_trace, stream_rng
+from .common import (STREAM_INIT, Params, check_kind, check_trace, stream_rng,
+                     tanh_backward)
 from ..tensor import matvec, sigmoid, transpose
 
 BASE_SELECTOR = "w"
@@ -166,22 +167,12 @@ def backward(params, batch, trace):
         g_b += dbs[:, t]
         g_wu += dbs[:, t, :, None] * us[:, t, None, :]
 
-    # One outer product per step with (u_{t-1}, v_t, 1) fills the w_uu,
-    # w_vu and b_u sums at once; x * 1.0 is x.
+    # Frame t's biases read u_{t-1}, so its bias gradient reaches the state
+    # one step earlier; nothing outside the recurrence reads the last one.
     du_bias = (matvec(transpose(params.w_uv), dbs[..., :n_v])
                + matvec(transpose(params.w_uh), dbs[..., n_v:]))
-    inputs = np.concatenate([us[:, :-1], frames, np.ones((n, t_len, 1))], axis=-1)
-    sums = np.zeros((n, us.shape[-1], inputs.shape[-1]))
-    one_u2 = 1.0 - us[:, 1:] ** 2
-    du = np.zeros((n, us.shape[-1]))
-    for t in range(t_len - 1, -1, -1):
-        da = du * one_u2[:, t]
-        sums += da[:, :, None] * inputs[:, t, None, :]
-        du = matvec(transpose(params.w_uu), da)
-        du += du_bias[:, t]
-        du = np.where(mask[:, t, None], du, 0.0)
-    g.w_uu = sums[..., :us.shape[-1]]
-    g.w_vu = sums[..., us.shape[-1]:-1]
-    g.b_u = sums[..., -1]
-    g.u0 = du
+    ext = np.zeros_like(du_bias)
+    ext[:, :-1] = np.where(mask[:, 1:, None], du_bias[:, 1:], 0.0)
+    g.w_uu, g.w_vu, g.b_u, _, carry = tanh_backward(params.w_uu, us, frames, ext, mask)
+    g.u0 = carry + du_bias[:, 0]
     return g.vec

@@ -17,7 +17,7 @@ is importance SGD with the 1/N table, bit for bit, for every N.
 import csv
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -40,8 +40,6 @@ from .sampling import build_alias, generate_sequence
 
 UNIFORM = "uniform"
 IMPORTANCE = "importance"
-
-METRICS_HEADER = ["epoch", "split", "loss", "error_rate", "grad_var", "wall_ms"]
 
 
 def sgd_step(params, grads, lr):
@@ -117,6 +115,9 @@ class MetricsRow:
     error_rate: float
     grad_var: float
     wall_ms: float
+
+
+METRICS_HEADER = [f.name for f in fields(MetricsRow)]
 
 
 @dataclass
@@ -223,10 +224,7 @@ def save_metrics(path, log):
     writer = csv.writer(buf)
     writer.writerow(METRICS_HEADER)
     for r in log.rows:
-        writer.writerow(
-            [r.epoch, r.split]
-            + [f"{v:.17g}" for v in (r.loss, r.error_rate, r.grad_var, r.wall_ms)]
-        )
+        writer.writerow([r.epoch, r.split] + [f"{v:.17g}" for v in astuple(r)[2:]])
     write_text(path, buf.getvalue())
 
 

@@ -17,6 +17,11 @@ def randomize(params, rng, scale=0.5):
     return params.like(rng.normal(0.0, scale, params.vec.size))
 
 
+def param_blocks(params):
+    """name -> view of every block, in layout order."""
+    return {name: getattr(params, name) for name, _ in params.layout}
+
+
 def cores(n):
     """Mine as if the machine had ``n`` cores, so that up to ``n`` workers
     split the samples into that many shards on any machine."""

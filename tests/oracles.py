@@ -23,7 +23,6 @@ from gradmine.models import (
     get_model,
     pack,
     param_block,
-    param_blocks,
     stream_rng,
     validate_dataset,
 )
@@ -31,6 +30,8 @@ from gradmine.models.lstm import _blocks, _stacked
 from gradmine.optimizer import sgd_step
 from gradmine.sampling import build_alias, generate_sequence
 from gradmine.tensor import log_softmax, matrix_norm, sigmoid
+
+from conftest import param_blocks
 
 
 def finite_diff_grads(loss_fn, params, step=1e-5):

@@ -21,16 +21,11 @@ from gradmine.analysis import (
 )
 from gradmine.data import SequenceSample, gen_seqclass
 from gradmine.fim import FimConfig, ImportanceTable, mine_importance, history_sum_check
-from gradmine.models import (
-    ModelSpec,
-    get_model,
-    param_block,
-    param_blocks,
-)
+from gradmine.models import ModelSpec, get_model, param_block
 from gradmine.optimizer import TrainConfig, train
 from gradmine.sampling import build_alias, generate_sequence
 
-from conftest import OneSample, first_row, randomize
+from conftest import OneSample, first_row, param_blocks, randomize
 from oracles import (
     cd_surrogate_loss,
     finite_diff_grads,

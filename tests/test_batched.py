@@ -3,6 +3,7 @@ every loss, error count, prediction, gradient bit and random draw must
 agree with ``oracles.per_sample_passes``, and a training run, whose steps
 run one-row batches, with ``oracles.train_scalar``."""
 
+from dataclasses import fields
 from types import SimpleNamespace
 from unittest import mock
 
@@ -119,7 +120,8 @@ def test_permuting_the_samples_permutes_every_output(kind, dims, lengths, per_ro
                                                      seed):
     """Rows are independent of their place in the batch: with shared or
     per-row parameters, and each sample's own generator, a permuted batch
-    gives the permuted losses, counts, predictions and gradient rows."""
+    gives the permuted losses, counts, predictions and gradient rows, and,
+    but for the LSTM's states, the permuted trace."""
     rng = np.random.default_rng(seed)
     spec = ModelSpec(kind=kind, **dims)
     model = get_model(spec)
@@ -143,6 +145,11 @@ def test_permuting_the_samples_permutes_every_output(kind, dims, lengths, per_ro
         assert_same_bits(getattr(moved, name), getattr(trace, name)[perm])
     assert moved.predictions.tolist() == trace.predictions[perm].tolist()
     assert_same_bits(moved_grads, grads[perm])
+    if kind != "lstm":  # the LSTM keeps its states longest first
+        for field in fields(trace):
+            if field.name != "predictions":  # None for the frame model
+                assert_same_bits(getattr(moved, field.name),
+                                 getattr(trace, field.name)[perm])
 
 
 def test_pack_pads_at_the_end_of_time():

@@ -367,6 +367,16 @@ class TestImportanceIO:
         np.testing.assert_array_equal(loaded.converged, table.converged)
         assert loaded.model == "rnn" and loaded.seed == 7
 
+    def test_saved_keys_keep_the_file_format(self, tmp_path):
+        """The keys come from the table's fields, so this pins their order."""
+        import json
+
+        path = tmp_path / "imp.json"
+        save_importance(path, self.make_table())
+        assert list(json.loads(path.read_text())) == [
+            "model", "base_selector", "epsilon", "seed", "norm_kind", "norms",
+            "probs", "iterations", "converged"]
+
     def test_bad_probability_sum_rejected_on_load(self, tmp_path):
         import json
 

@@ -3,10 +3,10 @@ import pytest
 
 from gradmine.data import SequenceSample
 from gradmine.errors import InvalidInputError
-from gradmine.models import ModelSpec, param_blocks
+from gradmine.models import ModelSpec
 from gradmine.models import lstm
 
-from conftest import OneSample, randomize
+from conftest import OneSample, param_blocks, randomize
 from oracles import finite_diff_grads, max_fd_violation, naive_lstm_loss
 
 

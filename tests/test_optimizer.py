@@ -10,7 +10,7 @@ from gradmine.errors import (
     ParseError,
 )
 from gradmine.fim import ImportanceTable
-from gradmine.models import ModelSpec, Params, get_model, param_blocks
+from gradmine.models import ModelSpec, Params, get_model
 from gradmine.data import SequenceSample, gen_pianoroll, gen_seqclass
 from gradmine.optimizer import (
     MetricsLog,
@@ -23,6 +23,8 @@ from gradmine.optimizer import (
     sgd_step,
     train,
 )
+
+from conftest import param_blocks
 
 
 def ScalarParams(w):
@@ -250,6 +252,13 @@ class TestMetricsIO:
         path = tmp_path / "m.csv"
         save_metrics(path, log)
         assert load_metrics(path) == log
+
+    def test_saved_header_keeps_the_file_format(self, tmp_path):
+        """The columns come from the row's fields, so this pins their order."""
+        path = tmp_path / "m.csv"
+        save_metrics(path, MetricsLog(rows=[MetricsRow(1, "train", 0.5, 0.5, 1.0, 2.0)]))
+        assert path.read_text().splitlines() == [
+            "epoch,split,loss,error_rate,grad_var,wall_ms", "1,train,0.5,0.5,1,2"]
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from gradmine.data import SequenceSample
 from gradmine.errors import ConfigError
-from gradmine.models import MODEL_KINDS, ModelSpec, Params, get_model, lstm, pack, param_blocks
+from gradmine.models import MODEL_KINDS, ModelSpec, Params, get_model, lstm, pack
 from gradmine.optimizer import sgd_step
+
+from conftest import param_blocks
 
 # Block order of each model, which is also the order of flattened gradients.
 ORDER = {

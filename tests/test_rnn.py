@@ -3,11 +3,11 @@ import pytest
 
 from gradmine.data import SequenceSample
 from gradmine.errors import ConfigError, InvalidInputError
-from gradmine.models import ModelSpec, param_block, param_blocks
+from gradmine.models import ModelSpec, param_block
 from gradmine.models import rnn
 from gradmine.tensor import matrix_norm
 
-from conftest import OneSample, randomize
+from conftest import OneSample, param_blocks, randomize
 from oracles import finite_diff_grads, max_fd_violation, naive_rnn_loss
 
 

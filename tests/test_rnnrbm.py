@@ -3,11 +3,11 @@ import pytest
 
 from gradmine.data import FrameSequence
 from gradmine.errors import InvalidInputError
-from gradmine.models import ModelSpec, param_blocks
+from gradmine.models import ModelSpec
 from gradmine.models.rnnrbm import gibbs_step
 from gradmine.tensor import sigmoid
 
-from conftest import OneSample, first_row, randomize
+from conftest import OneSample, first_row, param_blocks, randomize
 from oracles import (
     cd_surrogate_loss,
     finite_diff_grads,
