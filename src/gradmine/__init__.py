@@ -14,7 +14,6 @@ from .analysis import (
     gradient_variance,
     lipschitz_distribution,
     optimal_distribution,
-    svm_convexity_stats,
     svm_lipschitz_bound,
     svm_loss_grad,
     variance_report,

@@ -39,11 +39,6 @@ class ConvexProblem:
     def n(self):
         return int(self.xs.shape[0])
 
-    @property
-    def ball_radius(self):
-        """Iterate-norm bound under which the gradient bound is provable."""
-        return 1.0 / np.sqrt(self.reg)
-
 
 def svm_loss_grad(problem, i, w):
     """Per-point squared hinge plus L2 term, and its gradient.
@@ -65,11 +60,6 @@ def svm_lipschitz_bound(x, reg):
     """
     nx = float(np.linalg.norm(x))
     return 2.0 * (1.0 + nx / np.sqrt(reg)) * nx + np.sqrt(reg)
-
-
-def svm_bounds(problem):
-    """Per-point gradient-norm bounds for the whole problem."""
-    return np.array([svm_lipschitz_bound(x, problem.reg) for x in problem.xs])
 
 
 def _normalized(values, what):
@@ -122,32 +112,6 @@ def bound_ratio(values):
     """
     v = check_weights(values, "values")
     return float(v.size * np.sum(v * v) / v.sum() ** 2)
-
-
-def svm_convexity_stats(problem, steps=5000, lr=None):
-    """Informational (mu, sigma_sq, w_star) for the convex test case.
-
-    mu is the L2 modulus; w_star is located by full-batch gradient descent;
-    sigma_sq enumerates the mean squared per-point gradient norm there.
-    """
-    lr = lr if lr is not None else 0.5 / (1.0 + problem.reg)
-    w = np.zeros(problem.xs.shape[1])
-    for _ in range(steps):
-        grad = np.mean(
-            [svm_loss_grad(problem, i, w)[1] for i in range(problem.n)], axis=0
-        )
-        w -= lr * grad
-        if np.linalg.norm(grad) < 1e-12:
-            break
-    sigma_sq = float(
-        np.mean(
-            [
-                np.sum(svm_loss_grad(problem, i, w)[1] ** 2)
-                for i in range(problem.n)
-            ]
-        )
-    )
-    return float(problem.reg), sigma_sq, w
 
 
 def variance_report(grads, mined_norms=None, mined_probs=None):

@@ -381,6 +381,14 @@ def load_importance(path):
         raise InvalidInputError("importance file: iterations must be integers")
     if not (isinstance(conv, list) and all(type(c) is bool for c in conv)):
         raise InvalidInputError("importance file: converged must be true/false")
+    for k in ("model", "base_selector", "norm_kind"):
+        if type(payload[k]) is not str:
+            raise InvalidInputError(f"importance file: {k} must be a string")
+    eps = payload["epsilon"]
+    if type(eps) not in (int, float) or not 0 < eps < np.inf:
+        raise InvalidInputError("importance file: epsilon must be a finite number > 0")
+    if type(payload["seed"]) is not int:
+        raise InvalidInputError("importance file: seed must be an integer")
     try:
         table = ImportanceTable(**{k: payload[k] for k in IMPORTANCE_KEYS})
     except (TypeError, ValueError) as exc:
@@ -390,13 +398,9 @@ def load_importance(path):
 
 @dataclass(eq=False)
 class ImportanceMiner(ParamsMixin):
-    """Fit-style interface to the miner.
-
-    ``fit`` mines the dataset and exposes the result as the standard
-    trailing-underscore attributes; ``distribution()`` turns the table
-    into alias tables ready for the training loop, with optional
-    smoothing toward uniform. Fields take the config's defaults, and the
-    CLI's ``mine`` reads its defaults from these fields.
+    """Fit-style interface to the miner: ``fit`` mines the dataset into
+    the trailing-underscore attributes. Fields take the config's defaults,
+    and the CLI's ``mine`` reads its defaults from these fields.
     """
 
     model: str = "rnn"
@@ -406,7 +410,6 @@ class ImportanceMiner(ParamsMixin):
     seed: int = FimConfig.seed
     base_selector: str = FimConfig.base_selector
     norm_kind: str = FimConfig.norm_kind
-    smoothing: float = 0.0
     n_workers: int = None
     record_history: bool = FimConfig.record_history
     embed_diagnostic: bool = FimConfig.embed_diagnostic
@@ -428,6 +431,3 @@ class ImportanceMiner(ParamsMixin):
         self.iterations_ = self.table_.iterations
         self.converged_ = self.table_.converged
         return self
-
-    def distribution(self):
-        return build_distribution(self.table_.norms, smoothing=self.smoothing)

@@ -172,6 +172,8 @@ def train(dataset, params0, cfgs, eval_dataset=None):
         for c, p, s in zip(cfgs, probs, schedule)])
     rngs = [stream_rng(c.seed, STREAM_MODEL) for c in cfgs]
 
+    held_split = [] if held is None else [
+        ("eval", held, np.full(held.lengths.size, 1.0 / held.lengths.size))]
     logs = [MetricsLog() for _ in cfgs]
     packed = {}  # each step's batch, by the samples drawn; one-row ones repeat
     params = params0.like(np.repeat(params0.vec[None], len(cfgs), axis=0))
@@ -196,21 +198,18 @@ def train(dataset, params0, cfgs, eval_dataset=None):
         if step == n - 1 and (epoch % eval_every == 0 or epoch == epochs):
             for r in range(live):
                 row, seed = params0.like(params.vec[r]), cfgs[r].seed
-                loss, err, gvar = _evaluate(model, row, batch, probs[r], epoch, seed)
-                if not np.isfinite(loss):
-                    live = r
-                    error = DivergenceError(
-                        f"non-finite evaluation loss at epoch {epoch}")
-                    params = params.like(params.vec[:live])
-                    break
-                wall = (time.perf_counter() - start) * 1e3
-                logs[r].rows.append(MetricsRow(epoch, "train", loss, err, gvar, wall))
-                if held is not None:
-                    n_held = held.lengths.size
-                    scores = _evaluate(model, row, held, np.full(n_held, 1.0 / n_held),
-                                       epoch, seed)
+                for split, data, p in [("train", batch, probs[r])] + held_split:
+                    loss, err, gvar = _evaluate(model, row, data, p, epoch, seed)
+                    if not np.isfinite(loss):
+                        live = r
+                        error = DivergenceError(f"non-finite evaluation loss "
+                                                f"on the {split} split at epoch {epoch}")
+                        params = params.like(params.vec[:live])
+                        break
                     wall = (time.perf_counter() - start) * 1e3
-                    logs[r].rows.append(MetricsRow(epoch, "eval", *scores, wall))
+                    logs[r].rows.append(MetricsRow(epoch, split, loss, err, gvar, wall))
+                if live == r:
+                    break
         if not live:
             break
     if error is not None:

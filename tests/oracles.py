@@ -355,16 +355,17 @@ def train_scalar(dataset, params0, cfg, eval_dataset=None):
             params = sgd_step(
                 params, grads, optimizer._step_size(cfg.lr, n, probs[idx], clip))
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
-            loss, err, gvar = optimizer._evaluate(
-                model, params, batch, probs, epoch, cfg.seed)
-            if not np.isfinite(loss):
-                raise DivergenceError(f"non-finite evaluation loss at epoch {epoch}")
-            log.rows.append(optimizer.MetricsRow(epoch, "train", loss, err, gvar, 0.0))
+            splits = [("train", batch, probs)]
             if held is not None:
                 n_held = held.lengths.size
-                row = optimizer._evaluate(model, params, held,
-                                          np.full(n_held, 1.0 / n_held), epoch, cfg.seed)
-                log.rows.append(optimizer.MetricsRow(epoch, "eval", *row, 0.0))
+                splits.append(("eval", held, np.full(n_held, 1.0 / n_held)))
+            for split, data, p in splits:
+                loss, err, gvar = optimizer._evaluate(
+                    model, params, data, p, epoch, cfg.seed)
+                if not np.isfinite(loss):
+                    raise DivergenceError(
+                        f"non-finite evaluation loss on the {split} split at epoch {epoch}")
+                log.rows.append(optimizer.MetricsRow(epoch, split, loss, err, gvar, 0.0))
     return params, log, rng_model
 
 

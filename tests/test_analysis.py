@@ -9,8 +9,6 @@ from gradmine.analysis import (
     gradient_variance,
     lipschitz_distribution,
     optimal_distribution,
-    svm_bounds,
-    svm_convexity_stats,
     svm_lipschitz_bound,
     svm_loss_grad,
     variance_report,
@@ -70,8 +68,8 @@ class TestLipschitzBound:
 
     def test_monte_carlo_domination(self, rng):
         prob = random_problem(rng, n=6, reg=0.7)
-        bounds = svm_bounds(prob)
-        radius = prob.ball_radius
+        bounds = [svm_lipschitz_bound(x, prob.reg) for x in prob.xs]
+        radius = 1.0 / np.sqrt(prob.reg)
         for _ in range(10**4):
             w = rng.normal(size=5)
             w *= rng.random() * radius / np.linalg.norm(w)
@@ -180,18 +178,6 @@ class TestBoundRatio:
         for _ in range(10**4):
             v = rng.random(int(rng.integers(1, 20)))
             assert bound_ratio(v + 1e-12) >= 1.0 - 1e-12
-
-
-class TestConvexityStats:
-    def test_modulus_and_stationarity(self, rng):
-        prob = random_problem(rng, n=6, reg=0.8)
-        mu, sigma_sq, w_star = svm_convexity_stats(prob, steps=4000)
-        assert mu == prob.reg
-        assert sigma_sq >= 0.0
-        full = np.mean(
-            [svm_loss_grad(prob, i, w_star)[1] for i in range(prob.n)], axis=0
-        )
-        assert np.linalg.norm(full) < 1e-6
 
 
 class TestVarianceReport:

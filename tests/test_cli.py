@@ -328,6 +328,20 @@ class TestTrain:
         log = load_metrics(out)
         assert [r.epoch for r in log.rows] == [1, 2]
 
+    def test_malformed_table_field_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        imp = uniform_table_file(tmp_path / "bad.json", n=12)
+        imp.write_text(json.dumps({**json.loads(imp.read_text()), "epsilon": "abc"}))
+        code = run([
+            "train", "--data", str(data), "--model", "rnn",
+            "--sampler", "importance", "--importance", str(imp),
+            "--epochs", "1", "--embed-dim", "4", "--hidden", "5",
+            "--out", str(tmp_path / "m.csv"),
+        ])
+        assert code == 2
+        assert "epsilon" in capsys.readouterr().err
+
     def test_importance_length_mismatch_exits_2(self, tmp_path):
         data = tmp_path / "d.jsonl"
         run(gen_args(data))

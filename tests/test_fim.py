@@ -301,14 +301,6 @@ class TestBuildDistribution:
     def test_smoothing_must_be_finite_and_non_negative(self, smoothing):
         with pytest.raises(ConfigError, match="smoothing"):
             build_distribution(np.array([1.0, 3.0]), smoothing=smoothing)
-        miner = ImportanceMiner(smoothing=smoothing)
-        miner.table_ = ImportanceTable(
-            model="rnn", base_selector="w_x", epsilon=0.1, seed=0,
-            norm_kind="frobenius", norms=[1.0, 3.0], probs=[0.25, 0.75],
-            iterations=[5, 9], converged=[True, True],
-        )
-        with pytest.raises(ConfigError, match="smoothing"):
-            miner.distribution()
 
 
 def table_bits(table):
@@ -411,22 +403,34 @@ class TestImportanceIO:
         with pytest.raises(InvalidInputError):
             load_importance(path)
 
-    @pytest.mark.parametrize("column, values", [
+    @pytest.mark.parametrize("key, value", [
         ("iterations", [12, 40.5, 23]),
         ("iterations", [12, True, 23]),
         ("converged", ["no", True, False]),
         ("converged", [1, 1, 0]),
+        ("model", 3),
+        ("base_selector", 7),
+        ("norm_kind", None),
+        ("epsilon", "abc"),
+        ("epsilon", True),
+        ("epsilon", -0.5),
+        ("epsilon", float("inf")),
+        ("seed", 1.5),
+        ("seed", True),
     ], ids=["fractional-iterations", "boolean-iterations", "string-converged",
-            "integer-converged"])
-    def test_column_values_are_not_coerced(self, tmp_path, column, values):
+            "integer-converged", "number-model", "number-selector",
+            "null-norm-kind", "string-epsilon", "boolean-epsilon",
+            "negative-epsilon", "infinite-epsilon", "fractional-seed",
+            "boolean-seed"])
+    def test_column_values_are_not_coerced(self, tmp_path, key, value):
         import json
 
         path = tmp_path / "imp.json"
         save_importance(path, self.make_table())
         payload = json.loads(path.read_text())
-        payload[column] = values
+        payload[key] = value
         path.write_text(json.dumps(payload))
-        with pytest.raises(InvalidInputError, match=column):
+        with pytest.raises(InvalidInputError, match=key):
             load_importance(path)
 
     def test_mismatched_lengths_rejected(self):
@@ -449,16 +453,8 @@ class TestImportanceMiner:
         assert miner.table_.n == 6
         assert miner.probs_.shape == (6,)
         assert abs(miner.probs_.sum() - 1.0) < 1e-12
-        dist = miner.distribution()
+        dist = build_distribution(miner.norms_)
         np.testing.assert_allclose(dist.probs, miner.probs_, atol=1e-15)
-
-    def test_smoothing_flows_into_distribution(self):
-        ds = gen_seqclass(n=6, vocab=8, length_range=(4, 8), seed=5)
-        miner = ImportanceMiner(
-            model="rnn", epsilon=0.05, lr=0.2, seed=0, embed_dim=4, hidden=5,
-            smoothing=1e6, t_max=500,
-        ).fit(ds)
-        assert np.max(np.abs(miner.distribution().probs - 1 / 6)) < 1e-6
 
     def test_embedding_diagnostic(self):
         ds = gen_seqclass(n=4, vocab=8, length_range=(4, 6), seed=5)
@@ -469,7 +465,7 @@ class TestImportanceMiner:
         assert miner.result_.embedding_spread >= 0.0
 
     def test_get_params_roundtrip(self):
-        miner = ImportanceMiner(epsilon=0.02, smoothing=0.5)
+        miner = ImportanceMiner(epsilon=0.02, t_max=50)
         params = miner.get_params()
         clone = ImportanceMiner(**params)
         assert clone.get_params() == params

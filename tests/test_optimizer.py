@@ -202,6 +202,18 @@ class TestTrain:
         assert [r.split for r in log.rows] == ["train", "eval", "train", "eval"]
         assert all(np.isfinite(r.loss) for r in log.rows)
 
+    @pytest.mark.parametrize("kind", ["rnn", "lstm"])
+    def test_non_finite_held_out_loss_raises(self, kind):
+        # Only the held-out sample reads token 7, so training stays finite.
+        ds = gen_seqclass(n=8, vocab=7, length_range=(4, 8), seed=0)
+        held = [SequenceSample(tokens=[1, 7, 2], label=0)]
+        spec = ModelSpec(kind=kind, vocab=8, embed=4, hidden=4)
+        params0 = get_model(spec).init_params(0)
+        params0.w_emb[7] = np.inf
+        cfg = TrainConfig(spec=spec, lr=0.1, epochs=2, seed=1)
+        with pytest.raises(DivergenceError, match="eval split at epoch 1"):
+            train(ds, params0, [cfg], eval_dataset=held)
+
     def test_eval_cadence(self):
         ds = tiny_dataset()
         spec = ModelSpec(kind="rnn", vocab=ds.vocab, embed=4, hidden=4)
@@ -381,5 +393,5 @@ class TestTrainerEstimator:
         assert clone.get_params() == t.get_params()
         from gradmine.fim import ImportanceMiner
 
-        m = ImportanceMiner(epsilon=0.02, smoothing=0.3)
+        m = ImportanceMiner(epsilon=0.02, t_max=30)
         assert sklearn_base.clone(m).get_params() == m.get_params()

@@ -7,7 +7,8 @@ import inspect
 
 import pytest
 
-from gradmine import cli
+from gradmine import cli, fim, optimizer
+from gradmine.data import gen_seqclass
 from gradmine.errors import ConfigError
 from gradmine.fim import FimConfig, ImportanceMiner
 from gradmine.models import ModelSpec
@@ -78,10 +79,10 @@ def test_estimator_fields_take_the_config_defaults(est, config, shared):
      "hidden=8, classes=2, context=8, cd_k=1)"),
     (ImportanceMiner,
      ["model", "epsilon", "lr", "t_max", "seed", "base_selector", "norm_kind",
-      "smoothing", "n_workers", "record_history", "embed_diagnostic",
+      "n_workers", "record_history", "embed_diagnostic",
       "embed_dim", "hidden", "classes", "context", "cd_k"],
      "ImportanceMiner(model='rnn', epsilon=0.01, lr=0.1, t_max=5000, seed=0, "
-     "base_selector=None, norm_kind='frobenius', smoothing=0.0, "
+     "base_selector=None, norm_kind='frobenius', "
      "n_workers=None, record_history=False, embed_diagnostic=False, "
      "embed_dim=8, hidden=8, classes=2, context=8, cd_k=1)"),
 ], ids=["Trainer", "ImportanceMiner"])
@@ -101,3 +102,29 @@ def test_estimators_hash_and_compare_by_identity(est):
     assert a == a and a != b
     assert len({a, b, a}) == 2
     assert hash(a) == object.__hash__(a)
+
+
+class Stop(Exception):
+    """Ends a fit where its run would start."""
+
+
+@pytest.mark.parametrize("est, module, run", [
+    (Trainer, optimizer, "train"), (ImportanceMiner, fim, "mine_importance"),
+], ids=["Trainer", "ImportanceMiner"])
+def test_fit_reads_every_field(monkeypatch, est, module, run):
+    names = {f.name for f in dataclasses.fields(est)}
+    read = set()
+
+    class Recording(est):
+        def __getattribute__(self, name):
+            if name in names:
+                read.add(name)
+            return super().__getattribute__(name)
+
+    def stop(*args, **kwargs):
+        raise Stop
+
+    monkeypatch.setattr(module, run, stop)
+    with pytest.raises(Stop):
+        Recording().fit(gen_seqclass(n=4, vocab=6, length_range=(3, 5), seed=0))
+    assert names - read == set()
