@@ -39,7 +39,8 @@ ds = gen_seqclass(n=200, vocab=50, length_range=(6, 40), hard_fraction=0.25, see
 spec = ModelSpec(kind="lstm", vocab=ds.vocab, embed=8, hidden=12, classes=2)
 cfg = FimConfig(epsilon=0.003, lr=0.5, seed=seed)
 start = time.perf_counter()
-table = mine_importance(ds, spec, cfg, n_workers=1).table
+result = mine_importance(ds, spec, cfg, n_workers=1)
+table = getattr(result, "table", result)  # older trees wrap the table in a result
 seconds = time.perf_counter() - start
 print(json.dumps({
     "seconds": seconds,

@@ -36,7 +36,6 @@ from .errors import (
     InvalidInputError,
     ParseError,
     ShapeError,
-    UnsupportedOperationError,
 )
 from .fim import (
     FimConfig,
@@ -44,7 +43,6 @@ from .fim import (
     ImportanceTable,
     build_distribution,
     default_epsilon,
-    history_sum_check,
     load_importance,
     mine_importance,
     save_importance,

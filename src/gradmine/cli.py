@@ -28,6 +28,7 @@ from .models import (
     stream_rng,
     validate_dataset,
 )
+from .tensor import NORM_KINDS
 
 
 def _sha256(path):
@@ -139,8 +140,7 @@ def cmd_mine(args):
     dataset = data.load_dataset(args.data)
     spec = spec_of(args, dataset)
     cfg = fim.fim_config_of(args, epsilon)
-    result = fim.mine_importance(dataset, spec, cfg, n_workers=args.workers)
-    table = result.table
+    table = fim.mine_importance(dataset, spec, cfg, n_workers=args.workers)
     fim.save_importance(args.out, table)
 
     stalled = int(np.sum(~table.converged))
@@ -158,9 +158,6 @@ def cmd_mine(args):
             "warning: epsilon is above every initial loss; table is uniform",
             file=sys.stderr,
         )
-    if result.embedding_spread is not None:
-        print(f"private-embedding mean pairwise distance: "
-              f"{result.embedding_spread:.6g}")
     return [args.data], [args.out]
 
 
@@ -283,12 +280,9 @@ def build_parser():
     p.add_argument("--target-loss", type=float, default=None,
                    help="derive epsilon as 0.01 * target loss")
     _add_field_args(p, miner, "lr", "t_max", "seed", "base_selector")
-    p.add_argument("--norm-kind", choices=["frobenius", "spectral"],
-                   default=miner.norm_kind)
+    p.add_argument("--norm-kind", choices=NORM_KINDS, default=miner.norm_kind)
     p.add_argument("--workers", type=int, default=miner.n_workers,
                    help="default: GRADMINE_WORKERS or all cores")
-    p.add_argument("--embed-diagnostic", action="store_true",
-                   default=miner.embed_diagnostic)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mine)
 

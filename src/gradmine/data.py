@@ -91,6 +91,13 @@ class FrameSequence:
     __eq__ = _same_sample
 
 
+def sample_kind(sample):
+    """The dataset kind a sample belongs to."""
+    if isinstance(sample, FrameSequence):
+        return PIANOROLL
+    return SEQCLASS if sample.is_classification else SEQLABEL
+
+
 @dataclass
 class Dataset:
     """A list of samples plus the manifest that reproduces it."""
@@ -359,11 +366,7 @@ def load_dataset(path):
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", line=i) from exc
             sample = _obj_to_sample(obj, i)
-            this_kind = (
-                PIANOROLL
-                if isinstance(sample, FrameSequence)
-                else (SEQCLASS if sample.is_classification else SEQLABEL)
-            )
+            this_kind = sample_kind(sample)
             if kind is None:
                 kind = this_kind
             elif kind != this_kind:

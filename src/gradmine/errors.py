@@ -21,10 +21,6 @@ class DistributionError(GradmineError, ValueError):
     """A probability vector is negative, degenerate, or unnormalizable."""
 
 
-class UnsupportedOperationError(GradmineError, RuntimeError):
-    """The requested operation needs state that was not recorded."""
-
-
 class DivergenceError(GradmineError, RuntimeError):
     """Training produced a non-finite loss."""
 

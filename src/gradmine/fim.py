@@ -10,8 +10,7 @@ sampling distribution used by importance-weighted training.
 Why the final norm works as a proxy: with a fixed step size the private
 block ends at its initialization minus the step-size-scaled sum of every
 gradient it ever received, so samples that keep producing large gradients
-drag the block further and end with larger norms. ``history_sum_check``
-verifies that identity and its triangle-inequality bound on recorded runs.
+drag the block further and end with larger norms.
 
 Each private run is a pure function of (shared init, sample, config,
 per-sample seed). The runs train in lockstep, one row each of a per-row
@@ -33,7 +32,6 @@ from .errors import (
     DivergenceError,
     InvalidInputError,
     ParseError,
-    UnsupportedOperationError,
 )
 from .models import (
     STREAM_MINE,
@@ -47,7 +45,7 @@ from .models import (
 )
 from .optimizer import as_dataset, sgd_step
 from .sampling import build_alias
-from .tensor import frobenius_norm, matrix_norm
+from .tensor import NORM_KINDS, matrix_norm
 
 WORKERS_ENV = "GRADMINE_WORKERS"
 
@@ -65,8 +63,6 @@ class FimConfig:
     seed: int = 0
     base_selector: str = None  # model default when unset
     norm_kind: str = "frobenius"
-    record_history: bool = False
-    embed_diagnostic: bool = False
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -77,10 +73,10 @@ class FimConfig:
             raise ConfigError("t_max must be >= 1")
 
 
-def fim_config_of(settings, epsilon, record_history=FimConfig.record_history):
+def fim_config_of(settings, epsilon):
     """Config from the mining settings of parsed CLI arguments or an
-    estimator: ``lr``, ``t_max``, ``seed``, ``base_selector``,
-    ``norm_kind`` and ``embed_diagnostic``."""
+    estimator: ``lr``, ``t_max``, ``seed``, ``base_selector`` and
+    ``norm_kind``."""
     return FimConfig(
         epsilon=epsilon,
         lr=settings.lr,
@@ -88,19 +84,7 @@ def fim_config_of(settings, epsilon, record_history=FimConfig.record_history):
         seed=settings.seed,
         base_selector=settings.base_selector,
         norm_kind=settings.norm_kind,
-        record_history=record_history,
-        embed_diagnostic=settings.embed_diagnostic,
     )
-
-
-@dataclass
-class HistoryRecord:
-    """Step-level bookkeeping of one private run."""
-
-    base_final: np.ndarray
-    grad_sum: np.ndarray  # sum of base-block gradients over all steps
-    norm_sum: float  # sum of per-step base-gradient norms
-    losses: list  # loss before each recorded step, plus the final loss
 
 
 @dataclass
@@ -130,6 +114,10 @@ class ImportanceTable:
                  self.converged.size}
         if len(sizes) != 1 or self.n == 0:
             raise InvalidInputError("importance table columns disagree in length")
+        if self.norm_kind not in NORM_KINDS:
+            raise InvalidInputError(
+                f"importance table: norm_kind must be one of {NORM_KINDS}, "
+                f"got {self.norm_kind!r}")
         check_weights(self.norms, "norms")
         if np.any(self.iterations < 0):
             raise InvalidInputError("iterations must be non-negative")
@@ -139,14 +127,19 @@ class ImportanceTable:
         return self
 
     def check_fits(self, spec, n):
-        """This table, validated, if it was mined for ``spec.kind`` and
-        covers ``n`` samples; ``ConfigError`` otherwise."""
+        """This table, validated, if it was mined for ``spec.kind`` on one
+        of its blocks and covers ``n`` samples; ``ConfigError`` otherwise."""
         self.validate()
         if self.model != spec.kind:
             raise ConfigError(
                 f"importance table was mined with model {self.model!r}, "
                 f"this run uses {spec.kind!r}"
             )
+        blocks = [name for name, _ in get_model(spec).module.layout(spec)]
+        if self.base_selector not in blocks:
+            raise ConfigError(
+                f"importance table: base_selector {self.base_selector!r} is not "
+                f"a block of the {spec.kind} model; have {blocks}")
         if self.n != n:
             raise ConfigError(
                 f"importance table covers {self.n} samples, dataset has {n}")
@@ -156,20 +149,12 @@ class ImportanceTable:
 IMPORTANCE_KEYS = tuple(f.name for f in fields(ImportanceTable))
 
 
-@dataclass
-class MiningResult:
-    table: ImportanceTable
-    init_params: object
-    histories: list = None  # [HistoryRecord], when recording was on
-    embedding_spread: float = None  # mean pairwise distance of private embeddings
-
-
 @np.errstate(all="ignore")  # a non-finite loss ends in DivergenceError
 def _mine_rows(task):
     """Train the private models of validated samples ``first``, ``first +
     1``, ... in lockstep, one row of a (B, P) parameter batch each, and
-    return a ``_mine_one`` result per sample. A row leaves the batch at its
-    own step count, with the bits of its run alone."""
+    return ``(index, norm, steps, converged)`` per sample. A row leaves the
+    batch at its own step count, with the bits of its run alone."""
     spec, samples, cfg, first, params0 = task
     model = get_model(spec)
     selector = cfg.base_selector or model.base_selector
@@ -181,18 +166,12 @@ def _mine_rows(task):
     final = params.vec.copy()
     last = np.zeros(n)
     steps = np.zeros(n, dtype=np.int64)
-    grad_sum = np.zeros((n,) + param_block(params0, selector).shape)
-    norm_sum = np.zeros(n)
-    losses = [[] for _ in rows]
     limit = n  # a run that diverges ends every run above it
     error = None
     batch = pack([samples[i] for i in rows])
     while True:
         trace = model.forward(params, batch, [rngs[i] for i in rows])
         loss = trace.losses
-        if cfg.record_history:
-            for i, value in zip(rows, loss):
-                losses[i].append(float(value))
         going = (loss > cfg.epsilon) & (steps[rows] < cfg.t_max)
         failed = np.flatnonzero(~np.isfinite(loss) & (rows < limit))
         if failed.size:  # the lowest sample index among them
@@ -212,35 +191,15 @@ def _mine_rows(task):
             rows, grads = rows[keep], grads[keep]
             params = params.like(params.vec[keep])
             batch = pack([samples[i] for i in rows])
-        grads = params.like(grads)
-        if cfg.record_history:
-            base_grads = param_block(grads, selector)
-            grad_sum[rows] += base_grads
-            norm_sum[rows] += [matrix_norm(g, cfg.norm_kind) for g in base_grads]
-        params = sgd_step(params, grads, cfg.lr)
+        params = sgd_step(params, params.like(grads), cfg.lr)
         steps[rows] += 1
     if error is not None:
         raise error
 
-    out = []
-    for i in range(n):
-        p = params0.like(final[i])
-        base = param_block(p, selector)
-        norm = matrix_norm(base, cfg.norm_kind)
-        history = None
-        if cfg.record_history:
-            history = HistoryRecord(
-                base_final=base.copy(),
-                grad_sum=grad_sum[i],
-                norm_sum=float(norm_sum[i]),
-                losses=losses[i],
-            )
-        emb = None
-        if cfg.embed_diagnostic and hasattr(p, "w_emb"):
-            emb = p.w_emb.copy()
-        converged = bool(last[i] <= cfg.epsilon)
-        out.append((first + i, norm, int(steps[i]), converged, history, emb))
-    return out
+    norms = [matrix_norm(param_block(params0.like(row), selector), cfg.norm_kind)
+             for row in final]
+    return [(first + i, norms[i], int(steps[i]), bool(last[i] <= cfg.epsilon))
+            for i in range(n)]
 
 
 def _mine_one(task):
@@ -267,7 +226,7 @@ def resolve_workers(n_workers=None):
 
 
 def mine_importance(dataset, spec, cfg, n_workers=None):
-    """Run private training for every sample and build the table.
+    """Run private training for every sample and return its ``ImportanceTable``.
 
     Every private model starts from the same shared initialization (drawn
     from ``cfg.seed``); per-sample randomness is keyed by sample index, so
@@ -294,10 +253,10 @@ def mine_importance(dataset, spec, cfg, n_workers=None):
             outputs = [out for shard in pool.map(_mine_rows, shards) for out in shard]
 
     # The map keeps shard order, so output i belongs to sample i.
-    _, norms, iterations, converged, histories, embeddings = zip(*outputs)
+    _, norms, iterations, converged = zip(*outputs)
     norms = np.array(norms)
     probs = build_distribution(norms, smoothing=0.0).probs
-    table = ImportanceTable(
+    return ImportanceTable(
         model=spec.kind,
         base_selector=selector,
         epsilon=cfg.epsilon,
@@ -308,37 +267,6 @@ def mine_importance(dataset, spec, cfg, n_workers=None):
         iterations=iterations,
         converged=converged,
     ).validate()
-
-    spread = None
-    if cfg.embed_diagnostic and all(e is not None for e in embeddings):
-        dists = [
-            frobenius_norm(a - b)
-            for i, a in enumerate(embeddings)
-            for b in embeddings[i + 1:]
-        ]
-        spread = float(np.mean(dists)) if dists else 0.0
-    return MiningResult(
-        table=table, init_params=params0,
-        histories=list(histories) if cfg.record_history else None,
-        embedding_spread=spread,
-    )
-
-
-def history_sum_check(final_base, init_base, history, lr, tol=1e-9):
-    """Verify the recorded-run identities of the mined proxy.
-
-    Checks that the final block equals the initialization minus the
-    step-scaled gradient sum (within ``tol`` per entry) and that its norm
-    obeys the triangle bound  ||final|| <= ||init|| + lr * sum ||g_t||.
-    """
-    if history is None:
-        raise UnsupportedOperationError("mining ran without record_history")
-    reconstructed = init_base - lr * history.grad_sum
-    if np.max(np.abs(final_base - reconstructed)) > tol:
-        return False
-    lhs = frobenius_norm(final_base)
-    rhs = frobenius_norm(init_base) + lr * history.norm_sum
-    return lhs <= rhs + 1e-12 * (1.0 + rhs)
 
 
 def build_distribution(norms, smoothing=0.0):
@@ -375,12 +303,14 @@ def load_importance(path):
     missing = [k for k in IMPORTANCE_KEYS if k not in payload]
     if missing:
         raise InvalidInputError(f"importance file missing keys: {missing}")
-    # The constructor would cast 1.7 to 1 and "no" to True.
-    its, conv = payload["iterations"], payload["converged"]
-    if not (isinstance(its, list) and all(type(i) is int for i in its)):
-        raise InvalidInputError("importance file: iterations must be integers")
-    if not (isinstance(conv, list) and all(type(c) is bool for c in conv)):
-        raise InvalidInputError("importance file: converged must be true/false")
+    # The constructor would cast 1.7 to 1, "no" to True and true to 1.0.
+    for k, types, what in (("iterations", (int,), "integers"),
+                           ("converged", (bool,), "true/false"),
+                           ("norms", (int, float), "numbers"),
+                           ("probs", (int, float), "numbers")):
+        column = payload[k]
+        if not (isinstance(column, list) and all(type(v) in types for v in column)):
+            raise InvalidInputError(f"importance file: {k} must be {what}")
     for k in ("model", "base_selector", "norm_kind"):
         if type(payload[k]) is not str:
             raise InvalidInputError(f"importance file: {k} must be a string")
@@ -411,8 +341,6 @@ class ImportanceMiner(ParamsMixin):
     base_selector: str = FimConfig.base_selector
     norm_kind: str = FimConfig.norm_kind
     n_workers: int = None
-    record_history: bool = FimConfig.record_history
-    embed_diagnostic: bool = FimConfig.embed_diagnostic
     embed_dim: int = ModelSpec.embed
     hidden: int = ModelSpec.hidden
     classes: int = ModelSpec.classes
@@ -422,10 +350,9 @@ class ImportanceMiner(ParamsMixin):
     def fit(self, X, y=None):
         dataset = as_dataset(X)
         spec = spec_of(self, dataset)
-        cfg = fim_config_of(self, self.epsilon, self.record_history)
-        self.result_ = mine_importance(dataset, spec, cfg, n_workers=self.n_workers)
+        cfg = fim_config_of(self, self.epsilon)
+        self.table_ = mine_importance(dataset, spec, cfg, n_workers=self.n_workers)
         self.spec_ = spec
-        self.table_ = self.result_.table
         self.norms_ = self.table_.norms
         self.probs_ = self.table_.probs
         self.iterations_ = self.table_.iterations

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis
 from .base import ParamsMixin
-from .data import Dataset, PIANOROLL, SEQCLASS, infer_vocab, write_text
+from .data import Dataset, infer_vocab, sample_kind, write_text
 from .errors import ConfigError, DistributionError, DivergenceError, ParseError
 from .models import (
     STREAM_DRAW,
@@ -300,5 +300,4 @@ def as_dataset(X):
         return X
     samples = list(X)
     vocab = infer_vocab(samples)  # rejects an empty list
-    kind = PIANOROLL if hasattr(samples[0], "frames") else SEQCLASS
-    return Dataset(kind=kind, samples=samples, vocab=vocab)
+    return Dataset(kind=sample_kind(samples[0]), samples=samples, vocab=vocab)

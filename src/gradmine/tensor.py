@@ -67,10 +67,11 @@ def spectral_norm(m):
     return float(np.linalg.norm(a, 2))
 
 
+NORM_KINDS = ("frobenius", "spectral")
+
+
 def matrix_norm(m, kind="frobenius"):
-    """Dispatch between the supported matrix norms."""
-    if kind == "frobenius":
-        return frobenius_norm(m)
-    if kind == "spectral":
-        return spectral_norm(m)
-    raise InvalidInputError(f"unknown norm kind: {kind!r}")
+    """The ``kind`` norm of ``m``, one of ``NORM_KINDS``."""
+    if kind not in NORM_KINDS:
+        raise InvalidInputError(f"unknown norm kind: {kind!r}")
+    return frobenius_norm(m) if kind == "frobenius" else spectral_norm(m)

@@ -15,7 +15,6 @@ import numpy as np
 
 from gradmine import optimizer
 from gradmine.errors import DivergenceError, InvalidInputError
-from gradmine.fim import HistoryRecord
 from gradmine.models import (
     STREAM_DRAW,
     STREAM_MINE,
@@ -29,7 +28,7 @@ from gradmine.models import (
 from gradmine.models.lstm import _blocks, _stacked
 from gradmine.optimizer import sgd_step
 from gradmine.sampling import build_alias, generate_sequence
-from gradmine.tensor import log_softmax, matrix_norm, sigmoid
+from gradmine.tensor import frobenius_norm, log_softmax, matrix_norm, sigmoid
 
 from conftest import param_blocks
 
@@ -268,10 +267,35 @@ def evaluate_per_sample(model, params, samples, probs, rng):
             gradient_variance(grads, probs))
 
 
+@dataclass
+class HistoryRecord:
+    """Step-level bookkeeping of one private run."""
+
+    base_final: np.ndarray
+    grad_sum: np.ndarray  # sum of base-block gradients over all steps
+    norm_sum: float  # sum of per-step base-gradient Frobenius norms
+    losses: list  # loss before each step, plus the final loss
+
+
+def history_sum_check(final_base, init_base, history, lr, tol=1e-9):
+    """Verify the recorded-run identities of the mined proxy.
+
+    Checks that the final block equals the initialization minus the
+    step-scaled gradient sum (within ``tol`` per entry) and that its norm
+    obeys the triangle bound  ||final|| <= ||init|| + lr * sum ||g_t||.
+    """
+    reconstructed = init_base - lr * history.grad_sum
+    if np.max(np.abs(final_base - reconstructed)) > tol:
+        return False
+    lhs = frobenius_norm(final_base)
+    rhs = frobenius_norm(init_base) + lr * history.norm_sum
+    return lhs <= rhs + 1e-12 * (1.0 + rhs)
+
+
 def mine_one_scalar(task):
     """One private mining run, one sample at a time with the single-sample
     passes: the loop the lockstep miner must reproduce bit for bit.
-    Returns ``fim._mine_one``'s tuple."""
+    Returns ``fim._mine_one``'s tuple and the run's ``HistoryRecord``."""
     spec, sample, cfg, index, params = task
     forward, backward = SCALAR[spec.kind][:2]
     selector = cfg.base_selector or get_model(spec).base_selector
@@ -288,37 +312,41 @@ def mine_one_scalar(task):
             raise DivergenceError(
                 f"private training diverged on sample {index} at step {steps}")
         grads = backward(params, sample, trace)
-        if cfg.record_history:
-            base_grad = param_block(grads, selector)
-            grad_sum += base_grad
-            norm_sum += matrix_norm(base_grad, cfg.norm_kind)
+        base_grad = param_block(grads, selector)
+        grad_sum += base_grad
+        norm_sum += frobenius_norm(base_grad)
         params = sgd_step(params, grads, cfg.lr)
         steps += 1
         trace = forward(params, sample, rng, spec.cd_k)
         loss = float(trace.loss)
-        if cfg.record_history:
-            losses.append(loss)
+        losses.append(loss)
     if not np.isfinite(loss):
         raise DivergenceError(f"private training diverged on sample {index}")
 
     base = param_block(params, selector)
-    history = None
-    if cfg.record_history:
-        history = HistoryRecord(base_final=base.copy(), grad_sum=grad_sum,
-                                norm_sum=norm_sum, losses=losses)
-    emb = None
-    if cfg.embed_diagnostic and hasattr(params, "w_emb"):
-        emb = params.w_emb.copy()
+    history = HistoryRecord(base_final=base.copy(), grad_sum=grad_sum,
+                            norm_sum=norm_sum, losses=losses)
     return (index, matrix_norm(base, cfg.norm_kind), steps,
-            bool(loss <= cfg.epsilon), history, emb)
+            bool(loss <= cfg.epsilon)), history
 
 
 def mine_rows_scalar(task):
     """``fim._mine_rows`` as a loop of ``mine_one_scalar``, in sample order;
     patched in for it, ``mine_importance`` mines as the scalar oracle."""
     spec, samples, cfg, first, params = task
-    return [mine_one_scalar((spec, sample, cfg, first + i, params))
+    return [mine_one_scalar((spec, sample, cfg, first + i, params))[0]
             for i, sample in enumerate(samples)]
+
+
+def mine_scalar(dataset, spec, cfg):
+    """Every sample's ``mine_one_scalar`` run from the shared initialization
+    that ``fim.mine_importance`` draws: (that initialization, the runs'
+    ``_mine_one`` tuples, their histories)."""
+    params0 = get_model(spec).init_params(cfg.seed)
+    runs = [mine_one_scalar((spec, sample, cfg, i, params0))
+            for i, sample in enumerate(validate_dataset(spec, dataset))]
+    outputs, histories = zip(*runs)
+    return params0, list(outputs), list(histories)
 
 
 def train_scalar(dataset, params0, cfg, eval_dataset=None):

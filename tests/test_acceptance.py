@@ -20,7 +20,7 @@ from gradmine.analysis import (
     svm_loss_grad,
 )
 from gradmine.data import SequenceSample, gen_seqclass
-from gradmine.fim import FimConfig, ImportanceTable, mine_importance, history_sum_check
+from gradmine.fim import FimConfig, ImportanceTable, mine_importance
 from gradmine.models import ModelSpec, get_model, param_block
 from gradmine.optimizer import TrainConfig, train
 from gradmine.sampling import build_alias, generate_sequence
@@ -29,7 +29,9 @@ from conftest import OneSample, first_row, param_blocks, randomize
 from oracles import (
     cd_surrogate_loss,
     finite_diff_grads,
+    history_sum_check,
     max_fd_violation,
+    mine_scalar,
     static_rbm_cd,
 )
 
@@ -222,8 +224,8 @@ def test_criterion_8_mining_semantics():
     spec = ModelSpec(kind="rnn", vocab=ds.vocab, embed=4, hidden=5)
 
     cfg = FimConfig(epsilon=0.02, lr=0.2, seed=5, t_max=2000)
-    t1 = mine_importance(ds, spec, cfg, n_workers=1).table
-    t8 = mine_importance(ds, spec, cfg, n_workers=8).table
+    t1 = mine_importance(ds, spec, cfg, n_workers=1)
+    t8 = mine_importance(ds, spec, cfg, n_workers=8)
     same = (
         np.array_equal(t1.norms, t8.norms)
         and np.array_equal(t1.probs, t8.probs)
@@ -231,17 +233,17 @@ def test_criterion_8_mining_semantics():
         and np.array_equal(t1.converged, t8.converged)
     )
 
-    cfg_rec = FimConfig(epsilon=0.02, lr=0.2, seed=5, t_max=2000, record_history=True)
-    result = mine_importance(ds, spec, cfg_rec, n_workers=1)
-    init_base = param_block(result.init_params, "w_x")
+    params0, outputs, histories = mine_scalar(ds, spec, cfg)
+    init_base = param_block(params0, "w_x")
     history_ok = all(
-        history_sum_check(rec.base_final, init_base, rec, cfg_rec.lr)
-        for rec in result.histories
+        history_sum_check(rec.base_final, init_base, rec, cfg.lr)
+        and np.float64(norm).tobytes() == t1.norms[i].tobytes()
+        for (i, norm, *_), rec in zip(outputs, histories)
     )
 
     degenerate = mine_importance(
         ds, spec, FimConfig(epsilon=1e9, lr=0.2, seed=5), n_workers=1
-    ).table
+    )
     uniform_ok = bool(
         np.all(degenerate.iterations == 0)
         and np.allclose(degenerate.probs, 0.1, atol=1e-12)
@@ -275,7 +277,7 @@ def test_criterion_9_desk_scale_convergence():
         params0 = model.init_params(seed)
         mined = mine_importance(
             ds, spec, FimConfig(epsilon=0.003, lr=0.5, seed=seed), n_workers=1
-        ).table
+        )
         samplers = ("uniform", "importance")
         cfgs = [
             TrainConfig(

@@ -344,7 +344,8 @@ def test_train_equals_the_scalar_loop(kind, dims, lengths, held_lengths, runs,
         if r["importance"]:
             norms = rng.random(n) + 0.01
             table = ImportanceTable(
-                model=kind, base_selector="w", epsilon=1.0, seed=0,
+                model=kind, base_selector=get_model(spec).base_selector,
+                epsilon=1.0, seed=0,
                 norm_kind="frobenius", norms=norms, probs=norms / norms.sum(),
                 iterations=np.zeros(n, dtype=int), converged=np.ones(n, dtype=bool))
         cfgs.append(optimizer.TrainConfig(

@@ -12,6 +12,7 @@ import pytest
 from gradmine import cli
 from gradmine.data import load_dataset
 from gradmine.fim import ImportanceTable, load_importance, save_importance
+from gradmine.models import ModelSpec, get_model
 from gradmine.optimizer import load_metrics
 
 from conftest import cores
@@ -38,8 +39,9 @@ def pianoroll_file(path):
 
 
 def uniform_table_file(path, n, model="rnn"):
+    selector = get_model(ModelSpec(kind=model, vocab=n)).base_selector
     table = ImportanceTable(
-        model=model, base_selector="w_x", epsilon=1.0, seed=0,
+        model=model, base_selector=selector, epsilon=1.0, seed=0,
         norm_kind="frobenius", norms=np.ones(n), probs=np.full(n, 1.0 / n),
         iterations=np.zeros(n, dtype=int), converged=np.ones(n, dtype=bool),
     )
@@ -341,6 +343,26 @@ class TestTrain:
         ])
         assert code == 2
         assert "epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("norm_kind", "bogus"), ("base_selector", "no_such_block"),
+    ])
+    def test_table_naming_no_norm_or_block_exits_2(
+            self, tmp_path, capsys, field, value):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        imp = uniform_table_file(tmp_path / "bad.json", n=12)
+        imp.write_text(json.dumps({**json.loads(imp.read_text()), field: value}))
+        out = tmp_path / "m.csv"
+        code = run([
+            "train", "--data", str(data), "--model", "rnn",
+            "--sampler", "importance", "--importance", str(imp),
+            "--epochs", "1", "--embed-dim", "4", "--hidden", "5",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_importance_length_mismatch_exits_2(self, tmp_path):
         data = tmp_path / "d.jsonl"

@@ -23,6 +23,7 @@ from gradmine.data import (
     write_text,
 )
 from gradmine.errors import InvalidInputError, ParseError
+from gradmine.optimizer import as_dataset
 
 
 class TestSequenceSample:
@@ -142,6 +143,18 @@ def datasets(draw):
     vocab = infer_vocab(samples)
     manifest = draw(st.sampled_from([{}, {"kind": kind, "vocab": vocab}]))
     return Dataset(kind=kind, samples=samples, vocab=vocab, manifest=manifest)
+
+
+def test_listed_and_loaded_samples_take_one_kind(tmp_path):
+    # ``as_dataset`` of a sample list names its kind as ``load_dataset`` does.
+    cases = [(SequenceSample(tokens=[1, 2], label=1), "seqclass"),
+             (SequenceSample(tokens=[1, 2], targets=[2, 3]), "seqlabel"),
+             (FrameSequence(frames=[[0, 1], [1, 0]]), "pianoroll")]
+    for sample, kind in cases:
+        path = tmp_path / f"{kind}.jsonl"
+        save_dataset(path, Dataset(kind=kind, samples=[sample], vocab=4))
+        assert load_dataset(path).kind == kind
+        assert as_dataset([sample]).kind == kind
 
 
 class TestRoundTrips:

@@ -16,7 +16,6 @@ from gradmine.errors import (
     DistributionError,
     InvalidInputError,
     ShapeError,
-    UnsupportedOperationError,
 )
 from gradmine.fim import (
     FimConfig,
@@ -24,16 +23,16 @@ from gradmine.fim import (
     ImportanceTable,
     build_distribution,
     default_epsilon,
-    history_sum_check,
     load_importance,
     mine_importance,
     save_importance,
 )
-from gradmine.models import MODEL_KINDS, ModelSpec, param_block
+from gradmine.models import MODEL_KINDS, ModelSpec, get_model, param_block
 from gradmine.sampling import SamplingDistribution
 from gradmine.tensor import matrix_norm
 
 from conftest import OneSample, cores
+from oracles import history_sum_check, mine_scalar
 
 
 def dataset_of(samples, vocab):
@@ -49,7 +48,7 @@ class TestMineImportance:
         sample = SequenceSample(tokens=[1, 2, 3], label=1)
         ds = dataset_of([sample] * 6, vocab=8)
         cfg = FimConfig(epsilon=0.05, lr=0.2, seed=0, t_max=500)
-        table = mine_importance(ds, rnn_spec(), cfg, n_workers=1).table
+        table = mine_importance(ds, rnn_spec(), cfg, n_workers=1)
         assert np.all(table.norms == table.norms[0])
         np.testing.assert_allclose(table.probs, 1 / 6, atol=1e-15)
         assert np.all(table.iterations == table.iterations[0])
@@ -58,11 +57,10 @@ class TestMineImportance:
         ds = gen_seqclass(n=10, vocab=8, length_range=(4, 8), seed=2)
         spec = rnn_spec()
         cfg = FimConfig(epsilon=1e9, lr=0.1, seed=0)
-        result = mine_importance(ds, spec, cfg, n_workers=1)
-        table = result.table
+        table = mine_importance(ds, spec, cfg, n_workers=1)
         assert np.all(table.iterations == 0)
         assert np.all(table.converged)
-        init_norm = np.linalg.norm(param_block(result.init_params, "w_x"))
+        init_norm = np.linalg.norm(param_block(get_model(spec).init_params(0), "w_x"))
         np.testing.assert_allclose(table.norms, init_norm, atol=1e-15)
         np.testing.assert_allclose(table.probs, 0.1, atol=1e-12)
 
@@ -79,7 +77,7 @@ class TestMineImportance:
 
         spec = ModelSpec(kind="lstm", vocab=ds.vocab, embed=8, hidden=10, classes=2)
         cfg = FimConfig(epsilon=0.003, lr=0.5, seed=0)
-        table = mine_importance(ds, spec, cfg, n_workers=1).table
+        table = mine_importance(ds, spec, cfg, n_workers=1)
         mined_top = set(np.argsort(-table.probs)[:5].tolist())
         assert mined_top == hard
 
@@ -103,14 +101,14 @@ class TestMineImportance:
             ds = gen_seqclass(
                 n=12, vocab=20, length_range=(6, 12), hard_fraction=0.0, seed=dseed
             )
-            table = mine_importance(ds, spec, cfg, n_workers=1).table
+            table = mine_importance(ds, spec, cfg, n_workers=1)
             assert table.probs.max() / table.probs.min() < 2.0
 
     def test_worker_count_does_not_change_results(self):
         ds = gen_seqclass(n=8, vocab=8, length_range=(4, 8), seed=6)
         cfg = FimConfig(epsilon=0.05, lr=0.2, seed=1, t_max=500)
-        t1 = mine_importance(ds, rnn_spec(), cfg, n_workers=1).table
-        t8 = mine_importance(ds, rnn_spec(), cfg, n_workers=8).table
+        t1 = mine_importance(ds, rnn_spec(), cfg, n_workers=1)
+        t8 = mine_importance(ds, rnn_spec(), cfg, n_workers=8)
         np.testing.assert_array_equal(t1.norms, t8.norms)
         np.testing.assert_array_equal(t1.probs, t8.probs)
         np.testing.assert_array_equal(t1.iterations, t8.iterations)
@@ -137,9 +135,9 @@ class TestMineImportance:
     def test_worker_count_does_not_change_results_for(self, kind):
         # Each pool task carries the pickled shared initialization.
         ds, spec, cfg = self._small_case(kind, 6)
-        t1 = mine_importance(ds, spec, cfg, n_workers=1).table
+        t1 = mine_importance(ds, spec, cfg, n_workers=1)
         with cores(2):
-            t2 = mine_importance(ds, spec, cfg, n_workers=2).table
+            t2 = mine_importance(ds, spec, cfg, n_workers=2)
         self._assert_same_table(t1, t2)
 
     @pytest.mark.parametrize("workers", [2, 3])
@@ -147,26 +145,26 @@ class TestMineImportance:
     def test_uneven_shards_do_not_change_results(self, kind, workers):
         # Five samples split into shards of 3 + 2, or 2 + 2 + 1.
         ds, spec, cfg = self._small_case(kind, 5)
-        t1 = mine_importance(ds, spec, cfg, n_workers=1).table
+        t1 = mine_importance(ds, spec, cfg, n_workers=1)
         with cores(workers):
-            t2 = mine_importance(ds, spec, cfg, n_workers=workers).table
+            t2 = mine_importance(ds, spec, cfg, n_workers=workers)
         self._assert_same_table(t1, t2)
 
     def test_workers_beyond_the_cores_share_a_batch(self):
         # One core: four workers run one lockstep batch, in this process.
         ds, spec, cfg = self._small_case("rnn", 5)
-        t1 = mine_importance(ds, spec, cfg, n_workers=1).table
+        t1 = mine_importance(ds, spec, cfg, n_workers=1)
         with cores(1), mock.patch("concurrent.futures.ProcessPoolExecutor") as pool:
-            t4 = mine_importance(ds, spec, cfg, n_workers=4).table
+            t4 = mine_importance(ds, spec, cfg, n_workers=4)
         pool.assert_not_called()
         self._assert_same_table(t1, t4)
 
     def test_loss_sequences_mostly_decrease(self):
         ds = gen_seqclass(n=10, vocab=8, length_range=(4, 8), seed=8)
-        cfg = FimConfig(epsilon=0.01, lr=0.2, seed=0, record_history=True, t_max=2000)
-        result = mine_importance(ds, rnn_spec(), cfg, n_workers=1)
+        cfg = FimConfig(epsilon=0.01, lr=0.2, seed=0, t_max=2000)
+        _, _, histories = mine_scalar(ds, rnn_spec(), cfg)
         drops = total = 0
-        for record in result.histories:
+        for record in histories:
             seq = np.array(record.losses)
             drops += int(np.sum(np.diff(seq) <= 0))
             total += seq.size - 1
@@ -175,7 +173,7 @@ class TestMineImportance:
     def test_t_max_cap_flags_unconverged(self):
         ds = gen_seqclass(n=6, vocab=8, length_range=(4, 8), seed=9)
         cfg = FimConfig(epsilon=1e-12, lr=0.01, seed=0, t_max=5)
-        table = mine_importance(ds, rnn_spec(), cfg, n_workers=1).table
+        table = mine_importance(ds, rnn_spec(), cfg, n_workers=1)
         assert not np.any(table.converged)
         assert np.all(table.iterations == 5)
 
@@ -209,7 +207,7 @@ class TestMineImportance:
         ds = gen_pianoroll(n=4, n_v=6, length_range=(3, 5), seed=3)
         spec = ModelSpec(kind="rnnrbm", vocab=6, hidden=4, context=3, cd_k=1)
         cfg = FimConfig(epsilon=0.4, lr=0.05, seed=0, t_max=300)
-        table = mine_importance(ds, spec, cfg, n_workers=1).table
+        table = mine_importance(ds, spec, cfg, n_workers=1)
         assert table.base_selector == "w"
         assert table.n == 4
 
@@ -217,21 +215,21 @@ class TestMineImportance:
 class TestHistorySumCheck:
     def _mine(self, epsilon, t_max=200, lr=0.2):
         ds = gen_seqclass(n=4, vocab=8, length_range=(4, 8), seed=12)
-        cfg = FimConfig(epsilon=epsilon, lr=lr, seed=0, t_max=t_max, record_history=True)
-        return mine_importance(ds, rnn_spec(), cfg, n_workers=1), cfg
+        cfg = FimConfig(epsilon=epsilon, lr=lr, seed=0, t_max=t_max)
+        return mine_scalar(ds, rnn_spec(), cfg), cfg
 
     def test_zero_steps_trivially_pass(self):
-        result, cfg = self._mine(epsilon=1e9)
-        init_base = param_block(result.init_params, "w_x")
-        for record in result.histories:
+        (params0, _, histories), cfg = self._mine(epsilon=1e9)
+        init_base = param_block(params0, "w_x")
+        for record in histories:
             assert history_sum_check(record.base_final, init_base, record, cfg.lr)
 
     def test_single_step_exact(self):
         ds = gen_seqclass(n=3, vocab=8, length_range=(4, 8), seed=13)
-        cfg = FimConfig(epsilon=1e-12, lr=0.3, seed=0, t_max=1, record_history=True)
-        result = mine_importance(ds, rnn_spec(), cfg, n_workers=1)
-        init_base = param_block(result.init_params, "w_x")
-        for record in result.histories:
+        cfg = FimConfig(epsilon=1e-12, lr=0.3, seed=0, t_max=1)
+        params0, _, histories = mine_scalar(ds, rnn_spec(), cfg)
+        init_base = param_block(params0, "w_x")
+        for record in histories:
             np.testing.assert_array_equal(
                 record.base_final, init_base - 0.3 * record.grad_sum
             )
@@ -239,19 +237,11 @@ class TestHistorySumCheck:
 
     def test_hundred_step_run(self):
         ds = gen_seqclass(n=3, vocab=8, length_range=(4, 8), seed=14)
-        cfg = FimConfig(epsilon=1e-12, lr=0.1, seed=0, t_max=100, record_history=True)
-        result = mine_importance(ds, rnn_spec(), cfg, n_workers=1)
-        init_base = param_block(result.init_params, "w_x")
-        for record in result.histories:
+        cfg = FimConfig(epsilon=1e-12, lr=0.1, seed=0, t_max=100)
+        params0, _, histories = mine_scalar(ds, rnn_spec(), cfg)
+        init_base = param_block(params0, "w_x")
+        for record in histories:
             assert history_sum_check(record.base_final, init_base, record, 0.1)
-
-    def test_recording_disabled_raises(self):
-        ds = gen_seqclass(n=2, vocab=8, length_range=(4, 8), seed=15)
-        cfg = FimConfig(epsilon=0.1, lr=0.1, seed=0)
-        result = mine_importance(ds, rnn_spec(), cfg, n_workers=1)
-        init_base = param_block(result.init_params, "w_x")
-        with pytest.raises(UnsupportedOperationError):
-            history_sum_check(init_base, init_base, None, 0.1)
 
 
 class TestBuildDistribution:
@@ -404,6 +394,8 @@ class TestImportanceIO:
             load_importance(path)
 
     @pytest.mark.parametrize("key, value", [
+        ("norms", [True, True, True]),
+        ("probs", [True, False, False]),
         ("iterations", [12, 40.5, 23]),
         ("iterations", [12, True, 23]),
         ("converged", ["no", True, False]),
@@ -411,15 +403,17 @@ class TestImportanceIO:
         ("model", 3),
         ("base_selector", 7),
         ("norm_kind", None),
+        ("norm_kind", "bogus"),
         ("epsilon", "abc"),
         ("epsilon", True),
         ("epsilon", -0.5),
         ("epsilon", float("inf")),
         ("seed", 1.5),
         ("seed", True),
-    ], ids=["fractional-iterations", "boolean-iterations", "string-converged",
+    ], ids=["boolean-norms", "boolean-probs",
+            "fractional-iterations", "boolean-iterations", "string-converged",
             "integer-converged", "number-model", "number-selector",
-            "null-norm-kind", "string-epsilon", "boolean-epsilon",
+            "null-norm-kind", "unknown-norm-kind", "string-epsilon", "boolean-epsilon",
             "negative-epsilon", "infinite-epsilon", "fractional-seed",
             "boolean-seed"])
     def test_column_values_are_not_coerced(self, tmp_path, key, value):
@@ -455,14 +449,6 @@ class TestImportanceMiner:
         assert abs(miner.probs_.sum() - 1.0) < 1e-12
         dist = build_distribution(miner.norms_)
         np.testing.assert_allclose(dist.probs, miner.probs_, atol=1e-15)
-
-    def test_embedding_diagnostic(self):
-        ds = gen_seqclass(n=4, vocab=8, length_range=(4, 6), seed=5)
-        miner = ImportanceMiner(
-            model="rnn", epsilon=0.1, lr=0.2, seed=0, embed_dim=4, hidden=5,
-            embed_diagnostic=True, t_max=300,
-        ).fit(ds)
-        assert miner.result_.embedding_spread >= 0.0
 
     def test_get_params_roundtrip(self):
         miner = ImportanceMiner(epsilon=0.02, t_max=50)
@@ -533,6 +519,12 @@ class TestCheckFits:
     def test_other_size_rejected(self):
         with pytest.raises(ConfigError, match="covers 3 samples, dataset has 4"):
             self.table().check_fits(rnn_spec(), 4)
+
+    def test_selector_outside_the_model_rejected(self):
+        table = self.table()
+        table.base_selector = "no_such_block"
+        with pytest.raises(ConfigError, match="base_selector 'no_such_block'"):
+            table.check_fits(rnn_spec(), 3)
 
     def test_invalid_table_rejected(self):
         table = self.table()

@@ -136,7 +136,7 @@ def test_each_sample_is_checked_once_where_data_enters(kind, monkeypatch):
     assert len(checked) == 5 + 2
     checked.clear()
     cfg = FimConfig(epsilon=1e-12, lr=0.01, t_max=4)
-    table = mine_importance(samples, spec, cfg, n_workers=1).table
+    table = mine_importance(samples, spec, cfg, n_workers=1)
     assert list(table.iterations) == [4] * 5
     assert len(checked) == 5
 

@@ -10,7 +10,7 @@ import pytest
 
 from gradmine import fim
 from gradmine.data import gen_seqclass
-from gradmine.models import ModelSpec, validate_dataset
+from gradmine.models import ModelSpec, get_model, validate_dataset
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -33,10 +33,11 @@ def test_mine_one_result_positions_match_the_table():
     dataset = gen_seqclass(n=4, vocab=8, length_range=(3, 6), seed=2)
     spec = ModelSpec(kind="rnn", vocab=dataset.vocab, embed=3, hidden=4)
     cfg = fim.FimConfig(epsilon=0.3, lr=0.2, t_max=6)
-    mined = fim.mine_importance(dataset, spec, cfg, n_workers=1)
+    table = fim.mine_importance(dataset, spec, cfg, n_workers=1)
+    params0 = get_model(spec).init_params(cfg.seed)
     samples = validate_dataset(spec, dataset)
     for i, sample in enumerate(samples):
-        result = fim._mine_one((spec, sample, cfg, i, mined.init_params))
+        result = fim._mine_one((spec, sample, cfg, i, params0))
         assert result[0] == i
-        assert result[2] == mined.table.iterations[i]
-        assert result[3] == mined.table.converged[i]
+        assert result[2] == table.iterations[i]
+        assert result[3] == table.converged[i]

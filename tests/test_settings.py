@@ -56,8 +56,7 @@ def test_mine_and_train_keep_their_own_model_defaults():
     (Trainer, TrainConfig,
      {"sampler", "importance", "seed", "eval_every", "clip"}),
     (ImportanceMiner, FimConfig,
-     {"lr", "t_max", "seed", "base_selector", "norm_kind", "record_history",
-      "embed_diagnostic"}),
+     {"lr", "t_max", "seed", "base_selector", "norm_kind"}),
 ], ids=["Trainer", "ImportanceMiner"])
 def test_estimator_fields_take_the_config_defaults(est, config, shared):
     fields = field_defaults(est)
@@ -79,12 +78,10 @@ def test_estimator_fields_take_the_config_defaults(est, config, shared):
      "hidden=8, classes=2, context=8, cd_k=1)"),
     (ImportanceMiner,
      ["model", "epsilon", "lr", "t_max", "seed", "base_selector", "norm_kind",
-      "n_workers", "record_history", "embed_diagnostic",
-      "embed_dim", "hidden", "classes", "context", "cd_k"],
+      "n_workers", "embed_dim", "hidden", "classes", "context", "cd_k"],
      "ImportanceMiner(model='rnn', epsilon=0.01, lr=0.1, t_max=5000, seed=0, "
      "base_selector=None, norm_kind='frobenius', "
-     "n_workers=None, record_history=False, embed_diagnostic=False, "
-     "embed_dim=8, hidden=8, classes=2, context=8, cd_k=1)"),
+     "n_workers=None, embed_dim=8, hidden=8, classes=2, context=8, cd_k=1)"),
 ], ids=["Trainer", "ImportanceMiner"])
 def test_estimator_signature_params_and_repr(est, order, text):
     assert list(inspect.signature(est).parameters) == order
