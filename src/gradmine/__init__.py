@@ -9,13 +9,10 @@ benefit ratio) computable exactly on small instances.
 """
 
 from .analysis import (
-    ConvexProblem,
     bound_ratio,
     gradient_variance,
     lipschitz_distribution,
     optimal_distribution,
-    svm_lipschitz_bound,
-    svm_loss_grad,
     variance_report,
 )
 from .data import (
@@ -41,7 +38,6 @@ from .fim import (
     FimConfig,
     ImportanceMiner,
     ImportanceTable,
-    build_distribution,
     default_epsilon,
     load_importance,
     mine_importance,

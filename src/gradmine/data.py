@@ -91,11 +91,14 @@ class FrameSequence:
     __eq__ = _same_sample
 
 
-def sample_kind(sample):
-    """The dataset kind a sample belongs to."""
-    if isinstance(sample, FrameSequence):
-        return PIANOROLL
-    return SEQCLASS if sample.is_classification else SEQLABEL
+def sample_kind(sample, kind=None):
+    """The dataset kind a sample belongs to. A dataset holds one kind, so
+    ``InvalidInputError`` if ``kind``, that of the samples before it, differs."""
+    this = (PIANOROLL if isinstance(sample, FrameSequence)
+            else SEQCLASS if sample.is_classification else SEQLABEL)
+    if kind not in (None, this):
+        raise InvalidInputError(f"mixed sample kinds ({kind} vs {this})")
+    return this
 
 
 @dataclass
@@ -366,11 +369,10 @@ def load_dataset(path):
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", line=i) from exc
             sample = _obj_to_sample(obj, i)
-            this_kind = sample_kind(sample)
-            if kind is None:
-                kind = this_kind
-            elif kind != this_kind:
-                raise ParseError(f"mixed sample kinds ({kind} vs {this_kind})", line=i)
+            try:
+                kind = sample_kind(sample, kind)
+            except InvalidInputError as exc:
+                raise ParseError(str(exc), line=i) from None
             samples.append(sample)
     if not samples:
         raise InvalidInputError(f"no samples in {path}")

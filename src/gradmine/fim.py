@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .analysis import lipschitz_distribution
 from .base import ParamsMixin, check_probs, check_weights
 from .data import write_json
 from .errors import (
@@ -254,8 +255,6 @@ def mine_importance(dataset, spec, cfg, n_workers=None):
 
     # The map keeps shard order, so output i belongs to sample i.
     _, norms, iterations, converged = zip(*outputs)
-    norms = np.array(norms)
-    probs = build_distribution(norms, smoothing=0.0).probs
     return ImportanceTable(
         model=spec.kind,
         base_selector=selector,
@@ -263,24 +262,10 @@ def mine_importance(dataset, spec, cfg, n_workers=None):
         seed=cfg.seed,
         norm_kind=cfg.norm_kind,
         norms=norms,
-        probs=probs,
+        probs=build_alias(lipschitz_distribution(norms)).probs,
         iterations=iterations,
         converged=converged,
     ).validate()
-
-
-def build_distribution(norms, smoothing=0.0):
-    """Sampling distribution proportional to (norm + smoothing * mean norm).
-
-    ``smoothing`` = 0 reproduces the plain ratio of norms; larger values
-    pull the distribution toward uniform and guarantee strictly positive
-    probabilities when some norms are zero.
-    """
-    if not 0 <= smoothing < np.inf:  # also rejects NaN
-        raise ConfigError(f"smoothing must be finite and >= 0, got {smoothing}")
-    v = check_weights(norms, "norms")
-    shifted = v + smoothing * v.mean()
-    return build_alias(shifted / shifted.sum())
 
 
 def save_importance(path, table):
@@ -329,8 +314,8 @@ def load_importance(path):
 @dataclass(eq=False)
 class ImportanceMiner(ParamsMixin):
     """Fit-style interface to the miner: ``fit`` mines the dataset into
-    the trailing-underscore attributes. Fields take the config's defaults,
-    and the CLI's ``mine`` reads its defaults from these fields.
+    ``table_``. Fields take the config's defaults, and the CLI's ``mine``
+    reads its defaults from these fields.
     """
 
     model: str = "rnn"
@@ -353,8 +338,4 @@ class ImportanceMiner(ParamsMixin):
         cfg = fim_config_of(self, self.epsilon)
         self.table_ = mine_importance(dataset, spec, cfg, n_workers=self.n_workers)
         self.spec_ = spec
-        self.norms_ = self.table_.norms
-        self.probs_ = self.table_.probs
-        self.iterations_ = self.table_.iterations
-        self.converged_ = self.table_.converged
         return self

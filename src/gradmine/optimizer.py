@@ -24,7 +24,8 @@ import numpy as np
 from . import analysis
 from .base import ParamsMixin
 from .data import Dataset, infer_vocab, sample_kind, write_text
-from .errors import ConfigError, DistributionError, DivergenceError, ParseError
+from .errors import (ConfigError, DistributionError, DivergenceError,
+                     InvalidInputError, ParseError)
 from .models import (
     STREAM_DRAW,
     STREAM_EVAL,
@@ -299,5 +300,11 @@ def as_dataset(X):
     if isinstance(X, Dataset):
         return X
     samples = list(X)
+    kind = None
+    for i, sample in enumerate(samples):
+        try:
+            kind = sample_kind(sample, kind)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"sample {i}: {exc}") from None
     vocab = infer_vocab(samples)  # rejects an empty list
-    return Dataset(kind=sample_kind(samples[0]), samples=samples, vocab=vocab)
+    return Dataset(kind=kind, samples=samples, vocab=vocab)

@@ -11,14 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gradmine.analysis import (
-    ConvexProblem,
-    bound_ratio,
-    gradient_variance,
-    optimal_distribution,
-    svm_lipschitz_bound,
-    svm_loss_grad,
-)
+from gradmine.analysis import bound_ratio, gradient_variance, optimal_distribution
 from gradmine.data import SequenceSample, gen_seqclass
 from gradmine.fim import FimConfig, ImportanceTable, mine_importance
 from gradmine.models import ModelSpec, get_model, param_block
@@ -26,6 +19,7 @@ from gradmine.optimizer import TrainConfig, train
 from gradmine.sampling import build_alias, generate_sequence
 
 from conftest import OneSample, first_row, param_blocks, randomize
+from convex import ConvexProblem, svm_lipschitz_bound, svm_loss_grad
 from oracles import (
     cd_surrogate_loss,
     finite_diff_grads,

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from gradmine.analysis import (
-    ConvexProblem,
     bound_ratio,
     gradient_variance,
     lipschitz_distribution,
     optimal_distribution,
-    svm_lipschitz_bound,
-    svm_loss_grad,
     variance_report,
 )
 from gradmine.errors import DistributionError
+
+from convex import ConvexProblem, svm_lipschitz_bound, svm_loss_grad
 
 
 def random_problem(rng, n=8, dim=5, reg=0.5):

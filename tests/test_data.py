@@ -157,6 +157,23 @@ def test_listed_and_loaded_samples_take_one_kind(tmp_path):
         assert as_dataset([sample]).kind == kind
 
 
+@pytest.mark.parametrize("other", [
+    SequenceSample(tokens=[1, 2], targets=[2, 3]),
+    FrameSequence(frames=[[0, 1], [1, 0]]),
+])
+def test_listed_and_loaded_samples_reject_mixed_kinds(tmp_path, other):
+    # The file names the line of the first sample of another kind, the list
+    # its index.
+    samples = [SequenceSample(tokens=[1, 2], label=1)] * 2 + [other]
+    path = tmp_path / "mixed.jsonl"
+    save_dataset(path, Dataset(kind="seqclass", samples=samples, vocab=4))
+    with pytest.raises(ParseError, match="mixed sample kinds") as err:
+        load_dataset(path)
+    assert err.value.line == 3
+    with pytest.raises(InvalidInputError, match=r"sample 2: mixed sample kinds"):
+        as_dataset(samples)
+
+
 class TestRoundTrips:
     @settings(deadline=None, max_examples=200)
     @given(ds=datasets())

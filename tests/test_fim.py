@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradmine import fim
-
+from gradmine.analysis import lipschitz_distribution
 from gradmine.data import Dataset, SequenceSample, gen_seqclass
 from gradmine.errors import (
     ConfigError,
@@ -21,14 +21,13 @@ from gradmine.fim import (
     FimConfig,
     ImportanceMiner,
     ImportanceTable,
-    build_distribution,
     default_epsilon,
     load_importance,
     mine_importance,
     save_importance,
 )
 from gradmine.models import MODEL_KINDS, ModelSpec, get_model, param_block
-from gradmine.sampling import SamplingDistribution
+from gradmine.sampling import SamplingDistribution, build_alias
 from gradmine.tensor import matrix_norm
 
 from conftest import OneSample, cores
@@ -244,39 +243,37 @@ class TestHistorySumCheck:
             assert history_sum_check(record.base_final, init_base, record, 0.1)
 
 
+def mined_distribution(norms):
+    """The route from mined norms to a table's probabilities."""
+    return build_alias(lipschitz_distribution(norms))
+
+
 class TestBuildDistribution:
     def test_plain_ratio(self):
-        dist = build_distribution(np.array([1.0, 2.0, 3.0]), smoothing=0.0)
+        dist = mined_distribution(np.array([1.0, 2.0, 3.0]))
         assert isinstance(dist, SamplingDistribution)
         np.testing.assert_allclose(dist.probs, [1 / 6, 1 / 3, 1 / 2], atol=1e-15)
 
-    def test_large_smoothing_approaches_uniform(self, rng):
-        norms = rng.random(20)
-        dist = build_distribution(norms, smoothing=1e6)
-        assert np.max(np.abs(dist.probs - 0.05)) < 1e-5
-
     def test_degenerate_guard(self):
         with pytest.raises(DistributionError):
-            build_distribution(np.array([0.0, 0.0, 1.0]) * 0.0, smoothing=0.0)
-        dist = build_distribution(np.array([0.0, 0.0, 1.0]), smoothing=0.1)
-        assert np.all(dist.probs > 0.0)
+            mined_distribution(np.array([0.0, 0.0, 1.0]) * 0.0)
 
     def test_all_zero_with_zero_smoothing_rejected(self):
         with pytest.raises(DistributionError):
-            build_distribution(np.zeros(4), smoothing=0.0)
+            mined_distribution(np.zeros(4))
 
     def test_scale_invariance(self, rng):
         norms = rng.random(9) + 0.1
-        base = build_distribution(norms).probs
-        np.testing.assert_array_equal(build_distribution(4.0 * norms).probs, base)
-        np.testing.assert_allclose(build_distribution(3.7 * norms).probs, base,
+        base = mined_distribution(norms).probs
+        np.testing.assert_array_equal(mined_distribution(4.0 * norms).probs, base)
+        np.testing.assert_allclose(mined_distribution(3.7 * norms).probs, base,
                                    rtol=1e-14)
 
     def test_norms_near_the_float_max_give_finite_probs(self):
         # Their sum overflows; the norms are scaled by a power of two first.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            dist = build_distribution(np.array([1e308, 1e308]))
+            dist = mined_distribution(np.array([1e308, 1e308]))
         np.testing.assert_array_equal(dist.probs, [0.5, 0.5])
 
     def test_accepts_table(self):
@@ -285,12 +282,7 @@ class TestBuildDistribution:
             norm_kind="frobenius", norms=[1.0, 3.0], probs=[0.25, 0.75],
             iterations=[5, 9], converged=[True, True],
         )
-        np.testing.assert_allclose(build_distribution(table.norms).probs, [0.25, 0.75])
-
-    @pytest.mark.parametrize("smoothing", [np.nan, np.inf, -0.5])
-    def test_smoothing_must_be_finite_and_non_negative(self, smoothing):
-        with pytest.raises(ConfigError, match="smoothing"):
-            build_distribution(np.array([1.0, 3.0]), smoothing=smoothing)
+        np.testing.assert_allclose(mined_distribution(table.norms).probs, [0.25, 0.75])
 
 
 def table_bits(table):
@@ -445,10 +437,10 @@ class TestImportanceMiner:
         )
         miner.fit(ds)
         assert miner.table_.n == 6
-        assert miner.probs_.shape == (6,)
-        assert abs(miner.probs_.sum() - 1.0) < 1e-12
-        dist = build_distribution(miner.norms_)
-        np.testing.assert_allclose(dist.probs, miner.probs_, atol=1e-15)
+        assert miner.table_.probs.shape == (6,)
+        assert abs(miner.table_.probs.sum() - 1.0) < 1e-12
+        np.testing.assert_array_equal(
+            miner.table_.probs, mined_distribution(miner.table_.norms).probs)
 
     def test_get_params_roundtrip(self):
         miner = ImportanceMiner(epsilon=0.02, t_max=50)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from gradmine.analysis import svm_loss_grad
 from gradmine.errors import (
     ConfigError,
     DistributionError,
@@ -25,6 +24,7 @@ from gradmine.optimizer import (
 )
 
 from conftest import param_blocks
+from convex import ConvexProblem, svm_loss_grad
 
 
 def ScalarParams(w):
@@ -96,8 +96,6 @@ class TestIsSgdStep:
         # full-batch gradient for any strictly positive distribution
         xs = rng.normal(size=(8, 5))
         ys = rng.choice([-1.0, 1.0], size=8)
-        from gradmine.analysis import ConvexProblem
-
         prob = ConvexProblem(xs=xs, ys=ys, reg=0.3)
         w = rng.normal(size=5)
         grads = np.stack([svm_loss_grad(prob, i, w)[1] for i in range(8)])
