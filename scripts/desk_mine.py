@@ -13,7 +13,10 @@ odd.
 
 The output keeps each run's wall seconds of ``mine_importance`` alone and
 the sha256 of the mined norms and of the iterations, so that the tables of
-the trees can be compared, and per tree and seed the median seconds.
+the trees can be compared, and per tree and seed the median seconds. It
+also keeps, per tree, the numpy version and BLAS build
+(``np.show_config(mode="dicts")``) the runs imported, so that tables whose
+bits differ can be traced to a library change.
 """
 
 import argparse
@@ -30,6 +33,7 @@ PAIRS = 3
 
 RUN = """
 import hashlib, json, sys, time
+import numpy as np
 from gradmine.data import gen_seqclass
 from gradmine.fim import FimConfig, mine_importance
 from gradmine.models import ModelSpec
@@ -47,6 +51,8 @@ print(json.dumps({
     "norms_sha256": hashlib.sha256(table.norms.tobytes()).hexdigest(),
     "iterations_sha256": hashlib.sha256(table.iterations.tobytes()).hexdigest(),
     "private_steps": int(table.iterations.sum()),
+    "numpy": np.__version__,
+    "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
 }))
 """
 
@@ -72,11 +78,13 @@ def main(argv=None):
 
     cpu = min(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
-    runs = []
+    runs, library = [], {}
     for seed in SEEDS:
         for pair in range(PAIRS):
             for tree in trees if pair % 2 == 0 else trees[::-1]:
-                run = dict(tree=tree, seed=seed, pair=pair, **mine_once(tree, seed))
+                out = mine_once(tree, seed)
+                library[tree] = {key: out.pop(key) for key in ("numpy", "blas")}
+                run = dict(tree=tree, seed=seed, pair=pair, **out)
                 runs.append(run)
                 print(f"{tree} seed {seed} pair {pair}: {run['seconds']:.2f} s",
                       file=sys.stderr, flush=True)
@@ -90,6 +98,7 @@ def main(argv=None):
         "config": "LSTM embed 8, hidden 12; FimConfig(epsilon=0.003, lr=0.5, "
                   "seed=<seed>), n_workers=1",
         "cpu": cpu,
+        "library": library,
         "median_seconds": medians,
         "runs": runs,
     }

@@ -61,7 +61,7 @@ FLAG_RULES = {
     **dict.fromkeys(("epsilon", "target_loss", "lr", "clip"), "> 0"),
     **dict.fromkeys(("t_max", "epochs", "eval_every", "workers", "embed_dim",
                      "hidden", "classes", "context", "cd_k", "n", "patterns"), ">= 1"),
-    **dict.fromkeys(("warm_epochs", "frames_per_sample"), ">= 0"),
+    **dict.fromkeys(("warm_epochs", "frames_per_sample", "seed"), ">= 0"),
     **dict.fromkeys(("vocab", "nv"), ">= 4"),
 }
 

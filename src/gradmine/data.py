@@ -94,6 +94,8 @@ class FrameSequence:
 def sample_kind(sample, kind=None):
     """The dataset kind a sample belongs to. A dataset holds one kind, so
     ``InvalidInputError`` if ``kind``, that of the samples before it, differs."""
+    if not isinstance(sample, (SequenceSample, FrameSequence)):
+        raise InvalidInputError(f"{type(sample).__name__} is not a sample")
     this = (PIANOROLL if isinstance(sample, FrameSequence)
             else SEQCLASS if sample.is_classification else SEQLABEL)
     if kind not in (None, this):
@@ -391,6 +393,8 @@ def load_dataset(path):
     for key in ("n_samples", "vocab"):
         if key in manifest and type(manifest[key]) is not int:
             raise ParseError(f"{manifest_path(path)}: {key} must be a JSON integer")
+    if manifest.get("kind", kind) != kind:
+        raise ParseError(f"{manifest_path(path)}: kind is not the samples' {kind!r}")
     if manifest.get("n_samples", len(samples)) != len(samples):
         raise InvalidInputError(
             f"{path}: manifest lists {manifest['n_samples']} samples "

@@ -65,15 +65,6 @@ class ModelSpec:
                 raise ConfigError(f"{name} must be >= 1")
 
 
-def check_kind(spec, sample):
-    """Reject a token sequence given to the frame model, or the reverse."""
-    has_frames = hasattr(sample, "frames")
-    if has_frames != (spec.kind == RNNRBM):
-        have = "frame" if has_frames else "token"
-        raise InvalidInputError(
-            f"a {have} sequence does not fit model kind {spec.kind!r}")
-
-
 def check_ids(ids, size, what):
     """Reject an array of ids with an entry outside [0, size)."""
     if np.any(ids < 0) or np.any(ids >= size):
@@ -135,11 +126,11 @@ class Params:
 
 @dataclass(frozen=True)
 class Batch:
-    """Validated samples packed along a leading axis B and zero-padded at
-    the end of time to the longest, T: ``tokens`` (B, T) or ``frames``
-    (B, T, n_v), each sample's true length, and ``mask`` (B, T), True on a
-    sample's own steps. A token sample has its class in ``labels`` (B,), or
-    -1 there and its per-step ``targets`` in a row of (B, T)."""
+    """Validated samples of one kind packed along a leading axis B and
+    zero-padded at the end of time to the longest, T: ``tokens`` (B, T) or
+    ``frames`` (B, T, n_v), each sample's true length, ``mask`` (B, T), True
+    on a sample's own steps, and either the classes of labelled samples,
+    ``labels`` (B,), or the per-step ``targets`` (B, T) of the others."""
 
     lengths: np.ndarray
     mask: np.ndarray
@@ -161,12 +152,12 @@ def pack(samples):
 
     if hasattr(samples[0], "frames"):
         return Batch(lengths, mask, frames=padded([s.frames for s in samples]))
-    return Batch(
-        lengths, mask,
-        tokens=padded([s.tokens for s in samples]),
-        labels=np.array([-1 if s.label is None else s.label for s in samples]),
-        targets=padded([np.zeros_like(s.tokens) if s.targets is None
-                        else s.targets for s in samples]))
+    tokens = padded([s.tokens for s in samples])
+    if samples[0].is_classification:
+        return Batch(lengths, mask, tokens=tokens,
+                     labels=np.array([s.label for s in samples]))
+    return Batch(lengths, mask, tokens=tokens,
+                 targets=padded([s.targets for s in samples]))
 
 
 def check_trace(batch, states):

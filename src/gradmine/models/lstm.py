@@ -28,7 +28,6 @@ from .common import (
     Params,
     add_rows_backwards,
     check_ids,
-    check_kind,
     check_trace,
     stream_rng,
 )
@@ -78,12 +77,8 @@ def init_params(spec, seed):
 
 
 def check_sample(spec, sample):
-    """Reject a frame sequence, a token outside [0, vocab), or a missing or
-    out-of-range class label."""
-    check_kind(spec, sample)
+    """Reject a token outside [0, vocab) or a label outside [0, classes)."""
     check_ids(sample.tokens, spec.vocab, "token")
-    if not sample.is_classification:
-        raise InvalidInputError("the LSTM head needs a single class label")
     if not 0 <= sample.label < spec.classes:
         raise InvalidInputError(f"label out of range [0, {spec.classes})")
 

@@ -23,7 +23,6 @@ from .common import (
     Params,
     add_rows_backwards,
     check_ids,
-    check_kind,
     check_trace,
     stream_rng,
     tanh_backward,
@@ -60,9 +59,7 @@ def init_params(spec, seed):
 
 
 def check_sample(spec, sample):
-    """Reject a frame sequence, or a token, label or target outside
-    [0, vocab)."""
-    check_kind(spec, sample)
+    """Reject a token, label or target outside [0, vocab)."""
     check_ids(sample.tokens, spec.vocab, "token")
     if sample.is_classification:
         if not 0 <= sample.label < spec.vocab:
@@ -90,8 +87,7 @@ def forward(params, batch, rng=None, k=1):
     product per step, and return the trace with each sample's loss.
     Deterministic: ``rng`` and ``k`` (model protocol) are ignored."""
     tokens, lengths, n = batch.tokens, batch.lengths, batch.lengths.size
-    rows, last, cls = np.arange(n), lengths - 1, batch.labels >= 0
-    t_len = tokens.shape[1]
+    rows, last, t_len = np.arange(n), lengths - 1, tokens.shape[1]
 
     xs = embed(params.w_emb, tokens)
     wx = matvec(params.w_x, xs)
@@ -103,19 +99,23 @@ def forward(params, batch, rng=None, k=1):
     logp = matvec(params.w_s, hs[:, 1:])
     logp += params.b_y[..., None, :]
     log_softmax(logp, out=logp)
-    losses = np.empty(n)
-    losses[cls] = -logp[rows[cls], last[cls], batch.labels[cls]]
-    picked = logp[rows[:, None], np.arange(t_len), batch.targets]
-    for b in np.flatnonzero(~cls):
-        losses[b] = -np.mean(picked[b, :lengths[b]])
+    if batch.targets is None:  # the last step against the label
+        losses = -logp[rows, last, batch.labels]
+    else:  # each step against its target, averaged over the sample's steps
+        picked = logp[rows[:, None], np.arange(t_len), batch.targets]
+        losses = np.array([-np.mean(p[:size]) for p, size in zip(picked, lengths)])
 
     ys = np.exp(logp, out=logp)
     pred = np.argmax(ys, axis=-1)
     predictions = pred[rows, last]
-    wrong = np.where(cls, predictions != batch.labels,
-                     np.sum((pred != batch.targets) & batch.mask, axis=1))
+    if batch.targets is None:
+        wrong = (predictions != batch.labels).astype(np.int64)
+        total = np.ones(n, np.int64)
+    else:
+        wrong = np.sum((pred != batch.targets) & batch.mask, axis=1)
+        total = lengths
     return RnnBatchTrace(xs=xs, hs=hs, ys=ys, losses=losses, wrong=wrong,
-                         total=np.where(cls, 1, lengths), predictions=predictions)
+                         total=total, predictions=predictions)
 
 
 def backward(params, batch, trace):
@@ -124,15 +124,15 @@ def backward(params, batch, trace):
     zeros. Turns ``trace.ys`` into d loss / d logits in place."""
     check_trace(batch, trace.hs)
     lengths, mask, n = batch.lengths, batch.mask, batch.lengths.size
-    rows, last, cls = np.arange(n), lengths - 1, batch.labels >= 0
-    t_len = mask.shape[1]
-
     dz = trace.ys
-    seq_rows, seq_steps = np.nonzero(mask & ~cls[:, None])
-    dz[seq_rows, seq_steps, batch.targets[seq_rows, seq_steps]] -= 1.0
-    dz /= np.where(cls, 1, lengths)[:, None, None]
-    dz[~(mask & (~cls[:, None] | (np.arange(t_len) == last[:, None])))] = 0.0
-    dz[rows[cls], last[cls], batch.labels[cls]] -= 1.0
+    if batch.targets is None:  # only the last step has a loss
+        dz[np.arange(mask.shape[1]) != lengths[:, None] - 1] = 0.0
+        dz[np.arange(n), lengths - 1, batch.labels] -= 1.0
+    else:  # the mean over each sample's own steps, then no padding
+        rows, steps = np.nonzero(mask)
+        dz[rows, steps, batch.targets[rows, steps]] -= 1.0
+        dz /= lengths[:, None, None]
+        dz[~mask] = 0.0
 
     g = params.like(np.zeros((n, params.vec.shape[-1])))
     hs, xs = trace.hs, trace.xs

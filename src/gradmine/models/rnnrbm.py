@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError
-from .common import (STREAM_INIT, Params, check_kind, check_trace, stream_rng,
-                     tanh_backward)
+from .common import STREAM_INIT, Params, check_trace, stream_rng, tanh_backward
 from ..tensor import matvec, sigmoid, transpose
 
 BASE_SELECTOR = "w"
@@ -55,8 +54,7 @@ def init_params(spec, seed):
 
 
 def check_sample(spec, sample):
-    """Reject a token sequence, or frames whose width is not n_v."""
-    check_kind(spec, sample)
+    """Reject frames whose width is not n_v."""
     if sample.frames.shape[1] != spec.vocab:
         raise InvalidInputError(
             f"frame width {sample.frames.shape[1]} != n_v {spec.vocab}")

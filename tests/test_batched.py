@@ -39,14 +39,16 @@ from oracles import (
 
 
 def random_samples(kind, spec, lengths, rng):
-    """One sample per length; RNN samples mix labels and per-step targets."""
+    """One sample per length, all of one kind: an RNN list takes labels or
+    per-step targets, drawn once per list."""
     out = []
+    targets = kind == "rnn" and rng.random() < 0.5
     for n in lengths:
         if kind == "rnnrbm":
             out.append(FrameSequence((rng.random((n, spec.vocab)) < 0.5) * 1.0))
             continue
         tokens = rng.integers(0, spec.vocab, n)
-        if kind == "rnn" and rng.random() < 0.5:
+        if targets:
             out.append(SequenceSample(tokens, targets=rng.integers(0, spec.vocab, n)))
         else:
             top = spec.classes if kind == "lstm" else spec.vocab
@@ -153,14 +155,15 @@ def test_permuting_the_samples_permutes_every_output(kind, dims, lengths, per_ro
 
 
 def test_pack_pads_at_the_end_of_time():
-    samples = [SequenceSample([3, 1, 2], label=1),
-               SequenceSample([4], targets=[2])]
-    batch = pack(samples)
-    assert batch.lengths.tolist() == [3, 1]
-    assert batch.mask.tolist() == [[True] * 3, [True, False, False]]
-    assert batch.tokens.tolist() == [[3, 1, 2], [4, 0, 0]]
-    assert batch.labels.tolist() == [1, -1]
-    assert batch.targets.tolist() == [[0, 0, 0], [2, 0, 0]]
+    labelled = pack([SequenceSample([3, 1, 2], label=1), SequenceSample([4], label=0)])
+    assert labelled.lengths.tolist() == [3, 1]
+    assert labelled.mask.tolist() == [[True] * 3, [True, False, False]]
+    assert labelled.tokens.tolist() == [[3, 1, 2], [4, 0, 0]]
+    assert labelled.labels.tolist() == [1, 0] and labelled.targets is None
+    tagged = pack([SequenceSample([4], targets=[2]),
+                   SequenceSample([3, 1, 2], targets=[1, 1, 3])])
+    assert tagged.tokens.tolist() == [[4, 0, 0], [3, 1, 2]]
+    assert tagged.targets.tolist() == [[2, 0, 0], [1, 1, 3]] and tagged.labels is None
     frames = pack([FrameSequence([[1, 0]]), FrameSequence([[0, 1], [1, 1]])])
     assert frames.frames.tolist() == [[[1, 0], [0, 0]], [[0, 1], [1, 1]]]
 
@@ -223,8 +226,6 @@ def fitted(kind, seed=1):
         t = optimizer.Trainer(model=kind, lr=0.3, epochs=2, seed=seed,
                               embed_dim=4, hidden=5)
     t.fit(ds)
-    if kind == "rnn":  # per-step targets beside labels; a fit rejects the mix
-        ds = list(ds) + [SequenceSample([2, 6, 1], targets=[6, 1, 1])]
     return t, list(ds)
 
 

@@ -657,6 +657,24 @@ def test_divergence_prints_only_its_error_line(tmp_path, command, workers):
     assert proc.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["gen", "mine", "train", "compare", "variance"])
+def test_negative_seed_exits_2_naming_it_before_any_work(
+        tmp_path, capsys, monkeypatch, command):
+    loads = recorded_loads(monkeypatch)
+    data = str(tmp_path / "missing.jsonl")
+    argv = {
+        "gen": ["--n", "4"],
+        "mine": ["--data", data, "--epsilon", "0.1"],
+        "train": ["--data", data],
+        "compare": ["--data", data, "--importance", str(tmp_path / "missing.json")],
+        "variance": ["--data", data],
+    }[command]
+    code = run([command, *argv, "--seed", "-1", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert loads == [] and list(tmp_path.iterdir()) == []
+
+
 class TestVariance:
     def test_identical_samples_give_zero_variances(self, tmp_path):
         data = tmp_path / "d.jsonl"

@@ -174,6 +174,13 @@ def test_listed_and_loaded_samples_reject_mixed_kinds(tmp_path, other):
         as_dataset(samples)
 
 
+@pytest.mark.parametrize("item", [{"tokens": [1, 2], "label": 0}, [1, 2, 3], None],
+                         ids=["dict", "list", "none"])
+def test_a_listed_non_sample_is_named(item):
+    with pytest.raises(InvalidInputError, match="sample 0: .* is not a sample"):
+        as_dataset([item])
+
+
 class TestRoundTrips:
     @settings(deadline=None, max_examples=200)
     @given(ds=datasets())
@@ -257,6 +264,15 @@ class TestRoundTrips:
         ds.manifest[key] = value
         save_dataset(path, ds)
         with pytest.raises(ParseError, match=f"d.jsonl.manifest.json: {key}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("kind", ["pianoroll", "seqlabel", 7, None])
+    def test_manifest_kind_must_be_the_kind_of_the_samples(self, tmp_path, kind):
+        path = tmp_path / "d.jsonl"
+        ds = gen_seqclass(n=3, vocab=8, seed=1)
+        ds.manifest["kind"] = kind
+        save_dataset(path, ds)
+        with pytest.raises(ParseError, match="d.jsonl.manifest.json: kind"):
             load_dataset(path)
 
     def test_mixed_kinds_rejected(self, tmp_path):

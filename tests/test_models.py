@@ -20,7 +20,7 @@ from gradmine.models import (
     rnnrbm,
     validate_dataset,
 )
-from gradmine.optimizer import TrainConfig, train
+from gradmine.optimizer import TrainConfig, Trainer, train
 
 MODULES = {"rnn": rnn, "lstm": lstm, "rnnrbm": rnnrbm}
 PROTOCOL = ("BASE_SELECTOR", "layout", "init_params", "check_sample", "forward",
@@ -161,12 +161,12 @@ def test_token_check_accepts_exactly_the_in_range_ids(kind, data, vocab, classes
         # The LSTM head reads one class label, never per-step targets.
         ok = ok and kind == "rnn" and all(0 <= t < vocab for t in targets)
     if ok:
-        MODULES[kind].check_sample(spec, sample)
+        validate_dataset(spec, [sample])
     else:
         with pytest.raises(InvalidInputError):
-            MODULES[kind].check_sample(spec, sample)
+            validate_dataset(spec, [sample])
     with pytest.raises(InvalidInputError, match="frame sequence"):
-        MODULES[kind].check_sample(spec, FrameSequence(np.zeros((2, vocab))))
+        validate_dataset(spec, [FrameSequence(np.zeros((2, vocab)))])
 
 
 @settings(deadline=None, max_examples=50)
@@ -175,12 +175,12 @@ def test_frame_check_accepts_exactly_the_model_width(vocab, width, t_len):
     spec = ModelSpec(kind="rnnrbm", vocab=vocab)
     sample = FrameSequence(np.zeros((t_len, width)))
     if width == vocab:
-        rnnrbm.check_sample(spec, sample)
+        validate_dataset(spec, [sample])
     else:
         with pytest.raises(InvalidInputError, match="frame width"):
-            rnnrbm.check_sample(spec, sample)
+            validate_dataset(spec, [sample])
     with pytest.raises(InvalidInputError, match="token sequence"):
-        rnnrbm.check_sample(spec, SequenceSample(tokens=[0], label=0))
+        validate_dataset(spec, [SequenceSample(tokens=[0], label=0)])
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -195,3 +195,27 @@ def test_validate_dataset_names_the_failing_sample(kind):
         validate_dataset(spec, [good, good, bad, good])
     with pytest.raises(InvalidInputError, match="empty dataset"):
         validate_dataset(spec, [])
+
+
+ENTRIES = {
+    "validate_dataset": lambda spec, xs, fitted: validate_dataset(spec, xs),
+    "train": lambda spec, xs, fitted: train(
+        xs, get_model(spec).init_params(0), [TrainConfig(spec=spec, lr=0.1, epochs=1)]),
+    "mine_importance": lambda spec, xs, fitted: mine_importance(
+        xs, spec, FimConfig(epsilon=0.1, lr=0.1, t_max=2), n_workers=1),
+    "predict": lambda spec, xs, fitted: fitted.predict(xs),
+    "score": lambda spec, xs, fitted: fitted.score(xs),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_a_mixed_list_is_rejected_at_the_model_boundary(entry):
+    # Every entry to the passes runs ``validate_dataset``, so none of them
+    # takes a list of labelled and per-step target samples.
+    spec = ModelSpec(kind="rnn", vocab=5, embed=2, hidden=3)
+    labelled = SequenceSample(tokens=[1, 2], label=1)
+    fitted = Trainer(model="rnn", lr=0.1, epochs=1, embed_dim=2, hidden=3)
+    fitted.fit([labelled] * 2)
+    mixed = [labelled, SequenceSample(tokens=[2], targets=[0])]
+    with pytest.raises(InvalidInputError, match="sample 1: mixed sample kinds"):
+        ENTRIES[entry](spec, mixed, fitted)
