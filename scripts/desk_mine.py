@@ -57,15 +57,25 @@ print(json.dumps({
 """
 
 
-def mine_once(tree, seed):
+def run_fresh(tree, code, *args):
+    """Run ``code`` with ``args`` in a fresh interpreter that imports
+    ``gradmine`` from ``<tree>/src``, with BLAS at one thread; returns the
+    JSON object on the last line it prints."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
     env.update((name, "1") for name in BLAS_THREADS)
-    proc = subprocess.run([sys.executable, "-c", RUN, str(seed)], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=900)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
-        raise SystemExit(f"{tree} seed {seed}: exit {proc.returncode}")
+        raise SystemExit(f"{tree} {' '.join(map(str, args))}: exit {proc.returncode}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def pin_one_cpu():
+    """Pin this process, and so every run it starts, to its lowest CPU."""
+    cpu = min(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    return cpu
 
 
 def main(argv=None):
@@ -76,13 +86,12 @@ def main(argv=None):
     args = p.parse_args(argv)
     trees = list(dict.fromkeys(args.src))
 
-    cpu = min(os.sched_getaffinity(0))
-    os.sched_setaffinity(0, {cpu})
+    cpu = pin_one_cpu()
     runs, library = [], {}
     for seed in SEEDS:
         for pair in range(PAIRS):
             for tree in trees if pair % 2 == 0 else trees[::-1]:
-                out = mine_once(tree, seed)
+                out = run_fresh(tree, RUN, seed)
                 library[tree] = {key: out.pop(key) for key in ("numpy", "blas")}
                 run = dict(tree=tree, seed=seed, pair=pair, **out)
                 runs.append(run)

@@ -44,7 +44,7 @@ from .models import (
     stream_rng,
     validate_dataset,
 )
-from .optimizer import as_dataset, sgd_step
+from .optimizer import Trainer, as_dataset, sgd_step
 from .sampling import build_alias
 from .tensor import NORM_KINDS, matrix_norm
 
@@ -70,8 +70,10 @@ class FimConfig:
             raise ConfigError("epsilon must be > 0")
         if not self.lr > 0:
             raise ConfigError("lr must be > 0")
-        if self.t_max < 1:
+        if not self.t_max >= 1:
             raise ConfigError("t_max must be >= 1")
+        if not self.seed >= 0:
+            raise ConfigError("seed must be >= 0")
 
 
 def fim_config_of(settings, epsilon):
@@ -318,7 +320,7 @@ class ImportanceMiner(ParamsMixin):
     reads its defaults from these fields.
     """
 
-    model: str = "rnn"
+    model: str = Trainer.model
     epsilon: float = 0.01
     lr: float = FimConfig.lr
     t_max: int = FimConfig.t_max

@@ -61,7 +61,7 @@ class ModelSpec:
         if self.kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.kind!r}")
         for name in ("vocab", "embed", "hidden", "classes", "context", "cd_k"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ConfigError(f"{name} must be >= 1")
 
 

@@ -84,10 +84,12 @@ class TrainConfig:
             raise ConfigError("importance sampling needs an importance table")
         if not self.lr > 0:
             raise ConfigError("lr must be > 0")
-        if self.epochs < 0:
+        if not self.epochs >= 0:
             raise ConfigError("epochs must be >= 0")
-        if self.eval_every < 1:
+        if not self.eval_every >= 1:
             raise ConfigError("eval_every must be >= 1")
+        if not self.seed >= 0:
+            raise ConfigError("seed must be >= 0")
         if self.clip is not None and not self.clip > 0:
             raise ConfigError(f"clip must be > 0, got {self.clip}")
 
@@ -144,18 +146,19 @@ def _evaluate(model, params, batch, probs, epoch, seed):
 
 @np.errstate(all="ignore")  # a non-finite loss ends in DivergenceError
 def train(dataset, params0, cfgs, eval_dataset=None):
-    """Train one run per config from ``params0``; returns a (params,
-    metrics log) per config. Index draws, model randomness and per-epoch
-    evaluation each own a seeded sub-stream. The runs share spec, epochs
-    and eval_every and train in lockstep as the rows of a (R, P) parameter
-    batch, each with the bits of its run alone; a run that diverges ends
-    every run after it, and the first raises, as running them in turn
-    would. The samples are checked once, here.
+    """Train one run per config from ``params0``, shared or a (R, P) one
+    with a start row per config; returns a (params, metrics log) per
+    config. Draws, model randomness and evaluation own seeded sub-streams.
+    The runs share spec, epochs and eval_every and train in lockstep, each
+    row with the bits of its run alone; the first to diverge ends every run
+    after it and raises, as running them in turn would. Checks the samples.
     """
     spec, epochs, eval_every = cfgs[0].spec, cfgs[0].epochs, cfgs[0].eval_every
     if any((c.spec, c.epochs, c.eval_every) != (spec, epochs, eval_every)
            for c in cfgs):
         raise ConfigError("lockstep runs must share spec, epochs and eval_every")
+    if params0.vec.ndim == 2 and len(params0.vec) != len(cfgs):
+        raise ConfigError(f"params0 has {len(params0.vec)} rows for {len(cfgs)} runs")
     samples = validate_dataset(spec, dataset)
     held = None if eval_dataset is None else pack(validate_dataset(
         spec, eval_dataset, "held-out sample"))
@@ -176,16 +179,14 @@ def train(dataset, params0, cfgs, eval_dataset=None):
     held_split = [] if held is None else [
         ("eval", held, np.full(held.lengths.size, 1.0 / held.lengths.size))]
     logs = [MetricsLog() for _ in cfgs]
-    packed = {}  # each step's batch, by the samples drawn; one-row ones repeat
-    params = params0.like(np.repeat(params0.vec[None], len(cfgs), axis=0))
+    params = params0.like(np.broadcast_to(
+        params0.vec, (len(cfgs), params0.vec.shape[-1])).copy())
     live, error = len(cfgs), None  # runs 0 .. live - 1 are still training
     start = time.perf_counter()
     for t in range(epochs * n):
         epoch, step = t // n + 1, t % n
         idx = schedule[:live, t]
-        if (key := idx.tobytes()) not in packed:
-            packed[key] = pack([samples[i] for i in idx])
-        drawn = packed[key]
+        drawn = pack([samples[i] for i in idx])
         trace = model.forward(params, drawn, rngs[:live])
         grads = model.backward(params, drawn, trace)
         failed = np.flatnonzero(~np.isfinite(trace.losses))
@@ -229,10 +230,10 @@ def save_metrics(path, log):
 
 
 def load_metrics(path):
+    """A metrics CSV as ``save_metrics`` writes it, else a ``ParseError``."""
     log = MetricsLog()
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for i, row in enumerate(reader, start=1):
+        for i, row in enumerate(csv.reader(fh), start=1):
             if i == 1:
                 if row != METRICS_HEADER:
                     raise ParseError(f"bad metrics header {row}", line=i)
@@ -240,9 +241,15 @@ def load_metrics(path):
             if len(row) != len(METRICS_HEADER):
                 raise ParseError(f"expected {len(METRICS_HEADER)} fields", line=i)
             try:
-                log.rows.append(MetricsRow(int(row[0]), row[1], *map(float, row[2:])))
+                r = MetricsRow(int(row[0]), row[1], *map(float, row[2:]))
             except ValueError as exc:
                 raise ParseError(str(exc), line=i) from exc
+            ok = [row[0].isascii() and row[0].isdigit() and r.epoch >= 1,
+                  r.split in ("train", "eval", UNIFORM, IMPORTANCE), np.isfinite(r.loss),
+                  0 <= r.error_rate <= 1, not r.grad_var < 0, 0 <= r.wall_ms < np.inf]
+            if not all(ok):  # a NaN or inf grad_var is one that train can write
+                raise ParseError(f"bad {METRICS_HEADER[ok.index(False)]} in {row}", line=i)
+            log.rows.append(r)
     return log
 
 
@@ -256,7 +263,7 @@ class Trainer(ParamsMixin):
     ``log_``. The CLI reads its training defaults from these fields.
     """
 
-    model: str = "lstm"
+    model: str = "lstm"  # every command's default; ImportanceMiner takes it
     lr: float = 0.5
     epochs: int = 10
     sampler: str = TrainConfig.sampler

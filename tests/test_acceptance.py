@@ -265,29 +265,36 @@ def test_criterion_9_desk_scale_convergence():
     spec = ModelSpec(kind="lstm", vocab=ds.vocab, embed=8, hidden=12, classes=2)
     model = get_model(spec)
 
-    reach = {"uniform": [], "importance": []}
-    loss10 = {"uniform": [], "importance": []}
-    for seed in range(10):
-        params0 = model.init_params(seed)
-        mined = mine_importance(
+    # Mine every seed, then train the 10 seeds x 2 samplers in one lockstep
+    # call, each run from its seed's own start row.
+    seeds, samplers = range(10), ("uniform", "importance")
+    mined = [
+        mine_importance(
             ds, spec, FimConfig(epsilon=0.003, lr=0.5, seed=seed), n_workers=1
         )
-        samplers = ("uniform", "importance")
-        cfgs = [
-            TrainConfig(
-                spec=spec,
-                lr=0.5,
-                epochs=14,
-                sampler=sampler,
-                importance=mined if sampler == "importance" else None,
-                seed=seed,
-            )
-            for sampler in samplers
-        ]
-        for sampler, (_, log) in zip(samplers, train(ds, params0, cfgs)):
-            losses = log.losses("train")
-            reach[sampler].append(epochs_to_target(losses))
-            loss10[sampler].append(losses[9])
+        for seed in seeds
+    ]
+    cfgs = [
+        TrainConfig(
+            spec=spec,
+            lr=0.5,
+            epochs=14,
+            sampler=sampler,
+            importance=table if sampler == "importance" else None,
+            seed=seed,
+        )
+        for seed, table in zip(seeds, mined)
+        for sampler in samplers
+    ]
+    params0 = model.init_params(0).like(
+        np.stack([model.init_params(seed).vec for seed in seeds for _ in samplers])
+    )
+    reach = {"uniform": [], "importance": []}
+    loss10 = {"uniform": [], "importance": []}
+    for cfg, (_, log) in zip(cfgs, train(ds, params0, cfgs)):
+        losses = log.losses("train")
+        reach[cfg.sampler].append(epochs_to_target(losses))
+        loss10[cfg.sampler].append(losses[9])
 
     med_uniform = float(np.median(reach["uniform"]))
     med_importance = float(np.median(reach["importance"]))

@@ -258,19 +258,20 @@ def outcome(params, log, model_rng):
     return params.vec.tobytes(), rows, model_rng.bit_generator.state
 
 
-def scalar_outcomes(samples, params0, cfgs, held):
-    """``train_scalar`` over ``cfgs`` in turn: every run's outcome, or the
-    first divergence message."""
+def scalar_outcomes(samples, starts, cfgs, held):
+    """``train_scalar`` over ``cfgs`` in turn, each from its own start
+    ``Params``: every run's outcome, or the first divergence message."""
     try:
-        return [outcome(*train_scalar(samples, params0, cfg, held)) for cfg in cfgs]
+        return [outcome(*train_scalar(samples, params0, cfg, held))
+                for params0, cfg in zip(starts, cfgs)]
     except DivergenceError as exc:
         return str(exc)
 
 
 def library_outcomes(samples, params0, cfgs, held):
-    """One lockstep ``optimizer.train`` call over ``cfgs``: every run's
-    outcome, with the generator each drew its model stream from, or the
-    divergence message."""
+    """One lockstep ``optimizer.train`` call over ``cfgs``, from shared or
+    per-row ``params0``: every run's outcome, with the generator each drew
+    its model stream from, or the divergence message."""
     made = []
 
     def recording(seed, stream, extra=None):
@@ -316,29 +317,30 @@ def run(importance=False, clip=None, lr=0.5, seed=0):
                                 context=1, cd_k=1),
          lengths=[2, 1, 1, 10], held_lengths=[1], runs=[run()],
          epochs=2, eval_every=1, seed=0)
-# Run 1 diverges at epoch 2, step 1, before run 0 does at step 2: the
-# message is run 0's, as running them in turn would raise.
+# Run 1 diverges at epoch 1, step 2, before run 0 does at epoch 2, step 1:
+# the message is run 0's, as running them in turn would raise.
 @example(kind="rnnrbm", dims=dict(vocab=2, embed=3, hidden=2, classes=2,
                                   context=3, cd_k=1),
          lengths=[4, 7, 5], held_lengths=[1],
          runs=[run(importance=True, lr=3.0, seed=883),
                run(importance=True, lr=3.0, seed=370)],
-         epochs=3, eval_every=1, seed=868)
+         epochs=3, eval_every=1, seed=10)
 # Only run 1 diverges, and only in its epoch-2 evaluation.
 @example(kind="rnnrbm", dims=dict(vocab=1, embed=3, hidden=1, classes=2,
                                   context=3, cd_k=1),
          lengths=[4, 2], held_lengths=[2, 5],
          runs=[run(seed=384), run(lr=3.0, seed=106)],
-         epochs=3, eval_every=1, seed=785)
+         epochs=3, eval_every=1, seed=6)
 def test_train_equals_the_scalar_loop(kind, dims, lengths, held_lengths, runs,
                                       epochs, eval_every, seed):
-    """One lockstep call over the drawn runs equals ``train_scalar`` over
-    them in turn, or raises the divergence message that loop raises first."""
+    """One lockstep call over the drawn runs, each from its own start row,
+    equals ``train_scalar`` over them in turn, or raises the divergence
+    message that loop raises first."""
     rng = np.random.default_rng(seed)
     spec = ModelSpec(kind=kind, **dims)
     samples = random_samples(kind, spec, lengths, rng)
     held = random_samples(kind, spec, held_lengths, rng) or None
-    params0 = randomize(get_model(spec).init_params(0), rng)
+    starts = [randomize(get_model(spec).init_params(0), rng) for _ in runs]
     n = len(samples)
     cfgs = []
     for r in runs:
@@ -356,5 +358,6 @@ def test_train_equals_the_scalar_loop(kind, dims, lengths, held_lengths, runs,
             importance=table, seed=r["seed"], eval_every=eval_every,
             clip=r["clip"] if table else None))
     with np.errstate(all="ignore"):
-        expected = scalar_outcomes(samples, params0, cfgs, held)
+        expected = scalar_outcomes(samples, starts, cfgs, held)
+    params0 = starts[0].like(np.stack([start.vec for start in starts]))
     assert library_outcomes(samples, params0, cfgs, held) == expected

@@ -675,6 +675,24 @@ def test_negative_seed_exits_2_naming_it_before_any_work(
     assert loads == [] and list(tmp_path.iterdir()) == []
 
 
+def test_the_pipeline_runs_without_model_flags(tmp_path):
+    """Every command defaults to one model, so a table mined without
+    ``--model`` fits the runs that use it without ``--model``."""
+    data, imp = str(tmp_path / "d.jsonl"), str(tmp_path / "t.json")
+    small = ["--data", data, "--embed-dim", "4", "--hidden", "4"]
+    for argv in [
+        gen_args(data, n=8),
+        ["mine", *small, "--epsilon", "0.05", "--t-max", "50", "--workers", "1",
+         "--out", imp],
+        ["train", *small, "--epochs", "1", "--sampler", "importance",
+         "--importance", imp, "--out", str(tmp_path / "m.csv")],
+        ["compare", *small, "--epochs", "1", "--importance", imp,
+         "--out", str(tmp_path / "c.csv")],
+        ["variance", *small, "--importance", imp, "--out", str(tmp_path / "v.json")],
+    ]:
+        assert run(argv) == 0, argv[0]
+
+
 class TestVariance:
     def test_identical_samples_give_zero_variances(self, tmp_path):
         data = tmp_path / "d.jsonl"

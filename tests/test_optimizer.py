@@ -249,6 +249,16 @@ class TestTrain:
         with pytest.raises(ConfigError, match="share spec, epochs and eval_every"):
             train(ds, get_model(spec).init_params(0), [first, other])
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_start_rows_must_be_one_per_run(self, rows):
+        ds = tiny_dataset()
+        spec = ModelSpec(kind="rnn", vocab=ds.vocab, embed=4, hidden=4)
+        cfg = TrainConfig(spec=spec, lr=0.1, epochs=1)
+        params0 = get_model(spec).init_params(0)
+        stacked = params0.like(np.stack([params0.vec] * rows))
+        with pytest.raises(ConfigError, match=f"params0 has {rows} rows for 2 runs"):
+            train(ds, stacked, [cfg, cfg])
+
 
 class TestMetricsIO:
     def test_round_trip(self, tmp_path):
@@ -301,6 +311,34 @@ class TestMetricsIO:
         with pytest.raises(ParseError) as err:
             load_metrics(path)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("epoch", "1_0"), ("epoch", " 2 "), ("epoch", "0"),
+        ("split", "bogus"),
+        ("loss", "nan"), ("loss", "1e400"),
+        ("error_rate", "2.5"), ("error_rate", "nan"),
+        ("grad_var", "-1"),
+        ("wall_ms", "inf"), ("wall_ms", "-1"),
+    ])
+    def test_a_row_save_metrics_cannot_write_is_rejected(self, tmp_path, field, value):
+        row = {**dict(epoch="1", split="train", loss="0.5", error_rate="0.5",
+                      grad_var="1", wall_ms="2"), field: value}
+        path = tmp_path / "m.csv"
+        path.write_text("epoch,split,loss,error_rate,grad_var,wall_ms\n"
+                        "1,eval,0.5,0.5,1,2\n" + ",".join(row.values()) + "\n")
+        with pytest.raises(ParseError, match=f"bad {field} in") as err:
+            load_metrics(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("grad_var", ["nan", "inf"])
+    def test_a_non_finite_grad_var_stays_readable(self, tmp_path, grad_var):
+        """``gradient_variance`` can overflow at a finite loss, and
+        ``save_metrics`` then writes it."""
+        path = tmp_path / "m.csv"
+        save_metrics(path, MetricsLog(rows=[
+            MetricsRow(1, "importance", 0.5, 0.0, float(grad_var), 2.0)]))
+        [row] = load_metrics(path).rows
+        assert str(row.grad_var) == grad_var
 
 
 class TestTrainerEstimator:

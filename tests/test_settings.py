@@ -5,6 +5,7 @@ their defaults from the estimator fields."""
 import dataclasses
 import inspect
 
+import numpy as np
 import pytest
 
 from gradmine import cli, fim, optimizer
@@ -46,8 +47,8 @@ def test_flags_default_to_the_estimator_fields(command):
         assert type(args[name]) is type(defaults[name]), name
 
 
-def test_mine_and_train_keep_their_own_model_defaults():
-    assert ImportanceMiner.model == "rnn" and Trainer.model == "lstm"
+def test_mine_and_train_share_one_model_default():
+    assert ImportanceMiner.model == Trainer.model == "lstm"
     assert cli.build_parser().parse_args(
         ["mine", "--data", "d", "--out", "o"]).epsilon is None
 
@@ -79,7 +80,7 @@ def test_estimator_fields_take_the_config_defaults(est, config, shared):
     (ImportanceMiner,
      ["model", "epsilon", "lr", "t_max", "seed", "base_selector", "norm_kind",
       "n_workers", "embed_dim", "hidden", "classes", "context", "cd_k"],
-     "ImportanceMiner(model='rnn', epsilon=0.01, lr=0.1, t_max=5000, seed=0, "
+     "ImportanceMiner(model='lstm', epsilon=0.01, lr=0.1, t_max=5000, seed=0, "
      "base_selector=None, norm_kind='frobenius', "
      "n_workers=None, embed_dim=8, hidden=8, classes=2, context=8, cd_k=1)"),
 ], ids=["Trainer", "ImportanceMiner"])
@@ -125,3 +126,26 @@ def test_fit_reads_every_field(monkeypatch, est, module, run):
     with pytest.raises(Stop):
         Recording().fit(gen_seqclass(n=4, vocab=6, length_range=(3, 5), seed=0))
     assert names - read == set()
+
+
+TINY = gen_seqclass(n=4, vocab=6, length_range=(3, 5), seed=0)
+SPEC = ModelSpec(kind="rnn", vocab=6)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: FimConfig(epsilon=0.01, t_max=np.nan), "t_max"),
+    (lambda: FimConfig(epsilon=0.01, seed=-1), "seed"),
+    (lambda: TrainConfig(spec=SPEC, lr=0.1, epochs=np.nan), "epochs"),
+    (lambda: TrainConfig(spec=SPEC, lr=0.1, epochs=1, eval_every=np.nan), "eval_every"),
+    (lambda: TrainConfig(spec=SPEC, lr=0.1, epochs=1, seed=-1), "seed"),
+    (lambda: ModelSpec(kind="rnn", vocab=6, hidden=np.nan), "hidden"),
+    (lambda: Trainer(seed=-1).fit(TINY), "seed"),
+    (lambda: ImportanceMiner(seed=-1).fit(TINY), "seed"),
+], ids=["FimConfig.t_max", "FimConfig.seed", "TrainConfig.epochs",
+        "TrainConfig.eval_every", "TrainConfig.seed", "ModelSpec.hidden",
+        "Trainer.seed", "ImportanceMiner.seed"])
+def test_configs_reject_nan_and_negative_seeds_naming_the_field(build, field):
+    """The library's configs hold the ranges ``cli.FLAG_RULES`` holds for
+    the flags; a NaN fails every range."""
+    with pytest.raises(ConfigError, match=f"^{field} must be >= "):
+        build()
