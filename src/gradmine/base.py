@@ -2,6 +2,8 @@
 input-validation helpers shared by the fit-style classes."""
 
 import dataclasses
+import math
+import numbers
 
 import numpy as np
 
@@ -30,6 +32,41 @@ class ParamsMixin:
                 )
             setattr(self, name, value)
         return self
+
+
+# The type and range of every numeric setting, by the name a site checks it
+# under: a flag's dest, a config field or a generator argument. An
+# ``owner.name`` rule is that owner's own: zero epochs train nothing, a model
+# reads any vocabulary (a generated one needs two indicators and two bands),
+# and ``--frames-per-sample 0`` leaves the frames whole.
+RANGES = {
+    **dict.fromkeys(("epsilon", "target_loss", "lr", "clip"), (float, "> 0")),
+    **dict.fromkeys(("n", "t_max", "epochs", "eval_every", "workers", "embed_dim",
+                     "embed", "hidden", "classes", "context", "cd_k", "patterns",
+                     "ModelSpec.vocab", "chunk_frames.frames_per_sample"), (int, ">= 1")),
+    **dict.fromkeys(("seed", "warm_epochs", "frames_per_sample",
+                     "TrainConfig.epochs"), (int, ">= 0")),
+    **dict.fromkeys(("vocab", "nv", "n_v"), (int, ">= 4")),
+    **dict.fromkeys(("hard", "hard_fraction"), (float, "in [0, 1]")),
+}
+
+
+def check_ranges(values, error=ConfigError, label=str):
+    """Check each ``{RANGES key: value}``: in range (NaN breaks every range),
+    and, by its type, an integer or a finite number, never a bool. The error
+    names the first that fails by ``label`` of the key's last dotted part."""
+    for key, value in values.items():
+        kind, rule = RANGES[key]
+        op, bound = rule.split(" ", 1)  # "> x", ">= x" or "in [x, y]"
+        low, high = map(float, bound.strip("[]").split(",") + ["inf"] * (op != "in"))
+        name = label(key.rpartition(".")[2])
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if number and not (low < value <= high if op == ">" else low <= value <= high):
+            raise error(f"{name} must be {rule}, got {value}")
+        if not (number and (isinstance(value, numbers.Integral)
+                            or kind is float and math.isfinite(value))):
+            noun = "an integer" if kind is int else "a finite number"
+            raise error(f"{name} must be {noun}, got {value!r}")
 
 
 def check_probs(probs, n=None, tol=PROB_SUM_TOL):

@@ -18,6 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import analysis, data, fim, optimizer, plotting
+from .base import RANGES, check_ranges
 from .errors import DivergenceError, GradmineError
 from .models import (
     MODEL_KINDS,
@@ -56,26 +57,6 @@ def _write_run_records(argv, args, started, inputs, outputs):
         data.write_json(f"{out}.run.json", record, indent=2, default=str)
 
 
-# The range of every numeric flag, ``"> x"`` or ``">= x"`` (NaN breaks both).
-FLAG_RULES = {
-    **dict.fromkeys(("epsilon", "target_loss", "lr", "clip"), "> 0"),
-    **dict.fromkeys(("t_max", "epochs", "eval_every", "workers", "embed_dim",
-                     "hidden", "classes", "context", "cd_k", "n", "patterns"), ">= 1"),
-    **dict.fromkeys(("warm_epochs", "frames_per_sample", "seed"), ">= 0"),
-    **dict.fromkeys(("vocab", "nv"), ">= 4"),
-}
-
-
-def _check_flags(args):
-    """Reject, naming it, the first set flag of the command that breaks its
-    ``FLAG_RULES`` entry; ``main`` calls this before the command runs."""
-    for name, rule in FLAG_RULES.items():
-        value, (op, bound) = getattr(args, name, None), rule.split()
-        if value is not None and not (
-                value > float(bound) if op == ">" else value >= float(bound)):
-            raise GradmineError(f"--{name.replace('_', '-')} must be {rule}, got {value}")
-
-
 def _add_field_args(p, est, *names):
     """A ``--field-name`` flag per named field of the estimator class
     ``est``, typed by the field's annotation and defaulting to its value."""
@@ -106,8 +87,6 @@ def cmd_gen(args):
     if not low <= args.len_min <= args.len_max:
         raise GradmineError(f"--len-min and --len-max must satisfy {low} <= --len-min "
                             f"<= --len-max, got {args.len_min} and {args.len_max}")
-    if not 0 <= args.hard <= 1:
-        raise GradmineError(f"--hard must be in [0, 1], got {args.hard}")
     if args.task == "seqclass":
         dataset = data.gen_seqclass(
             n=args.n,
@@ -319,7 +298,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        _check_flags(args)
+        # Every set numeric flag of the command, before the command runs.
+        check_ranges({k: v for k, v in vars(args).items() if k in RANGES and v is not None},
+                     GradmineError, lambda name: "--" + name.replace("_", "-"))
         inputs, outputs = args.func(args)
         _write_run_records(argv, args, started, inputs, outputs)
         return 0

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .base import check_ranges
 from .errors import InvalidInputError, ParseError
 
 SEQCLASS = "seqclass"
@@ -143,15 +144,11 @@ def gen_seqclass(n, vocab, length_range=(6, 40), hard_fraction=0.25, seed=0):
     share, so their recurrent gradients stay large until the buried
     indicator is separated from the dominating noise token.
     """
-    if n <= 0:
-        raise InvalidInputError("n must be >= 1")
-    if vocab < 4:
-        raise InvalidInputError("vocab must be >= 4 (indicator + two bands)")
+    check_ranges({"n": n, "vocab": vocab, "hard_fraction": hard_fraction, "seed": seed},
+                 InvalidInputError)
     lo, hi = int(length_range[0]), int(length_range[1])
     if lo < 2 or hi < lo:
         raise InvalidInputError("length_range must satisfy 2 <= lo <= hi")
-    if not 0.0 <= hard_fraction <= 1.0:
-        raise InvalidInputError("hard_fraction must be in [0, 1]")
 
     rng = np.random.default_rng(seed)
     common, rare = token_bands(vocab)
@@ -197,12 +194,8 @@ def gen_seqclass(n, vocab, length_range=(6, 40), hard_fraction=0.25, seed=0):
 
 def gen_pianoroll(n, n_v=16, length_range=(8, 32), patterns=4, seed=0):
     """Binary frame sequences built from overlapping periodic note motifs."""
-    if n <= 0:
-        raise InvalidInputError("n must be >= 1")
-    if n_v < 4:
-        raise InvalidInputError("n_v must be >= 4")
-    if patterns < 1:
-        raise InvalidInputError("patterns must be >= 1")
+    check_ranges({"n": n, "n_v": n_v, "patterns": patterns, "seed": seed},
+                 InvalidInputError)
     lo, hi = int(length_range[0]), int(length_range[1])
     if lo < 1 or hi < lo:
         raise InvalidInputError("length_range must satisfy 1 <= lo <= hi")
@@ -255,8 +248,8 @@ def chunk_frames(dataset, frames_per_sample):
     """
     if dataset.kind != PIANOROLL:
         raise InvalidInputError("chunk_frames applies to piano-roll datasets")
-    if frames_per_sample < 1:
-        raise InvalidInputError("frames_per_sample must be >= 1")
+    check_ranges({"chunk_frames.frames_per_sample": frames_per_sample},
+                 InvalidInputError)
     chunks = []
     for s in dataset.samples:
         for start in range(0, s.length, frames_per_sample):

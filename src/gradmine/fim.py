@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .analysis import lipschitz_distribution
-from .base import ParamsMixin, check_probs, check_weights
+from .base import ParamsMixin, check_probs, check_ranges, check_weights
 from .data import write_json
 from .errors import (
     ConfigError,
@@ -66,14 +66,7 @@ class FimConfig:
     norm_kind: str = "frobenius"
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ConfigError("epsilon must be > 0")
-        if not self.lr > 0:
-            raise ConfigError("lr must be > 0")
-        if not self.t_max >= 1:
-            raise ConfigError("t_max must be >= 1")
-        if not self.seed >= 0:
-            raise ConfigError("seed must be >= 0")
+        check_ranges({k: getattr(self, k) for k in ("epsilon", "lr", "t_max", "seed")})
 
 
 def fim_config_of(settings, epsilon):
@@ -214,18 +207,17 @@ def _mine_one(task):
 def resolve_workers(n_workers=None):
     """Explicit argument, else the GRADMINE_WORKERS variable, else all
     cores; ``ConfigError`` for a count below 1."""
-    name, value = "workers", n_workers
+    label = str
     if n_workers is None:
-        name, value = WORKERS_ENV, os.environ.get(WORKERS_ENV)
+        value, label = os.environ.get(WORKERS_ENV), lambda _: WORKERS_ENV
         if not value:
             return os.cpu_count() or 1
-    try:
-        workers = int(value)
-    except ValueError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-    if workers < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value!r}")
-    return workers
+        try:
+            n_workers = int(value)
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {value!r}") from None
+    check_ranges({"workers": n_workers}, label=label)
+    return n_workers
 
 
 def mine_importance(dataset, spec, cfg, n_workers=None):
@@ -301,11 +293,8 @@ def load_importance(path):
     for k in ("model", "base_selector", "norm_kind"):
         if type(payload[k]) is not str:
             raise InvalidInputError(f"importance file: {k} must be a string")
-    eps = payload["epsilon"]
-    if type(eps) not in (int, float) or not 0 < eps < np.inf:
-        raise InvalidInputError("importance file: epsilon must be a finite number > 0")
-    if type(payload["seed"]) is not int:
-        raise InvalidInputError("importance file: seed must be an integer")
+    check_ranges({k: payload[k] for k in ("epsilon", "seed")}, InvalidInputError,
+                 lambda name: f"importance file: {name}")
     try:
         table = ImportanceTable(**{k: payload[k] for k in IMPORTANCE_KEYS})
     except (TypeError, ValueError) as exc:

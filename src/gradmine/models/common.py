@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..base import check_ranges
 from ..errors import ConfigError, InvalidInputError
 from ..tensor import matvec, transpose
 
@@ -60,9 +61,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.kind!r}")
-        for name in ("vocab", "embed", "hidden", "classes", "context", "cd_k"):
-            if not getattr(self, name) >= 1:
-                raise ConfigError(f"{name} must be >= 1")
+        check_ranges({"ModelSpec.vocab": self.vocab, **{k: getattr(self, k) for k in (
+            "embed", "hidden", "classes", "context", "cd_k")}})
 
 
 def check_ids(ids, size, what):

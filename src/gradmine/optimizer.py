@@ -22,7 +22,7 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from . import analysis
-from .base import ParamsMixin
+from .base import ParamsMixin, check_ranges
 from .data import Dataset, infer_vocab, sample_kind, write_text
 from .errors import (ConfigError, DistributionError, DivergenceError,
                      InvalidInputError, ParseError)
@@ -82,16 +82,9 @@ class TrainConfig:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         if self.sampler == IMPORTANCE and self.importance is None:
             raise ConfigError("importance sampling needs an importance table")
-        if not self.lr > 0:
-            raise ConfigError("lr must be > 0")
-        if not self.epochs >= 0:
-            raise ConfigError("epochs must be >= 0")
-        if not self.eval_every >= 1:
-            raise ConfigError("eval_every must be >= 1")
-        if not self.seed >= 0:
-            raise ConfigError("seed must be >= 0")
-        if self.clip is not None and not self.clip > 0:
-            raise ConfigError(f"clip must be > 0, got {self.clip}")
+        clip = {} if self.clip is None else {"clip": self.clip}
+        check_ranges({"lr": self.lr, "TrainConfig.epochs": self.epochs,
+                      "seed": self.seed, "eval_every": self.eval_every, **clip})
 
 
 def train_config_of(settings, spec, sampler, importance=None):
@@ -153,6 +146,8 @@ def train(dataset, params0, cfgs, eval_dataset=None):
     row with the bits of its run alone; the first to diverge ends every run
     after it and raises, as running them in turn would. Checks the samples.
     """
+    if not cfgs:
+        raise ConfigError("train needs a config per run, got none")
     spec, epochs, eval_every = cfgs[0].spec, cfgs[0].epochs, cfgs[0].eval_every
     if any((c.spec, c.epochs, c.eval_every) != (spec, epochs, eval_every)
            for c in cfgs):

@@ -299,6 +299,7 @@ class TestMine:
     @pytest.mark.parametrize("flag, value, message", [
         ("--epsilon", "-1", "--epsilon must be > 0, got -1.0"),
         ("--epsilon", "nan", "--epsilon must be > 0, got nan"),
+        ("--epsilon", "inf", "--epsilon must be a finite number, got inf"),
         ("--lr", "-1", "--lr must be > 0, got -1.0"),
         ("--t-max", "0", "--t-max must be >= 1, got 0"),
         ("--workers", "0", "--workers must be >= 1, got 0"),
@@ -343,6 +344,22 @@ class TestTrain:
         ])
         assert code == 2
         assert "epsilon" in capsys.readouterr().err
+
+    def test_table_no_config_can_mine_exits_2_naming_the_field(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        imp = uniform_table_file(tmp_path / "bad.json", n=12)
+        imp.write_text(json.dumps({**json.loads(imp.read_text()), "seed": -1}))
+        out = tmp_path / "m.csv"
+        code = run([
+            "train", "--data", str(data), "--model", "rnn",
+            "--sampler", "importance", "--importance", str(imp),
+            "--epochs", "1", "--embed-dim", "4", "--hidden", "5", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: importance file: seed must be >= 0, got -1\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
         ("norm_kind", "bogus"), ("base_selector", "no_such_block"),

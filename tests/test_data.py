@@ -117,6 +117,21 @@ class TestChunkFrames:
             chunk_frames(ds, 4)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: gen_seqclass(n=2.5, vocab=8), "n"),
+    (lambda: gen_seqclass(n=4, vocab=8.0), "vocab"),
+    (lambda: gen_pianoroll(n=2, patterns=1.5), "patterns"),
+    (lambda: gen_pianoroll(n=2, n_v=True), "n_v"),
+    (lambda: gen_seqclass(n=4, vocab=8, seed=-1), "seed"),
+    (lambda: gen_pianoroll(n=2, seed=1.5), "seed"),
+    (lambda: chunk_frames(gen_pianoroll(n=2), float("nan")), "frames_per_sample"),
+], ids=["seqclass-n", "seqclass-vocab", "pianoroll-patterns", "pianoroll-n_v",
+        "seqclass-seed", "pianoroll-seed", "chunk-nan"])
+def test_generators_reject_bad_sizes_naming_the_argument(make, name):
+    with pytest.raises(InvalidInputError, match=f"^{name} must be "):
+        make()
+
+
 def token_lists(length):
     return st.lists(st.integers(0, 2**63 - 1), min_size=length, max_size=length)
 

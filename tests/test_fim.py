@@ -1,3 +1,4 @@
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -417,6 +418,24 @@ class TestImportanceIO:
         payload[key] = value
         path.write_text(json.dumps(payload))
         with pytest.raises(InvalidInputError, match=key):
+            load_importance(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", -1), ("seed", 1.5), ("seed", True), ("epsilon", -0.5),
+        ("epsilon", float("inf")), ("epsilon", "abc"),
+    ])
+    def test_epsilon_and_seed_take_the_rules_of_fim_config(self, tmp_path, key, value):
+        import json
+
+        path = tmp_path / "imp.json"
+        save_importance(path, self.make_table())
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError) as config:
+            FimConfig(**{"epsilon": 0.1, key: value})
+        with pytest.raises(InvalidInputError,
+                           match=f"^importance file: {re.escape(str(config.value))}$"):
             load_importance(path)
 
     def test_mismatched_lengths_rejected(self):

@@ -259,6 +259,12 @@ class TestTrain:
         with pytest.raises(ConfigError, match=f"params0 has {rows} rows for 2 runs"):
             train(ds, stacked, [cfg, cfg])
 
+    def test_no_config_is_a_config_error(self):
+        ds = tiny_dataset()
+        spec = ModelSpec(kind="rnn", vocab=ds.vocab, embed=4, hidden=4)
+        with pytest.raises(ConfigError, match="got none"):
+            train(ds, get_model(spec).init_params(0), [])
+
 
 class TestMetricsIO:
     def test_round_trip(self, tmp_path):

@@ -2,16 +2,17 @@
 dataclasses whose fields take the config defaults, and the CLI flags take
 their defaults from the estimator fields."""
 
+import argparse
 import dataclasses
 import inspect
 
 import numpy as np
 import pytest
 
-from gradmine import cli, fim, optimizer
-from gradmine.data import gen_seqclass
+from gradmine import base, cli, fim, optimizer
+from gradmine.data import chunk_frames, gen_pianoroll, gen_seqclass
 from gradmine.errors import ConfigError
-from gradmine.fim import FimConfig, ImportanceMiner
+from gradmine.fim import FimConfig, ImportanceMiner, load_importance, save_importance
 from gradmine.models import ModelSpec
 from gradmine.optimizer import TrainConfig, Trainer
 
@@ -145,7 +146,74 @@ SPEC = ModelSpec(kind="rnn", vocab=6)
         "TrainConfig.eval_every", "TrainConfig.seed", "ModelSpec.hidden",
         "Trainer.seed", "ImportanceMiner.seed"])
 def test_configs_reject_nan_and_negative_seeds_naming_the_field(build, field):
-    """The library's configs hold the ranges ``cli.FLAG_RULES`` holds for
-    the flags; a NaN fails every range."""
+    """The library's configs check the ranges ``base.RANGES`` holds for the
+    flags; a NaN fails every range."""
     with pytest.raises(ConfigError, match=f"^{field} must be >= "):
         build()
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: Trainer(epochs=1.5).fit(TINY), "epochs"),
+    (lambda: Trainer(hidden=2.5).fit(TINY), "hidden"),
+    (lambda: Trainer(seed=1.5).fit(TINY), "seed"),
+    (lambda: ImportanceMiner(t_max=2.5).fit(TINY), "t_max"),
+    (lambda: FimConfig(epsilon=0.01, t_max=2.5), "t_max"),
+    (lambda: ModelSpec(kind="rnnrbm", vocab=6, cd_k=1.5), "cd_k"),
+    (lambda: TrainConfig(spec=SPEC, lr=0.1, epochs=1, eval_every=1.5), "eval_every"),
+    (lambda: TrainConfig(spec=SPEC, lr=0.1, epochs=True), "epochs"),
+], ids=["Trainer.epochs", "Trainer.hidden", "Trainer.seed", "ImportanceMiner.t_max",
+        "FimConfig.t_max", "ModelSpec.cd_k", "TrainConfig.eval_every",
+        "TrainConfig.epochs"])
+def test_integer_settings_reject_bools_and_fractions_naming_the_field(build, field):
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer, got "):
+        build()
+
+
+def test_numpy_numbers_pass_and_float_settings_take_ints():
+    cfg = FimConfig(epsilon=1, lr=np.float32(0.5), t_max=np.int64(3), seed=np.uint8(2))
+    assert (cfg.epsilon, cfg.t_max) == (1, 3)
+    assert TrainConfig(spec=SPEC, lr=1, epochs=np.int32(0), clip=2).epochs == 0
+
+
+# Numeric flags checked against another flag rather than by ``RANGES``.
+CROSS_FIELD = {"len_min", "len_max"}
+
+
+def numeric_flags():
+    """The dest of every ``type=int`` or ``type=float`` action of every command."""
+    [sub] = [a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest for p in sub.choices.values() for a in p._actions
+            if a.type in (int, float)}
+
+
+def test_every_numeric_flag_has_a_range_or_a_cross_field_check():
+    assert numeric_flags() - CROSS_FIELD - set(base.RANGES) == set()
+    assert CROSS_FIELD <= numeric_flags() and not CROSS_FIELD & set(base.RANGES)
+
+
+class Reads(dict):
+    """A dict that records every key looked up."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_every_range_is_read_by_a_flag_config_or_generator(monkeypatch, tmp_path):
+    ranges = Reads(base.RANGES)
+    monkeypatch.setattr(base, "RANGES", ranges)
+    ModelSpec(kind="rnn", vocab=6)
+    FimConfig(epsilon=0.1)
+    TrainConfig(spec=SPEC, lr=0.1, epochs=1, clip=1.0)
+    gen_seqclass(n=2, vocab=6)
+    chunk_frames(gen_pianoroll(n=2), 2)
+    fim.resolve_workers(1)
+    save_importance(tmp_path / "t.json", ImportanceMiner(
+        model="rnn", epsilon=10.0).fit(TINY).table_)
+    load_importance(tmp_path / "t.json")
+    assert set(base.RANGES) - numeric_flags() - ranges.read == set()
