@@ -51,6 +51,14 @@ RANGES = {
 }
 
 
+def config_of(cls, settings, **given):
+    """The dataclass ``cls`` with each ``given`` field as passed and every
+    other field read by name from ``settings``: parsed CLI arguments or an
+    estimator."""
+    return cls(**{f.name: getattr(settings, f.name) for f in dataclasses.fields(cls)
+                  if f.name not in given}, **given)
+
+
 def check_ranges(values, error=ConfigError, label=str):
     """Check each ``{RANGES key: value}``: in range (NaN breaks every range),
     and, by its type, an integer or a finite number, never a bool. The error

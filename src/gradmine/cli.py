@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import analysis, data, fim, optimizer, plotting
-from .base import RANGES, check_ranges
+from .base import RANGES, check_ranges, config_of
 from .errors import DivergenceError, GradmineError
 from .models import (
     MODEL_KINDS,
@@ -118,7 +118,7 @@ def cmd_mine(args):
         epsilon = fim.default_epsilon(args.target_loss)
     dataset = data.load_dataset(args.data)
     spec = spec_of(args, dataset)
-    cfg = fim.fim_config_of(args, epsilon)
+    cfg = config_of(fim.FimConfig, args, epsilon=epsilon)
     table = fim.mine_importance(dataset, spec, cfg, n_workers=args.workers)
     fim.save_importance(args.out, table)
 
@@ -151,8 +151,9 @@ def _train_and_write(args, dataset, spec, table, samplers, inputs, title,
     write the metrics CSV and optional SVG of the train split: a single run
     keeps its split names, a comparison names each train row by its sampler."""
     params0 = get_model(spec).init_params(args.seed)
-    cfgs = [optimizer.train_config_of(
-        args, spec, s, table if s == optimizer.IMPORTANCE else None) for s in samplers]
+    cfgs = [config_of(optimizer.TrainConfig, args, spec=spec, sampler=s,
+                      importance=table if s == optimizer.IMPORTANCE else None)
+            for s in samplers]
     logs = [log for _, log in optimizer.train(dataset, params0, cfgs, eval_dataset)]
     train_rows = {s: log.split_rows("train") for s, log in zip(samplers, logs)}
 

@@ -13,6 +13,7 @@ mining a real signal to find at desk scale.
 """
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -134,6 +135,17 @@ def token_bands(vocab):
     return (_N_INDICATOR, vocab - rare_width), (vocab - rare_width, vocab)
 
 
+def _length_range(length_range, low):
+    """``length_range`` as two ints ``low <= lo <= hi``, else ``InvalidInputError``."""
+    ends = tuple(length_range)
+    if not (len(ends) == 2 and all(isinstance(v, numbers.Integral)
+                                   and not isinstance(v, bool) for v in ends)
+            and low <= ends[0] <= ends[1]):
+        raise InvalidInputError(
+            f"length_range must be two integers with {low} <= lo <= hi, got {ends}")
+    return int(ends[0]), int(ends[1])
+
+
 def gen_seqclass(n, vocab, length_range=(6, 40), hard_fraction=0.25, seed=0):
     """Binary-labeled token sequences with a difficulty knob.
 
@@ -146,9 +158,7 @@ def gen_seqclass(n, vocab, length_range=(6, 40), hard_fraction=0.25, seed=0):
     """
     check_ranges({"n": n, "vocab": vocab, "hard_fraction": hard_fraction, "seed": seed},
                  InvalidInputError)
-    lo, hi = int(length_range[0]), int(length_range[1])
-    if lo < 2 or hi < lo:
-        raise InvalidInputError("length_range must satisfy 2 <= lo <= hi")
+    lo, hi = _length_range(length_range, 2)
 
     rng = np.random.default_rng(seed)
     common, rare = token_bands(vocab)
@@ -196,9 +206,7 @@ def gen_pianoroll(n, n_v=16, length_range=(8, 32), patterns=4, seed=0):
     """Binary frame sequences built from overlapping periodic note motifs."""
     check_ranges({"n": n, "n_v": n_v, "patterns": patterns, "seed": seed},
                  InvalidInputError)
-    lo, hi = int(length_range[0]), int(length_range[1])
-    if lo < 1 or hi < lo:
-        raise InvalidInputError("length_range must satisfy 1 <= lo <= hi")
+    lo, hi = _length_range(length_range, 1)
 
     rng = np.random.default_rng(seed)
     pool = []
@@ -312,7 +320,7 @@ def _obj_to_sample(obj, line):
                 if not _json_ints([tokens, ids]):
                     raise InvalidInputError(f"tokens and {key} must be JSON integers")
                 return SequenceSample(tokens=tokens, **{key: ids})
-    except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, InvalidInputError) as exc:
         raise ParseError(str(exc), line=line) from exc
     raise ParseError("unrecognized sample keys", line=line)
 

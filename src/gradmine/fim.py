@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .analysis import lipschitz_distribution
-from .base import ParamsMixin, check_probs, check_ranges, check_weights
+from .base import ParamsMixin, check_probs, check_ranges, check_weights, config_of
 from .data import write_json
 from .errors import (
     ConfigError,
@@ -67,20 +67,6 @@ class FimConfig:
 
     def __post_init__(self):
         check_ranges({k: getattr(self, k) for k in ("epsilon", "lr", "t_max", "seed")})
-
-
-def fim_config_of(settings, epsilon):
-    """Config from the mining settings of parsed CLI arguments or an
-    estimator: ``lr``, ``t_max``, ``seed``, ``base_selector`` and
-    ``norm_kind``."""
-    return FimConfig(
-        epsilon=epsilon,
-        lr=settings.lr,
-        t_max=settings.t_max,
-        seed=settings.seed,
-        base_selector=settings.base_selector,
-        norm_kind=settings.norm_kind,
-    )
 
 
 @dataclass
@@ -212,10 +198,9 @@ def resolve_workers(n_workers=None):
         value, label = os.environ.get(WORKERS_ENV), lambda _: WORKERS_ENV
         if not value:
             return os.cpu_count() or 1
-        try:
-            n_workers = int(value)
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {value!r}") from None
+        if not (value.isascii() and value.isdigit()):  # int() takes " 3", "+3", "1_0"
+            raise ConfigError(f"{WORKERS_ENV} must be ASCII digits, got {value!r}")
+        n_workers = int(value)
     check_ranges({"workers": n_workers}, label=label)
     return n_workers
 
@@ -297,7 +282,7 @@ def load_importance(path):
                  lambda name: f"importance file: {name}")
     try:
         table = ImportanceTable(**{k: payload[k] for k in IMPORTANCE_KEYS})
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"importance file has a bad column: {exc}") from exc
     return table.validate()
 
@@ -325,8 +310,7 @@ class ImportanceMiner(ParamsMixin):
 
     def fit(self, X, y=None):
         dataset = as_dataset(X)
-        spec = spec_of(self, dataset)
-        cfg = fim_config_of(self, self.epsilon)
-        self.table_ = mine_importance(dataset, spec, cfg, n_workers=self.n_workers)
-        self.spec_ = spec
+        self.spec_ = spec_of(self, dataset)
+        self.table_ = mine_importance(dataset, self.spec_, config_of(FimConfig, self),
+                                      n_workers=self.n_workers)
         return self

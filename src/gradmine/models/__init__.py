@@ -40,6 +40,7 @@ from .common import (
     param_block,
     stream_rng,
 )
+from ..base import config_of
 from ..data import PIANOROLL, SEQCLASS, SEQLABEL, sample_kind
 from ..errors import InvalidInputError
 
@@ -86,17 +87,10 @@ def get_model(spec):
 
 def spec_of(settings, dataset):
     """Spec for ``dataset``, whose ``vocab`` it takes, from the model
-    settings of parsed CLI arguments or an estimator: ``model``,
-    ``embed_dim``, ``hidden``, ``classes``, ``context`` and ``cd_k``."""
-    return ModelSpec(
-        kind=settings.model,
-        vocab=dataset.vocab,
-        embed=settings.embed_dim,
-        hidden=settings.hidden,
-        classes=settings.classes,
-        context=settings.context,
-        cd_k=settings.cd_k,
-    )
+    settings of parsed CLI arguments or an estimator (``model`` and
+    ``embed_dim`` feed ``kind`` and ``embed``)."""
+    return config_of(ModelSpec, settings, kind=settings.model, vocab=dataset.vocab,
+                     embed=settings.embed_dim)
 
 
 def validate_dataset(spec, samples, noun="sample"):

@@ -22,7 +22,7 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from . import analysis
-from .base import ParamsMixin, check_ranges
+from .base import ParamsMixin, check_ranges, config_of
 from .data import Dataset, infer_vocab, sample_kind, write_text
 from .errors import (ConfigError, DistributionError, DivergenceError,
                      InvalidInputError, ParseError)
@@ -85,22 +85,6 @@ class TrainConfig:
         clip = {} if self.clip is None else {"clip": self.clip}
         check_ranges({"lr": self.lr, "TrainConfig.epochs": self.epochs,
                       "seed": self.seed, "eval_every": self.eval_every, **clip})
-
-
-def train_config_of(settings, spec, sampler, importance=None):
-    """Config for ``spec`` from the training settings of parsed CLI
-    arguments or an estimator: ``lr``, ``epochs``, ``seed``,
-    ``eval_every`` and ``clip``."""
-    return TrainConfig(
-        spec=spec,
-        lr=settings.lr,
-        epochs=settings.epochs,
-        sampler=sampler,
-        importance=importance,
-        seed=settings.seed,
-        eval_every=settings.eval_every,
-        clip=settings.clip,
-    )
 
 
 @dataclass
@@ -275,7 +259,7 @@ class Trainer(ParamsMixin):
     def fit(self, X, y=None):
         dataset = as_dataset(X)
         self.spec_ = spec_of(self, dataset)
-        cfg = train_config_of(self, self.spec_, self.sampler, self.importance)
+        cfg = config_of(TrainConfig, self, spec=self.spec_)
         params0 = get_model(self.spec_).init_params(self.seed)
         [(self.params_, self.log_)] = train(dataset, params0, [cfg])
         return self

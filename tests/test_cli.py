@@ -186,6 +186,21 @@ class TestMine:
         assert code == 2
         assert "GRADMINE_WORKERS" in capsys.readouterr().err
 
+    def test_workers_env_that_is_not_ascii_digits_exits_2(
+            self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        monkeypatch.setenv("GRADMINE_WORKERS", "1_0")
+        out = tmp_path / "i.json"
+        code = run([
+            "mine", "--data", str(data), "--model", "rnn", "--epsilon", "0.05",
+            "--embed-dim", "4", "--hidden", "5", "--out", str(out),
+        ])
+        assert code == 2
+        assert "GRADMINE_WORKERS must be ASCII digits, got '1_0'" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_zero_workers_exits_2_without_writing(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         run(gen_args(data))
@@ -260,6 +275,17 @@ class TestMine:
         run(gen_args(data))
         code = run(["mine", "--data", str(data), "--out", str(tmp_path / "i.json")])
         assert code == 2
+
+    def test_target_loss_sets_epsilon_two_orders_below(self, tmp_path):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        out = tmp_path / "i.json"
+        code = run([
+            "mine", "--data", str(data), "--model", "rnn", "--target-loss", "30",
+            "--t-max", "3", "--embed-dim", "4", "--hidden", "5", "--out", str(out),
+        ])
+        assert code == 0
+        assert load_importance(out).epsilon == pytest.approx(0.3, rel=1e-15)
 
     @pytest.mark.parametrize("target", ["-1", "0", "nan"])
     def test_target_loss_that_is_not_positive_exits_2_before_any_work(
@@ -502,6 +528,31 @@ class TestTrain:
             (1, "train"), (1, "eval"), (2, "train"), (2, "eval")]
         record = json.loads((tmp_path / "m.csv.run.json").read_text())
         assert list(record["inputs"]) == [str(data), str(held)]
+
+    @pytest.mark.parametrize("where", ["dataset", "iterations", "norms"])
+    def test_integer_beyond_numpy_exits_2_naming_where(self, tmp_path, capsys, where):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        imp = uniform_table_file(tmp_path / "imp.json", n=12)
+        if where == "dataset":
+            lines = data.read_text().splitlines()
+            lines[1] = json.dumps({"tokens": [10**20, 2], "label": 0})
+            data.write_text("\n".join(lines) + "\n")
+        else:
+            payload = json.loads(imp.read_text())
+            payload[where][0] = 10**20 if where == "iterations" else 10**400
+            imp.write_text(json.dumps(payload))
+        capsys.readouterr()
+        out = tmp_path / "m.csv"
+        code = run([
+            "train", "--data", str(data), "--model", "rnn",
+            "--sampler", "importance", "--importance", str(imp),
+            "--epochs", "1", "--embed-dim", "4", "--hidden", "5", "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("line 2: " if where == "dataset" else "importance file") in err
+        assert not out.exists()
 
     def test_rbm_preset_regroups_and_sets_step_size(self, tmp_path):
         data = tmp_path / "p.jsonl"

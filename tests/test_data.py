@@ -125,11 +125,27 @@ class TestChunkFrames:
     (lambda: gen_seqclass(n=4, vocab=8, seed=-1), "seed"),
     (lambda: gen_pianoroll(n=2, seed=1.5), "seed"),
     (lambda: chunk_frames(gen_pianoroll(n=2), float("nan")), "frames_per_sample"),
+    (lambda: gen_seqclass(n=4, vocab=8, length_range=(2.9, 3.5)), "length_range"),
+    (lambda: gen_seqclass(n=4, vocab=8, length_range=(4, 8.0)), "length_range"),
+    (lambda: gen_pianoroll(n=3, length_range=(True, 2.7)), "length_range"),
+    (lambda: gen_pianoroll(n=3, length_range=(1, True)), "length_range"),
+    (lambda: gen_seqclass(n=4, vocab=8, length_range=(4, 6, 8)), "length_range"),
 ], ids=["seqclass-n", "seqclass-vocab", "pianoroll-patterns", "pianoroll-n_v",
-        "seqclass-seed", "pianoroll-seed", "chunk-nan"])
+        "seqclass-seed", "pianoroll-seed", "chunk-nan", "seqclass-length-fractions",
+        "seqclass-length-float-end", "pianoroll-length-bool-fraction",
+        "pianoroll-length-bool-end", "seqclass-length-three-ends"])
 def test_generators_reject_bad_sizes_naming_the_argument(make, name):
     with pytest.raises(InvalidInputError, match=f"^{name} must be "):
         make()
+
+
+def test_length_range_takes_numpy_integers():
+    ends = (np.int64(3), np.uint8(5))
+    seq = gen_seqclass(n=4, vocab=8, length_range=ends)
+    roll = gen_pianoroll(n=3, length_range=ends)
+    for ds in (seq, roll):
+        assert ds.manifest["generator"]["length_range"] == [3, 5]
+        assert all(type(v) is int for v in ds.manifest["generator"]["length_range"])
 
 
 def token_lists(length):
@@ -343,6 +359,19 @@ class TestRoundTrips:
         path.write_text(json.dumps({"frames": [[0, 1]]}) + "\n"
                         + json.dumps(obj) + "\n")
         with pytest.raises(ParseError, match="JSON integers") as err:
+            load_dataset(path)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("obj", [
+        {"tokens": [10**20, 2], "label": 0},
+        {"tokens": [-10**20, 2], "label": 0},
+        {"tokens": [1, 2], "targets": [10**20, 1]},
+    ], ids=["huge-token", "huge-negative-token", "huge-target"])
+    def test_ids_beyond_int64_are_a_parse_error(self, tmp_path, obj):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"tokens": [0, 1], "label": 0}) + "\n"
+                        + json.dumps(obj) + "\n")
+        with pytest.raises(ParseError, match="too large") as err:
             load_dataset(path)
         assert err.value.line == 2
 

@@ -438,6 +438,21 @@ class TestImportanceIO:
                            match=f"^importance file: {re.escape(str(config.value))}$"):
             load_importance(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("iterations", [10**20, 40, 23]), ("iterations", [12, -10**20, 23]),
+        ("norms", [10**400, 1.5, 1.0]),
+    ], ids=["huge-iterations", "huge-negative-iterations", "400-digit-norms"])
+    def test_integers_beyond_numpy_are_a_validation_error(self, tmp_path, key, value):
+        import json
+
+        path = tmp_path / "imp.json"
+        save_importance(path, self.make_table())
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidInputError, match="^importance file has a bad column"):
+            load_importance(path)
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(InvalidInputError):
             ImportanceTable(
@@ -489,6 +504,17 @@ def test_non_integer_workers_env_names_the_variable(monkeypatch):
 
     monkeypatch.setenv(WORKERS_ENV, "abc")
     with pytest.raises(ConfigError, match=WORKERS_ENV):
+        resolve_workers()
+
+
+@pytest.mark.parametrize("value", ["1_0", " 3 ", "+2", "\u0663", "3.0"],
+                         ids=["underscore", "spaces", "plus", "arabic-indic", "point"])
+def test_workers_env_takes_only_ascii_digits(value, monkeypatch):
+    """``int()`` would read each of these as a count."""
+    from gradmine.fim import WORKERS_ENV, resolve_workers
+
+    monkeypatch.setenv(WORKERS_ENV, value)
+    with pytest.raises(ConfigError, match=f"^{WORKERS_ENV} must be ASCII digits, got "):
         resolve_workers()
 
 

@@ -318,6 +318,14 @@ class TestMetricsIO:
             load_metrics(path)
         assert err.value.line == 2
 
+    def test_a_value_that_is_not_a_number_names_its_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("epoch,split,loss,error_rate,grad_var,wall_ms\n"
+                        "1,train,abc,0.5,1,2\n")
+        with pytest.raises(ParseError, match="^line 2: could not convert") as err:
+            load_metrics(path)
+        assert err.value.line == 2
+
     @pytest.mark.parametrize("field, value", [
         ("epoch", "1_0"), ("epoch", " 2 "), ("epoch", "0"),
         ("split", "bogus"),

@@ -9,8 +9,8 @@ import inspect
 import numpy as np
 import pytest
 
-from gradmine import base, cli, fim, optimizer
-from gradmine.data import chunk_frames, gen_pianoroll, gen_seqclass
+from gradmine import base, cli, fim, models, optimizer
+from gradmine.data import chunk_frames, gen_pianoroll, gen_seqclass, save_dataset
 from gradmine.errors import ConfigError
 from gradmine.fim import FimConfig, ImportanceMiner, load_importance, save_importance
 from gradmine.models import ModelSpec
@@ -217,3 +217,45 @@ def test_every_range_is_read_by_a_flag_config_or_generator(monkeypatch, tmp_path
         model="rnn", epsilon=10.0).fit(TINY).table_)
     load_importance(tmp_path / "t.json")
     assert set(base.RANGES) - numeric_flags() - ranges.read == set()
+
+
+@pytest.mark.parametrize("build, classes", [
+    (["mine", "--epsilon", "0.05"], [ModelSpec, FimConfig]),
+    (["train", "--sampler", "importance", "--importance", "{table}"],
+     [ModelSpec, TrainConfig]),
+    (["compare", "--importance", "{table}"], [ModelSpec, TrainConfig, TrainConfig]),
+    (ImportanceMiner, [ModelSpec, FimConfig]),
+    (Trainer, [ModelSpec, TrainConfig]),
+], ids=["mine", "train", "compare", "ImportanceMiner", "Trainer"])
+def test_every_config_field_is_passed_or_read_from_the_settings(
+        monkeypatch, tmp_path, build, classes):
+    """Each config that a command or an estimator builds through
+    ``base.config_of`` is passed, or finds among its settings, every field:
+    a config field with no flag or estimator field fails here, not at run
+    time."""
+    data, table = str(tmp_path / "d.jsonl"), str(tmp_path / "i.json")
+    save_dataset(data, TINY)
+    save_importance(table, ImportanceMiner(model="rnn", t_max=2).fit(TINY).table_)
+    built = []
+
+    def recording(cls, settings, **given):
+        unread = [f.name for f in dataclasses.fields(cls)
+                  if f.name not in given and not hasattr(settings, f.name)]
+        assert not unread, f"{cls.__name__}: no setting feeds {unread}"
+        built.append(cls)
+        return base.config_of(cls, settings, **given)
+
+    def stop(*args, **kwargs):
+        raise Stop
+
+    for module in (cli, fim, optimizer, models):
+        monkeypatch.setattr(module, "config_of", recording)
+    monkeypatch.setattr(fim, "mine_importance", stop)
+    monkeypatch.setattr(optimizer, "train", stop)
+    with pytest.raises(Stop):
+        if isinstance(build, list):
+            cli.main([a.format(table=table) for a in build]
+                     + ["--data", data, "--model", "rnn", "--out", str(tmp_path / "o")])
+        else:
+            build(model="rnn").fit(TINY)
+    assert built == classes
