@@ -23,6 +23,8 @@ RNN = "rnn"
 LSTM = "lstm"
 RNNRBM = "rnnrbm"
 MODEL_KINDS = (RNN, LSTM, RNNRBM)
+MAX_PARAMS = 10**7  # the most parameters a model may have: 80 MB a row
+CHUNK_ELEMENTS = 1 << 13  # the most terms that one chunk of sum_over_time holds
 
 # Sub-stream tags so every consumer of randomness owns an independent
 # generator derived from one master seed.
@@ -79,6 +81,8 @@ def _spans(layout):
         stop = start + math.prod(shape)
         spans[name] = (start, stop, shape)
         start = stop
+    if start > MAX_PARAMS:
+        raise ConfigError(f"the model has {start} parameters, more than {MAX_PARAMS}")
     return spans, start
 
 
@@ -173,26 +177,42 @@ def add_rows_backwards(out, rows, values):
               values[:, ::-1])
 
 
+def sum_over_time(terms, t_len, shape, ufunc=np.add):
+    """``acc = ufunc(acc, term_t)`` from +0.0 for t < t_len, where ``terms(steps,
+    out)`` writes the time-major terms of a slice of steps: one sequential
+    reduce over time per chunk of at most ``CHUNK_ELEMENTS`` terms, after the
+    sum carried in. With ``np.add``, ``shape`` must hold two or more terms:
+    along a lone axis numpy adds pairwise."""
+    step = max(1, CHUNK_ELEMENTS // math.prod(shape))
+    whole = np.zeros((min(step, t_len) + 1, *shape))  # the sum, then a chunk
+    for start in range(0, t_len, step):
+        buf = whole[:min(step, t_len - start) + 1]
+        terms(slice(start, start + len(buf) - 1), buf[1:])
+        buf[0] = ufunc.reduce(buf, axis=0)
+    return whole[0]
+
+
 def tanh_backward(w_rec, states, inputs, ext, mask):
     """Backpropagate through ``s_t = tanh(W s_{t-1} + V x_t + b)``, over
     (B, T+1, H) ``states`` and (B, T, ·) ``inputs``, from ``ext``, the
     gradient reaching each s_t from outside the recurrence. Returns the (W,
     V, b) gradient rows, each step's d loss / d pre-activation, and the
-    gradient of s_0. One outer product per step with (s_{t-1}, x_t, 1)
-    fills the three sums, each accumulated from the last step to the first
-    (x * 1.0 is x); a padded step carries nothing back."""
+    gradient of s_0. A padded step carries nothing back. Each step's outer
+    product with (s_{t-1}, x_t, 1) fills the three sums, each accumulated
+    from the last step to the first (x * 1.0 is x)."""
     n, t_len, hidden = ext.shape
     stacked = np.concatenate([states[:, :-1], inputs, np.ones((n, t_len, 1))], axis=-1)
-    sums = np.zeros((n, hidden, stacked.shape[-1]))
     one_s2 = 1.0 - states[:, 1:] ** 2
     das = np.empty((n, t_len, hidden))
     carry = np.zeros((n, hidden))
     w_t = transpose(w_rec)
     for t in range(t_len - 1, -1, -1):
-        da = das[:, t]
-        np.multiply(ext[:, t] + carry, one_s2[:, t], out=da)
-        sums += da[:, :, None] * stacked[:, t, None, :]
-        carry = np.where(mask[:, t, None], matvec(w_t, da), 0.0)
+        np.multiply(ext[:, t] + carry, one_s2[:, t], out=das[:, t])
+        carry = np.where(mask[:, t, None], matvec(w_t, das[:, t]), 0.0)
+    # Time-major, last step first.
+    d, x = das.swapaxes(0, 1)[::-1, ..., None], stacked.swapaxes(0, 1)[::-1, :, None]
+    sums = sum_over_time(lambda s, out: np.multiply(d[s], x[s], out=out),
+                         t_len, (n, hidden, x.shape[-1]))
     return sums[..., :hidden], sums[..., hidden:-1], sums[..., -1], das, carry
 
 

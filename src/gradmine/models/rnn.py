@@ -6,7 +6,8 @@ Recurrence, per step over the embedded tokens x_t:
     y_t = softmax(W_s h_t + b_y)
 
 The loss is mean negative log-likelihood of the per-step targets, or the
-final-step negative log-likelihood when the sample carries one label.
+final-step negative log-likelihood when the sample carries one label; a
+labelled batch takes the output layer at each sample's last step alone.
 Both passes run a packed batch of samples at once, and each sample's row
 has the bits it has in a batch of its own. Backward runs untruncated
 through the whole history; every block of each returned gradient row
@@ -75,7 +76,7 @@ class RnnBatchTrace:
 
     xs: np.ndarray  # (B, T, embed)
     hs: np.ndarray  # (B, T+1, hidden)
-    ys: np.ndarray  # (B, T, vocab) output distributions; backward overwrites it
+    ys: np.ndarray  # (B, T, vocab), or (B, vocab) for labels; backward overwrites it
     losses: np.ndarray  # (B,)
     wrong: np.ndarray  # (B,) argmax mistakes: at the last step, or per step
     total: np.ndarray  # (B,) opportunities
@@ -87,7 +88,7 @@ def forward(params, batch, rng=None, k=1):
     product per step, and return the trace with each sample's loss.
     Deterministic: ``rng`` and ``k`` (model protocol) are ignored."""
     tokens, lengths, n = batch.tokens, batch.lengths, batch.lengths.size
-    rows, last, t_len = np.arange(n), lengths - 1, tokens.shape[1]
+    rows, t_len = np.arange(n), tokens.shape[1]
 
     xs = embed(params.w_emb, tokens)
     wx = matvec(params.w_x, xs)
@@ -96,24 +97,24 @@ def forward(params, batch, rng=None, k=1):
     for t in range(t_len):
         hs[:, t + 1] = np.tanh(matvec(params.w_h, hs[:, t]) + wx[:, t] + params.b_h)
 
-    logp = matvec(params.w_s, hs[:, 1:])
-    logp += params.b_y[..., None, :]
+    labelled = batch.targets is None  # a label reads the last step's head alone
+    logp = matvec(params.w_s, hs[rows, lengths] if labelled else hs[:, 1:])
+    logp += params.b_y if labelled else params.b_y[..., None, :]
     log_softmax(logp, out=logp)
-    if batch.targets is None:  # the last step against the label
-        losses = -logp[rows, last, batch.labels]
+    if labelled:
+        losses = -logp[rows, batch.labels]
     else:  # each step against its target, averaged over the sample's steps
         picked = logp[rows[:, None], np.arange(t_len), batch.targets]
         losses = np.array([-np.mean(p[:size]) for p, size in zip(picked, lengths)])
 
     ys = np.exp(logp, out=logp)
     pred = np.argmax(ys, axis=-1)
-    predictions = pred[rows, last]
-    if batch.targets is None:
-        wrong = (predictions != batch.labels).astype(np.int64)
-        total = np.ones(n, np.int64)
+    if labelled:
+        predictions, total = pred, np.ones(n, np.int64)
+        wrong = (pred != batch.labels).astype(np.int64)
     else:
+        predictions, total = pred[rows, lengths - 1], lengths
         wrong = np.sum((pred != batch.targets) & batch.mask, axis=1)
-        total = lengths
     return RnnBatchTrace(xs=xs, hs=hs, ys=ys, losses=losses, wrong=wrong,
                          total=total, predictions=predictions)
 
@@ -123,25 +124,27 @@ def backward(params, batch, trace):
     (B, P) matrix with one gradient vector per row. Padded steps add exact
     zeros. Turns ``trace.ys`` into d loss / d logits in place."""
     check_trace(batch, trace.hs)
-    lengths, mask, n = batch.lengths, batch.mask, batch.lengths.size
-    dz = trace.ys
-    if batch.targets is None:  # only the last step has a loss
-        dz[np.arange(mask.shape[1]) != lengths[:, None] - 1] = 0.0
-        dz[np.arange(n), lengths - 1, batch.labels] -= 1.0
+    lengths, mask, rows = batch.lengths, batch.mask, np.arange(batch.lengths.size)
+    g = params.like(np.zeros((rows.size, params.vec.shape[-1])))
+    dz, hs, xs = trace.ys, trace.hs, trace.xs
+    if batch.targets is None:  # only the last step has a head
+        dz[rows, batch.labels] -= 1.0
+        g.b_y = dz
+        # + 0.0, as a sum over time from +0.0 would: the product may be -0.0
+        g.w_s = dz[:, :, None] * hs[rows, lengths][:, None, :] + 0.0
+        ext = np.zeros(mask.shape + hs.shape[-1:])
+        ext[rows, lengths - 1] = matvec(transpose(params.w_s), dz)
     else:  # the mean over each sample's own steps, then no padding
-        rows, steps = np.nonzero(mask)
-        dz[rows, steps, batch.targets[rows, steps]] -= 1.0
+        live, steps = np.nonzero(mask)
+        dz[live, steps, batch.targets[live, steps]] -= 1.0
         dz /= lengths[:, None, None]
         dz[~mask] = 0.0
+        # Sums over time run per sample: padded, they can group differently.
+        for b, size in enumerate(lengths):
+            g.w_s[b] = dz[b, :size].T @ hs[b, 1:size + 1]
+            g.b_y[b] = dz[b, :size].sum(axis=0)
+        ext = matvec(transpose(params.w_s), dz)
 
-    g = params.like(np.zeros((n, params.vec.shape[-1])))
-    hs, xs = trace.hs, trace.xs
-    # Sums over time run per sample: padded, they can group differently.
-    for b, size in enumerate(lengths):
-        g.w_s[b] = dz[b, :size].T @ hs[b, 1:size + 1]
-        g.b_y[b] = dz[b, :size].sum(axis=0)
-
-    g.w_h, g.w_x, g.b_h, das, g.h0 = tanh_backward(
-        params.w_h, hs, xs, matvec(transpose(params.w_s), dz), mask)
+    g.w_h, g.w_x, g.b_h, das, g.h0 = tanh_backward(params.w_h, hs, xs, ext, mask)
     add_rows_backwards(g.w_emb, batch.tokens, matvec(transpose(params.w_x), das))
     return g.vec

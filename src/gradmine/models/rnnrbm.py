@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError
-from .common import STREAM_INIT, Params, check_trace, stream_rng, tanh_backward
+from .common import (
+    STREAM_INIT, Params, check_trace, stream_rng, sum_over_time, tanh_backward)
 from ..tensor import matvec, sigmoid, transpose
 
 BASE_SELECTOR = "w"
@@ -155,15 +156,19 @@ def backward(params, batch, trace):
     us, v_star, h_pos, h_neg = trace.us, trace.v_star, trace.h_pos, trace.h_neg
 
     g = params.like(np.zeros((n, params.vec.shape[-1])))
-    # The adjacent (b_v, b_h) and (w_uv, w_uh) blocks take one stacked sum
-    # each, over (dbv_t, dbh_t), accumulated in frame order.
+    # Each sum runs in frame order, over time-major terms. w's subtracts, which
+    # numpy never does pairwise, so it keeps the bits at one entry a row too.
+    # The adjacent (b_v, b_h) and (w_uv, w_uh) blocks take one stacked sum each.
     dbs = np.concatenate([-(frames - v_star), -(h_pos - h_neg)], axis=-1)
-    g_w, g_b, g_wu = g.w, g.span("b_v", "b_h"), g.span("w_uv", "w_uh")
-    for t in range(t_len):
-        g_w -= (frames[:, t, :, None] * h_pos[:, t, None, :]
-                - v_star[:, t, :, None] * h_neg[:, t, None, :])
-        g_b += dbs[:, t]
-        g_wu += dbs[:, t, :, None] * us[:, t, None, :]
+    v, hp, vs, hn, db, u = (
+        a.swapaxes(0, 1) for a in (frames, h_pos, v_star, h_neg, dbs, us))
+    g.w = sum_over_time(lambda s, out: np.subtract(  # v h_pos - v* h_neg
+        np.multiply(v[s, ..., None], hp[s, :, None], out=out),
+        vs[s, ..., None] * hn[s, :, None], out=out), t_len, g.w.shape, np.subtract)
+    g_b, g_wu = g.span("b_v", "b_h"), g.span("w_uv", "w_uh")
+    g_b[...] = np.add.reduce(dbs, axis=1, initial=0.0)
+    g_wu[...] = sum_over_time(lambda s, out: np.multiply(
+        db[s, ..., None], u[s, :, None], out=out), t_len, g_wu.shape)
 
     # Frame t's biases read u_{t-1}, so its bias gradient reaches the state
     # one step earlier; nothing outside the recurrence reads the last one.

@@ -6,6 +6,8 @@ per-row parameters, one sample per call), so agreement between the two is
 meaningful. The single-sample passes at the end are the library's passes
 as they were before it ran every pass batched; the batched passes, the
 training step and lockstep mining must reproduce them bit for bit.
+``tanh_backward_per_step`` is the batched recurrence backward as it was
+before its sums over time left the step loop.
 """
 
 import math
@@ -28,7 +30,14 @@ from gradmine.models import (
 from gradmine.models.lstm import _blocks, _stacked
 from gradmine.optimizer import sgd_step
 from gradmine.sampling import build_alias, generate_sequence
-from gradmine.tensor import frobenius_norm, log_softmax, matrix_norm, sigmoid
+from gradmine.tensor import (
+    frobenius_norm,
+    log_softmax,
+    matrix_norm,
+    matvec,
+    sigmoid,
+    transpose,
+)
 
 from conftest import param_blocks
 
@@ -265,6 +274,25 @@ def evaluate_per_sample(model, params, samples, probs, rng):
     losses, wrong, total, _, grads = per_sample_passes(model, params, samples, rng)
     return (float(np.mean(losses)), sum(wrong) / sum(total),
             gradient_variance(grads, probs))
+
+
+def tanh_backward_per_step(w_rec, states, inputs, ext, mask):
+    """``models.common.tanh_backward`` with the three outer-product sums
+    added inside the step loop, one step at a time from the last to the
+    first: the running sums its chunked reduces must reproduce bit for bit."""
+    n, t_len, hidden = ext.shape
+    stacked = np.concatenate([states[:, :-1], inputs, np.ones((n, t_len, 1))], axis=-1)
+    sums = np.zeros((n, hidden, stacked.shape[-1]))
+    one_s2 = 1.0 - states[:, 1:] ** 2
+    das = np.empty((n, t_len, hidden))
+    carry = np.zeros((n, hidden))
+    w_t = transpose(w_rec)
+    for t in range(t_len - 1, -1, -1):
+        da = das[:, t]
+        np.multiply(ext[:, t] + carry, one_s2[:, t], out=da)
+        sums += da[:, :, None] * stacked[:, t, None, :]
+        carry = np.where(mask[:, t, None], matvec(w_t, da), 0.0)
+    return sums[..., :hidden], sums[..., hidden:-1], sums[..., -1], das, carry
 
 
 @dataclass

@@ -10,11 +10,13 @@ in ``test_batched.py`` or ``test_lockstep.py``. Shapes include width 1 and
 length 1, where BLAS takes vector paths.
 """
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gradmine.tensor import matvec, transpose
+from gradmine.tensor import log_softmax, matvec, transpose
 
 _BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
 LIBRARY = f"numpy {np.__version__} with {_BLAS['name']} {_BLAS['version']}"
@@ -122,3 +124,74 @@ def test_signed_zeros_added_to_a_zero_started_sum_change_no_bit(values, zeros):
     for out, seq in zip(scattered, (values, padded)):
         np.add.at(out, np.zeros(len(seq), dtype=np.int64), np.array(seq, dtype=float))
     assert_keeps_bits(scattered[1], scattered[0], fact + " by np.add.at", relied_on_by)
+
+
+def running_sum(ufunc, terms):
+    """``acc = ufunc(acc, terms[:, t])`` for each step t in turn, from +0.0."""
+    acc = np.zeros(terms.shape[:1] + terms.shape[2:])
+    for t in range(terms.shape[1]):
+        acc = ufunc(acc, terms[:, t])
+    return acc
+
+
+@settings(deadline=None, max_examples=200)
+@given(rows=st.integers(1, 4), length=st.integers(1, 40),
+       inner=st.sampled_from([(1,), (1, 1), (2,), (1, 2), (2, 1), (3,), (4, 5), (9,)]),
+       chunk=st.integers(1, 40), subtract=st.booleans(), seed=seeds)
+def test_a_sequential_reduce_over_time_equals_the_running_sum(
+        rows, length, inner, chunk, subtract, seed):
+    # Subtraction has no pairwise loop, so it keeps the bits at one entry
+    # per row too, where time is the only axis left.
+    assume(subtract or math.prod(inner) > 1)
+    rng = np.random.default_rng(seed)
+    terms = rng.normal(size=(rows, length, *inner)) * 10.0 ** rng.integers(
+        -8, 9, size=(rows, length, *inner))
+    ufunc = np.subtract if subtract else np.add
+    expected = running_sum(ufunc, terms)
+    assert_keeps_bits(
+        ufunc.reduce(terms, axis=1, initial=0.0), expected,
+        f"`np.{ufunc.__name__}.reduce(..., axis=1, initial=0.0)` with {inner} "
+        "entries a row, against the running sum from +0.0,",
+        "rnnrbm.backward's bias gradients")
+    acc = np.zeros((rows, *inner))
+    for start in range(0, length, chunk):  # time-major, after the sum carried in
+        part = terms[:, start:start + chunk].swapaxes(0, 1)
+        acc = ufunc.reduce(np.concatenate([acc[None], part]), axis=0)
+    assert_keeps_bits(
+        acc, expected,
+        f"a chunked `np.{ufunc.__name__}.reduce` along a time-major axis, each "
+        f"chunk after the sum carried in, with {inner} entries a row, against "
+        "the running sum from +0.0,",
+        "models.common.sum_over_time, and so the weight gradients of "
+        "tanh_backward and rnnrbm.backward")
+
+
+def test_a_reduce_along_the_innermost_axis_can_change_bits():
+    # The counter-fact that keeps time off the innermost axis in
+    # models.common.sum_over_time: there numpy adds pairwise, in blocks.
+    rng = np.random.default_rng(0)
+    terms = rng.normal(size=(8, 40, 1)) * 10.0 ** rng.integers(-8, 9, size=(8, 40, 1))
+    got = np.add.reduce(terms, axis=1)
+    assert got.tobytes() != running_sum(np.add, terms).tobytes(), (
+        f"under {LIBRARY} a reduce along the innermost axis now keeps the "
+        "running sum's bits, against the pairwise sum that "
+        "models.common.sum_over_time's layout avoids")
+
+
+@settings(deadline=None, max_examples=150)
+@given(size=lengths, pad=st.integers(0, 3), vocab=widths, hidden=widths, seed=seeds)
+@example(size=2, pad=0, vocab=1, hidden=1, seed=1)
+def test_an_outer_product_plus_zero_equals_a_product_over_time_with_earlier_rows_zero(
+        size, pad, vocab, hidden, seed):
+    # dz is a labelled sample's d loss / d logits: zero but at its last
+    # step, and all zero at vocab 1, where the product with a negative
+    # state is -0.0 and the one over time is +0.0.
+    rng = np.random.default_rng(seed)
+    dz = np.zeros((size + pad, vocab))
+    dz[size - 1] = np.exp(log_softmax(rng.normal(size=vocab)))
+    dz[size - 1, rng.integers(vocab)] -= 1.0
+    hs = np.tanh(rng.normal(size=(size + pad + 1, hidden)))
+    assert_keeps_bits(
+        dz[size - 1, :, None] * hs[size, None, :] + 0.0, dz[:size].T @ hs[1:size + 1],
+        "`x * y + 0.0`, against a product over time whose earlier rows are zero,",
+        "rnn.backward's w_s gradient for labelled samples")

@@ -620,6 +620,25 @@ class TestTrain:
             capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["hidden", "manifest-vocab"])
+    def test_model_too_big_for_numpy_exits_2_naming_its_size(
+            self, tmp_path, capsys, where):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        extra = ["--hidden", str(10**20)] if where == "hidden" else []
+        if where == "manifest-vocab":
+            manifest = tmp_path / "d.jsonl.manifest.json"
+            manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                            "vocab": 10**20}))
+        capsys.readouterr()
+        out = tmp_path / "m.csv"
+        code = run(["train", "--data", str(data), "--model", "rnn", "--epochs", "1",
+                    "--out", str(out), *extra])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: the model has " in err and "parameters, more than 10000000" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("held_out, message", [
         ("frames", "held-out sample 0: a frame sequence"),
         ("token-above-vocab", "held-out sample 1: token index out of range [0, 10)"),

@@ -1,9 +1,10 @@
 import dataclasses
 import inspect
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradmine.data import FrameSequence, SequenceSample, gen_pianoroll, gen_seqclass
@@ -20,7 +21,12 @@ from gradmine.models import (
     rnnrbm,
     validate_dataset,
 )
+from gradmine.models import common
 from gradmine.optimizer import TrainConfig, Trainer, train
+
+from conftest import randomize
+from oracles import per_sample_passes, tanh_backward_per_step
+from test_batched import random_samples, specs
 
 MODULES = {"rnn": rnn, "lstm": lstm, "rnnrbm": rnnrbm}
 PROTOCOL = ("BASE_SELECTOR", "layout", "init_params", "check_sample", "forward",
@@ -75,7 +81,8 @@ def test_sample_is_the_second_positional_parameter(kind, fn):
 def test_trace_fields_are_time_major_arrays(kind):
     # Every per-step field is one array over time after the batch axis, so
     # samples of several lengths pad along that axis; the per-sample
-    # fields have the batch axis alone, or one of the head's width.
+    # fields have the batch axis alone, or one of the head's width, as the
+    # RNN's output distributions at a labelled sample's last step do.
     spec, sample = spec_and_sample(kind)
     model = get_model(spec)
     trace = model.forward(model.init_params(0), pack([sample]),
@@ -88,7 +95,7 @@ def test_trace_fields_are_time_major_arrays(kind):
             assert value.shape[1] in (t_len, t_len + 1), f.name
         else:
             assert f.name in ("losses", "wrong", "total", "predictions",
-                              "pooled", "probs"), f.name
+                              "pooled", "probs", "ys"), f.name
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -219,3 +226,54 @@ def test_a_mixed_list_is_rejected_at_the_model_boundary(entry):
     mixed = [labelled, SequenceSample(tokens=[2], targets=[0])]
     with pytest.raises(InvalidInputError, match="sample 1: mixed sample kinds"):
         ENTRIES[entry](spec, mixed, fitted)
+
+
+@settings(deadline=None, max_examples=100)
+@given(lengths=st.lists(st.integers(1, 30), min_size=1, max_size=4),
+       hidden=st.just(1) | st.integers(1, 5), width=st.integers(1, 4),
+       per_row=st.booleans(), budget=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+@example(lengths=[30, 7], hidden=1, width=1, per_row=True, budget=1, seed=0)
+def test_tanh_backward_equals_its_per_step_sums_across_chunks(
+        lengths, hidden, width, per_row, budget, seed):
+    # A budget of a few hundred elements cuts the sums over time into
+    # chunks of one step up to the whole length, so chunk boundaries fall
+    # at every place; rows shorter than the longest are padded, with zero
+    # inputs, as a packed batch pads them.
+    rng = np.random.default_rng(seed)
+    mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    n, t_len = mask.shape
+    w_rec = rng.normal(size=(n, hidden, hidden) if per_row else (hidden, hidden))
+    states = np.tanh(rng.normal(size=(n, t_len + 1, hidden)))
+    inputs = rng.normal(size=(n, t_len, width)) * mask[..., None]
+    ext = rng.normal(size=(n, t_len, hidden)) * mask[..., None]
+    expected = tanh_backward_per_step(w_rec, states, inputs, ext, mask)
+    with mock.patch.object(common, "CHUNK_ELEMENTS", budget):
+        got = common.tanh_backward(w_rec, states, inputs, ext, mask)
+    for name, a, b in zip(("W", "V", "b", "das", "carry"), got, expected):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+
+
+@settings(deadline=None, max_examples=60)
+@given(kind=st.sampled_from(["rnn", "rnnrbm"]), dims=specs,
+       lengths=st.lists(st.integers(1, 30), min_size=1, max_size=3),
+       budget=st.integers(1, 300) | st.just(common.CHUNK_ELEMENTS),
+       seed=st.integers(0, 2**32 - 1))
+# One frame sequence at width 1 and 30 frames: the weight block's sum has one
+# entry a row, so time is its innermost axis, where np.add.reduce would add
+# pairwise; np.subtract.reduce keeps the bits there.
+@example(kind="rnnrbm", dims=dict(vocab=1, embed=1, hidden=1, classes=1,
+                                  context=1, cd_k=1),
+         lengths=[30], budget=common.CHUNK_ELEMENTS, seed=0)
+def test_recurrent_gradients_equal_the_per_sample_loop_across_chunks(
+        kind, dims, lengths, budget, seed):
+    rng = np.random.default_rng(seed)
+    spec = ModelSpec(kind=kind, **dims)
+    model = get_model(spec)
+    params = randomize(model.init_params(0), rng, scale=0.8)
+    samples = random_samples(kind, spec, lengths, rng)
+    expected = per_sample_passes(model, params, samples, np.random.default_rng(seed))[-1]
+    batch = pack(samples)
+    with mock.patch.object(common, "CHUNK_ELEMENTS", budget):
+        trace = model.forward(params, batch, np.random.default_rng(seed))
+        got = model.backward(params, batch, trace)
+    assert got.tobytes() == expected.tobytes()

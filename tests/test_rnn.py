@@ -186,7 +186,8 @@ def test_classification_head_uses_final_step_only(rng):
     params = randomize(model.init_params(8), rng, 0.5)
     sample = SequenceSample(tokens=[1, 2, 3], label=4)
     trace = model.forward(params, sample)
-    assert abs(trace.losses[0] + np.log(trace.ys[0, -1, 4])) < 1e-12
+    assert trace.ys.shape == (1, 6)  # one head per sample: (B, vocab)
+    assert abs(trace.losses[0] + np.log(trace.ys[0, 4])) < 1e-12
 
 
 def test_base_selector_default():
