@@ -4,11 +4,10 @@
 
 Runs every benchmark workload (``perfbench/workloads.py``) on each tree:
 every argv of the workload's ``stages()``, in order, through
-``gradmine.cli.main`` in a fresh interpreter that imports ``gradmine``
-from ``<tree>/src``, with BLAS at one thread; each tree's run of a
-workload has its own temporary directory. It then compares, per workload,
-``table.json``, ``variance.json`` and each metrics CSV with its ``wall_ms``
-column dropped (the only timed output), byte for byte.
+``gradmine.cli.main`` in a run of ``harness.run_fresh``; each tree's run
+of a workload has its own temporary directory. It then compares, per
+workload, ``table.json``, ``variance.json`` and each metrics CSV with its
+``wall_ms`` column dropped (the only timed output), byte for byte.
 
 Prints one JSON line per workload and artifact, with the sha256 of the
 compared bytes per tree (null where the tree wrote no such file), and
@@ -20,35 +19,26 @@ import csv
 import hashlib
 import io
 import json
-import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.dont_write_bytecode = True  # leave no cache files under perfbench/
-sys.path.insert(0, str(ROOT / "perfbench"))
-from workloads import WORKLOADS, fill, stages  # noqa: E402
+from harness import run_fresh
+from workloads import WORKLOADS, fill, stages  # perfbench's, on harness's path
 
-BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 RUN = ("import json, sys\n"
        "from gradmine.cli import main\n"
-       "sys.exit(main(json.loads(sys.argv[1])))\n")
+       "status = main(json.loads(sys.argv[1]))\n"
+       "print(status)\n"
+       "sys.exit(status)\n")
 TIMED_COLUMN = "wall_ms"
 
 
 def run_workload(tree, workload, directory):
     """Run every stage of ``workload`` on ``tree``, writing into ``directory``."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    env.update((name, "1") for name in BLAS_THREADS)
-    for stage, argv in stages(workload):
-        cmd = [sys.executable, "-c", RUN, json.dumps(fill(argv, directory))]
-        proc = subprocess.run(cmd, env=env, cwd=directory, capture_output=True,
-                              text=True, timeout=600)
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stderr)
-            sys.exit(f"{tree}: {workload.name} {stage} exited {proc.returncode}")
+    for _, argv in stages(workload):
+        run_fresh(tree, RUN, json.dumps(fill(argv, directory)), timeout=600,
+                  cwd=directory)
 
 
 def untimed_csv(path):

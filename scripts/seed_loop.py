@@ -1,47 +1,32 @@
-"""Acceptance criterion 9's ten-seed loop, timed per source tree, in
-alternating runs.
+"""Acceptance criterion 9's ten-seed loop, timed per source tree.
 
     python3 scripts/seed_loop.py --src ../parent --src . --out BENCH_seed_loop.json
 
 Runs the protocol of ``test_criterion_9_desk_scale_convergence`` (the desk
-set and spec of ``scripts/desk_mine.py``; seeds 0-9; lr 0.5, 14 epochs)
-in two timed parts: mining the ten seeds' tables, then training the ten
-seeds x two samplers (uniform, importance), each run from its seed's
-``init_params`` row. A tree whose ``train`` takes a start row per run
-trains all 20 runs in one call; an older one, which shares one start
-across a call, trains them as ten two-row calls, one per seed. Every run
-is a fresh interpreter started by ``desk_mine.run_fresh`` (BLAS at one
-thread), with the process pinned to one CPU; pair j runs the trees in the
-given order when j is even and in reverse when j is odd.
+set and spec, ``harness.DESK``; seeds 0-9; lr 0.5, 14 epochs) in two timed
+parts: mining the ten seeds' tables, then training the ten seeds x two
+samplers (uniform, importance), each run from its seed's ``init_params``
+row. A tree whose ``train`` takes a start row per run trains all 20 runs
+in one call; an older one, which shares one start across a call, trains
+them as ten two-row calls, one per seed. The trees run in three pairs on
+``harness.compare``.
 
 Each run keeps the seconds of both parts, the call pattern, the epochs to
 the loss target 0.3 per seed and sampler, and the sha256 of the 20 runs'
 final parameters and of their metrics rows without ``wall_ms``, so the
-trees' results can be compared. Per tree it keeps the median seconds and
-the numpy version and BLAS build the runs imported.
+trees' results can be compared. Per tree it keeps the median seconds.
 """
 
-import argparse
-import json
-import statistics
-import sys
-from pathlib import Path
+from harness import DESK, DESK_SET, compare
 
-from desk_mine import pin_one_cpu, run_fresh
-
-PAIRS = 3
-
-RUN = """
+RUN = DESK + """
 import hashlib, json, time
 import numpy as np
-from gradmine.data import gen_seqclass
 from gradmine.errors import ConfigError
 from gradmine.fim import FimConfig, mine_importance
-from gradmine.models import ModelSpec, get_model
+from gradmine.models import get_model
 from gradmine.optimizer import TrainConfig, train
 
-ds = gen_seqclass(n=200, vocab=50, length_range=(6, 40), hard_fraction=0.25, seed=7)
-spec = ModelSpec(kind="lstm", vocab=ds.vocab, embed=8, hidden=12, classes=2)
 model = get_model(spec)
 seeds, samplers = range(10), ("uniform", "importance")
 
@@ -84,46 +69,16 @@ print(json.dumps({
     "epochs_to_target": reach,
     "params_sha256": hashlib.sha256(params).hexdigest(),
     "metrics_sha256": hashlib.sha256(json.dumps(rows).encode()).hexdigest(),
-    "numpy": np.__version__,
-    "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
 }))
 """
 
 
 def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--src", action="append", required=True,
-                   help="a tree holding src/gradmine; repeat to compare")
-    p.add_argument("--out", required=True)
-    args = p.parse_args(argv)
-    trees = list(dict.fromkeys(args.src))
-
-    cpu = pin_one_cpu()
-    runs, library = [], {}
-    for pair in range(PAIRS):
-        for tree in trees if pair % 2 == 0 else trees[::-1]:
-            out = run_fresh(tree, RUN)
-            library[tree] = {key: out.pop(key) for key in ("numpy", "blas")}
-            runs.append(dict(tree=tree, pair=pair, **out))
-            print(f"{tree} pair {pair}: mine {out['mine_s']:.1f} s, train "
-                  f"{out['train_s']:.1f} s in {out['calls']} calls",
-                  file=sys.stderr, flush=True)
-
-    medians = {tree: {part: statistics.median(
-        r[part] for r in runs if r["tree"] == tree) for part in ("mine_s", "train_s")}
-        for tree in trees}
-    result = {
-        "dataset": "gen_seqclass(n=200, vocab=50, length_range=(6, 40), "
-                   "hard_fraction=0.25, seed=7)",
-        "config": "LSTM embed 8, hidden 12; seeds 0-9; FimConfig(epsilon=0.003, "
-                  "lr=0.5, seed=<seed>), n_workers=1; TrainConfig(lr=0.5, "
-                  "epochs=14, seed=<seed>) per sampler",
-        "cpu": cpu,
-        "library": library,
-        "median_seconds": medians,
-        "runs": runs,
-    }
-    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
+    compare(__doc__, RUN, lambda run: {p: run[p] for p in ("mine_s", "train_s")},
+            argv=argv, dataset=DESK_SET,
+            config="LSTM embed 8, hidden 12; seeds 0-9; FimConfig(epsilon=0.003, "
+                   "lr=0.5, seed=<seed>), n_workers=1; TrainConfig(lr=0.5, "
+                   "epochs=14, seed=<seed>) per sampler")
 
 
 if __name__ == "__main__":
