@@ -57,37 +57,59 @@ def pair_order(trees, pair):
     return trees if pair % 2 == 0 else trees[::-1]
 
 
-def compare(doc, code, parts, argsets=({},), argv=None, **record):
+def wins(pairs):
+    """Per part, the pairs that each tree won and the ties, over ``pairs``,
+    each one {tree: {part: value}}: the single lowest value wins, and a
+    pair whose lowest value is shared is a tie."""
+    count = {}
+    for pair in pairs:
+        for part in next(iter(pair.values())):
+            low = min(by_part[part] for by_part in pair.values())
+            best = [tree for tree, by_part in pair.items() if by_part[part] == low]
+            tally = count.setdefault(part, dict.fromkeys([*pair, "ties"], 0))
+            tally[best[0] if len(best) == 1 else "ties"] += 1
+    return count
+
+
+def compare(doc, code, parts, argsets=({},), argv=None, pairs=PAIRS, check=None,
+            **record):
     """A timed comparison's command line (``--src``, repeatable, ``--out``).
-    Runs ``code`` in ``PAIRS`` pairs per argument set and writes ``record``
-    with the CPU; per tree the numpy version and BLAS build, so that results
-    whose bits differ can be traced to a library change; per tree and part
-    (``parts(run)`` maps a run's parts to seconds) the median and perfbench's
-    summary; and every run with its tree, arguments and pair."""
+    Calls ``check(trees)``, if given, before any run; then runs ``code`` in
+    ``pairs`` pairs per argument set and writes ``record`` with the CPU; per
+    tree the numpy version and BLAS build, so that results whose bits differ
+    can be traced to a library change; per tree and part (``parts(run)``
+    maps a run's parts to values, lower being better) the median and
+    perfbench's summary; per part the pairs each tree won (``wins``); and
+    every run with its tree, arguments and pair."""
     p = argparse.ArgumentParser(description=doc.split("\n")[0])
     p.add_argument("--src", action="append", required=True,
                    help="a tree holding src/gradmine; repeat to compare")
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
     trees = list(dict.fromkeys(args.src))
+    if check is not None:
+        check(trees)
 
     cpu = min(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
     library = {tree: run_fresh(tree, LIBRARY) for tree in trees}
-    runs, seconds = [], {tree: {} for tree in trees}
+    runs, values, by_pair = [], {tree: {} for tree in trees}, []
     for argset in argsets:
-        for pair in range(PAIRS):
+        for pair in range(pairs):
+            by_pair.append({})
             for tree in pair_order(trees, pair):
                 run = dict(tree=tree, **argset, pair=pair,
                            **run_fresh(tree, code, *argset.values()))
                 runs.append(run)
-                for part, value in parts(run).items():
-                    seconds[tree].setdefault(part, []).append(value)
+                by_pair[-1][tree] = parts(run)
+                for part, value in by_pair[-1][tree].items():
+                    values[tree].setdefault(part, []).append(value)
                 print(json.dumps(run), file=sys.stderr, flush=True)
 
-    summary = {tree: {part: summarise(values) for part, values in by_part.items()}
-               for tree, by_part in seconds.items()}
-    result = dict(record, cpu=cpu, library=library, median_seconds={
+    summary = {tree: {part: summarise(v) for part, v in by_part.items()}
+               for tree, by_part in values.items()}
+    result = dict(record, cpu=cpu, library=library, medians={
         tree: {part: s["median"] for part, s in by_part.items()}
-        for tree, by_part in summary.items()}, summary=summary, runs=runs)
+        for tree, by_part in summary.items()}, summary=summary,
+        wins=wins(by_pair), runs=runs)
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")

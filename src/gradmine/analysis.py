@@ -47,13 +47,14 @@ def gradient_variance(grads, probs):
     g = _as_grad_matrix(grads)
     n = g.shape[0]
     p = check_probs(probs, n=n)
-    norms_sq = np.sum(g * g, axis=1)
-    if np.any((p == 0.0) & (norms_sq > 0.0)):
+    # One work buffer: each temporary past malloc's mmap threshold is mapped afresh.
+    work = g * g
+    if np.any((p == 0.0) & (work.sum(axis=1) > 0.0)):
         raise DistributionError("zero probability on a sample with gradient mass")
     mean = g.mean(axis=0)
-    scaled = g / (n * p)[:, None]
-    dev = scaled - mean
-    return float(np.sum(p * np.sum(dev * dev, axis=1)))
+    np.subtract(np.divide(g, (n * p)[:, None], out=work), mean, out=work)
+    work *= work
+    return float(np.sum(p * np.sum(work, axis=1)))
 
 
 def bound_ratio(values):

@@ -17,14 +17,14 @@ import numpy as np
 
 from ..base import check_ranges
 from ..errors import ConfigError, InvalidInputError
-from ..tensor import matvec, transpose
+from ..tensor import transpose
 
 RNN = "rnn"
 LSTM = "lstm"
 RNNRBM = "rnnrbm"
 MODEL_KINDS = (RNN, LSTM, RNNRBM)
 MAX_PARAMS = 10**7  # the most parameters a model may have: 80 MB a row
-CHUNK_ELEMENTS = 1 << 13  # the most terms that one chunk of sum_over_time holds
+CHUNK_ELEMENTS = 1 << 15  # the most terms that one chunk of sum_over_time holds
 
 # Sub-stream tags so every consumer of randomness owns an independent
 # generator derived from one master seed.
@@ -192,6 +192,21 @@ def sum_over_time(terms, t_len, shape, ufunc=np.add):
     return whole[0]
 
 
+def tanh_forward(w_rec, s0, first, second):
+    """The states s_0 … s_T of ``s_t = tanh((W s_{t-1} + first_t) + second_t)``
+    from ``s0``, as a (B, T+1, H) view of time-major (T+1, B, H, 1) steps. An
+    addend is a time-major (T, B, H, 1) array of per-step terms or a constant,
+    such as a bias (..., H, 1); ``b + W s`` is ``W s + b``, but no sum regroups."""
+    t_len, n = (first if first.ndim == 4 else second).shape[:2]
+    states = np.empty((t_len + 1, n, w_rec.shape[-1], 1))
+    states[0, ..., 0] = s0
+    a, b = (x if x.ndim == 4 else [x] * t_len for x in (first, second))
+    for prev, s, a_t, b_t in zip(states, states[1:], a, b):
+        np.add(np.add(np.matmul(w_rec, prev, out=s), a_t, out=s), b_t, out=s)
+        np.tanh(s, out=s)
+    return states[..., 0].swapaxes(0, 1)
+
+
 def tanh_backward(w_rec, states, inputs, ext, mask):
     """Backpropagate through ``s_t = tanh(W s_{t-1} + V x_t + b)``, over
     (B, T+1, H) ``states`` and (B, T, ·) ``inputs``, from ``ext``, the
@@ -199,21 +214,24 @@ def tanh_backward(w_rec, states, inputs, ext, mask):
     V, b) gradient rows, each step's d loss / d pre-activation, and the
     gradient of s_0. A padded step carries nothing back. Each step's outer
     product with (s_{t-1}, x_t, 1) fills the three sums, each accumulated
-    from the last step to the first (x * 1.0 is x)."""
+    from the last step to the first (x * 1.0 is x). All runs time-major."""
     n, t_len, hidden = ext.shape
-    stacked = np.concatenate([states[:, :-1], inputs, np.ones((n, t_len, 1))], axis=-1)
-    one_s2 = 1.0 - states[:, 1:] ** 2
-    das = np.empty((n, t_len, hidden))
-    carry = np.zeros((n, hidden))
+    tm = states.swapaxes(0, 1)
+    stacked = np.concatenate([tm[:-1], inputs.swapaxes(0, 1), np.ones((t_len, n, 1))], -1)
+    one_s2 = (1.0 - tm[1:] ** 2)[..., None]
+    das = np.empty((t_len, n, hidden, 1))
+    carry = np.zeros((n, hidden, 1))
     w_t = transpose(w_rec)
-    for t in range(t_len - 1, -1, -1):
-        np.multiply(ext[:, t] + carry, one_s2[:, t], out=das[:, t])
-        carry = np.where(mask[:, t, None], matvec(w_t, das[:, t]), 0.0)
-    # Time-major, last step first.
-    d, x = das.swapaxes(0, 1)[::-1, ..., None], stacked.swapaxes(0, 1)[::-1, :, None]
+    steps = zip(das, ext.swapaxes(0, 1)[..., None], one_s2, mask.T, ~mask.all(axis=0))
+    for da, e, o, live, padded in list(steps)[::-1]:
+        np.matmul(w_t, np.multiply(np.add(e, carry, out=da), o, out=da), out=carry)
+        if padded:
+            carry[~live] = 0.0
+    d, x = das[::-1], stacked[::-1, :, None]  # last step first
     sums = sum_over_time(lambda s, out: np.multiply(d[s], x[s], out=out),
                          t_len, (n, hidden, x.shape[-1]))
-    return sums[..., :hidden], sums[..., hidden:-1], sums[..., -1], das, carry
+    das = das[..., 0].swapaxes(0, 1)
+    return sums[..., :hidden], sums[..., hidden:-1], sums[..., -1], das, carry[..., 0]
 
 
 def param_block(params, name):

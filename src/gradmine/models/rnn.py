@@ -20,14 +20,8 @@ import numpy as np
 
 from ..errors import InvalidInputError
 from .common import (
-    STREAM_INIT,
-    Params,
-    add_rows_backwards,
-    check_ids,
-    check_trace,
-    stream_rng,
-    tanh_backward,
-)
+    STREAM_INIT, Params, add_rows_backwards, check_ids, check_trace, stream_rng,
+    tanh_backward, tanh_forward)
 from ..tensor import embed, log_softmax, matvec, transpose
 
 BASE_SELECTOR = "w_x"
@@ -91,13 +85,11 @@ def forward(params, batch, rng=None, k=1):
     rows, t_len = np.arange(n), tokens.shape[1]
 
     xs = embed(params.w_emb, tokens)
-    wx = matvec(params.w_x, xs)
-    hs = np.empty((n, t_len + 1, params.h0.shape[-1]))
-    hs[:, 0] = params.h0
-    for t in range(t_len):
-        hs[:, t + 1] = np.tanh(matvec(params.w_h, hs[:, t]) + wx[:, t] + params.b_h)
-
+    wx = np.matmul(params.w_x, xs.swapaxes(0, 1)[..., None])  # time-major
+    hs = tanh_forward(params.w_h, params.h0, wx, params.b_h[..., None])
     labelled = batch.targets is None  # a label reads the last step's head alone
+    if not labelled:  # products over hs's strided steps can change bits there
+        hs = np.ascontiguousarray(hs)
     logp = matvec(params.w_s, hs[rows, lengths] if labelled else hs[:, 1:])
     logp += params.b_y if labelled else params.b_y[..., None, :]
     log_softmax(logp, out=logp)

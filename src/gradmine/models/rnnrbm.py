@@ -23,7 +23,8 @@ import numpy as np
 
 from ..errors import InvalidInputError
 from .common import (
-    STREAM_INIT, Params, check_trace, stream_rng, sum_over_time, tanh_backward)
+    STREAM_INIT, Params, check_trace, stream_rng, sum_over_time, tanh_backward,
+    tanh_forward)
 from ..tensor import matvec, sigmoid, transpose
 
 BASE_SELECTOR = "w"
@@ -106,11 +107,8 @@ def forward(params, batch, rng=None, k=1):
     n, t_len, n_v = frames.shape
     n_h = params.b_h.shape[-1]
 
-    us = np.empty((n, t_len + 1, params.u0.shape[-1]))
-    us[:, 0] = params.u0
-    vu = matvec(params.w_vu, frames)
-    for t in range(t_len):
-        us[:, t + 1] = np.tanh(params.b_u + matvec(params.w_uu, us[:, t]) + vu[:, t])
+    vu = np.matmul(params.w_vu, frames.swapaxes(0, 1)[..., None])  # time-major
+    us = tanh_forward(params.w_uu, params.u0, params.b_u[..., None], vu)
     bvs = params.b_v[..., None, :] + matvec(params.w_uv, us[:, :-1])
     bhs = params.b_h[..., None, :] + matvec(params.w_uh, us[:, :-1])
 

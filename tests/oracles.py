@@ -7,7 +7,8 @@ meaningful. The single-sample passes at the end are the library's passes
 as they were before it ran every pass batched; the batched passes, the
 training step and lockstep mining must reproduce them bit for bit.
 ``tanh_backward_per_step`` is the batched recurrence backward as it was
-before its sums over time left the step loop.
+before its sums over time left the step loop, and ``tanh_forward_per_step``
+the batched recurrence forward as it was before it ran time-major.
 """
 
 import math
@@ -274,6 +275,22 @@ def evaluate_per_sample(model, params, samples, probs, rng):
     losses, wrong, total, _, grads = per_sample_passes(model, params, samples, rng)
     return (float(np.mean(losses)), sum(wrong) / sum(total),
             gradient_variance(grads, probs))
+
+
+def tanh_forward_per_step(w_rec, s0, first, second):
+    """``models.common.tanh_forward`` one batch-major step at a time through
+    ``tensor.matvec``: ``s_t = tanh((W s_{t-1} + first_t) + second_t)``
+    over (B, T+1, H) states. An addend is a (B, T, H) array of per-step
+    terms or a constant, (H,) or (B, H). The frame model wrote its step as
+    ``(b_u + W u) + vu_t``; the first sum commutes exactly."""
+    per_step = first if first.ndim == 3 else second
+    n, t_len, hidden = per_step.shape
+    states = np.empty((n, t_len + 1, hidden))
+    states[:, 0] = s0
+    for t in range(t_len):
+        a, b = (x[:, t] if x.ndim == 3 else x for x in (first, second))
+        states[:, t + 1] = np.tanh(matvec(w_rec, states[:, t]) + a + b)
+    return states
 
 
 def tanh_backward_per_step(w_rec, states, inputs, ext, mask):

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gradmine.analysis import (
     bound_ratio,
@@ -154,6 +156,19 @@ class TestGradientVariance:
             equal, optimal_distribution(equal)
         )
         assert abs(gap) < 1e-15
+
+    @settings(deadline=None, max_examples=200)
+    @given(n=st.integers(1, 12), dim=st.integers(1, 8), uniform=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=32, dim=994, uniform=False, seed=0)
+    def test_one_work_buffer_equals_the_expression_it_replaced(
+            self, n, dim, uniform, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-6, 7, size=(n, 1))
+        p = np.full(n, 1.0 / n) if uniform else rng.dirichlet(np.ones(n))
+        dev = g / (n * p)[:, None] - g.mean(axis=0)
+        expected = float(np.sum(p * np.sum(dev * dev, axis=1)))
+        assert gradient_variance(g, p).hex() == expected.hex()
 
     def test_zero_prob_with_mass_rejected(self):
         g = np.array([[1.0], [1.0]])

@@ -54,6 +54,28 @@ def test_a_leading_batch_axis_in_matmul_keeps_each_product(
 
 
 @settings(deadline=None, max_examples=150)
+@given(rows=st.integers(1, 4), steps=lengths, out=widths, inner=widths,
+       stacked=st.booleans(), transposed=st.booleans(), seed=seeds)
+def test_matmul_into_a_time_major_step_equals_matvec_on_a_batch_major_step(
+        rows, steps, out, inner, stacked, transposed, seed):
+    rng = np.random.default_rng(seed)
+    shape = (inner, out) if transposed else (out, inner)
+    mats = rng.normal(size=(rows, *shape) if stacked else shape)
+    if transposed:  # a view, as tanh_backward's ``transpose(w_rec)``
+        mats = transpose(mats)
+    states = rng.normal(size=(rows, steps, inner))
+    time_major = np.ascontiguousarray(states.swapaxes(0, 1))[..., None]
+    got = np.empty((steps, rows, out, 1))
+    for t in range(steps):
+        np.matmul(mats, time_major[t], out=got[t])
+        assert_keeps_bits(
+            got[t, ..., 0], matvec(mats, states[:, t]),
+            "np.matmul into a contiguous (B, H, 1) step slice, against "
+            "tensor.matvec on the strided batch-major step,",
+            "models.common.tanh_forward and tanh_backward")
+
+
+@settings(deadline=None, max_examples=150)
 @given(pieces=st.lists(st.integers(0, 40), min_size=1, max_size=8), seed=seeds)
 def test_one_bulk_draw_equals_the_same_draws_in_pieces(pieces, seed):
     bulk, split = np.random.default_rng(seed), np.random.default_rng(seed)

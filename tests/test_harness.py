@@ -57,3 +57,28 @@ def test_every_script_prints_its_help():
         proc = subprocess.run([sys.executable, "-B", str(script), "--help"],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, (script.name, proc.stderr)
+
+
+def test_wins_count_the_single_lowest_value_of_each_pair_and_ties():
+    pairs = [{"parent": {"train_s": 1.2, "loss": 0.5}, "change": {"train_s": 1.0, "loss": 0.5}},
+             {"change": {"train_s": 1.1, "loss": 0.5}, "parent": {"train_s": 1.3, "loss": 0.5}},
+             {"parent": {"train_s": 0.9, "loss": 0.4}, "change": {"train_s": 0.9, "loss": 0.5}},
+             {"change": {"train_s": 1.0, "loss": 0.5}, "parent": {"train_s": 0.95, "loss": 0.5}}]
+    assert harness.wins(pairs) == {
+        "train_s": {"parent": 1, "change": 2, "ties": 1},
+        "loss": {"parent": 1, "change": 0, "ties": 3}}
+
+
+def test_perf_pairs_refuses_trees_whose_benchmarks_differ(tmp_path):
+    import perf_pairs
+
+    for tree, text in (("a", "x = 1\n"), ("b", "x = 2\n")):
+        (tmp_path / tree / "perfbench").mkdir(parents=True)
+        (tmp_path / tree / "perfbench" / "run.py").write_text(text)
+    a, b = tmp_path / "a", tmp_path / "b"
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(a))} and "
+                                         f"{re.escape(str(b))} differ in perfbench/: run.py$"):
+        perf_pairs.main(["--src", str(a), "--src", str(b), "--out", str(out)])
+    assert not out.exists()
+    perf_pairs.same_benchmark([str(a), str(a)])  # the same files pass

@@ -25,7 +25,7 @@ from gradmine.models import common
 from gradmine.optimizer import TrainConfig, Trainer, train
 
 from conftest import randomize
-from oracles import per_sample_passes, tanh_backward_per_step
+from oracles import per_sample_passes, tanh_backward_per_step, tanh_forward_per_step
 from test_batched import random_samples, specs
 
 MODULES = {"rnn": rnn, "lstm": lstm, "rnnrbm": rnnrbm}
@@ -253,6 +253,30 @@ def test_tanh_backward_equals_its_per_step_sums_across_chunks(
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
 
 
+@settings(deadline=None, max_examples=150)
+@given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       hidden=st.just(1) | st.integers(1, 6), per_row=st.booleans(),
+       bias_first=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(lengths=[1, 5], hidden=1, per_row=False, bias_first=True, seed=0)
+def test_tanh_forward_equals_the_batch_major_step_loop(
+        lengths, hidden, per_row, bias_first, seed):
+    # The RNN adds its per-step input term first and its bias second; the
+    # frame model adds its bias first. Rows shorter than the longest are
+    # padded with zero terms, as a packed batch of frames pads them.
+    rng = np.random.default_rng(seed)
+    mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    n, t_len = mask.shape
+    rows = (n,) if per_row else ()
+    w_rec = rng.normal(size=(*rows, hidden, hidden))
+    s0, bias = rng.normal(size=(2, *rows, hidden))
+    terms = rng.normal(size=(n, t_len, hidden)) * mask[..., None]
+    addends = (bias, terms) if bias_first else (terms, bias)
+    expected = tanh_forward_per_step(w_rec, s0, *addends)
+    got = common.tanh_forward(w_rec, s0, *(
+        a.swapaxes(0, 1)[..., None] if a.ndim == 3 else a[..., None] for a in addends))
+    assert got.tobytes() == expected.tobytes()
+
+
 @settings(deadline=None, max_examples=60)
 @given(kind=st.sampled_from(["rnn", "rnnrbm"]), dims=specs,
        lengths=st.lists(st.integers(1, 30), min_size=1, max_size=3),
@@ -264,6 +288,12 @@ def test_tanh_backward_equals_its_per_step_sums_across_chunks(
 @example(kind="rnnrbm", dims=dict(vocab=1, embed=1, hidden=1, classes=1,
                                   context=1, cd_k=1),
          lengths=[30], budget=common.CHUNK_ELEMENTS, seed=0)
+# Per-step targets at width 1, where the head's products over a strided
+# view of time-major states changed bits in the head and in w_s.
+@example(kind="rnn", dims=dict(vocab=4, embed=1, hidden=1, classes=1, context=1, cd_k=1),
+         lengths=[1, 2], budget=common.CHUNK_ELEMENTS, seed=1)
+@example(kind="rnn", dims=dict(vocab=2, embed=1, hidden=1, classes=1, context=1, cd_k=1),
+         lengths=[1, 4], budget=common.CHUNK_ELEMENTS, seed=3)
 def test_recurrent_gradients_equal_the_per_sample_loop_across_chunks(
         kind, dims, lengths, budget, seed):
     rng = np.random.default_rng(seed)
