@@ -20,8 +20,7 @@ from gradmine.fim import FimConfig, mine_importance
 
 cfg = FimConfig(epsilon=0.003, lr=0.5, seed=int(sys.argv[1]))
 start = time.perf_counter()
-result = mine_importance(ds, spec, cfg, n_workers=1)
-table = getattr(result, "table", result)  # older trees wrap the table in a result
+table = mine_importance(ds, spec, cfg, n_workers=1)
 seconds = time.perf_counter() - start
 print(json.dumps({
     "seconds": seconds,

@@ -6,15 +6,13 @@ Runs the protocol of ``test_criterion_9_desk_scale_convergence`` (the desk
 set and spec, ``harness.DESK``; seeds 0-9; lr 0.5, 14 epochs) in two timed
 parts: mining the ten seeds' tables, then training the ten seeds x two
 samplers (uniform, importance), each run from its seed's ``init_params``
-row. A tree whose ``train`` takes a start row per run trains all 20 runs
-in one call; an older one, which shares one start across a call, trains
-them as ten two-row calls, one per seed. The trees run in three pairs on
+row, as one ``train`` call of 20 runs. The trees run in three pairs on
 ``harness.compare``.
 
-Each run keeps the seconds of both parts, the call pattern, the epochs to
-the loss target 0.3 per seed and sampler, and the sha256 of the 20 runs'
-final parameters and of their metrics rows without ``wall_ms``, so the
-trees' results can be compared. Per tree it keeps the median seconds.
+Each run keeps the seconds of both parts, the epochs to the loss target
+0.3 per seed and sampler, and the sha256 of the 20 runs' final parameters
+and of their metrics rows without ``wall_ms``, so the trees' results can
+be compared. Per tree it keeps the median seconds.
 """
 
 from harness import DESK, DESK_SET, compare
@@ -22,7 +20,6 @@ from harness import DESK, DESK_SET, compare
 RUN = DESK + """
 import hashlib, json, time
 import numpy as np
-from gradmine.errors import ConfigError
 from gradmine.fim import FimConfig, mine_importance
 from gradmine.models import get_model
 from gradmine.optimizer import TrainConfig, train
@@ -39,19 +36,9 @@ cfgs = [TrainConfig(spec=spec, lr=0.5, epochs=14, sampler=sampler, seed=seed,
                     importance=table if sampler == "importance" else None)
         for seed, table in zip(seeds, mined) for sampler in samplers]
 starts = [model.init_params(seed) for seed in seeds for _ in samplers]
-try:  # a zero-epoch probe: does this tree's train take a start row per run?
-    probe, two = TrainConfig(spec=spec, lr=0.5, epochs=0), np.stack([starts[0].vec] * 2)
-    train(ds.samples[:1], starts[0].like(two), [probe, probe])
-    one_call = True
-except ConfigError:
-    one_call = False
 
 start = time.perf_counter()
-if one_call:
-    results = train(ds, starts[0].like(np.stack([p.vec for p in starts])), cfgs)
-else:
-    results = [out for i in range(0, len(cfgs), 2)
-               for out in train(ds, starts[i], cfgs[i:i + 2])]
+results = train(ds, starts[0].like(np.stack([p.vec for p in starts])), cfgs)
 train_s = time.perf_counter() - start
 
 params = b"".join(p.vec.tobytes() for p, _ in results)
@@ -65,7 +52,6 @@ for cfg, (_, log) in zip(cfgs, results):
 print(json.dumps({
     "mine_s": mine_s,
     "train_s": train_s,
-    "calls": 1 if one_call else len(seeds),
     "epochs_to_target": reach,
     "params_sha256": hashlib.sha256(params).hexdigest(),
     "metrics_sha256": hashlib.sha256(json.dumps(rows).encode()).hexdigest(),

@@ -9,7 +9,9 @@ records the command, resolved configuration, input hashes, and wall time.
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
+import os
 import shlex
 import sys
 import time
@@ -302,6 +304,13 @@ def main(argv=None):
         # Every set numeric flag of the command, before the command runs.
         check_ranges({k: v for k, v in vars(args).items() if k in RANGES and v is not None},
                      GradmineError, lambda name: "--" + name.replace("_", "-"))
+        # No output may replace an input or the other output.
+        paths = {k: os.path.realpath(v) for k in ("out", "svg", "data", "importance",
+                 "eval_data") if (v := getattr(args, k, None))}
+        for out, other in itertools.combinations(paths, 2):
+            if out in ("out", "svg") and paths[out] == paths[other]:
+                raise GradmineError(
+                    f"--{out} and --{other.replace('_', '-')} name the same file")
         inputs, outputs = args.func(args)
         _write_run_records(argv, args, started, inputs, outputs)
         return 0

@@ -145,8 +145,7 @@ def _mine_rows(task):
     rows = np.argsort([-s.length for s in samples], kind="stable")
     rngs = [stream_rng(cfg.seed, STREAM_MINE, first + i) for i in range(n)]
     params = params0.like(np.repeat(params0.vec[None], n, axis=0))
-    final = params.vec.copy()
-    last = np.zeros(n)
+    results = [None] * n
     steps = np.zeros(n, dtype=np.int64)
     limit = n  # a run that diverges ends every run above it
     error = None
@@ -164,8 +163,11 @@ def _mine_rows(task):
                 f"private training diverged on sample {first + limit}{at}")
         stop = ~going & (rows < limit)
         keep = going & (rows < limit)
-        final[rows[stop]] = params.vec[stop]
-        last[rows[stop]] = loss[stop]
+        for j in np.flatnonzero(stop):  # a run's result, from its row as it stops
+            i = int(rows[j])
+            norm = matrix_norm(param_block(params0.like(params.vec[j]), selector),
+                               cfg.norm_kind)
+            results[i] = (first + i, norm, int(steps[i]), bool(loss[j] <= cfg.epsilon))
         if not keep.any():
             break
         grads = model.backward(params, batch, trace)
@@ -177,11 +179,7 @@ def _mine_rows(task):
         steps[rows] += 1
     if error is not None:
         raise error
-
-    norms = [matrix_norm(param_block(params0.like(row), selector), cfg.norm_kind)
-             for row in final]
-    return [(first + i, norms[i], int(steps[i]), bool(last[i] <= cfg.epsilon))
-            for i in range(n)]
+    return results
 
 
 def _mine_one(task):

@@ -128,6 +128,19 @@ class Params:
             self.vec.shape[:-1] + (-1,) + shape[1:])
 
 
+def init_normal(layout, seed, scales):
+    """``Params`` of ``layout``, zero but for the blocks ``scales`` names: each
+    drawn in the dict's order from the (seed, ``STREAM_INIT``) stream as
+    N(0, scale²), where a scale of None is 1/sqrt(the block's columns)."""
+    rng = stream_rng(seed, STREAM_INIT)
+    p = Params(layout)
+    for name, scale in scales.items():
+        shape = dict(layout)[name]
+        scale = 1.0 / np.sqrt(shape[-1]) if scale is None else scale
+        setattr(p, name, rng.normal(0.0, scale, size=shape))
+    return p
+
+
 @dataclass(frozen=True)
 class Batch:
     """Validated samples of one kind packed along a leading axis B and

@@ -23,14 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError
-from .common import (
-    STREAM_INIT,
-    Params,
-    add_rows_backwards,
-    check_ids,
-    check_trace,
-    stream_rng,
-)
+from .common import add_rows_backwards, check_ids, check_trace, init_normal
 from ..tensor import embed, log_softmax, matvec, sigmoid, transpose
 
 BASE_SELECTOR = "w_c"
@@ -56,23 +49,11 @@ def layout(spec):
     )
 
 
-def init_params(spec, seed):
-    rng = stream_rng(seed, STREAM_INIT)
-    v, d, h, k = spec.vocab, spec.embed, spec.hidden, spec.classes
-
-    def w(rows, cols):
-        return rng.normal(0.0, 1.0 / np.sqrt(cols), size=(rows, cols))
-
-    p = Params(layout(spec))  # other biases, h0 and c0 start at zero
-    p.w_emb = rng.normal(0.0, 0.1, size=(v, d))
-    p.w_z = w(h, d)
-    p.w_f = w(h, d)
-    p.w_c = rng.normal(0.0, BASE_BLOCK_SCALE, size=(h, d))
-    p.w_o = w(h, d)
-    for gate in GATES:
-        setattr(p, f"u_{gate}", w(h, h))
+def init_params(spec, seed):  # other biases, h0 and c0 start at zero
+    p = init_normal(layout(spec), seed, {
+        "w_emb": 0.1, "w_z": None, "w_f": None, "w_c": BASE_BLOCK_SCALE, "w_o": None,
+        **{f"u_{g}": None for g in GATES}, "w_cls": None})
     p.b_f = FORGET_BIAS
-    p.w_cls = w(k, h)
     return p
 
 

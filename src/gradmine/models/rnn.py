@@ -20,8 +20,7 @@ import numpy as np
 
 from ..errors import InvalidInputError
 from .common import (
-    STREAM_INIT, Params, add_rows_backwards, check_ids, check_trace, stream_rng,
-    tanh_backward, tanh_forward)
+    add_rows_backwards, check_ids, check_trace, init_normal, tanh_backward, tanh_forward)
 from ..tensor import embed, log_softmax, matvec, transpose
 
 BASE_SELECTOR = "w_x"
@@ -38,19 +37,9 @@ def layout(spec):
             ("w_s", (v, h)), ("b_h", (h,)), ("b_y", (v,)), ("h0", (h,)))
 
 
-def init_params(spec, seed):
-    rng = stream_rng(seed, STREAM_INIT)
-    v, d, h = spec.vocab, spec.embed, spec.hidden
-
-    def w(rows, cols):
-        return rng.normal(0.0, 1.0 / np.sqrt(cols), size=(rows, cols))
-
-    p = Params(layout(spec))  # biases and h0 start at zero
-    p.w_emb = rng.normal(0.0, 0.1, size=(v, d))
-    p.w_x = rng.normal(0.0, BASE_BLOCK_SCALE, size=(h, d))
-    p.w_h = w(h, h)
-    p.w_s = w(v, h)
-    return p
+def init_params(spec, seed):  # biases and h0 start at zero
+    return init_normal(layout(spec), seed, {
+        "w_emb": 0.1, "w_x": BASE_BLOCK_SCALE, "w_h": None, "w_s": None})
 
 
 def check_sample(spec, sample):

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError
-from .common import (
-    STREAM_INIT, Params, check_trace, stream_rng, sum_over_time, tanh_backward,
-    tanh_forward)
+from .common import check_trace, init_normal, sum_over_time, tanh_backward, tanh_forward
 from ..tensor import matvec, sigmoid, transpose
 
 BASE_SELECTOR = "w"
@@ -39,20 +37,9 @@ def layout(spec):
             ("w_vu", (d_u, n_v)), ("b_u", (d_u,)), ("u0", (d_u,)))
 
 
-def init_params(spec, seed):
-    rng = stream_rng(seed, STREAM_INIT)
-    n_v, n_h, d_u = spec.vocab, spec.hidden, spec.context
-
-    def w(rows, cols, scale=None):
-        return rng.normal(0.0, scale or 1.0 / np.sqrt(cols), size=(rows, cols))
-
-    p = Params(layout(spec))  # biases and u0 start at zero
-    p.w = w(n_v, n_h, scale=0.01)
-    p.w_uv = w(n_v, d_u, scale=0.01)
-    p.w_uh = w(n_h, d_u, scale=0.01)
-    p.w_uu = w(d_u, d_u)
-    p.w_vu = w(d_u, n_v)
-    return p
+def init_params(spec, seed):  # biases and u0 start at zero
+    return init_normal(layout(spec), seed, {
+        "w": 0.01, "w_uv": 0.01, "w_uh": 0.01, "w_uu": None, "w_vu": None})
 
 
 def check_sample(spec, sample):

@@ -25,17 +25,6 @@ class SamplingDistribution:
     def n(self):
         return int(self.probs.size)
 
-    def reconstructed(self):
-        """Per-index probability mass implied by the tables.
-
-        Cell i contributes alias_prob[i]/N to i and the remainder to
-        alias_idx[i]; the result must reproduce ``probs`` exactly.
-        """
-        n = self.n
-        mass = self.alias_prob / n
-        np.add.at(mass, self.alias_idx, (1.0 - self.alias_prob) / n)
-        return mass
-
 
 def build_alias(probs):
     """Vose alias tables for a probability vector.

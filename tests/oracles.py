@@ -9,6 +9,9 @@ training step and lockstep mining must reproduce them bit for bit.
 ``tanh_backward_per_step`` is the batched recurrence backward as it was
 before its sums over time left the step loop, and ``tanh_forward_per_step``
 the batched recurrence forward as it was before it ran time-major.
+``init_params_reference`` is each model's initialization as it was written
+before one routine drew every model's blocks, and ``reconstructed`` reads
+the probabilities back out of an alias table.
 """
 
 import math
@@ -20,8 +23,10 @@ from gradmine import optimizer
 from gradmine.errors import DivergenceError, InvalidInputError
 from gradmine.models import (
     STREAM_DRAW,
+    STREAM_INIT,
     STREAM_MINE,
     STREAM_MODEL,
+    Params,
     get_model,
     pack,
     param_block,
@@ -275,6 +280,54 @@ def evaluate_per_sample(model, params, samples, probs, rng):
     losses, wrong, total, _, grads = per_sample_passes(model, params, samples, rng)
     return (float(np.mean(losses)), sum(wrong) / sum(total),
             gradient_variance(grads, probs))
+
+
+def init_params_reference(spec, seed):
+    """``get_model(spec).init_params(seed)`` as each model wrote it out: one
+    ``rng.normal`` call per drawn block, in this order, from the (seed,
+    STREAM_INIT) stream; a weight without a scale of its own takes
+    1/sqrt(columns). Every other block starts at zero, but the LSTM's b_f."""
+    rng = stream_rng(seed, STREAM_INIT)
+    v, d, h = spec.vocab, spec.embed, spec.hidden
+
+    def w(rows, cols, scale=None):
+        scale = 1.0 / np.sqrt(cols) if scale is None else scale
+        return rng.normal(0.0, scale, size=(rows, cols))
+
+    p = Params(get_model(spec).module.layout(spec))
+    if spec.kind == "rnn":
+        p.w_emb = w(v, d, 0.1)
+        p.w_x = w(h, d, 0.02)
+        p.w_h = w(h, h)
+        p.w_s = w(v, h)
+    elif spec.kind == "lstm":
+        p.w_emb = w(v, d, 0.1)
+        p.w_z = w(h, d)
+        p.w_f = w(h, d)
+        p.w_c = w(h, d, 0.02)
+        p.w_o = w(h, d)
+        for gate in "zfco":
+            setattr(p, f"u_{gate}", w(h, h))
+        p.b_f = 1.0
+        p.w_cls = w(spec.classes, h)
+    else:
+        n_v, d_u = spec.vocab, spec.context
+        p.w = w(n_v, h, 0.01)
+        p.w_uv = w(n_v, d_u, 0.01)
+        p.w_uh = w(h, d_u, 0.01)
+        p.w_uu = w(d_u, d_u)
+        p.w_vu = w(d_u, n_v)
+    return p
+
+
+def reconstructed(dist):
+    """The probability of each index that the alias tables of ``dist`` give:
+    cell i gives alias_prob[i]/N to i and the rest of its 1/N to
+    alias_idx[i]. It must reproduce ``dist.probs``."""
+    n = dist.n
+    mass = dist.alias_prob / n
+    np.add.at(mass, dist.alias_idx, (1.0 - dist.alias_prob) / n)
+    return mass
 
 
 def tanh_forward_per_step(w_rec, s0, first, second):

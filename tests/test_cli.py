@@ -762,6 +762,31 @@ def test_negative_seed_exits_2_naming_it_before_any_work(
     assert loads == [] and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, flags, named", [
+    ("mine", {"--epsilon": "0.1", "--out": "d.jsonl"}, "--out and --data"),
+    ("variance", {"--out": "d.jsonl"}, "--out and --data"),
+    ("variance", {"--importance": "t.json", "--out": "t.json"}, "--out and --importance"),
+    ("train", {"--out": "m.csv", "--svg": "m.csv"}, "--out and --svg"),
+    ("train", {"--out": "m.csv", "--svg": "link"}, "--out and --svg"),
+    ("train", {"--eval-data": "e.jsonl", "--out": "e.jsonl"}, "--out and --eval-data"),
+    ("train", {"--out": "m.csv", "--svg": "./d.jsonl"}, "--svg and --data"),
+    ("compare", {"--importance": "t.json", "--out": "t.json"}, "--out and --importance"),
+])
+def test_an_output_naming_an_input_or_the_other_output_exits_2(
+        tmp_path, capsys, monkeypatch, command, flags, named):
+    monkeypatch.chdir(tmp_path)
+    run(gen_args(tmp_path / "d.jsonl", n=4))
+    run(gen_args(tmp_path / "e.jsonl", n=4))
+    uniform_table_file(tmp_path / "t.json", n=4)
+    os.symlink("m.csv", tmp_path / "link")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    capsys.readouterr()
+    argv = [command, "--data", "d.jsonl"] + [x for kv in flags.items() for x in kv]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {named} name the same file\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
 def test_the_pipeline_runs_without_model_flags(tmp_path):
     """Every command defaults to one model, so a table mined without
     ``--model`` fits the runs that use it without ``--model``."""

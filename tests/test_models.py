@@ -25,7 +25,9 @@ from gradmine.models import common
 from gradmine.optimizer import TrainConfig, Trainer, train
 
 from conftest import randomize
-from oracles import per_sample_passes, tanh_backward_per_step, tanh_forward_per_step
+from oracles import (
+    init_params_reference, per_sample_passes, tanh_backward_per_step,
+    tanh_forward_per_step)
 from test_batched import random_samples, specs
 
 MODULES = {"rnn": rnn, "lstm": lstm, "rnnrbm": rnnrbm}
@@ -67,6 +69,14 @@ def test_each_pass_has_one_implementation(kind):
     assert public == set(PROTOCOL[1:]) | EXTRA[kind]
     methods = {name for name in dir(Model) if not name.startswith("_")}
     assert methods == {"module", "base_selector", "init_params", "forward", "backward"}
+
+
+@settings(deadline=None, max_examples=100)
+@given(kind=st.sampled_from(MODEL_KINDS), dims=specs, seed=st.integers(0, 2**32 - 1))
+def test_init_params_draws_the_reference_bits(kind, dims, seed):
+    spec = ModelSpec(kind=kind, **dims)
+    got = get_model(spec).init_params(seed)
+    assert got.vec.tobytes() == init_params_reference(spec, seed).vec.tobytes()
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
