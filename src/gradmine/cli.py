@@ -304,13 +304,18 @@ def main(argv=None):
         # Every set numeric flag of the command, before the command runs.
         check_ranges({k: v for k, v in vars(args).items() if k in RANGES and v is not None},
                      GradmineError, lambda name: "--" + name.replace("_", "-"))
-        # No output may replace an input or the other output.
-        paths = {k: os.path.realpath(v) for k in ("out", "svg", "data", "importance",
+        # No output may replace an input, the other output, an output's run
+        # record or an input dataset's manifest.
+        paths = {"--" + k.replace("_", "-"): v for k in ("out", "svg", "data", "importance",
                  "eval_data") if (v := getattr(args, k, None))}
+        paths |= {f"{k}'s run record": f"{v}.run.json" for k, v in paths.items()
+                  if k in ("--out", "--svg")}
+        paths |= {f"{k}'s manifest": data.manifest_path(v) for k, v in paths.items()
+                  if k.endswith("data")}
+        paths = {k: os.path.realpath(v) for k, v in paths.items()}
         for out, other in itertools.combinations(paths, 2):
-            if out in ("out", "svg") and paths[out] == paths[other]:
-                raise GradmineError(
-                    f"--{out} and --{other.replace('_', '-')} name the same file")
+            if out in ("--out", "--svg") and paths[out] == paths[other]:
+                raise GradmineError(f"{out} and {other} name the same file")
         inputs, outputs = args.func(args)
         _write_run_records(argv, args, started, inputs, outputs)
         return 0

@@ -73,9 +73,19 @@ def check_ids(ids, size, what):
         raise InvalidInputError(f"{what} index out of range [0, {size})")
 
 
+class _Block(tuple):
+    """A block's (name, start, stop, shape); its first read makes and keeps its view."""
+
+    def __get__(self, params, owner):
+        (name, start, stop, shape), vec = self, params.vec
+        view = params.__dict__[name] = vec[..., start:stop].reshape(vec.shape[:-1] + shape)
+        return view
+
+
 @functools.lru_cache(maxsize=256)  # one entry per model spec in use
-def _spans(layout):
-    """name -> (start, stop, shape) of each block, and the total size."""
+def _layout_class(layout):
+    """The ``Params`` class of ``layout``: its ``spans`` (name -> (start, stop,
+    shape)), its ``size`` and a ``_Block`` per block."""
     spans, start = {}, 0
     for name, shape in layout:
         stop = start + math.prod(shape)
@@ -83,48 +93,48 @@ def _spans(layout):
         start = stop
     if start > MAX_PARAMS:
         raise ConfigError(f"the model has {start} parameters, more than {MAX_PARAMS}")
-    return spans, start
+    blocks = {name: _Block((name, *span)) for name, span in spans.items()}
+    return type("Params", (Params,), dict(blocks, layout=layout, spans=spans, size=start))
 
 
 class Params:
     """``vec`` (zeros when not given) holds the blocks of ``layout``, a tuple
     of ``(name, shape)`` pairs, flattened in order; each block is an
-    attribute viewing ``vec``, and assigning one writes into ``vec``. A
-    (B, P) ``vec`` holds one such vector per row, and each block is then a
-    (B, *shape) view."""
+    attribute viewing ``vec``, built on its first read, and assigning one
+    writes into ``vec``. A (B, P) ``vec`` holds one such vector per row, and
+    each block is then a (B, *shape) view. The class is the layout's own."""
+
+    def __new__(cls, layout, vec=None):
+        return super().__new__(_layout_class(layout) if cls is Params else cls)
 
     def __init__(self, layout, vec=None):
-        spans, size = _spans(layout)
         vec = np.ascontiguousarray(
-            np.zeros(size) if vec is None else vec, dtype=np.float64)
-        if vec.ndim not in (1, 2) or vec.shape[-1] != size:
+            np.zeros(self.size) if vec is None else vec, dtype=np.float64)
+        if vec.ndim not in (1, 2) or vec.shape[-1] != self.size:
             raise ConfigError(
-                f"parameter vector has shape {vec.shape}, layout needs ({size},)")
-        self.__dict__.update(layout=layout, vec=vec)
-        self.__dict__.update(
-            (name, vec[..., start:stop].reshape(vec.shape[:-1] + shape))
-            for name, (start, stop, shape) in spans.items())
+                f"parameter vector has shape {vec.shape}, layout needs ({self.size},)")
+        self.__dict__["vec"] = vec
 
     def __setattr__(self, name, value):
-        if name not in self.__dict__:
+        if name not in self.spans:
             raise AttributeError(f"no parameter block {name!r}")
-        if value is not self.__dict__[name]:  # ``p.w += g`` assigns w back
-            self.__dict__[name][...] = value
+        block = getattr(self, name)
+        if value is not block:  # ``p.w += g`` assigns w back
+            block[...] = value
 
     def __reduce__(self):  # copies and unpickled blocks view their own vec
         return Params, (self.layout, self.vec)
 
     def like(self, vec=None):
         """The same layout over ``vec``, zeros when not given."""
-        return Params(self.layout, vec)
+        return type(self)(self.layout, vec)
 
     def span(self, first, last):
         """Blocks ``first`` through ``last``, adjacent in the layout and
         equal in trailing shape, as one view stacked along their first
         axis (per row, when ``vec`` has rows)."""
-        spans = _spans(self.layout)[0]
-        start, _, shape = spans[first]
-        return self.vec[..., start:spans[last][1]].reshape(
+        start, _, shape = self.spans[first]
+        return self.vec[..., start:self.spans[last][1]].reshape(
             self.vec.shape[:-1] + (-1,) + shape[1:])
 
 
@@ -181,6 +191,14 @@ def check_trace(batch, states):
     """Reject a trace whose (B, T+1, ...) ``states`` do not fit ``batch``."""
     if states.shape[:2] != (batch.mask.shape[0], batch.mask.shape[1] + 1):
         raise InvalidInputError("trace does not match the batch")
+
+
+def runs(lengths):
+    """Spans ``(t0, t1, a)``, in time order, of the steps t0 <= t < t1 on which the
+    first ``a`` rows, sorted longest first by ``lengths``, are inside their sequence."""
+    ends = [*lengths.tolist(), 0]
+    return [(ends[a], ends[a - 1], a) for a in range(len(ends) - 1, 0, -1)
+            if ends[a] < ends[a - 1]]
 
 
 def add_rows_backwards(out, rows, values):
@@ -248,7 +266,6 @@ def tanh_backward(w_rec, states, inputs, ext, mask):
 
 
 def param_block(params, name):
-    names = [n for n, _ in params.layout]
-    if name not in names:
-        raise ConfigError(f"unknown parameter block {name!r}; have {sorted(names)}")
+    if name not in params.spans:
+        raise ConfigError(f"unknown parameter block {name!r}; have {sorted(params.spans)}")
     return getattr(params, name)

@@ -13,9 +13,9 @@ The classification head mean-pools h_1..h_T and applies a softmax layer;
 the loss is the negative log-likelihood of the sample's label. The W_c
 block of the backward pass is the norm proxy used by importance mining.
 Both passes run a packed batch of samples at once, and each sample's row
-has the bits it has in a batch of its own. They sort the rows longest first
-and keep their step buffers time-major (T, B, ...), so each step runs on one
-contiguous block: the rows still inside their sequence.
+has the bits it has in a batch of its own. They run the rows longest first,
+sorted once by ``forward``, on time-major (T, B, ...) step buffers sliced once
+per run of steps with the same rows still inside their sequence, a contiguous block.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError
-from .common import add_rows_backwards, check_ids, check_trace, init_normal
+from .common import add_rows_backwards, check_ids, check_trace, init_normal, runs
 from ..tensor import embed, log_softmax, matvec, sigmoid, transpose
 
 BASE_SELECTOR = "w_c"
@@ -66,7 +66,7 @@ def check_sample(spec, sample):
 
 def _stacked(params):
     """(w, u, b) gate blocks stacked in (z, f, c, o) order: views of vec."""
-    return tuple(params.span(f"{x}_z", f"{x}_o") for x in "wub")
+    return params.span("w_z", "w_o"), params.span("u_z", "u_o"), params.span("b_z", "b_o")
 
 
 def _blocks(hidden):
@@ -92,6 +92,7 @@ class LstmBatchTrace:
     wrong: np.ndarray  # (B,) argmax mistakes
     total: np.ndarray  # (B,) opportunities
     predictions: np.ndarray  # (B,) argmax class of each sample
+    rows = None  # not a field: the rows ``forward`` sorted, for ``backward``
 
 
 def _longest_first(params, batch):
@@ -99,7 +100,7 @@ def _longest_first(params, batch):
     falling length (stable), so the rows still inside their sequence at a
     step lead; and the index that puts sorted rows back in caller order."""
     lengths = batch.lengths
-    if (np.diff(lengths) <= 0).all():
+    if (ls := lengths.tolist()) == sorted(ls, reverse=True):
         return params, batch.tokens, lengths, batch.labels, slice(None)
     order = np.argsort(-lengths, kind="stable")
     if params.vec.ndim == 2:
@@ -112,9 +113,9 @@ def forward(params, batch, rng=None, k=1):
     """Cell over a ``Batch``, each step one product and one sigmoid call on
     the rows still inside their sequence, and head over each sample's pooled
     states. Deterministic: ``rng`` and ``k`` (model protocol) are ignored."""
-    params, tokens, lengths, labels, back = _longest_first(params, batch)
+    params, tokens, lengths, labels, back = rows = _longest_first(params, batch)
     (n, t_len), hidden = tokens.shape, params.h0.shape[-1]
-    z_blk, f_blk, c_blk, o_blk = _blocks(hidden)
+    c_blk = _blocks(hidden)[2]
 
     xs = embed(params.w_emb, tokens)
     gates = np.zeros((t_len, n, 4 * hidden))
@@ -123,27 +124,30 @@ def forward(params, batch, rng=None, k=1):
     cs[0], hs[0] = params.c0, params.h0
 
     w_all, u_all, b_all = _stacked(params)
-    pre_x = np.empty((t_len, n, 4 * hidden))
-    np.matmul(xs, transpose(w_all), out=pre_x.swapaxes(0, 1))
+    acts = np.empty((t_len, n, 4 * hidden))  # x W^T + b, then plus U h per step
+    np.matmul(xs, transpose(w_all), out=acts.swapaxes(0, 1))
     # Packed alone, a one-step sample's input product is a vector times a
     # matrix, whose bits differ from a row of the matrix product; it is
     # taken that way in every batch, so its row does not depend on the batch.
-    one = lengths == 1
-    if one.any():
-        pre_x[0, one] = np.matmul(xs[:, :1], transpose(w_all))[one, 0]
-    pre_x += b_all
-    for t, a in enumerate(batch.mask.sum(axis=0).tolist()):
-        # One sigmoid over all four blocks; the c block is then overwritten
-        # by its tanh. Elementwise, so each gate gets the bits of its own call.
+    if lengths[-1] == 1:  # the shortest row is the last
+        one = lengths == 1
+        acts[0, one] = np.matmul(xs[:, :1], transpose(w_all))[one, 0]
+    acts += b_all
+    # Per run of steps on the same live rows, sliced once: one sigmoid over all four blocks,
+    # then the c block's tanh over it; elementwise, each gate has the bits of its own call.
+    for t0, t1, a in runs(lengths):
         u = u_all[:a] if u_all.ndim == 3 else u_all  # per-row or shared
-        acts = pre_x[t, :a] + matvec(u, hs[t, :a])
-        gate = gates[t, :a]
-        gate[:] = sigmoid(acts)
-        np.tanh(acts[:, c_blk], out=gate[:, c_blk])
-        np.add(gate[:, z_blk] * gate[:, c_blk], gate[:, f_blk] * cs[t, :a],
-               out=cs[t + 1, :a])
-        np.tanh(cs[t + 1, :a], out=tcs[t, :a])
-        np.multiply(gate[:, o_blk], tcs[t, :a], out=hs[t + 1, :a])
+        uh = np.empty((a, 4 * hidden, 1))
+        act, gate, tc, c, h = (x[t0:t1 + 1, :a] for x in (acts, gates, tcs, cs, hs))
+        for pre, pre_c, g, z, f, g_c, o, tc_t, c_prev, c_t, h_prev, h_t in zip(
+                act, act[..., c_blk], gate, *(gate[..., b] for b in _blocks(hidden)),
+                tc, c, c[1:], h, h[1:]):
+            pre += np.matmul(u, h_prev[..., None], out=uh)[..., 0]
+            g[:] = sigmoid(pre)
+            np.tanh(pre_c, out=g_c)
+            np.add(z * g_c, f * c_prev, out=c_t)
+            np.tanh(c_t, out=tc_t)
+            np.multiply(o, tc_t, out=h_t)
 
     gates, cs, tcs, hs = (x.swapaxes(0, 1) for x in (gates, cs, tcs, hs))
     # Each sample's mean, as ``mean(axis=0)`` takes it: one sum per sample
@@ -153,76 +157,75 @@ def forward(params, batch, rng=None, k=1):
     logp = log_softmax(matvec(params.w_cls, pooled) + params.b_cls)
     probs = np.exp(logp)
     predictions = np.argmax(probs, axis=1)
-    return LstmBatchTrace(
+    trace = LstmBatchTrace(
         xs=xs, gates=gates, cs=cs, tcs=tcs, hs=hs, pooled=pooled, probs=probs,
         losses=-logp[np.arange(n), labels][back],
         wrong=(predictions != labels).astype(np.int64)[back],
         total=np.ones(n, dtype=np.int64),
         predictions=predictions[back])
+    trace.rows = rows
+    return trace
 
 
 def backward(params, batch, trace):
     """Exact gradients of each sample's loss for all blocks, including
     h0/c0: a (B, P) matrix with one gradient vector per row, in the
-    caller's order."""
+    caller's order; the rows are those ``forward`` sorted for ``trace``."""
     check_trace(batch, trace.hs)
-    params, tokens, lengths, labels, back = _longest_first(params, batch)
+    params, tokens, lengths, labels, back = trace.rows
     (n, t_len), hidden = tokens.shape, params.h0.shape[-1]
-    z_blk, f_blk, c_blk, o_blk = _blocks(hidden)
 
-    dlogits = trace.probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
-    dh_pool = matvec(transpose(params.w_cls), dlogits) / lengths[:, None]
-    dh_next, dc_next = np.zeros((2, n, hidden))  # zero up to a row's last step
+    g = params.like(np.zeros((n, params.vec.shape[-1])))
+    g.b_cls = trace.probs  # d loss / d logits, once the label's 1 is taken off
+    g.b_cls[np.arange(n), labels] -= 1.0
+    dh_pool = matvec(transpose(params.w_cls), g.b_cls) / lengths[:, None]
 
     w_all, u_all, _ = _stacked(params)
-    g = params.like(np.zeros((n, params.vec.shape[-1])))
-    # Only the live slots [t, :a_t] enter the factors, gathered step after
-    # step: step t owns rows off[t]:off[t + 1] of each.
-    inside = lengths > np.arange(t_len)[:, None]
-    off = [0, *np.cumsum(inside.sum(axis=1)).tolist()]
-    gates, cs, tcs = (x.swapaxes(0, 1)[inside]
+    # Only the live slots enter the factors, gathered last step first: a run of
+    # steps t0 <= t < t1 on the first a rows owns (t1 - t0) * a of them.
+    inside = lengths > np.arange(t_len)[::-1, None]
+    gates, cs, tcs = (x.swapaxes(0, 1)[::-1][inside]
                       for x in (trace.gates, trace.cs[:, :-1], trace.tcs))
-    zs, fs, gs, os_ = (gates[:, blk] for blk in (z_blk, f_blk, c_blk, o_blk))
+    zs, fs, gs, os_ = (gates[:, blk] for blk in _blocks(hidden))
     one_tc2 = 1.0 - tcs**2
     # The (z, f, c, o) blocks of da are dc*g*z*(1-z), dc*C_{t-1}*f*(1-f),
     # dc*z*(1-g^2) and do*o*(1-o), multiplied left to right: here
     # (a * s1) * s2, times s3 on the z and f blocks, with a = (dc, dc, dc, do)
-    # and every factor s stacked for all live slots at once.
+    # written into ``factor`` and every s stacked for all live slots at once.
     s1 = np.concatenate([gs, cs, zs, os_], axis=-1)
     s2 = np.concatenate([zs, fs, 1.0 - gs**2, 1.0 - os_], axis=-1)
     s3 = np.concatenate([1.0 - zs, 1.0 - fs], axis=-1)
-    a = np.empty((n, 4, hidden))
     da_all = np.zeros((t_len, n, 4 * hidden))  # padded steps stay zero
-    u_all_t = transpose(u_all)
-    for t in reversed(range(t_len)):
-        at, live = slice(off[t], off[t + 1]), off[t + 1] - off[t]
-        dh = dh_pool[:live] + dh_next[:live]
-        dc = dh * os_[at] * one_tc2[at] + dc_next[:live]
-        a[:live, :3] = dc[:, None]
-        np.multiply(dh, tcs[at], out=a[:live, 3])
-
-        da = da_all[t, :live]
-        np.multiply(a[:live].reshape(live, -1), s1[at], out=da)
-        da *= s2[at]
-        da[:, :2 * hidden] *= s3[at]
-        dc_next[:live] = dc * fs[at]
-        dh_next[:live] = matvec(u_all_t[:live] if u_all.ndim == 3 else u_all_t, da)
-    del s1, s2, s3, one_tc2  # room for the batch-major copy of da_all
-    da_all = np.ascontiguousarray(da_all.swapaxes(0, 1))
-    add_rows_backwards(g.w_emb, tokens, matvec(transpose(w_all), da_all))
+    spans, start = runs(lengths), 0
+    for t0, t1, a in reversed(spans):
+        live = [x[start:start + (t1 - t0) * a].reshape(t1 - t0, a, -1)
+                for x in (os_, one_tc2, tcs, s1, s2, s3, fs)]
+        start += (t1 - t0) * a
+        da = da_all[t0:t1, :a][::-1]
+        u_t = transpose(u_all[:a] if u_all.ndim == 3 else u_all)  # per-row or shared
+        dh_pool_a, dh_next_a, dc_next_a = dh_pool[:a], g.h0[:a], g.c0[:a]  # carries, from 0
+        factor = np.empty((a, 4, hidden))
+        dc_blocks, do_block, flat = factor[:, :3], factor[:, 3], factor.reshape(a, -1)
+        for o, otc, tc, x1, x2, x3, f, d, d_zf in zip(*live, da, da[..., :2 * hidden]):
+            dh = dh_pool_a + dh_next_a
+            dc = dh * o * otc + dc_next_a
+            dc_blocks[:] = dc[:, None]
+            np.multiply(dh, tc, out=do_block)
+            np.multiply(flat, x1, out=d)
+            d *= x2
+            d_zf *= x3
+            np.multiply(dc, f, out=dc_next_a)
+            np.matmul(u_t, d[..., None], out=dh_next_a[..., None])
 
     g_w, g_u, g_b = _stacked(g)
-    hs, xs = np.ascontiguousarray(trace.hs), trace.xs
-    # Sums over time run per length group (a slice): padded, they can round apart.
-    first = np.unique(-lengths, return_index=True)[1].tolist() + [n]
-    for i, j in zip(first, first[1:]):
-        da = da_all[i:j, :lengths[i]]
-        g_w[i:j] = np.matmul(da.transpose(0, 2, 1), xs[i:j, :lengths[i]])
-        g_u[i:j] = np.matmul(da.transpose(0, 2, 1), hs[i:j, :lengths[i]])
+    w_t, hs_tm = transpose(w_all), trace.hs.swapaxes(0, 1)
+    # Per length group (rows i:j), live steps only, on contiguous copies: padded, sums differ.
+    for (_, size, j), (_, _, i) in zip(spans, spans[1:] + [(0, 0, 0)]):
+        da, hs = (np.ascontiguousarray(x[:size, i:j].swapaxes(0, 1)) for x in (da_all, hs_tm))
+        add_rows_backwards(g.w_emb[i:j], tokens[i:j, :size],
+                           matvec(w_t[i:j] if w_t.ndim == 3 else w_t, da))
+        np.matmul(da.transpose(0, 2, 1), trace.xs[i:j, :size], out=g_w[i:j])
+        np.matmul(da.transpose(0, 2, 1), hs, out=g_u[i:j])
         g_b[i:j] = da.sum(axis=1)
-    g.w_cls = dlogits[:, :, None] * trace.pooled[:, None, :]
-    g.b_cls = dlogits
-    g.h0 = dh_next
-    g.c0 = dc_next
+    np.multiply(g.b_cls[:, :, None], trace.pooled[:, None, :], out=g.w_cls)
     return g.vec[back]

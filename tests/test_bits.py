@@ -66,6 +66,7 @@ def test_matmul_into_a_time_major_step_equals_matvec_on_a_batch_major_step(
     states = rng.normal(size=(rows, steps, inner))
     time_major = np.ascontiguousarray(states.swapaxes(0, 1))[..., None]
     got = np.empty((steps, rows, out, 1))
+    carry = np.zeros((rows, out + 3))[:, 1:out + 1]  # rows of a wider matrix
     for t in range(steps):
         np.matmul(mats, time_major[t], out=got[t])
         assert_keeps_bits(
@@ -73,6 +74,11 @@ def test_matmul_into_a_time_major_step_equals_matvec_on_a_batch_major_step(
             "np.matmul into a contiguous (B, H, 1) step slice, against "
             "tensor.matvec on the strided batch-major step,",
             "models.common.tanh_forward and tanh_backward")
+        np.matmul(mats, states[:, t, :, None], out=carry[..., None])
+        assert_keeps_bits(
+            carry, matvec(mats, states[:, t]),
+            "np.matmul into (B, H, 1) views of rows of a wider matrix, against "
+            "tensor.matvec,", "lstm.backward's recurrent carry, a view of its gradient rows")
 
 
 @settings(deadline=None, max_examples=150)
@@ -103,12 +109,17 @@ def test_one_stacked_product_per_length_group_keeps_each_product(
         rows, length, out, inner, seed):
     da, xs = length_group(np.random.default_rng(seed), rows, length, (out, inner))
     got = np.matmul(da.transpose(0, 2, 1), xs)
+    # As lstm.backward writes it: into a block of each row of a gradient matrix.
+    into = np.zeros((rows, 2 + out * inner))[:, 1:-1].reshape(rows, out, inner)
+    np.matmul(np.ascontiguousarray(da).transpose(0, 2, 1), np.ascontiguousarray(xs),
+              out=into)
     for b in range(rows):
-        assert_keeps_bits(
-            got[b], da[b].T @ xs[b],
-            "one stacked product per length group, "
-            "`np.matmul(da.transpose(0, 2, 1), xs)`, against per-sample `da.T @ xs`,",
-            "lstm.backward's gate weight gradients")
+        for product in (got[b], into[b]):
+            assert_keeps_bits(
+                product, da[b].T @ xs[b],
+                "one stacked product per length group, "
+                "`np.matmul(da.transpose(0, 2, 1), xs)`, against per-sample `da.T @ xs`,",
+                "lstm.backward's gate weight gradients")
 
 
 @settings(deadline=None, max_examples=150)
@@ -129,13 +140,20 @@ finite = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
 @settings(deadline=None, max_examples=150)
 @given(values=st.lists(finite, max_size=12),
        zeros=st.lists(st.tuples(st.integers(0, 12), st.sampled_from([0.0, -0.0])),
-                      max_size=6))
-def test_signed_zeros_added_to_a_zero_started_sum_change_no_bit(values, zeros):
-    padded = list(values)
+                      max_size=6),
+       column=st.lists(st.floats(-1e100, -1e-300), min_size=1, max_size=9))
+def test_signed_zeros_added_to_a_zero_started_sum_change_no_bit(values, zeros, column):
+    # A padded slot of the LSTM's embedding gradient is a product with a
+    # zero da, w^T @ 0: over a column of w that is all negative, each of its
+    # terms is -0.0. Scattered from the last step to the first, it comes first.
+    w = np.array(column)[:, None]
+    terms = w[:, 0] * 0.0
+    assert np.signbit(terms).all()
+    padded = [*terms, *matvec(transpose(w), np.zeros(len(column))), *values]
     for at, zero in zeros:
         padded.insert(min(at, len(padded)), zero)
-    relied_on_by = ("the padded steps of models.common.tanh_backward and "
-                    "add_rows_backwards' scatter of padded slots")
+    relied_on_by = ("the padded steps of models.common.tanh_backward, and "
+                    "lstm.backward's embedding gradient, which scatters live slots only")
     fact = "±0.0 added to a sum that starts at +0.0"
     running = [np.zeros(1), np.zeros(1)]
     for acc, seq in zip(running, (values, padded)):

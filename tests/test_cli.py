@@ -771,6 +771,12 @@ def test_negative_seed_exits_2_naming_it_before_any_work(
     ("train", {"--eval-data": "e.jsonl", "--out": "e.jsonl"}, "--out and --eval-data"),
     ("train", {"--out": "m.csv", "--svg": "./d.jsonl"}, "--svg and --data"),
     ("compare", {"--importance": "t.json", "--out": "t.json"}, "--out and --importance"),
+    ("train", {"--out": "m.csv", "--svg": "m.csv.run.json"}, "--svg and --out's run record"),
+    ("train", {"--out": "m.svg.run.json", "--svg": "m.svg"}, "--out and --svg's run record"),
+    ("mine", {"--epsilon": "0.1", "--out": "d.jsonl.manifest.json"},
+     "--out and --data's manifest"),
+    ("train", {"--eval-data": "e.jsonl", "--out": "m.csv", "--svg": "e.jsonl.manifest.json"},
+     "--svg and --eval-data's manifest"),
 ])
 def test_an_output_naming_an_input_or_the_other_output_exits_2(
         tmp_path, capsys, monkeypatch, command, flags, named):

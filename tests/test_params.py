@@ -116,3 +116,42 @@ def test_like_shares_layout_and_rejects_a_wrong_size():
     assert q.layout == p.layout and not np.any(q.vec)
     with pytest.raises(ConfigError):
         p.like(np.zeros(5))
+
+
+@settings(deadline=None, max_examples=30)
+@given(spec=specs, seed=st.integers(0, 2**16), rows=st.integers(1, 3))
+def test_a_block_read_twice_is_one_view_and_like_over_rows_gives_row_blocks(
+        spec, seed, rows):
+    params, _ = random_params(spec, seed)
+    stacked = params.like(np.repeat(params.vec[None], rows, axis=0))
+    for p, lead in ((params, ()), (stacked, (rows,))):
+        for name, shape in p.layout:
+            block = getattr(p, name)
+            assert getattr(p, name) is block
+            assert block.shape == lead + shape and np.shares_memory(block, p.vec)
+    for name, _ in params.layout:
+        for r in range(rows):
+            np.testing.assert_array_equal(getattr(stacked, name)[r], getattr(params, name))
+
+
+def test_assigning_a_block_before_any_read_writes_the_vector():
+    layout = (("a", (2, 2)), ("b", (3,)))
+    for vec in (None, np.zeros((2, 7))):
+        p = Params(layout, vec)
+        p.b = [1.0, 2.0, 3.0]
+        q = p.like(p.vec.copy())
+        q.a = 5.0
+        np.testing.assert_array_equal(p.vec[..., 4:], np.broadcast_to([1.0, 2.0, 3.0],
+                                                                      p.vec.shape[:-1] + (3,)))
+        np.testing.assert_array_equal(q.vec[..., :4], 5.0)
+        np.testing.assert_array_equal(q.vec[..., 4:], p.vec[..., 4:])
+
+
+def test_reading_or_assigning_an_unknown_block_raises_attribute_error():
+    p = Params((("a", (2,)),))
+    with pytest.raises(AttributeError):
+        p.c
+    with pytest.raises(AttributeError):
+        p.c = 1.0
+    assert not hasattr(p.like(), "c")
+    np.testing.assert_array_equal(p.vec, np.zeros(2))
