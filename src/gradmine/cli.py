@@ -3,7 +3,7 @@ and report estimator variance.
 
 Exit codes: 0 on success, 2 on usage or validation problems, 3 when a run
 diverges. Every artifact written gets a ``<path>.run.json`` sidecar that
-records the command, resolved configuration, input hashes, and wall time.
+records the command, resolved configuration, input hashes, library and wall time.
 """
 
 import argparse
@@ -42,8 +42,13 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_run_records(argv, args, started, inputs, outputs):
-    """One run record, written beside every output as ``<output>.run.json``."""
+# The flags that name files, by whether a command writes or reads them. Each written
+# file has a run record beside it; each dataset read (a ``*data`` flag) has a manifest.
+WRITES, READS = ("out", "svg"), ("data", "importance", "eval_data")
+
+
+def _write_run_records(argv, args, started, inputs, outputs, records):
+    """One run record of ``outputs`` and hashed ``inputs``, at each of ``records``."""
     config = {k: v for k, v in vars(args).items() if k != "func"}
     blob = json.dumps(config, sort_keys=True, default=str)
     record = {
@@ -51,12 +56,14 @@ def _write_run_records(argv, args, started, inputs, outputs):
         "config": config,
         "config_hash": hashlib.sha256(blob.encode()).hexdigest()[:16],
         "seed": getattr(args, "seed", None),
-        "inputs": {p: _sha256(p) for p in inputs},
+        "inputs": inputs,
         "outputs": list(outputs),
+        "library": {"numpy": np.__version__,
+                    "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"]},
         "wall_ms": (time.perf_counter() - started) * 1e3,
     }
-    for out in outputs:
-        data.write_json(f"{out}.run.json", record, indent=2, default=str)
+    for path in records:
+        data.write_json(path, record, indent=2, default=str)
 
 
 def _add_field_args(p, est, *names):
@@ -109,7 +116,6 @@ def cmd_gen(args):
             dataset = data.chunk_frames(dataset, args.frames_per_sample)
     data.save_dataset(args.out, dataset)
     print(json.dumps(dataset.manifest, indent=2))
-    return [], [args.out]
 
 
 def cmd_mine(args):
@@ -139,7 +145,6 @@ def cmd_mine(args):
             "warning: epsilon is above every initial loss; table is uniform",
             file=sys.stderr,
         )
-    return [args.data], [args.out]
 
 
 # Frame-grouping presets for the generative model: grouped-frame count
@@ -147,8 +152,7 @@ def cmd_mine(args):
 RBM_PRESETS = {"50": (50, 0.3), "100": (100, 0.003)}
 
 
-def _train_and_write(args, dataset, spec, table, samplers, inputs, title,
-                     eval_dataset=None):
+def _train_and_write(args, dataset, spec, table, samplers, title, eval_dataset=None):
     """Train one run per sampler from one initialization, in lockstep, and
     write the metrics CSV and optional SVG of the train split: a single run
     keeps its split names, a comparison names each train row by its sampler."""
@@ -162,18 +166,15 @@ def _train_and_write(args, dataset, spec, table, samplers, inputs, title,
     metrics = logs[0] if len(samplers) == 1 else optimizer.MetricsLog(
         rows=[replace(r, split=s) for s, rows in train_rows.items() for r in rows])
     optimizer.save_metrics(args.out, metrics)
-    outputs = [args.out]
     if args.svg:
         series = [(s, [r.epoch for r in rows], [getattr(r, args.metric) for r in rows])
                   for s, rows in train_rows.items()]
         data.write_text(args.svg, plotting.svg_line_chart(
             series, title=title, xlabel="epoch", ylabel=args.metric))
-        outputs.append(args.svg)
     for sampler, rows in train_rows.items():
         last = rows[-1]
         print(f"{sampler:>10}: epoch {last.epoch} loss {last.loss:.6f} "
               f"error {last.error_rate:.4f} grad_var {last.grad_var:.6g}")
-    return inputs, outputs
 
 
 def cmd_train(args):
@@ -183,39 +184,30 @@ def cmd_train(args):
         dataset = data.chunk_frames(dataset, frames)
     spec = spec_of(args, dataset)
     table = None
-    inputs = [args.data]
     if args.sampler == optimizer.IMPORTANCE:
         if not args.importance:
             raise GradmineError("--sampler importance requires --importance")
         table = fim.load_importance(args.importance).check_fits(spec, len(dataset))
-        inputs.append(args.importance)
-    eval_dataset = data.load_dataset(args.eval_data) if args.eval_data else None
-    if eval_dataset is not None:
-        inputs.append(args.eval_data)
-    return _train_and_write(args, dataset, spec, table, [args.sampler], inputs,
-                            f"{spec.kind} training", eval_dataset)
+    _train_and_write(args, dataset, spec, table, [args.sampler], f"{spec.kind} training",
+                     data.load_dataset(args.eval_data) if args.eval_data else None)
 
 
 def cmd_compare(args):
     dataset = data.load_dataset(args.data)
     spec = spec_of(args, dataset)
     table = fim.load_importance(args.importance).check_fits(spec, len(dataset))
-    return _train_and_write(
-        args, dataset, spec, table,
-        [optimizer.UNIFORM, optimizer.IMPORTANCE], [args.data, args.importance],
-        f"{spec.kind}: uniform vs importance (lr={args.lr:g})")
+    _train_and_write(args, dataset, spec, table, [optimizer.UNIFORM, optimizer.IMPORTANCE],
+                     f"{spec.kind}: uniform vs importance (lr={args.lr:g})")
 
 
 def cmd_variance(args):
     dataset = data.load_dataset(args.data)
     spec = spec_of(args, dataset)
     batch = pack(validate_dataset(spec, dataset))
-    inputs = [args.data]
     mined_norms = mined_probs = None
     if args.importance:
         table = fim.load_importance(args.importance).check_fits(spec, len(dataset))
         mined_norms, mined_probs = table.norms, table.probs
-        inputs.append(args.importance)
 
     model = get_model(spec)
     params = model.init_params(args.seed)
@@ -229,7 +221,6 @@ def cmd_variance(args):
     )
     data.write_json(args.out, report, indent=2)
     print(json.dumps(report, indent=2))
-    return inputs, [args.out]
 
 
 def build_parser():
@@ -304,20 +295,22 @@ def main(argv=None):
         # Every set numeric flag of the command, before the command runs.
         check_ranges({k: v for k, v in vars(args).items() if k in RANGES and v is not None},
                      GradmineError, lambda name: "--" + name.replace("_", "-"))
-        # No output may replace an input, the other output, an output's run
-        # record or an input dataset's manifest.
-        paths = {"--" + k.replace("_", "-"): v for k in ("out", "svg", "data", "importance",
-                 "eval_data") if (v := getattr(args, k, None))}
-        paths |= {f"{k}'s run record": f"{v}.run.json" for k, v in paths.items()
-                  if k in ("--out", "--svg")}
-        paths |= {f"{k}'s manifest": data.manifest_path(v) for k, v in paths.items()
-                  if k.endswith("data")}
-        paths = {k: os.path.realpath(v) for k, v in paths.items()}
-        for out, other in itertools.combinations(paths, 2):
-            if out in ("--out", "--svg") and paths[out] == paths[other]:
-                raise GradmineError(f"{out} and {other} name the same file")
-        inputs, outputs = args.func(args)
-        _write_run_records(argv, args, started, inputs, outputs)
+        # No written file may be another named file, sidecars included. The inputs,
+        # with each manifest that exists, are hashed before anything is written.
+        flag = {k: "--" + k.replace("_", "-") for k in WRITES + READS}
+        writes = {flag[k]: v for k in WRITES if (v := getattr(args, k, None))}
+        records = {f"{k}'s run record": f"{v}.run.json" for k, v in writes.items()}
+        reads = {n: p for k in READS if (v := getattr(args, k, None)) for n, p in
+                 ((flag[k], v), (flag[k] + "'s manifest", data.manifest_path(v)))
+                 if n == flag[k] or k.endswith("data")}
+        paths = {k: os.path.realpath(v) for k, v in (writes | records | reads).items()}
+        for a, b in itertools.combinations(paths, 2):
+            if a not in reads and paths[a] == paths[b]:
+                raise GradmineError(f"{a} and {b} name the same file")
+        inputs = {p: _sha256(p) for k, p in reads.items()
+                  if k in flag.values() or os.path.exists(p)}
+        args.func(args)
+        _write_run_records(argv, args, started, inputs, writes.values(), records.values())
         return 0
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -391,6 +391,11 @@ def load_dataset(path):
                          line=exc.lineno) from exc
     if not isinstance(manifest, dict):
         raise ParseError(f"{manifest_path(path)} must hold a JSON object")
+    # Only the keys that some writer writes: the generators, chunk_frames and this loader.
+    unknown = [k for k in manifest if k not in (
+        "kind", "n_samples", "vocab", "generator", "seed", "frames_per_sample", "source")]
+    if unknown:
+        raise ParseError(f"{manifest_path(path)}: unknown key {unknown[0]!r}")
     for key in ("n_samples", "vocab"):
         if key in manifest and type(manifest[key]) is not int:
             raise ParseError(f"{manifest_path(path)}: {key} must be a JSON integer")

@@ -271,7 +271,7 @@ def test_criterion_9_desk_scale_convergence():
     seeds, samplers = range(10), ("uniform", "importance")
     mined = [
         mine_importance(
-            ds, spec, FimConfig(epsilon=0.003, lr=0.5, seed=seed), n_workers=1
+            ds, spec, FimConfig(epsilon=0.003, lr=0.5, seed=seed), n_workers=2
         )
         for seed in seeds
     ]

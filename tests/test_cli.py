@@ -1,13 +1,21 @@
+import functools
 import hashlib
 import json
 import os
+import re
 import shlex
+import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gradmine import cli
 from gradmine.data import load_dataset
@@ -74,6 +82,13 @@ class TestGen:
         record = json.loads((tmp_path / "my data.jsonl.run.json").read_text())
         assert record["command"] == shlex.join(["gradmine", *argv])
         assert "argv" not in record["config"]
+
+    def test_run_record_names_numpy_and_its_blas_build(self, tmp_path):
+        out = tmp_path / "d.jsonl"
+        assert run(gen_args(out)) == 0
+        record = json.loads((tmp_path / "d.jsonl.run.json").read_text())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert record["library"] == {"numpy": np.__version__, "blas": blas}
 
     def test_zero_samples_exits_2(self, tmp_path):
         assert run(gen_args(tmp_path / "d.jsonl", n=0)) == 2
@@ -483,7 +498,7 @@ class TestTrain:
         for path in (out, svg):
             record = json.loads((tmp_path / (path.name + ".run.json")).read_text())
             assert record["outputs"] == [str(out), str(svg)]
-            assert list(record["inputs"]) == [str(data)]
+            assert list(record["inputs"]) == [str(data), f"{data}.manifest.json"]
 
     def test_every_output_gets_the_same_run_record(self, tmp_path):
         data = tmp_path / "d.jsonl"
@@ -527,7 +542,8 @@ class TestTrain:
         assert [(r.epoch, r.split) for r in log.rows] == [
             (1, "train"), (1, "eval"), (2, "train"), (2, "eval")]
         record = json.loads((tmp_path / "m.csv.run.json").read_text())
-        assert list(record["inputs"]) == [str(data), str(held)]
+        assert list(record["inputs"]) == [str(data), f"{data}.manifest.json",
+                                          str(held), f"{held}.manifest.json"]
 
     @pytest.mark.parametrize("where", ["dataset", "iterations", "norms"])
     def test_integer_beyond_numpy_exits_2_naming_where(self, tmp_path, capsys, where):
@@ -619,6 +635,63 @@ class TestTrain:
         assert f"d.jsonl.manifest.json: {key} must be a JSON integer" in (
             capsys.readouterr().err)
         assert not out.exists()
+
+    def test_table_copied_over_the_manifest_exits_2_naming_file_and_key(
+            self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        shutil.copy(uniform_table_file(tmp_path / "t.json", n=12),
+                    tmp_path / "d.jsonl.manifest.json")
+        capsys.readouterr()
+        out = tmp_path / "m.csv"
+        code = run(["train", "--data", str(data), "--epochs", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {data}.manifest.json: unknown key 'model'\n")
+        assert not out.exists()
+
+    def test_uniform_run_given_a_missing_table_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        loads = recorded_loads(monkeypatch)
+        imp = tmp_path / "missing.json"
+        code = run(["train", "--data", str(data), "--importance", str(imp),
+                    "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{imp}'\n")
+        assert loads == [] and sorted(tmp_path.iterdir()) == before
+
+    def test_run_record_hashes_the_inputs_as_they_were_before_the_run(
+            self, tmp_path, monkeypatch):
+        data, held = tmp_path / "d.jsonl", tmp_path / "e.jsonl"
+        run(gen_args(data))
+        run(gen_args(held, n=5))
+        imp = uniform_table_file(tmp_path / "t.json", n=12)
+        inputs = [data, Path(f"{data}.manifest.json"), imp, held,
+                  Path(f"{held}.manifest.json")]
+        hashes = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs}
+        save_metrics = cli.optimizer.save_metrics
+
+        def save_then_append_to_the_data(path, log):
+            save_metrics(path, log)
+            with open(data, "a") as fh:
+                fh.write("\n")
+
+        monkeypatch.setattr(cli.optimizer, "save_metrics", save_then_append_to_the_data)
+        out = tmp_path / "m.csv"
+        code = run([
+            "train", "--data", str(data), "--model", "rnn", "--epochs", "1",
+            "--embed-dim", "4", "--hidden", "5", "--importance", str(imp),
+            "--eval-data", str(held), "--out", str(out),
+        ])
+        assert code == 0
+        assert data.read_bytes().endswith(b"\n\n")
+        record = json.loads((tmp_path / "m.csv.run.json").read_text())
+        assert list(record["inputs"].items()) == list(hashes.items())
 
     @pytest.mark.parametrize("where", ["hidden", "manifest-vocab"])
     def test_model_too_big_for_numpy_exits_2_naming_its_size(
@@ -791,6 +864,90 @@ def test_an_output_naming_an_input_or_the_other_output_exits_2(
     assert run(argv) == 2
     assert capsys.readouterr().err == f"error: {named} name the same file\n"
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+# The file flags of each command, each with whether the command requires it,
+# and the command's other flags, small enough for a run of milliseconds.
+FILE_FLAGS = {
+    "gen": {"--out": True},
+    "mine": {"--data": True, "--out": True},
+    "train": {"--data": True, "--importance": False, "--eval-data": False,
+              "--out": True, "--svg": False},
+    "compare": {"--data": True, "--importance": True, "--out": True, "--svg": False},
+    "variance": {"--data": True, "--importance": False, "--out": True},
+}
+SMALL = ["--model", "rnn", "--embed-dim", "2", "--hidden", "2"]
+OTHER_FLAGS = {
+    "gen": ["--n", "4", "--vocab", "10", "--len-min", "4", "--len-max", "6"],
+    "mine": [*SMALL, "--epsilon", "0.5", "--t-max", "3", "--workers", "1"],
+    "train": [*SMALL, "--epochs", "1"],
+    "compare": [*SMALL, "--epochs", "1"],
+    "variance": SMALL,
+}
+# Two datasets, one named as the fresh name x's run record, and a table; the
+# pool adds every name's run record and manifest.
+EXISTING, FRESH = ("d.jsonl", "x.run.json", "t.json"), ("x", "y")
+POOL = sorted({f"{n}{s}" for n in EXISTING + FRESH for s in ("", ".run.json", ".manifest.json")})
+
+
+@functools.cache
+def starting_files():
+    """{name: bytes} of the datasets with the sidecars gen writes, and the table."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with redirect_stdout(StringIO()):
+            for name in EXISTING[:2]:
+                assert run(gen_args(Path(tmp, name), n=4)) == 0
+        uniform_table_file(Path(tmp, EXISTING[2]), n=4)
+        return {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
+
+
+def file_assignments(command):
+    """Names for the command's file flags, from the pool; half the time an
+    input flag names a file it can read, so that runs reach their writes."""
+    fits = {"--data": EXISTING[:2], "--eval-data": EXISTING[:2], "--importance": EXISTING[2:]}
+    names = {f: st.sampled_from(POOL) | st.sampled_from(fits.get(f, POOL))
+             for f in FILE_FLAGS[command]}
+    required = {f: s for f, s in names.items() if FILE_FLAGS[command][f]}
+    optional = {f: s for f, s in names.items() if not FILE_FLAGS[command][f]}
+    return st.fixed_dictionaries(required, optional=optional).map(lambda f: (command, f))
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=st.sampled_from(sorted(FILE_FLAGS)).flatmap(file_assignments))
+@example(case=("mine", {"--data": "x.run.json", "--out": "x"}))
+def test_a_command_runs_and_keeps_its_inputs_or_exits_2_and_writes_nothing(case):
+    """Whatever names a command's file flags get, among existing files, fresh
+    names and sidecars: either it exits 0 with its inputs unchanged, or it
+    exits 2 with one error line and leaves every file as it was. A written
+    file (an output or its run record) that is another named file (a flag's
+    file or a dataset's manifest) is refused, naming both."""
+    command, files = case
+    named = dict(files)
+    named |= {f"{f}'s run record": f"{n}.run.json" for f, n in files.items()
+              if f in ("--out", "--svg")}
+    named |= {f"{f}'s manifest": f"{n}.manifest.json" for f, n in files.items()
+              if f in ("--data", "--eval-data")}
+    written = [a for a in named if a in ("--out", "--svg") or a.endswith("run record")]
+    clashes = {(a, b) for a in written for b in named if a != b and named[a] == named[b]}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, blob in starting_files().items():
+            Path(tmp, name).write_bytes(blob)
+        argv = [command, *OTHER_FLAGS[command],
+                *[x for f, n in files.items() for x in (f, str(Path(tmp, n)))]]
+        err = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            code = run(argv)
+        after = {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
+    before = starting_files()
+    if code == 0:
+        assert not clashes
+        assert all(after[n] == before[n] for a, n in named.items()
+                   if a not in written and n in before)
+    else:
+        assert code == 2 and after == before
+        assert re.fullmatch(r"error: [^\n]*\n", err.getvalue())
+        pair = re.fullmatch(r"error: (.+) and (.+) name the same file\n", err.getvalue())
+        assert pair.groups() in clashes if clashes else pair is None
 
 
 def test_the_pipeline_runs_without_model_flags(tmp_path):

@@ -297,6 +297,23 @@ class TestRoundTrips:
         with pytest.raises(ParseError, match=f"d.jsonl.manifest.json: {key}"):
             load_dataset(path)
 
+    def test_every_manifest_key_a_writer_writes_loads(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        for ds in (gen_seqclass(n=3, vocab=8, seed=1),
+                   chunk_frames(gen_pianoroll(n=2, n_v=6, length_range=(4, 6)), 3)):
+            save_dataset(path, ds)
+            save_dataset(path, load_dataset(path))  # now with "source" too
+            assert load_dataset(path).manifest == {**ds.manifest, "source": str(path)}
+
+    @pytest.mark.parametrize("key", ["model", "probs", "Vocab"])
+    def test_manifest_key_that_no_writer_writes_is_a_parse_error(self, tmp_path, key):
+        path = tmp_path / "d.jsonl"
+        ds = gen_seqclass(n=3, vocab=8, seed=1)
+        ds.manifest[key] = 1
+        save_dataset(path, ds)
+        with pytest.raises(ParseError, match=f"d.jsonl.manifest.json: unknown key '{key}'"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("kind", ["pianoroll", "seqlabel", 7, None])
     def test_manifest_kind_must_be_the_kind_of_the_samples(self, tmp_path, kind):
         path = tmp_path / "d.jsonl"
