@@ -80,10 +80,12 @@ def _add_model_args(p, est):
     _add_field_args(p, est, "embed_dim", "hidden", "classes", "context", "cd_k")
 
 
-def _add_train_args(p):
+def _add_train_args(p, rate=None):
+    """A training command's flags; ``--lr`` goes in ``rate``, a group of ``p``, if given."""
     p.add_argument("--data", required=True)
     _add_model_args(p, optimizer.Trainer)
-    _add_field_args(p, optimizer.Trainer, "lr", "epochs", "seed", "eval_every", "clip")
+    _add_field_args(rate or p, optimizer.Trainer, "lr")
+    _add_field_args(p, optimizer.Trainer, "epochs", "seed", "eval_every", "clip")
     p.add_argument("--metric", choices=["loss", "error_rate"], default="loss")
     p.add_argument("--svg", default=None)
     p.add_argument("--out", required=True)
@@ -119,11 +121,9 @@ def cmd_gen(args):
 
 
 def cmd_mine(args):
-    epsilon = args.epsilon
-    if epsilon is None:
-        if args.target_loss is None:
-            raise GradmineError("one of --epsilon / --target-loss is required")
-        epsilon = fim.default_epsilon(args.target_loss)
+    if (args.epsilon is None) == (args.target_loss is None):
+        raise GradmineError("exactly one of --epsilon / --target-loss is required")
+    epsilon = fim.default_epsilon(args.target_loss) if args.epsilon is None else args.epsilon
     dataset = data.load_dataset(args.data)
     spec = spec_of(args, dataset)
     cfg = config_of(fim.FimConfig, args, epsilon=epsilon)
@@ -260,13 +260,14 @@ def build_parser():
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("train", help="train one model")
-    _add_train_args(p)
+    preset = p.add_mutually_exclusive_group()  # a preset sets the step size
+    _add_train_args(p, preset)
     p.add_argument("--sampler", choices=[optimizer.UNIFORM, optimizer.IMPORTANCE],
                    default=optimizer.Trainer.sampler)
     p.add_argument("--importance", default=None)
     p.add_argument("--eval-data", default=None)
-    p.add_argument("--rbm-preset", choices=sorted(RBM_PRESETS), default=None,
-                   help="frame grouping + step size preset (rnnrbm)")
+    preset.add_argument("--rbm-preset", choices=sorted(RBM_PRESETS), default=None,
+                        help="frame grouping + step size preset (rnnrbm)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("compare", help="uniform vs importance, same budget")

@@ -149,7 +149,8 @@ def _mine_rows(task):
     steps = np.zeros(n, dtype=np.int64)
     limit = n  # a run that diverges ends every run above it
     error = None
-    batch = pack([samples[i] for i in rows])
+    packed = pack(samples)
+    batch = packed.take(rows)
     while True:
         trace = model.forward(params, batch, [rngs[i] for i in rows])
         loss = trace.losses
@@ -174,7 +175,7 @@ def _mine_rows(task):
         if not keep.all():  # drop finished runs, and the padding only they needed
             rows, grads = rows[keep], grads[keep]
             params = params.like(params.vec[keep])
-            batch = pack([samples[i] for i in rows])
+            batch = packed.take(rows)
         params = sgd_step(params, params.like(grads), cfg.lr)
         steps[rows] += 1
     if error is not None:
@@ -188,14 +189,20 @@ def _mine_one(task):
     return _mine_rows((spec, [sample], cfg, index, params))[0]
 
 
+def usable_cpus():
+    """The CPUs this process may run on: its affinity, where the platform has one."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 def resolve_workers(n_workers=None):
-    """Explicit argument, else the GRADMINE_WORKERS variable, else all
-    cores; ``ConfigError`` for a count below 1."""
+    """Explicit argument, else the GRADMINE_WORKERS variable, else every CPU
+    the process may run on; ``ConfigError`` for a count below 1."""
     label = str
     if n_workers is None:
         value, label = os.environ.get(WORKERS_ENV), lambda _: WORKERS_ENV
         if not value:
-            return os.cpu_count() or 1
+            return usable_cpus()
         if not (value.isascii() and value.isdigit()):  # int() takes " 3", "+3", "1_0"
             raise ConfigError(f"{WORKERS_ENV} must be ASCII digits, got {value!r}")
         n_workers = int(value)
@@ -220,7 +227,7 @@ def mine_importance(dataset, spec, cfg, n_workers=None):
     # One lockstep batch per worker, over a contiguous range of samples. A
     # batch pays each step's per-call cost once for all its rows, so workers
     # beyond the cores would only queue that cost up behind each other.
-    workers = min(resolve_workers(n_workers), os.cpu_count() or 1, len(samples))
+    workers = min(resolve_workers(n_workers), usable_cpus(), len(samples))
     ranges = np.array_split(np.arange(len(samples)), workers)
     shards = [(spec, samples[r[0]:r[-1] + 1], cfg, int(r[0]), params0) for r in ranges]
     if len(shards) == 1:

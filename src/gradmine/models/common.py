@@ -6,7 +6,7 @@ by the model module's ``layout(spec)``. Gradients use the same layout, so
 an update is ``params.vec - lr * grads.vec``, a copy is ``vec.copy()``, and
 the flattened gradient is ``vec``; norms pick one block by name. A (B, P)
 ``vec`` holds B gradients, or B parameter sets, one per row. ``pack`` lays
-validated samples out for the batched passes.
+validated samples out for the batched passes, and ``Batch.take`` picks rows.
 """
 
 import functools
@@ -165,6 +165,13 @@ class Batch:
     frames: np.ndarray = None
     labels: np.ndarray = None
     targets: np.ndarray = None
+
+    def take(self, rows):
+        """The ``Batch`` that ``pack`` makes of the samples at ``rows``, repeats
+        allowed: their packed rows, trimmed in time to the longest of them."""
+        steps = slice(self.lengths[rows].max())
+        return Batch(**{k: v if v is None else v[rows] if v.ndim == 1 else v[rows, steps]
+                        for k, v in vars(self).items()})
 
 
 def pack(samples):

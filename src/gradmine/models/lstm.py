@@ -92,28 +92,27 @@ class LstmBatchTrace:
     wrong: np.ndarray  # (B,) argmax mistakes
     total: np.ndarray  # (B,) opportunities
     predictions: np.ndarray  # (B,) argmax class of each sample
-    rows = None  # not a field: the rows ``forward`` sorted, for ``backward``
+    rows = None  # not a field: ``forward``'s ``(params, batch, back)``, for ``backward``
 
 
 def _longest_first(params, batch):
-    """``params`` (rows, if it has them), tokens, lengths and labels sorted by
-    falling length (stable), so the rows still inside their sequence at a
-    step lead; and the index that puts sorted rows back in caller order."""
-    lengths = batch.lengths
-    if (ls := lengths.tolist()) == sorted(ls, reverse=True):
-        return params, batch.tokens, lengths, batch.labels, slice(None)
-    order = np.argsort(-lengths, kind="stable")
+    """``(params, batch, back)``: ``params`` (rows, if it has them) and ``batch``
+    sorted by falling length (stable), so the rows still inside their sequence
+    at a step lead, and the index that puts sorted rows back in caller order."""
+    if (ls := batch.lengths.tolist()) == sorted(ls, reverse=True):
+        return params, batch, slice(None)
+    order = np.argsort(-batch.lengths, kind="stable")
     if params.vec.ndim == 2:
         params = params.like(params.vec[order])
-    return (params, batch.tokens[order], lengths[order], batch.labels[order],
-            np.argsort(order))
+    return params, batch.take(order), np.argsort(order)
 
 
 def forward(params, batch, rng=None, k=1):
     """Cell over a ``Batch``, each step one product and one sigmoid call on
     the rows still inside their sequence, and head over each sample's pooled
     states. Deterministic: ``rng`` and ``k`` (model protocol) are ignored."""
-    params, tokens, lengths, labels, back = rows = _longest_first(params, batch)
+    params, batch, back = rows = _longest_first(params, batch)
+    tokens, lengths, labels = batch.tokens, batch.lengths, batch.labels
     (n, t_len), hidden = tokens.shape, params.h0.shape[-1]
     c_blk = _blocks(hidden)[2]
 
@@ -172,7 +171,8 @@ def backward(params, batch, trace):
     h0/c0: a (B, P) matrix with one gradient vector per row, in the
     caller's order; the rows are those ``forward`` sorted for ``trace``."""
     check_trace(batch, trace.hs)
-    params, tokens, lengths, labels, back = trace.rows
+    params, batch, back = trace.rows
+    tokens, lengths, labels = batch.tokens, batch.lengths, batch.labels
     (n, t_len), hidden = tokens.shape, params.h0.shape[-1]
 
     g = params.like(np.zeros((n, params.vec.shape[-1])))

@@ -138,11 +138,10 @@ def train(dataset, params0, cfgs, eval_dataset=None):
         raise ConfigError("lockstep runs must share spec, epochs and eval_every")
     if params0.vec.ndim == 2 and len(params0.vec) != len(cfgs):
         raise ConfigError(f"params0 has {len(params0.vec)} rows for {len(cfgs)} runs")
-    samples = validate_dataset(spec, dataset)
+    batch = pack(validate_dataset(spec, dataset))  # each draw takes its rows
     held = None if eval_dataset is None else pack(validate_dataset(
         spec, eval_dataset, "held-out sample"))
-    n = len(samples)
-    batch = pack(samples)
+    n = batch.lengths.size
     model = get_model(spec)
 
     probs = np.array([c.importance.check_fits(spec, n).probs if c.sampler == IMPORTANCE
@@ -165,32 +164,25 @@ def train(dataset, params0, cfgs, eval_dataset=None):
     for t in range(epochs * n):
         epoch, step = t // n + 1, t % n
         idx = schedule[:live, t]
-        drawn = pack([samples[i] for i in idx])
+        drawn = batch.take(idx)
         trace = model.forward(params, drawn, rngs[:live])
         grads = model.backward(params, drawn, trace)
-        failed = np.flatnonzero(~np.isfinite(trace.losses))
-        if failed.size:
-            live = failed[0]
-            error = DivergenceError(
-                f"non-finite loss at epoch {epoch}, step {step}, sample {idx[live]}")
-            params, grads = params.like(params.vec[:live]), grads[:live]
         params = sgd_step(params, params.like(grads), sizes[:live, t, None])
+        if (failed := np.flatnonzero(~np.isfinite(trace.losses))).size:
+            live, error = failed[0], DivergenceError(
+                f"non-finite loss at epoch {epoch}, step {step}, sample {idx[failed[0]]}")
 
         if step == n - 1 and (epoch % eval_every == 0 or epoch == epochs):
             for r in range(live):
                 row, seed = params0.like(params.vec[r]), cfgs[r].seed
                 for split, data, p in [("train", batch, probs[r])] + held_split:
                     loss, err, gvar = _evaluate(model, row, data, p, epoch, seed)
-                    if not np.isfinite(loss):
-                        live = r
-                        error = DivergenceError(f"non-finite evaluation loss "
-                                                f"on the {split} split at epoch {epoch}")
-                        params = params.like(params.vec[:live])
-                        break
+                    if r < live and not np.isfinite(loss):  # below every failure so far
+                        live, error = r, DivergenceError(f"non-finite evaluation loss "
+                                                         f"on the {split} split at epoch {epoch}")
                     wall = (time.perf_counter() - start) * 1e3
                     logs[r].rows.append(MetricsRow(epoch, split, loss, err, gvar, wall))
-                if live == r:
-                    break
+        params = params.like(params.vec[:live])  # the runs that failed end here
         if not live:
             break
     if error is not None:

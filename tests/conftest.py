@@ -23,9 +23,9 @@ def param_blocks(params):
 
 
 def cores(n):
-    """Mine as if the machine had ``n`` cores, so that up to ``n`` workers
-    split the samples into that many shards on any machine."""
-    return mock.patch("os.cpu_count", return_value=n)
+    """Mine as if the process could run on ``n`` CPUs, so that up to ``n``
+    workers split the samples into that many shards on any machine."""
+    return mock.patch("gradmine.fim.usable_cpus", return_value=n)
 
 
 class OneSample:

@@ -302,6 +302,21 @@ class TestMine:
         assert code == 0
         assert load_importance(out).epsilon == pytest.approx(0.3, rel=1e-15)
 
+    def test_epsilon_and_target_loss_together_exit_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "d.jsonl"
+        run(gen_args(data))
+        capsys.readouterr()
+        loads = recorded_loads(monkeypatch)
+        before = set(tmp_path.iterdir())
+        code = run(["mine", "--data", str(data), "--epsilon", "0.2",
+                    "--target-loss", "30", "--out", str(tmp_path / "i.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--epsilon" in err and "--target-loss" in err
+        assert loads == []
+        assert set(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("target", ["-1", "0", "nan"])
     def test_target_loss_that_is_not_positive_exits_2_before_any_work(
             self, tmp_path, capsys, monkeypatch, target):
@@ -585,6 +600,19 @@ class TestTrain:
         assert code == 0
         record = json.loads((tmp_path / "m.csv.run.json").read_text())
         assert record["config"]["lr"] == 0.3
+
+    @pytest.mark.parametrize("lr", ["0.3", "0.5"])  # 0.5 is the default
+    def test_rbm_preset_and_lr_together_exit_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, lr):
+        loads = recorded_loads(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--data", str(tmp_path / "p.jsonl"), "--model", "rnnrbm",
+                 "--rbm-preset", "100", "--lr", lr, "--out", str(tmp_path / "m.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--rbm-preset" in err and "--lr" in err
+        assert loads == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_target_ids_above_every_token_fit_without_manifest(self, tmp_path):
         data = tmp_path / "d.jsonl"

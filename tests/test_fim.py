@@ -1,3 +1,4 @@
+import os
 import re
 import tempfile
 import warnings
@@ -497,6 +498,20 @@ def test_worker_resolution_env_override(monkeypatch):
     assert resolve_workers(2) == 2  # explicit argument wins over the env
     monkeypatch.delenv(WORKERS_ENV)
     assert resolve_workers() >= 1
+
+
+def test_workers_count_only_the_cpus_the_process_may_run_on(monkeypatch):
+    # Pinned to one CPU of eight, the default is one worker, and two asked
+    # for share one lockstep batch in this process.
+    monkeypatch.delenv(fim.WORKERS_ENV, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert fim.resolve_workers() == 1
+    ds = gen_seqclass(n=4, vocab=8, length_range=(4, 8), seed=1)
+    with mock.patch("concurrent.futures.ProcessPoolExecutor") as pool:
+        table = mine_importance(ds, rnn_spec(), FimConfig(epsilon=0.1, t_max=5), n_workers=2)
+    pool.assert_not_called()
+    assert table.n == 4
 
 
 def test_non_integer_workers_env_names_the_variable(monkeypatch):

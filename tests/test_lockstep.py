@@ -11,11 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradmine import fim
-from gradmine.data import gen_pianoroll, gen_seqclass
+from gradmine import fim, optimizer
+from gradmine.data import FrameSequence, SequenceSample, gen_pianoroll, gen_seqclass
 from gradmine.errors import DivergenceError
 from gradmine.fim import FimConfig, mine_importance
 from gradmine.models import MODEL_KINDS, ModelSpec, get_model, lstm, pack
+from gradmine.optimizer import TrainConfig
 
 from conftest import cores
 from oracles import mine_rows_scalar
@@ -151,6 +152,60 @@ def test_every_batched_field_is_batch_major(kind):
         for field in fields(obj):
             value = getattr(obj, field.name)
             assert value is None or value.shape[0] == 3, field.name
+
+
+# A sample of each kind that ``pack`` lays out: labelled, tagged per step, frames.
+SAMPLE_OF = {
+    "seqclass": lambda n, rng: SequenceSample(rng.integers(0, 5, n),
+                                              label=int(rng.integers(0, 3))),
+    "seqlabel": lambda n, rng: SequenceSample(rng.integers(0, 5, n),
+                                              targets=rng.integers(0, 5, n)),
+    "pianoroll": lambda n, rng: FrameSequence((rng.random((n, 3)) < 0.5) * 1.0),
+}
+
+
+@settings(deadline=None, max_examples=200)
+@given(kind=st.sampled_from(sorted(SAMPLE_OF)),
+       lengths=st.lists(st.integers(1, 8), min_size=1, max_size=6),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_take_equals_pack_of_the_samples_at_rows(kind, lengths, seed, data):
+    rng = np.random.default_rng(seed)
+    samples = [SAMPLE_OF[kind](n, rng) for n in lengths]
+    every = list(range(len(samples)))
+    rows = data.draw(st.just(every) | st.permutations(every)
+                     | st.lists(st.sampled_from(every), min_size=1, max_size=8))
+    taken, packed = pack(samples).take(np.array(rows)), pack([samples[i] for i in rows])
+    for field in fields(packed):
+        got, expected = getattr(taken, field.name), getattr(packed, field.name)
+        if expected is None:
+            assert got is None, field.name
+            continue
+        assert (got.dtype, got.shape, got.flags.c_contiguous) == (
+            expected.dtype, expected.shape, expected.flags.c_contiguous), field.name
+        assert bits(got) == bits(expected), field.name
+
+
+def test_each_call_packs_its_samples_once():
+    # A train call packs its training set and its held-out set once, however
+    # many epochs it runs; a mining shard packs once, however often rows stop.
+    samples = list(gen_seqclass(n=6, vocab=8, length_range=(2, 9), seed=4))
+    spec = ModelSpec(kind="rnn", vocab=8, embed=3, hidden=4)
+    sizes = []
+
+    def counting(samples):
+        sizes.append(len(samples))
+        return pack(samples)
+
+    cfg = TrainConfig(spec=spec, lr=0.1, epochs=3)
+    with mock.patch.object(optimizer, "pack", counting):
+        optimizer.train(samples, get_model(spec).init_params(0), [cfg, cfg], samples[:4])
+    assert sizes == [6, 4]
+    sizes.clear()
+    with mock.patch.object(fim, "pack", counting):
+        table = mine_importance(samples, spec, FimConfig(epsilon=0.3, lr=0.1, t_max=50),
+                                n_workers=1)
+    assert len(set(table.iterations.tolist())) == 3  # rows stopped at three steps
+    assert sizes == [6]
 
 
 def test_mining_batches_arrive_longest_first():
