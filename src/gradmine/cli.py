@@ -187,7 +187,7 @@ def cmd_train(args):
     if args.sampler == optimizer.IMPORTANCE:
         if not args.importance:
             raise GradmineError("--sampler importance requires --importance")
-        table = fim.load_importance(args.importance).check_fits(spec, len(dataset))
+        table = fim.load_importance(args.importance)
     _train_and_write(args, dataset, spec, table, [args.sampler], f"{spec.kind} training",
                      data.load_dataset(args.eval_data) if args.eval_data else None)
 
@@ -195,7 +195,7 @@ def cmd_train(args):
 def cmd_compare(args):
     dataset = data.load_dataset(args.data)
     spec = spec_of(args, dataset)
-    table = fim.load_importance(args.importance).check_fits(spec, len(dataset))
+    table = fim.load_importance(args.importance)
     _train_and_write(args, dataset, spec, table, [optimizer.UNIFORM, optimizer.IMPORTANCE],
                      f"{spec.kind}: uniform vs importance (lr={args.lr:g})")
 
@@ -255,7 +255,7 @@ def build_parser():
     _add_field_args(p, miner, "lr", "t_max", "seed", "base_selector")
     p.add_argument("--norm-kind", choices=NORM_KINDS, default=miner.norm_kind)
     p.add_argument("--workers", type=int, default=miner.n_workers,
-                   help="default: GRADMINE_WORKERS or all cores")
+                   help="default: every CPU the process may run on")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mine)
 

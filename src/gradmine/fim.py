@@ -48,8 +48,6 @@ from .optimizer import Trainer, as_dataset, sgd_step
 from .sampling import build_alias
 from .tensor import NORM_KINDS, matrix_norm
 
-WORKERS_ENV = "GRADMINE_WORKERS"
-
 
 def default_epsilon(target_loss):
     """Private-training accuracy: two orders below the full-run target."""
@@ -159,15 +157,13 @@ def _mine_rows(task):
         if failed.size:  # the lowest sample index among them
             low = failed[np.argmin(rows[failed])]
             limit = rows[low]
-            at = f" at step {steps[limit]}" if going[low] else ""
-            error = DivergenceError(
-                f"private training diverged on sample {first + limit}{at}")
+            error = DivergenceError(f"private training diverged on sample "
+                                    f"{first + limit} at step {steps[limit]}")
         stop = ~going & (rows < limit)
         keep = going & (rows < limit)
         for j in np.flatnonzero(stop):  # a run's result, from its row as it stops
             i = int(rows[j])
-            norm = matrix_norm(param_block(params0.like(params.vec[j]), selector),
-                               cfg.norm_kind)
+            norm = matrix_norm(getattr(params, selector)[j], cfg.norm_kind)
             results[i] = (first + i, norm, int(steps[i]), bool(loss[j] <= cfg.epsilon))
         if not keep.any():
             break
@@ -195,21 +191,6 @@ def usable_cpus():
             else os.cpu_count() or 1)
 
 
-def resolve_workers(n_workers=None):
-    """Explicit argument, else the GRADMINE_WORKERS variable, else every CPU
-    the process may run on; ``ConfigError`` for a count below 1."""
-    label = str
-    if n_workers is None:
-        value, label = os.environ.get(WORKERS_ENV), lambda _: WORKERS_ENV
-        if not value:
-            return usable_cpus()
-        if not (value.isascii() and value.isdigit()):  # int() takes " 3", "+3", "1_0"
-            raise ConfigError(f"{WORKERS_ENV} must be ASCII digits, got {value!r}")
-        n_workers = int(value)
-    check_ranges({"workers": n_workers}, label=label)
-    return n_workers
-
-
 def mine_importance(dataset, spec, cfg, n_workers=None):
     """Run private training for every sample and return its ``ImportanceTable``.
 
@@ -217,6 +198,8 @@ def mine_importance(dataset, spec, cfg, n_workers=None):
     from ``cfg.seed``); per-sample randomness is keyed by sample index, so
     the result does not depend on worker count or scheduling.
     """
+    if n_workers is not None:
+        check_ranges({"workers": n_workers})
     samples = validate_dataset(spec, dataset)
     model = get_model(spec)
     selector = cfg.base_selector or model.base_selector
@@ -227,7 +210,7 @@ def mine_importance(dataset, spec, cfg, n_workers=None):
     # One lockstep batch per worker, over a contiguous range of samples. A
     # batch pays each step's per-call cost once for all its rows, so workers
     # beyond the cores would only queue that cost up behind each other.
-    workers = min(resolve_workers(n_workers), usable_cpus(), len(samples))
+    workers = min(n_workers or len(samples), usable_cpus(), len(samples))
     ranges = np.array_split(np.arange(len(samples)), workers)
     shards = [(spec, samples[r[0]:r[-1] + 1], cfg, int(r[0]), params0) for r in ranges]
     if len(shards) == 1:

@@ -419,7 +419,8 @@ def mine_one_scalar(task):
         loss = float(trace.loss)
         losses.append(loss)
     if not np.isfinite(loss):
-        raise DivergenceError(f"private training diverged on sample {index}")
+        raise DivergenceError(
+            f"private training diverged on sample {index} at step {steps}")
 
     base = param_block(params, selector)
     history = HistoryRecord(base_final=base.copy(), grad_sum=grad_sum,

@@ -190,32 +190,6 @@ class TestMine:
         table = load_importance(out)
         np.testing.assert_allclose(table.probs, 1 / 12, atol=1e-12)
 
-    def test_non_integer_workers_env_exits_2(self, tmp_path, monkeypatch, capsys):
-        data = tmp_path / "d.jsonl"
-        run(gen_args(data))
-        monkeypatch.setenv("GRADMINE_WORKERS", "abc")
-        code = run([
-            "mine", "--data", str(data), "--model", "rnn", "--epsilon", "0.05",
-            "--embed-dim", "4", "--hidden", "5", "--out", str(tmp_path / "i.json"),
-        ])
-        assert code == 2
-        assert "GRADMINE_WORKERS" in capsys.readouterr().err
-
-    def test_workers_env_that_is_not_ascii_digits_exits_2(
-            self, tmp_path, monkeypatch, capsys):
-        data = tmp_path / "d.jsonl"
-        run(gen_args(data))
-        monkeypatch.setenv("GRADMINE_WORKERS", "1_0")
-        out = tmp_path / "i.json"
-        code = run([
-            "mine", "--data", str(data), "--model", "rnn", "--epsilon", "0.05",
-            "--embed-dim", "4", "--hidden", "5", "--out", str(out),
-        ])
-        assert code == 2
-        assert "GRADMINE_WORKERS must be ASCII digits, got '1_0'" in (
-            capsys.readouterr().err)
-        assert not out.exists()
-
     def test_zero_workers_exits_2_without_writing(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         run(gen_args(data))
@@ -830,7 +804,7 @@ def test_divergence_prints_only_its_error_line(tmp_path, command, workers):
     run(gen_args(data, n=8))
     imp = uniform_table_file(tmp_path / "imp.json", n=8, model="lstm")
     argv = {
-        "mine": ["--epsilon", "0.01"],
+        "mine": ["--epsilon", "0.01", "--workers", workers],
         "train": ["--epochs", "2"],
         "compare": ["--epochs", "2", "--importance", str(imp)],
     }[command]
@@ -838,7 +812,7 @@ def test_divergence_prints_only_its_error_line(tmp_path, command, workers):
     proc = subprocess.run(
         [sys.executable, "-m", "gradmine.cli", command, "--data", str(data),
          "--model", "lstm", "--lr", "1e300", *argv, "--out", str(tmp_path / "o")],
-        env={**os.environ, "PYTHONPATH": str(src), "GRADMINE_WORKERS": workers},
+        env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3
     assert len(proc.stderr.splitlines()) == 1

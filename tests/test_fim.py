@@ -488,25 +488,12 @@ def test_default_epsilon_scale():
     assert default_epsilon(0.3) == pytest.approx(0.003)
 
 
-def test_worker_resolution_env_override(monkeypatch):
-    from gradmine.fim import WORKERS_ENV, resolve_workers
-
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
-    assert resolve_workers(3) == 3
-    monkeypatch.setenv(WORKERS_ENV, "5")
-    assert resolve_workers() == 5
-    assert resolve_workers(2) == 2  # explicit argument wins over the env
-    monkeypatch.delenv(WORKERS_ENV)
-    assert resolve_workers() >= 1
-
-
 def test_workers_count_only_the_cpus_the_process_may_run_on(monkeypatch):
-    # Pinned to one CPU of eight, the default is one worker, and two asked
-    # for share one lockstep batch in this process.
-    monkeypatch.delenv(fim.WORKERS_ENV, raising=False)
+    # Pinned to one CPU of eight, the process may use one, and two workers
+    # asked for share one lockstep batch in this process.
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert fim.resolve_workers() == 1
+    assert fim.usable_cpus() == 1
     ds = gen_seqclass(n=4, vocab=8, length_range=(4, 8), seed=1)
     with mock.patch("concurrent.futures.ProcessPoolExecutor") as pool:
         table = mine_importance(ds, rnn_spec(), FimConfig(epsilon=0.1, t_max=5), n_workers=2)
@@ -514,41 +501,39 @@ def test_workers_count_only_the_cpus_the_process_may_run_on(monkeypatch):
     assert table.n == 4
 
 
-def test_non_integer_workers_env_names_the_variable(monkeypatch):
-    from gradmine.fim import WORKERS_ENV, resolve_workers
+@pytest.mark.parametrize("samples", [1, 4])
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n_workers", [None, 1, 2, 5])
+def test_shards_are_the_workers_asked_capped_by_cpus_and_samples(n_workers, cpus, samples):
+    # Shards run through a mocked pool in this process; one shard needs no pool.
+    ds = gen_seqclass(n=samples, vocab=8, length_range=(4, 8), seed=1)
+    shards = min(n_workers or cpus, cpus, samples)
+    with cores(cpus), mock.patch("concurrent.futures.ProcessPoolExecutor") as pool, \
+            mock.patch.object(fim, "_mine_rows", side_effect=fim._mine_rows) as rows:
+        pool.return_value.__enter__.return_value.map.side_effect = map
+        table = mine_importance(ds, rnn_spec(), FimConfig(epsilon=0.1, t_max=5),
+                                n_workers=n_workers)
+    assert rows.call_count == shards
+    assert pool.call_args_list == ([] if shards == 1 else [mock.call(max_workers=shards)])
+    assert table.n == samples
 
-    monkeypatch.setenv(WORKERS_ENV, "abc")
-    with pytest.raises(ConfigError, match=WORKERS_ENV):
-        resolve_workers()
 
-
-@pytest.mark.parametrize("value", ["1_0", " 3 ", "+2", "\u0663", "3.0"],
-                         ids=["underscore", "spaces", "plus", "arabic-indic", "point"])
-def test_workers_env_takes_only_ascii_digits(value, monkeypatch):
-    """``int()`` would read each of these as a count."""
-    from gradmine.fim import WORKERS_ENV, resolve_workers
-
-    monkeypatch.setenv(WORKERS_ENV, value)
-    with pytest.raises(ConfigError, match=f"^{WORKERS_ENV} must be ASCII digits, got "):
-        resolve_workers()
+def assert_rejected_before_mining(n_workers, rule):
+    ds = gen_seqclass(n=4, vocab=8, length_range=(4, 8), seed=1)
+    with mock.patch.object(fim, "_mine_rows") as rows, \
+            pytest.raises(ConfigError, match=f"^workers must be {rule}, got {n_workers}$"):
+        mine_importance(ds, rnn_spec(), FimConfig(epsilon=0.1), n_workers=n_workers)
+    rows.assert_not_called()
 
 
 @pytest.mark.parametrize("value", [0, -5])
-def test_non_positive_workers_are_rejected(value, monkeypatch):
-    from gradmine.fim import WORKERS_ENV, resolve_workers
-
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
-    with pytest.raises(ConfigError, match=f"workers must be >= 1, got {value}"):
-        resolve_workers(value)
+def test_non_positive_workers_are_rejected(value):
+    assert_rejected_before_mining(value, ">= 1")
 
 
-@pytest.mark.parametrize("value", ["0", "-5"])
-def test_non_positive_workers_env_names_the_variable(value, monkeypatch):
-    from gradmine.fim import WORKERS_ENV, resolve_workers
-
-    monkeypatch.setenv(WORKERS_ENV, value)
-    with pytest.raises(ConfigError, match=f"{WORKERS_ENV}.*{value}"):
-        resolve_workers()
+@pytest.mark.parametrize("value", [True, 1.5])
+def test_non_integer_workers_are_rejected(value):
+    assert_rejected_before_mining(value, "an integer")
 
 
 class TestCheckFits:

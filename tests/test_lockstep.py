@@ -119,9 +119,9 @@ DIVERGING = {
     # diverged at steps 3-4
     "shorter-lower-run-beside-a-longer-one": (rbm_case(2.0, seed=0),
                                               "sample 0 at step 10"),
-    # a NaN loss ends a run without a step in the message
-    "nan-rnn": (token_case("rnn"), "sample 0"),
-    "nan-lstm": (token_case("lstm"), "sample 0"),
+    # a NaN loss, which no epsilon test catches, names its step too
+    "nan-rnn": (token_case("rnn"), "sample 0 at step 1"),
+    "nan-lstm": (token_case("lstm"), "sample 0 at step 1"),
 }
 
 

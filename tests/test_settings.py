@@ -3,8 +3,10 @@ dataclasses whose fields take the config defaults, and the CLI flags take
 their defaults from the estimator fields."""
 
 import argparse
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,9 +214,8 @@ def test_every_range_is_read_by_a_flag_config_or_generator(monkeypatch, tmp_path
     TrainConfig(spec=SPEC, lr=0.1, epochs=1, clip=1.0)
     gen_seqclass(n=2, vocab=6)
     chunk_frames(gen_pianoroll(n=2), 2)
-    fim.resolve_workers(1)
     save_importance(tmp_path / "t.json", ImportanceMiner(
-        model="rnn", epsilon=10.0).fit(TINY).table_)
+        model="rnn", epsilon=10.0, n_workers=1).fit(TINY).table_)
     load_importance(tmp_path / "t.json")
     assert set(base.RANGES) - numeric_flags() - ranges.read == set()
 
@@ -259,3 +260,38 @@ def test_every_config_field_is_passed_or_read_from_the_settings(
         else:
             build(model="rnn").fit(TINY)
     assert built == classes
+
+
+# Every setting comes in as a flag or an argument: the package reads no
+# variable of the process environment.
+ENV_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source, name):
+    """``name:line`` of each ``os.environ``/``os.getenv`` (or ``bytes``
+    variant) in ``source``, and of each import of one from ``os``."""
+    lines = sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ENV_READS
+        and isinstance(node.value, ast.Name) and node.value.id == "os"
+        or isinstance(node, ast.ImportFrom) and node.module == "os"
+        and any(alias.name in ENV_READS for alias in node.names))
+    return [f"{name}:{line}" for line in lines]
+
+
+def test_package_reads_no_environment_variable():
+    package = Path(base.__file__).parent
+    paths = sorted(package.rglob("*.py"))
+    assert package / "fim.py" in paths
+    assert [site for path in paths for site in environment_reads(
+        path.read_text(), str(path.relative_to(package)))] == []
+
+
+def test_environment_scan_finds_each_kind_of_read():
+    source = ("import os\n"
+              "from os import getenv\n"
+              "a = os.environ.get('A')\n"
+              "b = os.getenv('B')\n"
+              "c = os.environb[b'C']\n"
+              "d = os.cpu_count()\n")
+    assert environment_reads(source, "m.py") == ["m.py:2", "m.py:3", "m.py:4", "m.py:5"]
